@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
 from .extreal import ExtReal, ext_add
-from .model import FunctionModel, ScalarPart, Vector, as_vector, check_same_dim
+from .model import FunctionModel, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
 _ACTIVE_TIE_TOL = 1e-12
@@ -132,25 +132,19 @@ class _Sum(FunctionModel):
             g += m.gradient(x)
         return g
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         grad = np.zeros(self.dim)
-        parts: list[Optional[ScalarPart]] = [None] * self.dim
+        up = np.zeros(self.dim)
+        down = np.zeros(self.dim)
         for m in self.models:
             if m.has_gradient:
                 grad = grad + m.gradient(x)
             else:
-                g2, p2 = m.separable_parts(x)
+                g2, (up2, down2) = m.separable_parts(x)
                 grad = grad + g2
-                for i in range(self.dim):
-                    parts[i] = p2[i] if parts[i] is None else _add_parts(parts[i], p2[i])
-        zero = ScalarPart(fn=lambda t: 0.0, piecewise_linear=True)
-        return grad, [p if p is not None else zero for p in parts]
-
-
-def _add_parts(p: ScalarPart, q: ScalarPart) -> ScalarPart:
-    kinks = tuple(sorted(set(p.kinks) | set(q.kinks)))
-    return ScalarPart(fn=lambda t, a=p.fn, b=q.fn: a(t) + b(t), kinks=kinks,
-                      piecewise_linear=p.piecewise_linear and q.piecewise_linear)
+                up = up + up2
+                down = down + down2
+        return grad, (up, down)
 
 
 def sum_models(models: Sequence[FunctionModel]) -> FunctionModel:
@@ -189,12 +183,9 @@ class _Scaled(FunctionModel):
     def gradient(self, x: Vector) -> Vector:
         return self.lam * self.inner.gradient(x)
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
-        g, parts = self.inner.separable_parts(x)
-        lam = self.lam
-        scaled = [ScalarPart(fn=lambda t, f=p.fn: lam * f(t), kinks=p.kinks,
-                             piecewise_linear=p.piecewise_linear) for p in parts]
-        return lam * g, scaled
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        g, (up, down) = self.inner.separable_parts(x)
+        return self.lam * g, (self.lam * up, self.lam * down)
 
 
 def scale(model: FunctionModel, lam: float) -> FunctionModel:

@@ -9,7 +9,6 @@ timing is the one nondeterministic column and ``--no-timing`` zeroes it.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import shlex
 import sys
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default=None)
     p.add_argument("--no-timing", action="store_true", dest="no_timing",
                    help="zero the wall_ns column for byte-identical traces")
-    p.add_argument("--sweep", help="file of per-run key=value overrides, run concurrently")
+    p.add_argument("--sweep", help="file of per-run key=value overrides, runs in file order")
     return p
 
 
@@ -261,7 +260,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run_sweep(sweep_path: str, base: dict, out: Optional[str], fmt: str,
                no_timing: bool) -> int:
-    """Each sweep line holds key=value overrides; runs execute concurrently."""
+    """Each sweep line holds key=value overrides; runs in file order."""
     try:
         with open(sweep_path) as fh:
             lines = [ln.split("#", 1)[0].strip() for ln in fh]
@@ -284,14 +283,12 @@ def _run_sweep(sweep_path: str, base: dict, out: Optional[str], fmt: str,
             job_out = f"{out}.{i}"
         jobs.append((settings, job_out))
     codes = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, max(1, len(jobs)))) as ex:
-        futs = [ex.submit(_run_single, s, o, fmt, no_timing) for s, o in jobs]
-        for fut in futs:
-            try:
-                codes.append(fut.result())
-            except Exception as exc:
-                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-                codes.append(1)
+    for settings, job_out in jobs:
+        try:
+            codes.append(_run_single(settings, job_out, fmt, no_timing))
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            codes.append(1)
     return max(codes) if codes else 2
 
 

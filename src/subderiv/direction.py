@@ -2,10 +2,11 @@
 
 Three structures admit exact solvers. Differentiable points reduce to the
 normalized negative gradient; coordinate-separable subderivatives split into
-1-D problems on [-1, 1] under the sup-norm ball; concave subderivatives
-attain their minimum at an extreme point of the l1 ball. Everything else
-goes through a seeded sampling fallback that can refute stationarity but
-never certify it.
+1-D problems on [-1, 1] under the sup-norm ball, each fixed by two numbers
+(the part's values at +1 and -1) and solved in closed form; concave
+subderivatives attain their minimum at an extreme point of the l1 ball.
+Everything else goes through a seeded sampling fallback that can refute
+stationarity but never certify it.
 
 Tie-breaking is deterministic everywhere: candidates are scanned in a fixed
 enumeration order and only a strictly smaller value displaces the incumbent.
@@ -15,17 +16,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NoGradient, NotSeparable
 from .extreal import ExtReal
-from .model import FunctionModel, ScalarPart, Vector, as_vector
-
-_GRID_POINTS = 65
-_GOLDEN_TOL = 1e-10
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+from .model import FunctionModel, Vector, as_vector
 
 
 class NormChoice(enum.Enum):
@@ -39,8 +35,11 @@ class DirectionResult:
     """A unit-ball direction, its subderivative value, and an exactness flag.
 
     ``value`` always equals f.subderivative(x, w) as recomputed through the
-    model. ``exact`` is True only for the closed-form solvers (and, for the
-    reduced l1 variant, exact relative to the induced polytope norm).
+    model. ``exact`` is True for every closed-form solver: the l2 search, the
+    sup-norm separable search (two numbers per coordinate, so exact for every
+    separable model) and the l1 vertex search (for the reduced variant, exact
+    relative to the induced polytope norm). Only the sampling fallback is
+    inexact.
     ``evaluations`` counts inner oracle/objective evaluations.
     """
 
@@ -66,91 +65,28 @@ def solve_l2_smooth(f: FunctionModel, x: Vector) -> DirectionResult:
     return DirectionResult(w, f.subderivative(x, w), True, 2)
 
 
-def _solve_piecewise_linear(c: float, part: ScalarPart) -> tuple[float, float, int]:
-    """Exact minimum of c*t + g(t) on [-1, 1] for piecewise-linear g.
-
-    Candidates are the endpoints (in the order -1, +1) and then interior
-    kinks; a strictly smaller value displaces the incumbent. This ordering
-    reproduces the closed-form active-index table for the l1 case, ties
-    included.
-    """
-    cands = [-1.0, 1.0] + [k for k in part.kinks if -1.0 < k < 1.0]
-    best_t, best_v, evals = None, np.inf, 0
-    for t in cands:
-        v = c * t + part.fn(t)
-        evals += 1
-        if v < best_v:
-            best_t, best_v = t, v
-    return float(best_t), float(best_v), evals
-
-
-def _golden_section(h, lo: float, hi: float) -> float:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    hc, hd = h(c), h(d)
-    while b - a > _GOLDEN_TOL:
-        if hc < hd:
-            b, d, hd = d, c, hc
-            c = b - _INVPHI * (b - a)
-            hc = h(c)
-        else:
-            a, c, hc = c, d, hd
-            d = a + _INVPHI * (b - a)
-            hd = h(d)
-    return 0.5 * (a + b)
-
-
-def _solve_scalar_grid(c: float, part: ScalarPart) -> tuple[float, float, int]:
-    """Bracket on a 65-point grid, then golden-section refine to 1e-10."""
-    grid = np.linspace(-1.0, 1.0, _GRID_POINTS)
-
-    def h(t: float) -> float:
-        return c * t + part.fn(t)
-
-    vals = [h(t) for t in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(_GRID_POINTS - 1, i + 1)]
-    t_star = _golden_section(h, lo, hi)
-    cands = [(grid[i], vals[i]), (t_star, h(t_star))]
-    best_t, best_v = min(cands, key=lambda p: p[1])
-    return float(best_t), float(best_v), _GRID_POINTS + 2
-
-
-def solve_linf_separable(parts: Sequence[ScalarPart], grad: Vector, x: Vector,
-                         model: Optional[FunctionModel] = None) -> DirectionResult:
+def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
+                         model: FunctionModel) -> DirectionResult:
     """Coordinatewise direction search over the sup-norm ball.
 
-    Requires the declared structure d f(x)(w) = <grad, w> + sum_i g_i(w_i);
-    each coordinate solves min over t in [-1, 1] of grad_i * t + g_i(t).
-    Exact when every g_i is piecewise linear; otherwise the scalar problems
-    fall back to grid bracketing with golden-section refinement and the
-    result is flagged inexact.
+    Requires the declared structure d f(x)(w) = <grad, w> + sum_i g_i(w_i),
+    with ``parts = (up, down)`` holding g_i(+1) and g_i(-1) (see
+    ``FunctionModel.separable_parts``). Each g_i is positively homogeneous,
+    so c t + g_i(t) is linear on [-1, 0] and on [0, 1] and its minimum over
+    [-1, 1] lies at -1, +1 or 0: the values -grad_i + down_i, grad_i + up_i
+    and 0, scanned in that order. Always exact.
     """
     grad = as_vector(grad, name="grad")
     n = grad.shape[0]
-    if len(parts) != n:
-        raise NotSeparable(f"got {len(parts)} scalar parts for dimension {n}")
-    w = np.zeros(n)
-    total = 0.0
-    evals = 0
-    exact = True
-    for i, part in enumerate(parts):
-        if part.piecewise_linear:
-            t, s, e = _solve_piecewise_linear(float(grad[i]), part)
-        else:
-            t, s, e = _solve_scalar_grid(float(grad[i]), part)
-            exact = False
-        w[i] = t
-        total += s
-        evals += e
-    if model is not None:
-        value = model.subderivative(as_vector(x, n), w)
-        evals += 1
-    else:
-        value = ExtReal(total)
-    return DirectionResult(w, value, exact, evals)
+    if len(parts) != 2 or any(np.shape(p) != (n,) for p in parts):
+        raise NotSeparable(f"separable parts must be two arrays of shape ({n},)")
+    up, down = (np.asarray(p, dtype=float) for p in parts)
+    at_minus = -grad + down
+    at_plus = grad + up
+    plus_wins = at_plus < at_minus
+    best = np.where(plus_wins, at_plus, at_minus)
+    w = np.where(0.0 < best, 0.0, np.where(plus_wins, 1.0, -1.0))
+    return DirectionResult(w, model.subderivative(as_vector(x, n), w), True, 1)
 
 
 def l1_vertices(n: int) -> list[Vector]:

@@ -17,8 +17,7 @@ for any number of concurrent readers.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -41,21 +40,6 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must have finite coordinates")
     return arr
-
-
-@dataclass(frozen=True)
-class ScalarPart:
-    """One coordinate g_i of a separable subderivative d g(x)(w) = sum g_i(w_i).
-
-    ``fn`` evaluates g_i on [-1, 1]. When ``piecewise_linear`` is set, the
-    1-D direction subproblems are solved exactly by enumerating the interval
-    endpoints and the listed ``kinks``; otherwise a grid-plus-golden-section
-    refinement is used.
-    """
-
-    fn: Callable[[float], float]
-    kinks: tuple[float, ...] = field(default=())
-    piecewise_linear: bool = False
 
 
 class FunctionModel(abc.ABC):
@@ -97,11 +81,15 @@ class FunctionModel(abc.ABC):
         """Gradient at x, for models advertising ``has_gradient``."""
         raise NoGradient(f"{type(self).__name__} does not expose a gradient")
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         """Smooth-part gradient and per-coordinate scalar parts at x.
 
         Only for models advertising ``is_separable``: the subderivative then
-        decomposes as d f(x)(w) = <grad, w> + sum_i g_i(w_i).
+        decomposes as d f(x)(w) = <grad, w> + sum_i g_i(w_i). Each g_i is
+        positively homogeneous, so it is fixed by two numbers; the parts are
+        returned as arrays ``(up, down)`` of shape (n,) with
+        ``up[i] = g_i(+1)`` and ``down[i] = g_i(-1)``, so that
+        g_i(t) = t * up[i] for t >= 0 and -t * down[i] for t <= 0.
         """
         raise NotSeparable(f"{type(self).__name__} has no separable structure")
 

@@ -15,7 +15,7 @@ import numpy as np
 from .calculus import SemiDiffMap, forward_chain, relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .extreal import ExtReal, POS_INF
-from .model import FunctionModel, ScalarPart, Vector, as_vector
+from .model import FunctionModel, Vector, as_vector
 
 
 class L1Norm(FunctionModel):
@@ -46,18 +46,11 @@ class L1Norm(FunctionModel):
         s = np.where(x > 0, w, np.where(x < 0, -w, np.abs(w)))
         return ExtReal(self.lam * float(np.sum(s)))
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
-        lam = self.lam
-        parts = []
-        for xi in np.asarray(x, dtype=float):
-            if xi > 0:
-                parts.append(ScalarPart(fn=lambda t, c=lam: c * t, piecewise_linear=True))
-            elif xi < 0:
-                parts.append(ScalarPart(fn=lambda t, c=lam: -c * t, piecewise_linear=True))
-            else:
-                parts.append(ScalarPart(fn=lambda t, c=lam: c * abs(t), kinks=(0.0,),
-                                        piecewise_linear=True))
-        return np.zeros(self.dim), parts
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        x = np.asarray(x, dtype=float)
+        up = np.where(x < 0, -self.lam, self.lam)
+        down = np.where(x > 0, -self.lam, self.lam)
+        return np.zeros(self.dim), (up, down)
 
 
 class NegL1Norm(FunctionModel):
@@ -85,18 +78,11 @@ class NegL1Norm(FunctionModel):
         s = np.where(x > 0, -w, np.where(x < 0, w, -np.abs(w)))
         return ExtReal(self.lam * float(np.sum(s)))
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
-        lam = self.lam
-        parts = []
-        for xi in np.asarray(x, dtype=float):
-            if xi > 0:
-                parts.append(ScalarPart(fn=lambda t, c=lam: -c * t, piecewise_linear=True))
-            elif xi < 0:
-                parts.append(ScalarPart(fn=lambda t, c=lam: c * t, piecewise_linear=True))
-            else:
-                parts.append(ScalarPart(fn=lambda t, c=lam: -c * abs(t), kinks=(0.0,),
-                                        piecewise_linear=True))
-        return np.zeros(self.dim), parts
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        x = np.asarray(x, dtype=float)
+        up = np.where(x < 0, self.lam, -self.lam)
+        down = np.where(x > 0, self.lam, -self.lam)
+        return np.zeros(self.dim), (up, down)
 
 
 class ZeroNormComposite(FunctionModel):
@@ -313,18 +299,15 @@ class SeparableMoreau(FunctionModel):
         prox = np.array([self.inner.prox_candidates(float(t), self.r)[0] for t in x])
         return (np.asarray(x, dtype=float) - prox) / self.r
 
-    def separable_parts(self, x: Vector) -> tuple[Vector, list[ScalarPart]]:
+    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        # g_i(u) = min over the prox set of (x_i - y) u / r, so g_i(+1) is the
+        # smallest slope and g_i(-1) the negated largest one.
         r = self.r
-        parts = []
-        for t in np.asarray(x, dtype=float):
-            slopes = tuple((float(t) - y) / r for y in self.inner.prox_candidates(float(t), r))
-            if len(slopes) == 1:
-                parts.append(ScalarPart(fn=lambda u, s=slopes[0]: s * u,
-                                        piecewise_linear=True))
-            else:
-                parts.append(ScalarPart(fn=lambda u, ss=slopes: min(s * u for s in ss),
-                                        kinks=(0.0,), piecewise_linear=True))
-        return np.zeros(self.dim), parts
+        slopes = [[(t - y) / r for y in self.inner.prox_candidates(t, r)]
+                  for t in np.asarray(x, dtype=float).tolist()]
+        up = np.array([min(s) for s in slopes])
+        down = np.array([-max(s) for s in slopes])
+        return np.zeros(self.dim), (up, down)
 
 
 class QuadraticInner:

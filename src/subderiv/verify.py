@@ -71,16 +71,6 @@ class FDResult:
     quotients: list[float] = field(default_factory=list)        # w' = w per level
     min_quotients: list[float] = field(default_factory=list)    # incl. perturbations
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate.v,
-            "diverged": self.diverged,
-            "converged": self.converged,
-            "t_grid": self.t_grid,
-            "quotients": self.quotients,
-            "min_quotients": self.min_quotients,
-        }
-
 
 def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
                      cfg: Optional[FDConfig] = None) -> FDResult:

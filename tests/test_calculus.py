@@ -1,5 +1,7 @@
 """Combinator semantics: sum/scale/chain rules, forward pass, extremum rules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -374,16 +376,39 @@ def test_penalize_nonsmooth_map_needs_derivable_set():
     assert not pen.semi_differentiable
 
 
-def test_scaled_separable_parts_round_trip(rng):
-    base = sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.L1Norm(2, 0.5)])
-    scaled = sd.scale(base, 3.0)
-    assert scaled.is_separable
-    x = np.array([1.0, 0.0])
-    grad, parts = scaled.separable_parts(x)
-    for t in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        w = np.array([t, t])
-        via_parts = float(np.dot(grad, w)) + parts[0].fn(t) + parts[1].fn(t)
-        assert via_parts == pytest.approx(scaled.subderivative(x, w).v, abs=1e-12)
+def _soft_threshold_prox(t, r, lam=0.5):
+    return (math.copysign(max(abs(t) - lam * r, 0.0), t),)
+
+
+_SEPARABLE_X = np.array([1.0, -1.0, 0.0, 0.3, -2.0])
+_SMOOTH_L1 = sd.sum_models([sd.quadratic_model(np.array([0.5, 0.0, -1.0, 2.0, 0.0])),
+                            sd.L1Norm(5, 0.5)])
+
+
+@pytest.mark.parametrize("model", [
+    sd.L1Norm(5, 0.7),
+    sd.NegL1Norm(5, 1.3),
+    sd.moreau_envelope(sd.L1Inner(0.8), 0.5, n=5),
+    sd.moreau_envelope(sd.UserScalarInner(lambda y: 0.5 * abs(y), _soft_threshold_prox),
+                       0.5, n=5),
+    # r = 0.5 puts x_i = +-1 on the hard threshold, where the prox is set-valued.
+    sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=5),
+    _SMOOTH_L1,
+    sd.scale(_SMOOTH_L1, 3.0),
+], ids=["l1", "neg_l1", "soft_moreau", "user_moreau", "hard_moreau", "smooth_l1",
+        "scaled_smooth_l1"])
+def test_separable_parts_match_subderivative(model, rng):
+    # <grad, w> + sum_i g_i(w_i) with g_i(t) = t up_i for t >= 0 and
+    # -t down_i for t <= 0 must reproduce the oracle's subderivative.
+    x = _SEPARABLE_X
+    assert model.is_separable
+    grad, (up, down) = model.separable_parts(x)
+    assert up.shape == down.shape == (5,)
+    ws = [np.eye(5)[i] * t for i in range(5) for t in (-1.0, 1.0, 0.4)]
+    ws += [rng.uniform(-1, 1, 5) for _ in range(20)]
+    for w in ws:
+        via_parts = float(np.dot(grad, w)) + float(np.sum(np.where(w > 0, up * w, -down * w)))
+        assert via_parts == pytest.approx(model.subderivative(x, w).v, abs=1e-12)
 
 
 def test_sum_of_smooth_keeps_gradient(rng):

@@ -152,6 +152,23 @@ def test_sweep_runs_all_lines(tmp_path):
     assert (tmp_path / "s.csv.1").exists()
 
 
+def test_sweep_runs_lines_in_file_order(tmp_path, capsys):
+    # Summary lines follow the file even when the first line is the slowest.
+    # A failing line in the middle prints one diagnostic, scores exit 1, and
+    # the lines after it still run.
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("problem=dc_quadratic_l1 param.n=20 epsilon=1e-3\n"
+                     "problem=quadratic param.x0=1,2,3\n"
+                     "problem=sparse_moreau\n"
+                     "problem=quadratic epsilon=1e-3\n")
+    assert main(["--sweep", str(sweep), "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    names = [ln.split(":", 1)[0] for ln in captured.out.splitlines()]
+    assert names == ["dc_quadratic_l1", "sparse_moreau", "quadratic"]
+    assert captured.err.count("error:") == 1
+    assert "DimensionMismatch" in captured.err
+
+
 def test_fixture_file_loading(tmp_path):
     mat = tmp_path / "m.txt"
     mat.write_text("# fixture\n1 2 3\n4 5 6\n")

@@ -5,7 +5,6 @@ import pytest
 
 import subderiv as sd
 from subderiv.extreal import ExtReal
-from subderiv.model import ScalarPart
 
 from conftest import l1_table_direction
 
@@ -96,19 +95,64 @@ def test_linf_separable_matches_index_table_randomly(rng):
         assert res.value.v == pytest.approx(float(np.sum(s_ref)), rel=1e-12, abs=1e-12)
 
 
-def test_linf_separable_golden_refinement_path():
-    # A smooth nonlinear scalar part forces the grid + golden-section route.
-    part = ScalarPart(fn=lambda t: (t - 0.3) ** 2, piecewise_linear=False)
-    res = sd.solve_linf_separable([part], np.zeros(1), np.zeros(1))
-    t_ref, s_ref = grid_scalar_min(0.0, lambda t: (t - 0.3) ** 2)
-    assert not res.exact
-    assert res.w[0] == pytest.approx(0.3, abs=1e-6)
-    assert res.value.v == pytest.approx(s_ref, abs=1e-9)
-
-
 def test_linf_separable_rejects_mismatched_parts():
+    model = sd.L1Norm(2)
     with pytest.raises(sd.NotSeparable):
-        sd.solve_linf_separable([], np.zeros(2), np.zeros(2))
+        sd.solve_linf_separable([], np.zeros(2), np.zeros(2), model=model)
+    with pytest.raises(sd.NotSeparable):
+        sd.solve_linf_separable((np.zeros(3), np.zeros(3)), np.zeros(2),
+                                np.zeros(2), model=model)
+
+
+def oracle_coordinate_direction(model, x):
+    """Reference sup-norm direction built only from subderivative queries:
+    per coordinate, the first strict minimum of d f(x)(t e_i) over t = -1,
+    +1, 0."""
+    n = len(x)
+    w = np.zeros(n)
+    for i in range(n):
+        best_t, best_v = None, np.inf
+        for t in (-1.0, 1.0, 0.0):
+            e = np.zeros(n)
+            e[i] = t
+            v = model.subderivative(x, e).v
+            if v < best_v:
+                best_t, best_v = t, v
+        w[i] = best_t
+    return w
+
+
+_TIE_XS = np.array([-1.0, 0.0, 1.0] * 5)
+_TIE_CS = np.repeat([1.0, -1.0, 0.0, 2.0, -2.0], 3)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_linf_separable_exact_ties_l1(lam):
+    # Every sign of x_i against c_i in {+-lam, 0, +-2 lam}: the rows where
+    # two candidates tie exactly are where the tie order decides.
+    model, grad, parts = separable_fixture(lam * _TIE_CS, _TIE_XS, lam)
+    res = sd.solve_linf_separable(parts, grad, _TIE_XS, model=model)
+    w_ref, s_ref = l1_table_direction(grad, _TIE_XS, lam)
+    assert np.array_equal(res.w, w_ref)
+    assert res.value.v == pytest.approx(float(np.sum(s_ref)), abs=1e-12)
+    assert res.exact and res.evaluations == 1
+
+
+@pytest.mark.parametrize("separable, c", [
+    (sd.NegL1Norm(15, 1.0), _TIE_CS),
+    (sd.NegL1Norm(15, 0.3), 0.3 * _TIE_CS),
+    # r = 0.5 puts the hard threshold at |x_i| = 1, where the prox is the set
+    # {0, x_i} and the envelope has a kink; c_i = +-1 ties its two slopes.
+    (sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=15), _TIE_CS),
+], ids=["neg_l1", "neg_l1_0.3", "hard_moreau"])
+def test_linf_separable_exact_ties_against_oracle(separable, c):
+    x = _TIE_XS
+    phi = sd.smooth_model(15, lambda z: float(np.dot(c, z)), lambda z: c.copy())
+    for model in (separable, sd.sum_models([phi, separable])):
+        grad, parts = model.separable_parts(x)
+        res = sd.solve_linf_separable(parts, grad, x, model=model)
+        assert np.array_equal(res.w, oracle_coordinate_direction(model, x))
+        assert res.value == model.subderivative(x, res.w)
 
 
 def test_l1_extreme_tie_break_at_origin(dc1):
