@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import SemiDiffMap, forward_chain, relu_direction
+from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector
@@ -374,11 +374,12 @@ def moreau_envelope(inner, r: float, n: Optional[int] = None) -> FunctionModel:
 class ReLUNetworkLoss(FunctionModel):
     """Mean squared loss of a fully connected ReLU network over its parameters.
 
-    The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The
-    directional derivative is propagated with one forward pass per datum
-    through state-carrying layers (theta rides along so each layer is
-    semi-differentiable in the joint variable), then through the smooth
-    squared-loss outer derivative.
+    The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
+    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets), and one
+    forward pass over all of them carries the direction next to the values:
+    through each affine layer by the product rule, dA = dW Z + W dZ - db,
+    through the activation by its semi-derivative (max{0, dA} at a zero
+    pre-activation), then through the smooth squared-loss outer derivative.
 
     ``final_relu`` controls whether the last layer is passed through the
     activation as well; the bundled fixtures use True.
@@ -391,10 +392,12 @@ class ReLUNetworkLoss(FunctionModel):
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise DimensionMismatch("widths must list at least two positive layer sizes")
         self.final_relu = bool(final_relu)
-        self.data = [(as_vector(x, self.widths[0], "x"),
-                      as_vector(y, self.widths[-1], "y")) for x, y in data]
-        if not self.data:
+        pairs = [(as_vector(x, self.widths[0], "x"), as_vector(y, self.widths[-1], "y"))
+                 for x, y in data]
+        if not pairs:
             raise ValueError("at least one training pair is required")
+        self.X = np.column_stack([x for x, _ in pairs])
+        self.Y = np.column_stack([y for _, y in pairs])
         self._offsets = []
         off = 0
         for i in range(1, len(self.widths)):
@@ -402,7 +405,6 @@ class ReLUNetworkLoss(FunctionModel):
             self._offsets.append((off, off + n_out * n_in, off + n_out * n_in + n_out))
             off = self._offsets[-1][2]
         self._p = off
-        self._layers = self.state_layers()
 
     @property
     def dim(self) -> int:
@@ -425,41 +427,27 @@ class ReLUNetworkLoss(FunctionModel):
                 f"packed {theta.shape[0]} parameters, expected {self._p}")
         return theta
 
-    def state_layers(self, theta_dim: Optional[int] = None) -> list[SemiDiffMap]:
-        """The network as state-carrying layers over (theta, z)."""
-        p = self._p if theta_dim is None else theta_dim
-        layers = []
+    def _pass(self, theta: Vector, dtheta: Optional[Vector] = None):
+        """Forward pass over every datum at once.
+
+        Returns the per-layer pre-activations A = W Z - b (one column per
+        datum), the output and its directional derivative along ``dtheta``;
+        without ``dtheta`` the direction is not propagated and stays zero.
+        """
         n_layers = len(self.widths) - 1
+        Z, dZ = self.X, np.zeros_like(self.X)
+        pre = []
         for i in range(n_layers):
             act = self.final_relu or i < n_layers - 1
-            layers.append(self._carry_layer(i, p, act))
-        return layers
-
-    def _carry_layer(self, i: int, p: int, act: bool) -> SemiDiffMap:
-        n_in, n_out = self.widths[i], self.widths[i + 1]
-
-        def ev(s, i=i, p=p, act=act):
-            theta, z = s[:p], s[p:]
             W, b = self._unpack(theta, i)
-            a = W @ z - b
-            return np.concatenate([theta, np.maximum(a, 0.0) if act else a])
-
-        def dr(s, ds, i=i, p=p, act=act):
-            theta, z = s[:p], s[p:]
-            dtheta, dz = ds[:p], ds[p:]
-            W, b = self._unpack(theta, i)
-            dW, db = self._unpack(dtheta, i)
-            a = W @ z - b
-            da = dW @ z + W @ dz - db
-            return np.concatenate([dtheta, relu_direction(a, da) if act else da])
-
-        return SemiDiffMap(p + n_in, p + n_out, ev, dr)
-
-    def _forward(self, theta: Vector, dtheta: Vector, x: Vector):
-        s0 = np.concatenate([theta, x])
-        ds0 = np.concatenate([dtheta, np.zeros_like(x)])
-        s, ds = forward_chain(self._layers, s0, ds0)
-        return s[self._p:], ds[self._p:]
+            A = W @ Z - b[:, None]
+            if dtheta is not None:
+                dW, db = self._unpack(dtheta, i)
+                dA = dW @ Z + W @ dZ - db[:, None]
+                dZ = relu_direction(A, dA) if act else dA
+            Z = np.maximum(A, 0.0) if act else A
+            pre.append(A)
+        return pre, Z, dZ
 
     def preactivations(self, theta: Vector) -> list[list[Vector]]:
         """Per-datum, per-layer pre-activation vectors W z - b.
@@ -468,37 +456,17 @@ class ReLUNetworkLoss(FunctionModel):
         loss is still semi-differentiable but finite differences converge
         slowly.
         """
-        theta = as_vector(theta, self._p, "theta")
-        out = []
-        n_layers = len(self.widths) - 1
-        for xi, _ in self.data:
-            z = xi
-            acts = []
-            for i in range(n_layers):
-                W, b = self._unpack(theta, i)
-                a = W @ z - b
-                acts.append(a)
-                z = np.maximum(a, 0.0) if (self.final_relu or i < n_layers - 1) else a
-            out.append(acts)
-        return out
+        pre, _, _ = self._pass(as_vector(theta, self._p, "theta"))
+        return [[A[:, j] for A in pre] for j in range(self.X.shape[1])]
 
     def value(self, x: Vector) -> ExtReal:
-        theta = as_vector(x, self._p, "theta")
-        zero = np.zeros(self._p)
-        total = 0.0
-        for xi, yi in self.data:
-            out, _ = self._forward(theta, zero, xi)
-            total += float(np.dot(out - yi, out - yi))
-        return ExtReal(total / len(self.data))
+        _, out, _ = self._pass(as_vector(x, self._p, "theta"))
+        return ExtReal(float(np.sum((out - self.Y) ** 2)) / self.X.shape[1])
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        theta = as_vector(x, self._p, "theta")
-        dtheta = as_vector(w, self._p, "dtheta")
-        total = 0.0
-        for xi, yi in self.data:
-            out, dout = self._forward(theta, dtheta, xi)
-            total += 2.0 * float(np.dot(out - yi, dout))
-        return ExtReal(total / len(self.data))
+        _, out, dout = self._pass(as_vector(x, self._p, "theta"),
+                                  as_vector(w, self._p, "dtheta"))
+        return ExtReal(2.0 * float(np.sum((out - self.Y) * dout)) / self.X.shape[1])
 
 
 def relu_network_loss(widths: Sequence[int], data: Sequence[tuple],

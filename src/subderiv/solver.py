@@ -35,6 +35,7 @@ class TerminalStatus(str, enum.Enum):
     MAX_ITER = "MaxIter"
     UNBOUNDED = "Unbounded"
     BACKTRACK_EXHAUSTED = "BacktrackExhausted"
+    LEFT_DOMAIN = "LeftDomain"
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,15 @@ def search_direction(f: FunctionModel, x: Vector, cfg: SolverConfig) -> Directio
 
 def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Trace:
     """Iterate from x0 until epsilon-stationarity, the iteration cap, the
-    unbounded floor, or an exhausted backtracking search."""
+    unbounded floor, an exhausted backtracking search, or a step to a point
+    where f = +inf.
+
+    Terminal statuses: EpsStationary, MaxIter, Unbounded (f below
+    ``cfg.floor``), BacktrackExhausted (no Armijo step within the cap) and
+    LeftDomain (a diminishing step reached f = +inf; Armijo never accepts
+    such a trial). The last two write a final row with alpha 0 and keep
+    ``x_final``/``f_final`` at the last finite iterate.
+    """
     cfg = cfg or SolverConfig()
     x = as_vector(x0, f.dim, "x0")
     fx = f.value(x).v
@@ -164,8 +173,15 @@ def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Tra
             break
         step = alpha * res.w
         iterates.append(x)
-        x = x + step
-        fx_next = f.value(x).v
+        x_next = x + step
+        fx_next = f.value(x_next).v
+        if fx_next == math.inf:
+            dt = time.perf_counter_ns() - t0
+            records.append(IterationRecord(k, fx, d, 0.0, 0, 0.0, dt))
+            status = TerminalStatus.LEFT_DOMAIN
+            detail = f"the step with alpha={alpha!r} leaves the domain: f(x + alpha w) = +inf"
+            break
+        x = x_next
         dt = time.perf_counter_ns() - t0
         records.append(IterationRecord(k, fx, d, alpha, m,
                                        float(np.linalg.norm(step)), dt))

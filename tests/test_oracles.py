@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import subderiv as sd
+from subderiv.calculus import relu_direction
 from subderiv.extreal import ExtReal
 
 from conftest import quotient
@@ -212,6 +213,106 @@ def test_relu_loss_pack_and_dims():
     assert theta.shape == (net.dim,)
     with pytest.raises(sd.DimensionMismatch):
         net.pack([np.ones((3, 2))], [np.zeros(3)])
+
+
+def _state_layers(widths, final_relu):
+    """The network as maps of the joint state (theta, z), for ``forward_chain``.
+
+    theta rides along unchanged, so each layer is semi-differentiable in the
+    joint variable; the packing (W^i row-major, then b^i) is re-derived here.
+    """
+    sizes = [(n_out, n_in) for n_in, n_out in zip(widths, widths[1:])]
+    p = sum(n_out * n_in + n_out for n_out, n_in in sizes)
+    layers, off = [], 0
+    for i, (n_out, n_in) in enumerate(sizes):
+        act = final_relu or i < len(sizes) - 1
+        cut = (off, off + n_out * n_in, off + n_out * n_in + n_out)
+
+        def unpack(theta, cut=cut, shape=(n_out, n_in)):
+            return theta[cut[0]:cut[1]].reshape(shape), theta[cut[1]:cut[2]]
+
+        def ev(s, unpack=unpack, act=act):
+            W, b = unpack(s[:p])
+            a = W @ s[p:] - b
+            return np.concatenate([s[:p], np.maximum(a, 0.0) if act else a])
+
+        def dr(s, ds, unpack=unpack, act=act):
+            (W, b), (dW, db) = unpack(s[:p]), unpack(ds[:p])
+            a = W @ s[p:] - b
+            da = dW @ s[p:] + W @ ds[p:] - db
+            return np.concatenate([ds[:p], relu_direction(a, da) if act else da])
+
+        layers.append(sd.SemiDiffMap(p + n_in, p + n_out, ev, dr))
+        off = cut[2]
+    return layers, p
+
+
+def _reference_loss(widths, final_relu, data, theta, dtheta):
+    """Mean squared loss and its subderivative, one datum at a time."""
+    layers, p = _state_layers(widths, final_relu)
+    val = der = 0.0
+    for x, y in data:
+        s, ds = sd.forward_chain(layers, np.concatenate([theta, x]),
+                                 np.concatenate([dtheta, np.zeros_like(x)]))
+        r = s[p:] - y
+        val += float(np.dot(r, r))
+        der += 2.0 * float(np.dot(r, ds[p:]))
+    return val / len(data), der / len(data)
+
+
+def _dyadic(rng, size):
+    return rng.integers(-8, 9, size) / 8.0
+
+
+def _tied_theta(net, rng):
+    """Dyadic weights with every layer's first pre-activation of datum 0 at 0.
+
+    Data and weights are multiples of 1/8 with few bits, so W z - b is exact
+    and the tie survives in any summation order.
+    """
+    z = net.X[:, 0]
+    weights, biases = [], []
+    n_layers = len(net.widths) - 1
+    for i in range(n_layers):
+        W = _dyadic(rng, (net.widths[i + 1], net.widths[i]))
+        b = _dyadic(rng, net.widths[i + 1])
+        b[0] = W[0] @ z
+        weights.append(W)
+        biases.append(b)
+        a = W @ z - b
+        z = np.maximum(a, 0.0) if net.final_relu or i < n_layers - 1 else a
+    return net.pack(weights, biases)
+
+
+@pytest.mark.parametrize("final_relu", [True, False])
+@pytest.mark.parametrize("widths", [[2, 3, 3, 1], [2, 8, 1]])
+def test_relu_loss_matches_per_datum_forward_chain(widths, final_relu):
+    rng = np.random.default_rng([len(widths), widths[1], int(final_relu)])
+    data = [(_dyadic(rng, widths[0]), _dyadic(rng, widths[-1])) for _ in range(6)]
+    net = sd.relu_network_loss(widths, data, final_relu=final_relu)
+
+    def check(theta, dtheta):
+        val, der = _reference_loss(widths, final_relu, data, theta, dtheta)
+        assert net.value(theta).v == pytest.approx(val, rel=1e-12, abs=0.0)
+        assert net.subderivative(theta, dtheta).v == pytest.approx(der, rel=1e-12, abs=0.0)
+
+    for _ in range(10):
+        check(rng.normal(size=net.dim), rng.normal(size=net.dim))
+
+    theta = _tied_theta(net, rng)
+    pre = net.preactivations(theta)
+    assert len(pre) == len(data)
+    for acts in pre:
+        assert [a.shape for a in acts] == [(n,) for n in widths[1:]]
+    assert all(a[0] == 0.0 for a in pre[0])
+    bias_of_tie = np.zeros(net.dim)
+    bias_of_tie[widths[0] * widths[1]] = 1.0
+    kinked = False
+    for d in [bias_of_tie] + [_dyadic(rng, net.dim) for _ in range(5)]:
+        check(theta, d)
+        check(theta, -d)
+        kinked |= net.subderivative(theta, d).v != -net.subderivative(theta, -d).v
+    assert kinked  # the ties are reached: d f(theta) is not linear there
 
 
 def test_linear_model():

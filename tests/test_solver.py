@@ -91,6 +91,39 @@ def test_run_backtrack_exhausted_status():
     assert tr.records[-1].alpha == 0.0
 
 
+def test_run_diminishing_step_out_of_domain_ends_left_domain():
+    # f = x + indicator(x >= -1): the first diminishing step (alpha = 5) from
+    # 0 lands at -5, where f = +inf and the oracle rejects any query.
+    class HalfLine(sd.FunctionModel):
+        extended_valued = True
+        semi_differentiable = True
+
+        @property
+        def dim(self):
+            return 1
+
+        def value(self, x):
+            return ExtReal(float(x[0])) if x[0] >= -1.0 else sd.POS_INF
+
+        def subderivative(self, x, w):
+            if x[0] < -1.0:
+                raise sd.DomainViolation(f"f = +inf at x = {x[0]}")
+            if x[0] == -1.0 and w[0] < 0:
+                return sd.POS_INF
+            return ExtReal(float(w[0]))
+
+    cfg = sd.SolverConfig(strategy="fallback", schedule=sd.diminishing_schedule(5.0))
+    tr = sd.run(HalfLine(), np.zeros(1), cfg)
+    assert tr.status is sd.TerminalStatus.LEFT_DOMAIN
+    assert tr.status.value == "LeftDomain"
+    assert len(tr.records) == 1 and len(tr.iterates) == 1
+    last = tr.records[-1]
+    assert (last.alpha, last.backtracks, last.step_norm) == (0.0, 0, 0.0)
+    assert last.dir_value < 0
+    assert tr.x_final.tolist() == [0.0] and tr.f_final == 0.0
+    assert "alpha=5.0" in tr.detail
+
+
 def test_run_unbounded_floor():
     m = sd.linear_model(np.array([2e6, 0.0]))
     cfg = sd.SolverConfig(epsilon=1e-6, strategy="l2", max_iter=10_000, floor=-1e7)
