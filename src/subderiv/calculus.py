@@ -11,16 +11,18 @@ by construction.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
-from .extreal import ExtReal, ext_add
+from .extreal import ExtReal, ext_add, ext_add_arrays
 from .model import FunctionModel, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
-_ACTIVE_TIE_TOL = 1e-12
+# Branch values this many ulps apart count as tied in a pointwise extremum.
+_TIE_ULPS = 8
 
 
 class SemiDiffMap:
@@ -126,6 +128,12 @@ class _Sum(FunctionModel):
             acc = ext_add(acc, m.subderivative(x, w))
         return acc
 
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        acc = self.models[0].subderivatives(x, W)
+        for m in self.models[1:]:
+            acc = ext_add_arrays(acc, m.subderivatives(x, W))
+        return acc
+
     def gradient(self, x: Vector) -> Vector:
         g = self.models[0].gradient(x).copy()
         for m in self.models[1:]:
@@ -179,6 +187,9 @@ class _Scaled(FunctionModel):
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return self.inner.subderivative(x, w).scaled(self.lam)
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        return self.lam * self.inner.subderivatives(x, W)
 
     def gradient(self, x: Vector) -> Vector:
         return self.lam * self.inner.gradient(x)
@@ -325,14 +336,32 @@ class _PointwiseExtremum(FunctionModel):
         vals = self._values(x)
         return ExtReal(max(vals) if self.take_max else min(vals))
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+    def _active(self, x: Vector) -> list[FunctionModel]:
+        """Members whose value ties the extremum at x, in member order.
+
+        Exact float ties would drop genuinely active branches produced by
+        arithmetic noise, so a branch counts as tied within a few ulps of
+        the larger magnitude of its value and the extremum. The tolerance
+        scales with f, and a distant branch does not widen it.
+        """
         vals = self._values(x)
         best = max(vals) if self.take_max else min(vals)
-        # Exact float ties would drop genuinely active branches produced by
-        # arithmetic noise, hence the absolute tolerance.
-        active = [i for i, v in enumerate(vals) if abs(v - best) <= _ACTIVE_TIE_TOL]
-        ds = [self.models[i].subderivative(x, w).v for i in active]
+        return [m for m, v in zip(self.models, vals)
+                if abs(v - best) <= _TIE_ULPS * math.ulp(max(abs(v), abs(best)))]
+
+    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+        ds = [m.subderivative(x, w).v for m in self._active(x)]
         return ExtReal(max(ds) if self.take_max else min(ds))
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        # Same reduction as the builtin max/min above: a later member
+        # replaces the incumbent only when strictly larger (smaller).
+        first, *rest = self._active(x)
+        out = first.subderivatives(x, W)
+        for m in rest:
+            d = m.subderivatives(x, W)
+            out = np.where(d > out if self.take_max else d < out, d, out)
+        return out
 
 
 def pointwise_max(models: Sequence[FunctionModel]) -> FunctionModel:

@@ -8,8 +8,14 @@ subderivatives attain their minimum at an extreme point of the l1 ball.
 Everything else goes through a seeded sampling fallback that can refute
 stationarity but never certify it.
 
+The l1 vertex search and the fallback each make one batched query,
+``f.subderivatives(x, W)``, over all their candidates, so a model does the
+work that depends only on x once per search; the chosen direction's value
+is then recomputed through the scalar ``f.subderivative``.
+
 Tie-breaking is deterministic everywhere: candidates are scanned in a fixed
-enumeration order and only a strictly smaller value displaces the incumbent.
+enumeration order and only a strictly smaller value displaces the incumbent
+(the first minimum wins, as ``np.argmin`` returns it).
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ class DirectionResult:
     separable model) and the l1 vertex search (for the reduced variant, exact
     relative to the induced polytope norm). Only the sampling fallback is
     inexact.
-    ``evaluations`` counts inner oracle/objective evaluations.
+    ``evaluations`` counts subderivative evaluations, one per row of a
+    batched query.
     """
 
     w: Vector
@@ -89,33 +96,33 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     return DirectionResult(w, model.subderivative(as_vector(x, n), w), True, 1)
 
 
-def l1_vertices(n: int) -> list[Vector]:
-    """Extreme points of the l1 ball in tie-break order e1, -e1, e2, -e2, ..."""
-    out = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out.append(e.copy())
-        e2 = np.zeros(n)
-        e2[i] = -1.0
-        out.append(e2)
-    return out
+def l1_vertices(n: int) -> np.ndarray:
+    """Extreme points of the l1 ball as the rows of a (2n, n) matrix, in
+    tie-break order e1, -e1, e2, -e2, ..."""
+    verts = np.zeros((2 * n, n))
+    idx = np.arange(n)
+    verts[2 * idx, idx] = 1.0
+    verts[2 * idx + 1, idx] = -1.0
+    return verts
 
 
-def reduced_vertices(n: int) -> list[Vector]:
-    """The n+1 point set {e_i} plus the all-minus-ones vector.
+def reduced_vertices(n: int) -> np.ndarray:
+    """The n+1 point set {e_i} plus the all-minus-ones vector, as rows.
 
     Its convex hull is a polytope with the origin interior, hence the unit
     ball of an induced norm; minimizing a concave subderivative over that
     ball needs only these n+1 evaluations.
     """
-    out = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out.append(e)
-    out.append(-np.ones(n))
-    return out
+    return np.vstack([np.eye(n), -np.ones((1, n))])
+
+
+def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
+    """d f(x)(w) for every row of W through one batched query."""
+    vals = np.asarray(f.subderivatives(x, W), dtype=float)
+    if vals.shape != (W.shape[0],):
+        raise ValueError(f"{type(f).__name__}.subderivatives returned shape "
+                         f"{vals.shape} for {W.shape[0]} directions")
+    return vals
 
 
 def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> DirectionResult:
@@ -125,20 +132,13 @@ def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> Dire
     over the polytope at an extreme point. With ``reduced`` the n+1 point set
     {e_i} union {-e} is used instead; that is exact for the norm whose unit
     ball is the convex hull of those points, and the result's direction may
-    exceed the l1 ball (||-e||_1 = n).
+    exceed the l1 ball (||-e||_1 = n). If every vertex is +inf, the first
+    one is returned.
     """
     x = as_vector(x, f.dim)
     verts = reduced_vertices(f.dim) if reduced else l1_vertices(f.dim)
-    best_w, best_v = None, np.inf
-    evals = 0
-    for v in verts:
-        d = f.subderivative(x, v)
-        evals += 1
-        if d.v < best_v:
-            best_w, best_v = v, d.v
-    if best_w is None:  # every vertex was +inf
-        best_w = verts[0]
-    return DirectionResult(best_w, f.subderivative(x, best_w), True, evals + 1)
+    best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
+    return DirectionResult(best_w, f.subderivative(x, best_w), True, len(verts) + 1)
 
 
 def _unit_ball_sample(rng: np.random.Generator, n: int, norm: NormChoice) -> Vector:
@@ -168,16 +168,17 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     """Best of signed coordinate directions, the normalized negative gradient
     when available, and ``budget`` seeded uniform unit-ball samples.
 
-    Directions with an infinite subderivative are discarded (they are never
-    descent directions); if everything is discarded the zero direction is
-    returned. Never exact: a fallback result can fail to refute stationarity
-    but cannot certify it.
+    Directions with an infinite subderivative are discarded, -inf included,
+    although a -inf direction is a descent direction: the Armijo test cannot
+    accept a step along d = -inf (a known defect, ROADMAP item 2a). If
+    everything is discarded the zero direction is returned. Never exact: a
+    fallback result can fail to refute stationarity but cannot certify it.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     x = as_vector(x, f.dim)
     rng = np.random.default_rng(seed)
-    cands = l1_vertices(f.dim)
+    cands = [l1_vertices(f.dim)]
     if f.has_gradient:
         g = f.gradient(x)
         nrm = norm_of(g, norm)
@@ -185,15 +186,11 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
             cands.append(-(g / nrm))
     for _ in range(budget):
         cands.append(_unit_ball_sample(rng, f.dim, norm))
-    best_w, best_v = None, np.inf
-    evals = 0
-    for wv in cands:
-        d = f.subderivative(x, wv)
-        evals += 1
-        if not d.is_finite:
-            continue
-        if d.v < best_v:
-            best_w, best_v = wv, d.v
-    if best_w is None:
-        return DirectionResult(np.zeros(f.dim), ExtReal(0.0), False, evals)
-    return DirectionResult(best_w, f.subderivative(x, best_w), False, evals + 1)
+    cands = np.vstack(cands)
+    vals = _batch_values(f, x, cands)
+    vals = np.where(np.isfinite(vals), vals, np.inf)
+    i = int(np.argmin(vals))
+    if vals[i] == np.inf:
+        return DirectionResult(np.zeros(f.dim), ExtReal(0.0), False, len(cands))
+    best_w = cands[i].copy()
+    return DirectionResult(best_w, f.subderivative(x, best_w), False, len(cands) + 1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IndeterminateSum
 
 
@@ -83,3 +85,10 @@ def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
     if (a.v == math.inf and b.v == -math.inf) or (a.v == -math.inf and b.v == math.inf):
         raise IndeterminateSum("(+inf) + (-inf) is undefined")
     return ExtReal(a.v + b.v)
+
+
+def ext_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``ext_add`` of two float arrays of extended reals."""
+    if np.any(np.isinf(a) & (a == -b)):
+        raise IndeterminateSum("(+inf) + (-inf) is undefined")
+    return a + b

@@ -6,9 +6,12 @@ as an extended real, and the lower directional derivative
     d f(x)(w) = liminf over t -> 0+, w' -> w of (f(x + t w') - f(x)) / t,
 
 again as an extended real. Both must be pure: identical arguments give
-bit-identical answers. Capability flags (semi-differentiability, a descent
-constant, a lower bound, gradient access, separable structure) let the
-direction-search and line-search layers pick the right specialized path.
+bit-identical answers. An optional batched query, ``subderivatives(x, W)``,
+answers d f(x)(w) for every row w of a matrix at once, so the work that
+depends only on x is done once per point. Capability flags
+(semi-differentiability, a descent constant, a lower bound, gradient
+access, separable structure) let the direction-search and line-search
+layers pick the right specialized path.
 
 All models are immutable values; implementations must be stateless and safe
 for any number of concurrent readers.
@@ -42,6 +45,16 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
     return arr
 
 
+def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
+    """Coerce to a C-contiguous (k, dim) float64 matrix with finite entries."""
+    arr = np.ascontiguousarray(W, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatch(f"{name} must have shape (k, {dim}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must have finite entries")
+    return arr
+
+
 class FunctionModel(abc.ABC):
     """Contract every objective oracle implements.
 
@@ -54,6 +67,10 @@ class FunctionModel(abc.ABC):
         full limit and is finite for all finite x and w.
       * if ``descent_constant`` L is set, then for all x, y in the advertised
         region: f(y) <= f(x) + d f(x)(y - x) + (L/2) ||y - x||^2.
+      * ``subderivatives`` is optional. The default loops over
+        ``subderivative``; an override must return, for every row w of
+        ``as_directions(W)``, exactly the float ``subderivative(x, w).v``,
+        bit for bit, because the direction searches pick among exact ties.
     """
 
     semi_differentiable: bool = False
@@ -76,6 +93,18 @@ class FunctionModel(abc.ABC):
     @abc.abstractmethod
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         """d f(x)(w), the lower directional derivative at x along w."""
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        """d f(x)(w) for every row w of the k x n matrix W, as k floats.
+
+        Values may be +-inf. W is first made a C-contiguous float64 matrix
+        by ``as_directions``, so each row has unit stride, as a freshly
+        built direction does. Models override this to share the work that
+        depends only on x across the rows; this default asks
+        ``subderivative`` once per row.
+        """
+        W = as_directions(W, self.dim)
+        return np.array([self.subderivative(x, w).v for w in W], dtype=float)
 
     def gradient(self, x: Vector) -> Vector:
         """Gradient at x, for models advertising ``has_gradient``."""

@@ -15,7 +15,7 @@ import numpy as np
 from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .extreal import ExtReal, POS_INF
-from .model import FunctionModel, Vector, as_vector
+from .model import FunctionModel, Vector, as_directions, as_vector
 
 
 class L1Norm(FunctionModel):
@@ -45,6 +45,11 @@ class L1Norm(FunctionModel):
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         s = np.where(x > 0, w, np.where(x < 0, -w, np.abs(w)))
         return ExtReal(self.lam * float(np.sum(s)))
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        W = as_directions(W, self.dim)
+        S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
+        return self.lam * np.sum(S, axis=1)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         x = np.asarray(x, dtype=float)
@@ -77,6 +82,11 @@ class NegL1Norm(FunctionModel):
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         s = np.where(x > 0, -w, np.where(x < 0, w, -np.abs(w)))
         return ExtReal(self.lam * float(np.sum(s)))
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        W = as_directions(W, self.dim)
+        S = np.where(x > 0, -W, np.where(x < 0, W, -np.abs(W)))
+        return self.lam * np.sum(S, axis=1)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         x = np.asarray(x, dtype=float)
@@ -145,6 +155,10 @@ class SmoothModel(FunctionModel):
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return ExtReal(float(np.dot(self._grad(x), w)))
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
+        return np.vecdot(as_directions(W, self.dim), self._grad(x))
 
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self._grad(x), dtype=float)
@@ -352,6 +366,9 @@ class QuadraticMoreau(FunctionModel):
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return ExtReal(float(np.dot(self.gradient(x), w)))
 
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        return np.vecdot(as_directions(W, self.dim), self.gradient(x))
+
     def gradient(self, x: Vector) -> Vector:
         return (np.asarray(x, dtype=float) - self._prox(x)) / self.r
 
@@ -376,10 +393,12 @@ class ReLUNetworkLoss(FunctionModel):
 
     The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
     are held as matrix columns, ``X`` (inputs) and ``Y`` (targets), and one
-    forward pass over all of them carries the direction next to the values:
-    through each affine layer by the product rule, dA = dW Z + W dZ - db,
-    through the activation by its semi-derivative (max{0, dA} at a zero
-    pre-activation), then through the smooth squared-loss outer derivative.
+    forward pass over all of them carries the directions next to the values
+    (k directions as a stack of k tangents; ``subderivative`` is the case
+    k = 1): through each affine layer by the product rule,
+    dA = dW Z + W dZ - db, through the activation by its semi-derivative
+    (max{0, dA} at a zero pre-activation), then through the smooth
+    squared-loss outer derivative.
 
     ``final_relu`` controls whether the last layer is passed through the
     activation as well; the bundled fixtures use True.
@@ -410,10 +429,12 @@ class ReLUNetworkLoss(FunctionModel):
     def dim(self) -> int:
         return self._p
 
-    def _unpack(self, theta: Vector, i: int) -> tuple[np.ndarray, Vector]:
+    def _unpack(self, theta: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer i's weights and bias from the last axis of ``theta``."""
         w0, w1, w2 = self._offsets[i]
         n_out, n_in = self.widths[i + 1], self.widths[i]
-        return theta[w0:w1].reshape(n_out, n_in), theta[w1:w2]
+        return (theta[..., w0:w1].reshape(theta.shape[:-1] + (n_out, n_in)),
+                theta[..., w1:w2])
 
     def pack(self, weights: Sequence[np.ndarray], biases: Sequence[Vector]) -> Vector:
         """Flatten per-layer weights and biases into a parameter vector."""
@@ -427,15 +448,17 @@ class ReLUNetworkLoss(FunctionModel):
                 f"packed {theta.shape[0]} parameters, expected {self._p}")
         return theta
 
-    def _pass(self, theta: Vector, dtheta: Optional[Vector] = None):
+    def _pass(self, theta: Vector, dtheta: Optional[np.ndarray] = None):
         """Forward pass over every datum at once.
 
         Returns the per-layer pre-activations A = W Z - b (one column per
-        datum), the output and its directional derivative along ``dtheta``;
-        without ``dtheta`` the direction is not propagated and stays zero.
+        datum), the output and its directional derivatives along the k rows
+        of the (k, p) matrix ``dtheta``, stacked on a leading axis of length
+        k; without ``dtheta`` no direction is propagated and the last is None.
         """
         n_layers = len(self.widths) - 1
-        Z, dZ = self.X, np.zeros_like(self.X)
+        Z = self.X
+        dZ = None if dtheta is None else np.zeros((dtheta.shape[0],) + Z.shape)
         pre = []
         for i in range(n_layers):
             act = self.final_relu or i < n_layers - 1
@@ -443,7 +466,7 @@ class ReLUNetworkLoss(FunctionModel):
             A = W @ Z - b[:, None]
             if dtheta is not None:
                 dW, db = self._unpack(dtheta, i)
-                dA = dW @ Z + W @ dZ - db[:, None]
+                dA = dW @ Z + W @ dZ - db[:, :, None]
                 dZ = relu_direction(A, dA) if act else dA
             Z = np.maximum(A, 0.0) if act else A
             pre.append(A)
@@ -464,9 +487,14 @@ class ReLUNetworkLoss(FunctionModel):
         return ExtReal(float(np.sum((out - self.Y) ** 2)) / self.X.shape[1])
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        _, out, dout = self._pass(as_vector(x, self._p, "theta"),
-                                  as_vector(w, self._p, "dtheta"))
-        return ExtReal(2.0 * float(np.sum((out - self.Y) * dout)) / self.X.shape[1])
+        w = as_vector(w, self._p, "dtheta")
+        return ExtReal(float(self.subderivatives(x, w[None, :])[0]))
+
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        W = as_directions(W, self._p, "dtheta")
+        _, out, dout = self._pass(as_vector(x, self._p, "theta"), W)
+        slopes = ((out - self.Y) * dout).reshape(W.shape[0], -1)
+        return 2.0 * np.sum(slopes, axis=1) / self.X.shape[1]
 
 
 def relu_network_loss(widths: Sequence[int], data: Sequence[tuple],

@@ -65,3 +65,28 @@ def l1_table_direction(grad, x, lam):
             else:                 # I7
                 w[i], s[i] = 0.0, 0.0
     return w, s
+
+
+def dyadic(rng, size):
+    return rng.integers(-8, 9, size) / 8.0
+
+
+def tied_theta(net, rng):
+    """Dyadic ReLU-net weights with every layer's first pre-activation of
+    datum 0 at 0.
+
+    Data and weights are multiples of 1/8 with few bits, so W z - b is exact
+    and the tie survives in any summation order.
+    """
+    z = net.X[:, 0]
+    weights, biases = [], []
+    n_layers = len(net.widths) - 1
+    for i in range(n_layers):
+        W = dyadic(rng, (net.widths[i + 1], net.widths[i]))
+        b = dyadic(rng, net.widths[i + 1])
+        b[0] = W[0] @ z
+        weights.append(W)
+        biases.append(b)
+        a = W @ z - b
+        z = np.maximum(a, 0.0) if net.final_relu or i < n_layers - 1 else a
+    return net.pack(weights, biases)

@@ -287,6 +287,63 @@ def test_pointwise_max_neg_equals_neg_min(rng):
             -mn.subderivative(x, w).v, abs=1e-14)
 
 
+def test_pointwise_max_ties_scale_with_the_branch_values():
+    # Equal up to rounding at magnitude 1e5; an absolute 1e-12 tolerance
+    # dropped the second branch and reported d f(0)(-1) = -1 at the minimizer.
+    f = sd.pointwise_max([
+        sd.smooth_model(1, lambda x: 1e5 * (0.1 + 0.2) + float(x[0]), lambda x: np.ones(1)),
+        sd.smooth_model(1, lambda x: 1e5 * 0.3 - float(x[0]), lambda x: -np.ones(1)),
+    ])
+    x = np.zeros(1)
+    assert f.subderivative(x, np.array([-1.0])) == ExtReal(1.0)
+    assert f.subderivative(x, np.array([1.0])) == ExtReal(1.0)
+    assert f.subderivatives(x, np.array([[-1.0], [1.0]])).tolist() == [1.0, 1.0]
+
+
+def test_pointwise_distant_branch_does_not_widen_the_tie():
+    # f = min(x^2, 1e-8 - x, 1e8) equals x^2 near 0, a local minimizer; the
+    # 1e8 branch must not make the 1e-8 branch count as tied.
+    f = sd.pointwise_min([
+        sd.smooth_model(1, lambda x: float(x[0] ** 2), lambda x: 2.0 * x),
+        sd.smooth_model(1, lambda x: 1e-8 - float(x[0]), lambda x: -np.ones(1)),
+        sd.smooth_model(1, lambda x: 1e8, lambda x: np.zeros(1)),
+    ])
+    for w in (1.0, -1.0):
+        assert f.subderivative(np.zeros(1), np.array([w])) == ExtReal(0.0)
+
+
+def _affine_branches(rows, offsets, lam, c):
+    """lam * (<a, x> + b) + c for each row a and offset b."""
+    return [sd.smooth_model(len(a), lambda x, a=a, b=b: lam * (float(np.dot(a, x)) + b) + c,
+                            lambda x, a=a: lam * a)
+            for a, b in zip(np.asarray(rows, dtype=float), offsets)]
+
+
+@pytest.mark.parametrize("lam, c", [(1.0, 0.0), (1e5, 0.0), (1e-4, 0.0), (3.0, 7.5),
+                                    (1e5, -2.5e3), (0.5, 1e4)])
+@pytest.mark.parametrize("take_max", [True, False])
+def test_pointwise_verdicts_invariant_under_affine_rescaling(lam, c, take_max):
+    # Two branches tie at x = 0 up to one ulp of 0.3, a third is clearly
+    # inactive; lam f + c must keep the same active set, signs and directions.
+    rows = [[1.0, 0.5], [-1.0, 0.25], [0.0, 3.0]]
+    offsets = [0.1 + 0.2, 0.3, 0.2 if take_max else 0.4]
+    combine = sd.pointwise_max if take_max else sd.pointwise_min
+    base = combine(_affine_branches(rows, offsets, 1.0, 0.0))
+    f = combine(_affine_branches(rows, offsets, lam, c))
+    x = np.zeros(2)
+    assert len(f._active(x)) == len(base._active(x)) == 2
+    ws = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, -3.0]])
+    for w in ws:
+        d0, d = base.subderivative(x, w).v, f.subderivative(x, w).v
+        assert np.sign(d) == np.sign(d0)
+        assert d == pytest.approx(lam * d0, rel=1e-12)
+    for search in (sd.solve_l1_extreme,
+                   lambda g, x: sd.solve_sampling_fallback(g, x, sd.NormChoice.L2, 32, 1)):
+        r0, r = search(base, x), search(f, x)
+        assert np.array_equal(r.w, r0.w)
+        assert np.sign(r.value.v) == np.sign(r0.value.v)
+
+
 def test_pointwise_rejects_empty_and_nonsemidiff():
     with pytest.raises(sd.EmptyList):
         sd.pointwise_max([])

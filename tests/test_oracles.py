@@ -7,7 +7,7 @@ import subderiv as sd
 from subderiv.calculus import relu_direction
 from subderiv.extreal import ExtReal
 
-from conftest import quotient
+from conftest import dyadic, quotient, tied_theta
 
 
 def test_l1_sign_split_example():
@@ -260,35 +260,11 @@ def _reference_loss(widths, final_relu, data, theta, dtheta):
     return val / len(data), der / len(data)
 
 
-def _dyadic(rng, size):
-    return rng.integers(-8, 9, size) / 8.0
-
-
-def _tied_theta(net, rng):
-    """Dyadic weights with every layer's first pre-activation of datum 0 at 0.
-
-    Data and weights are multiples of 1/8 with few bits, so W z - b is exact
-    and the tie survives in any summation order.
-    """
-    z = net.X[:, 0]
-    weights, biases = [], []
-    n_layers = len(net.widths) - 1
-    for i in range(n_layers):
-        W = _dyadic(rng, (net.widths[i + 1], net.widths[i]))
-        b = _dyadic(rng, net.widths[i + 1])
-        b[0] = W[0] @ z
-        weights.append(W)
-        biases.append(b)
-        a = W @ z - b
-        z = np.maximum(a, 0.0) if net.final_relu or i < n_layers - 1 else a
-    return net.pack(weights, biases)
-
-
 @pytest.mark.parametrize("final_relu", [True, False])
 @pytest.mark.parametrize("widths", [[2, 3, 3, 1], [2, 8, 1]])
 def test_relu_loss_matches_per_datum_forward_chain(widths, final_relu):
     rng = np.random.default_rng([len(widths), widths[1], int(final_relu)])
-    data = [(_dyadic(rng, widths[0]), _dyadic(rng, widths[-1])) for _ in range(6)]
+    data = [(dyadic(rng, widths[0]), dyadic(rng, widths[-1])) for _ in range(6)]
     net = sd.relu_network_loss(widths, data, final_relu=final_relu)
 
     def check(theta, dtheta):
@@ -299,7 +275,7 @@ def test_relu_loss_matches_per_datum_forward_chain(widths, final_relu):
     for _ in range(10):
         check(rng.normal(size=net.dim), rng.normal(size=net.dim))
 
-    theta = _tied_theta(net, rng)
+    theta = tied_theta(net, rng)
     pre = net.preactivations(theta)
     assert len(pre) == len(data)
     for acts in pre:
@@ -308,7 +284,7 @@ def test_relu_loss_matches_per_datum_forward_chain(widths, final_relu):
     bias_of_tie = np.zeros(net.dim)
     bias_of_tie[widths[0] * widths[1]] = 1.0
     kinked = False
-    for d in [bias_of_tie] + [_dyadic(rng, net.dim) for _ in range(5)]:
+    for d in [bias_of_tie] + [dyadic(rng, net.dim) for _ in range(5)]:
         check(theta, d)
         check(theta, -d)
         kinked |= net.subderivative(theta, d).v != -net.subderivative(theta, -d).v
