@@ -11,18 +11,14 @@ by construction.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
-from .extreal import ExtReal, ext_add, ext_add_arrays
+from .extreal import ExtReal, ext_add, ext_add_arrays, ulp_tied
 from .model import FunctionModel, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
-
-# Branch values this many ulps apart count as tied in a pointwise extremum.
-_TIE_ULPS = 8
 
 
 class SemiDiffMap:
@@ -339,15 +335,13 @@ class _PointwiseExtremum(FunctionModel):
     def _active(self, x: Vector) -> list[FunctionModel]:
         """Members whose value ties the extremum at x, in member order.
 
-        Exact float ties would drop genuinely active branches produced by
-        arithmetic noise, so a branch counts as tied within a few ulps of
-        the larger magnitude of its value and the extremum. The tolerance
-        scales with f, and a distant branch does not widen it.
+        A branch counts as tied when ``ulp_tied`` holds for its value and
+        the extremum, so the tolerance scales with f and a distant branch
+        does not widen it.
         """
         vals = self._values(x)
         best = max(vals) if self.take_max else min(vals)
-        return [m for m, v in zip(self.models, vals)
-                if abs(v - best) <= _TIE_ULPS * math.ulp(max(abs(v), abs(best)))]
+        return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         ds = [m.subderivative(x, w).v for m in self._active(x)]

@@ -168,11 +168,11 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     """Best of signed coordinate directions, the normalized negative gradient
     when available, and ``budget`` seeded uniform unit-ball samples.
 
-    Directions with an infinite subderivative are discarded, -inf included,
-    although a -inf direction is a descent direction: the Armijo test cannot
-    accept a step along d = -inf (a known defect, ROADMAP item 2a). If
-    everything is discarded the zero direction is returned. Never exact: a
-    fallback result can fail to refute stationarity but cannot certify it.
+    Directions with a +inf or NaN subderivative are discarded. A -inf one is
+    kept, and the first such candidate wins (``armijo`` has the step rule for
+    d = -inf). If everything is discarded the zero direction is returned.
+    Never exact: a fallback result can fail to refute stationarity but cannot
+    certify it.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -188,7 +188,7 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
         cands.append(_unit_ball_sample(rng, f.dim, norm))
     cands = np.vstack(cands)
     vals = _batch_values(f, x, cands)
-    vals = np.where(np.isfinite(vals), vals, np.inf)
+    vals = np.where(np.isnan(vals), np.inf, vals)
     i = int(np.argmin(vals))
     if vals[i] == np.inf:
         return DirectionResult(np.zeros(f.dim), ExtReal(0.0), False, len(cands))

@@ -80,6 +80,15 @@ NEG_INF = ExtReal(-math.inf)
 ZERO = ExtReal(0.0)
 
 
+def ulp_tied(a: float, b: float) -> bool:
+    """Do a and b agree within 8 ulps of the larger magnitude of the two?
+
+    Exact float ties would drop genuine ties that arithmetic noise splits,
+    and an absolute tolerance finds them at one scale of the inputs only.
+    """
+    return abs(a - b) <= 8 * math.ulp(max(abs(a), abs(b)))
+
+
 def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
     """Extended-real sum. (+inf) + (-inf) is rejected, not silently NaN."""
     if (a.v == math.inf and b.v == -math.inf) or (a.v == -math.inf and b.v == math.inf):

@@ -5,9 +5,11 @@ The Armijo acceptance test is strict,
     f(x + a w) - f(x) < (a / 2) * d f(x)(w),
 
 with a = alpha_init * mu^m for the smallest m >= 0 that passes. Boundary
-equality rejects; the 1-D quadratic fixtures hinge on that. The direction
-value d is passed in, not recomputed, so the accepted step is consistent
-with the search that produced it.
+equality rejects; the 1-D quadratic fixtures hinge on that. At d = -inf (a
+non-Lipschitz point) the right-hand side has no finite value, so the test
+becomes f(x + a w) < f(x): the first trial that decreases f is accepted.
+The direction value d is passed in, not recomputed, so the accepted step is
+consistent with the search that produced it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def armijo(f: FunctionModel, x: Vector, w: Vector, d: float,
     for m in range(p.max_backtracks + 1):
         alpha = p.alpha_init * p.mu ** m
         trial = f.value(x + alpha * w).v  # +inf trial values simply fail the test
-        if trial - fx < 0.5 * alpha * d:
+        if trial - fx < (0.5 * alpha * d if d > -math.inf else 0.0):
             return alpha, m
     raise BacktrackExhausted(
         f"no acceptable step within {p.max_backtracks} backtracks")

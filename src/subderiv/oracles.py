@@ -190,21 +190,23 @@ def linear_model(c: Vector) -> SmoothModel:
 # The subderivative is taken as the directional derivative of the closed-form
 # envelope (a smooth quadratic plus an infimum of affine functions), which
 # evaluates to min over the prox set of <x - y, w> / r; differentiating
-# through the argmin would break down where the prox is set-valued.
+# through the argmin would break down where the prox is set-valued. That is
+# linear in y, so a separable inner gives only its smallest and largest
+# minimizer per coordinate; every minimizer has the same envelope value.
 # ---------------------------------------------------------------------------
 
 
 class ScalarProxInner:
-    """Separable scalar inner function: a cost and its full prox set."""
+    """Separable scalar inner: a cost and the range of its prox set, elementwise."""
 
     unique_prox = True
     min_cost: Optional[float] = None  # inf of the cost, when known
 
-    def cost(self, y: float) -> float:
+    def cost(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def prox_candidates(self, t: float, r: float) -> tuple[float, ...]:
-        """All minimizers of (y - t)^2 / (2r) + cost(y)."""
+    def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest minimizer of (y - t)^2 / (2r) + cost(y), per entry."""
         raise NotImplementedError
 
 
@@ -218,12 +220,12 @@ class L1Inner(ScalarProxInner):
             raise ValueError("lam must be positive")
         self.lam = float(lam)
 
-    def cost(self, y: float) -> float:
-        return self.lam * abs(y)
+    def cost(self, y: np.ndarray) -> np.ndarray:
+        return self.lam * np.abs(y)
 
-    def prox_candidates(self, t: float, r: float) -> tuple[float, ...]:
-        s = self.lam * r
-        return (math.copysign(max(abs(t) - s, 0.0), t),)
+    def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        y = np.copysign(np.maximum(np.abs(t) - self.lam * r, 0.0), t)
+        return y, y
 
 
 class ZeroNormInner(ScalarProxInner):
@@ -236,23 +238,23 @@ class ZeroNormInner(ScalarProxInner):
     unique_prox = False
     min_cost = 0.0
 
-    def cost(self, y: float) -> float:
-        return 0.0 if y == 0.0 else 1.0
+    def cost(self, y: np.ndarray) -> np.ndarray:
+        return np.where(y == 0.0, 0.0, 1.0)
 
-    def prox_candidates(self, t: float, r: float) -> tuple[float, ...]:
+    def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         thresh = math.sqrt(2.0 * r)
-        if abs(t) < thresh:
-            return (0.0,)
-        if abs(t) > thresh:
-            return (t,)
-        return (0.0, t)
+        off = np.where(np.abs(t) > thresh, t, 0.0)  # the prox off the threshold
+        at = np.abs(t) == thresh
+        return (np.where(at, np.minimum(t, 0.0), off),
+                np.where(at, np.maximum(t, 0.0), off))
 
 
 class UserScalarInner(ScalarProxInner):
-    """Separable scalar inner with a user-supplied prox.
+    """Separable scalar inner with a user-supplied scalar cost and prox.
 
-    ``prox`` must return every minimizer; returning a strict subset makes the
-    envelope's subderivative an upper bound only.
+    ``prox(t, r)`` returns minimizers of (y - t)^2 / (2r) + cost(y), in any
+    order; it must include the smallest and the largest. Missing either makes
+    the envelope's subderivative an upper bound only.
     """
 
     unique_prox = False
@@ -262,15 +264,17 @@ class UserScalarInner(ScalarProxInner):
         self._cost = cost
         self._prox = prox
 
-    def cost(self, y: float) -> float:
-        return float(self._cost(y))
+    def cost(self, y: np.ndarray) -> np.ndarray:
+        return np.array([float(self._cost(v)) for v in np.asarray(y, dtype=float).tolist()])
 
-    def prox_candidates(self, t: float, r: float) -> tuple[float, ...]:
-        return tuple(float(y) for y in self._prox(t, r))
+    def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        sets = [[float(y) for y in self._prox(s, r)]
+                for s in np.asarray(t, dtype=float).tolist()]
+        return np.array([min(s) for s in sets]), np.array([max(s) for s in sets])
 
 
 class SeparableMoreau(FunctionModel):
-    """Moreau envelope of a separable scalar inner, applied componentwise."""
+    """Moreau envelope of a separable scalar inner, built on its ``prox_range``."""
 
     semi_differentiable = True
     is_separable = True
@@ -291,37 +295,27 @@ class SeparableMoreau(FunctionModel):
     def dim(self) -> int:
         return self._n
 
-    def _component_value(self, t: float) -> float:
-        r = self.r
-        return min((t - y) ** 2 / (2.0 * r) + self.inner.cost(y)
-                   for y in self.inner.prox_candidates(t, r))
-
     def value(self, x: Vector) -> ExtReal:
-        return ExtReal(sum(self._component_value(float(t)) for t in x))
+        x = np.asarray(x, dtype=float)
+        env = [(x - y) ** 2 / (2.0 * self.r) + self.inner.cost(y)
+               for y in self.inner.prox_range(x, self.r)]
+        return ExtReal(float(np.sum(np.minimum(*env))))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        r = self.r
-        total = 0.0
-        for t, wi in zip(x, w):
-            cands = self.inner.prox_candidates(float(t), r)
-            total += min((float(t) - y) * float(wi) / r for y in cands)
-        return ExtReal(total)
+        _, (up, down) = self.separable_parts(x)
+        w = np.asarray(w, dtype=float)
+        return ExtReal(float(np.sum(np.where(w > 0, up * w, -down * w))))
 
     def gradient(self, x: Vector) -> Vector:
         if not self.inner.unique_prox:
             return super().gradient(x)
-        prox = np.array([self.inner.prox_candidates(float(t), self.r)[0] for t in x])
-        return (np.asarray(x, dtype=float) - prox) / self.r
+        x = np.asarray(x, dtype=float)
+        return (x - self.inner.prox_range(x, self.r)[0]) / self.r
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        # g_i(u) = min over the prox set of (x_i - y) u / r, so g_i(+1) is the
-        # smallest slope and g_i(-1) the negated largest one.
-        r = self.r
-        slopes = [[(t - y) / r for y in self.inner.prox_candidates(t, r)]
-                  for t in np.asarray(x, dtype=float).tolist()]
-        up = np.array([min(s) for s in slopes])
-        down = np.array([-max(s) for s in slopes])
-        return np.zeros(self.dim), (up, down)
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.inner.prox_range(x, self.r)
+        return np.zeros(self.dim), ((x - hi) / self.r, (lo - x) / self.r)
 
 
 class QuadraticInner:

@@ -22,11 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
-from .extreal import ExtReal
+from .extreal import ExtReal, ulp_tied
 from .model import FunctionModel, Vector, as_vector
 
 _MEMBERSHIP_TOL = 1e-9
-_PROJECTION_TIE_TOL = 1e-12
 _MAX_ENUM_ROWS = 16
 
 
@@ -286,8 +285,8 @@ class FiniteUnion(SetModel):
         dbest = min(d for d, _ in cands)
         out: list[Vector] = []
         for d, y in cands:
-            if d <= dbest + _PROJECTION_TIE_TOL:
-                if not any(np.linalg.norm(y - z) <= _PROJECTION_TIE_TOL for z in out):
+            if ulp_tied(d, dbest):
+                if not any(all(map(ulp_tied, y, z)) for z in out):
                     out.append(y)
         return out
 
@@ -336,7 +335,7 @@ class ComplementaritySet(SetModel):
         p2 = (0.0, min(b, 0.0))           # onto the ray a = 0, b <= 0
         d1 = (a - p1[0]) ** 2 + b ** 2
         d2 = a ** 2 + (b - p2[1]) ** 2
-        if abs(d1 - d2) <= _PROJECTION_TIE_TOL:
+        if ulp_tied(d1, d2):
             return [p1] if p1 == p2 else [p1, p2]
         return [p1] if d1 < d2 else [p2]
 

@@ -258,7 +258,9 @@ def rate_audit(trace: Trace, f_star: float, L: float, mu: float, N: int) -> Rate
     Verifies min_{0<=k<=N} |d_k| <= sqrt((f(x_0) - f_star) / (M (N+1))) with
     M = min{1/2, mu/(2L)}, plus the per-step sufficient decrease
     f(x_{k+1}) - f(x_k) <= -M min{|d_k|, d_k^2} at every recorded step.
-    ``L`` and ``f_star`` must be valid for the traced objective.
+    Steps with d_k = -inf are skipped in that check: their bound is -inf,
+    and Armijo accepts them on a plain decrease. ``L`` and ``f_star`` must
+    be valid for the traced objective.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -272,8 +274,8 @@ def rate_audit(trace: Trace, f_star: float, L: float, mu: float, N: int) -> Rate
     rhs = math.sqrt(max(gap, 0.0) / (M * (N + 1)))
     decrease = True
     for i, r in enumerate(recs):
-        if r.alpha == 0.0:
-            continue  # terminal probe, no step taken
+        if r.alpha == 0.0 or r.dir_value == -math.inf:
+            continue  # terminal probe, or a step with no finite bound
         f_next = (trace.records[i + 1].f if i + 1 < len(trace.records)
                   else trace.f_final)
         bound = -M * min(abs(r.dir_value), r.dir_value ** 2)

@@ -279,13 +279,14 @@ def sufficient_decrease_audit(trace: Trace, M: float) -> list[bool]:
 
     Terminal probe rows (alpha = 0) take no step; their bound is 0 and holds
     iff f did not increase, which is vacuously true since there is no
-    successor.
+    successor. Rows with d_k = -inf are skipped and reported True: their
+    bound is -inf, and Armijo accepts such a step on a plain decrease.
     """
     out = []
     for i, r in enumerate(trace.records):
         f_next = (trace.records[i + 1].f if i + 1 < len(trace.records)
                   else trace.f_final)
-        if r.alpha == 0.0 and f_next == r.f:
+        if (r.alpha == 0.0 and f_next == r.f) or r.dir_value == -math.inf:
             out.append(True)
             continue
         bound = -M * min(abs(r.dir_value), r.dir_value ** 2)

@@ -175,12 +175,12 @@ class ScalarOnly(sd.FunctionModel):
         return self.inner.gradient(x)
 
 
-def _scan(f, x, cands, skip_infinite):
+def _scan(f, x, cands, skip_plus_inf):
     """The searches' former loop: one call per candidate, strict improvement."""
     best_w, best_v = None, np.inf
     for w in cands:
         d = f.subderivative(x, w)
-        if skip_infinite and not d.is_finite:
+        if skip_plus_inf and d.v == np.inf:
             continue
         if d.v < best_v:
             best_w, best_v = w, d.v
@@ -200,7 +200,7 @@ def _signed_units(n):
 def reference_l1_extreme(f, x, reduced=False):
     n = f.dim
     verts = list(np.eye(n)) + [-np.ones(n)] if reduced else _signed_units(n)
-    best = _scan(f, x, verts, skip_infinite=False)
+    best = _scan(f, x, verts, skip_plus_inf=False)
     best = verts[0] if best is None else best
     return sd.DirectionResult(best, f.subderivative(x, best), True, len(verts) + 1)
 
@@ -215,7 +215,7 @@ def reference_fallback(f, x, norm, budget, seed):
         if nrm > 0:
             cands.append(-(g / nrm))
     cands += [_unit_ball_sample(rng, n, norm) for _ in range(budget)]
-    best = _scan(f, x, cands, skip_infinite=True)
+    best = _scan(f, x, cands, skip_plus_inf=True)
     if best is None:
         return sd.DirectionResult(np.zeros(n), ExtReal(0.0), False, len(cands))
     return sd.DirectionResult(best, f.subderivative(x, best), False, len(cands) + 1)
@@ -266,11 +266,21 @@ def test_l1_extreme_all_infinite_returns_first_vertex():
         assert np.array_equal(res.w, [1.0, 0.0, 0.0]) and res.evaluations == 5
 
 
-@pytest.mark.parametrize("model", [sd.ZeroNormComposite(np.eye(1), np.zeros(1)),
-                                   NegSqrt(1)], ids=["plus_inf", "minus_inf"])
+@pytest.mark.parametrize("model", [sd.ZeroNormComposite(np.eye(1), np.zeros(1))],
+                         ids=["plus_inf"])
 def test_fallback_all_infinite_returns_zero_direction(model):
     for f in (model, ScalarOnly(model)):
         res = sd.solve_sampling_fallback(f, np.zeros(1), sd.NormChoice.L2, 5, seed=0)
         assert np.array_equal(res.w, [0.0])
         assert res.value == ExtReal(0.0)
         assert not res.exact and res.evaluations == 2 + 5
+
+
+def test_fallback_keeps_minus_inf_candidates():
+    # Every candidate is -inf at x = 0; the first one, e1, wins.
+    model = NegSqrt(1)
+    for f in (model, ScalarOnly(model)):
+        res = sd.solve_sampling_fallback(f, np.zeros(1), sd.NormChoice.L2, 5, seed=0)
+        assert np.array_equal(res.w, [1.0])
+        assert res.value == sd.NEG_INF
+        assert not res.exact and res.evaluations == 2 + 5 + 1

@@ -100,6 +100,38 @@ def test_armijo_infinite_trial_values_backtrack():
     assert alpha == 0.5 and m_bt == 1
 
 
+class _SqrtCusp(sd.FunctionModel):
+    """-sqrt|x| + c x^2 on the line: d f(0)(w) = -inf for every w != 0."""
+
+    def __init__(self, c):
+        self.c = c
+
+    @property
+    def dim(self):
+        return 1
+
+    def value(self, x):
+        return sd.ExtReal(-np.sqrt(abs(x[0])) + self.c * x[0] ** 2)
+
+    def subderivative(self, x, w):
+        raise AssertionError("armijo must not recompute d")
+
+
+def test_armijo_minus_inf_accepts_first_decrease():
+    # With c = 10 the trials 1, 1/2 and 1/4 raise f; 1/8 is the first to
+    # lower it. At d = -inf the test is f(x + a w) < f(x).
+    alpha, m_bt = sd.armijo(_SqrtCusp(10.0), np.zeros(1), np.array([1.0]), -np.inf)
+    assert alpha == 0.125 and m_bt == 3
+    assert sd.armijo(_SqrtCusp(0.5), np.zeros(1), np.array([1.0]), -np.inf) == (1.0, 0)
+
+
+def test_armijo_minus_inf_still_strict():
+    # A trial equal to f(x) is no decrease, so a flat direction exhausts.
+    flat = sd.smooth_model(1, lambda x: 0.0, lambda x: np.zeros(1))
+    with pytest.raises(sd.BacktrackExhausted):
+        sd.armijo(flat, np.zeros(1), np.array([1.0]), -np.inf)
+
+
 def test_schedule_step_values(quad2):
     dim = sd.diminishing_schedule(1.0)
     a0, _ = sd.schedule_step(dim, 0, quad2, np.zeros(2), np.zeros(2), -1.0)

@@ -1,5 +1,7 @@
 """Closed-form oracles against hand values and independent grid/FD oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,103 @@ def test_moreau_user_scalar_prox():
         assert env_user.value(x).v == pytest.approx(env_ref.value(x).v, abs=1e-12)
         assert env_user.subderivative(x, w).v == pytest.approx(
             env_ref.subderivative(x, w).v, abs=1e-12)
+
+
+# SeparableMoreau against per-coordinate scalar formulas over the full prox
+# set; n >= 16 so that numpy's pairwise summation is exercised.
+_SEP_N = 24
+
+
+def _soft_set(t, r, lam=0.8):
+    return [math.copysign(max(abs(t) - lam * r, 0.0), t)]
+
+
+def _hard_set(t, r):
+    thresh = math.sqrt(2.0 * r)
+    if abs(t) < thresh:
+        return [0.0]
+    return [t] if abs(t) > thresh else [0.0, t]
+
+
+def _zero_norm_cost(y):
+    return 0.0 if y == 0.0 else 1.0
+
+
+def _three_point_cost(y):
+    # Support {-1, 0, 1}; at t = 0 with r = 1 all three minimize.
+    return 0.5 if y == 0.0 else (0.0 if abs(y) == 1.0 else math.inf)
+
+
+def _three_point_set(t, r):
+    vals = {y: (y - t) ** 2 / (2.0 * r) + _three_point_cost(y) for y in (-1.0, 0.0, 1.0)}
+    best = min(vals.values())
+    return [y for y, v in vals.items() if v == best]
+
+
+def _messy(prox_set):
+    # Every minimizer, largest first and each twice.
+    return lambda t, r: sorted(prox_set(t, r), reverse=True) * 2
+
+
+def _separable_points(r, rng):
+    thresh = math.sqrt(2.0 * r)
+    edge = np.array([thresh, -thresh, -0.0, 0.0, 0.5 * thresh, -2.0 * thresh])
+    return [np.concatenate([edge, rng.uniform(-3.0, 3.0, _SEP_N - edge.size)]),
+            np.concatenate([edge[::-1], np.zeros(_SEP_N - edge.size)])]
+
+
+_SEPARABLE_INNERS = {
+    # name: (inner, r, scalar prox set, scalar cost)
+    "soft": (sd.L1Inner(0.8), 0.5, _soft_set, lambda y: 0.8 * abs(y)),
+    "hard": (sd.ZeroNormInner(), 0.3, _hard_set, _zero_norm_cost),
+    "user_hard": (sd.UserScalarInner(_zero_norm_cost, _messy(_hard_set)),
+                  0.3, _hard_set, _zero_norm_cost),
+    "user_three_point": (sd.UserScalarInner(_three_point_cost, _messy(_three_point_set)),
+                         1.0, _three_point_set, _three_point_cost),
+}
+
+
+@pytest.mark.parametrize("name", _SEPARABLE_INNERS)
+def test_separable_moreau_matches_scalar_formulas(name, rng):
+    inner, r, prox_set, cost = _SEPARABLE_INNERS[name]
+    env = sd.moreau_envelope(inner, r, n=_SEP_N)
+    for x in _separable_points(r, rng):
+        sets = [prox_set(t, r) for t in x.tolist()]
+        grad, (up, down) = env.separable_parts(x)
+        assert not np.any(grad)
+        assert up.tobytes() == np.array([(t - max(S)) / r for t, S in zip(x, sets)]).tobytes()
+        assert down.tobytes() == np.array([(min(S) - t) / r for t, S in zip(x, sets)]).tobytes()
+        value = sum(min((t - y) ** 2 / (2.0 * r) + cost(y) for y in S)
+                    for t, S in zip(x.tolist(), sets))
+        assert env.value(x).v == pytest.approx(value, rel=1e-12, abs=0.0)
+        ws = [rng.uniform(-1.0, 1.0, _SEP_N), np.sign(rng.normal(size=_SEP_N)),
+              np.where(rng.uniform(size=_SEP_N) < 0.5, 0.0, rng.normal(size=_SEP_N))]
+        for w in ws + [-w for w in ws]:
+            d = sum(min((t - y) * wi / r for y in S)
+                    for t, wi, S in zip(x.tolist(), w.tolist(), sets))
+            assert env.subderivative(x, w).v == pytest.approx(d, rel=1e-12, abs=1e-300)
+        if inner.unique_prox:
+            assert env.gradient(x).tobytes() == np.array(
+                [(t - S[0]) / r for t, S in zip(x, sets)]).tobytes()
+        else:
+            with pytest.raises(sd.NoGradient):
+                env.gradient(x)
+
+
+@pytest.mark.parametrize("prox_set, cost, r", [(_hard_set, _zero_norm_cost, 0.3),
+                                               (_three_point_set, _three_point_cost, 1.0)],
+                         ids=["hard", "three_point"])
+def test_user_prox_needs_only_its_extreme_minimizers(prox_set, cost, r, rng):
+    every = sd.moreau_envelope(sd.UserScalarInner(cost, _messy(prox_set)), r, n=_SEP_N)
+    ends = sd.moreau_envelope(
+        sd.UserScalarInner(cost, lambda t, r: (min(prox_set(t, r)), max(prox_set(t, r)))),
+        r, n=_SEP_N)
+    for x in _separable_points(r, rng):
+        assert every.value(x) == ends.value(x)
+        for a, b in zip(every.separable_parts(x)[1], ends.separable_parts(x)[1]):
+            assert a.tobytes() == b.tobytes()
+        for w in (rng.uniform(-1.0, 1.0, _SEP_N), np.ones(_SEP_N), -np.ones(_SEP_N)):
+            assert every.subderivative(x, w) == ends.subderivative(x, w)
 
 
 def test_moreau_rejects_unknown_inner():

@@ -116,6 +116,28 @@ def test_complementarity_membership_and_projection():
     assert got == [(-1.0, 0.0), (0.0, -1.0)]
 
 
+def test_complementarity_tie_found_at_large_scale():
+    # The distances to the two rays agree up to rounding, 2.2e-7 apart at
+    # 9e8: an absolute 1e-12 tie tolerance kept one projection and gave
+    # d dist(x)(e1) = 0 where finite differences give about -1.
+    X = sd.ComplementaritySet(1)
+    dist = sd.distance_to_set(X)
+    e1 = np.array([1.0, 0.0])
+    x = np.array([-1e5 * (0.1 + 0.2), -1e5 * 0.3])
+    assert len(X.project(x)) == 2
+    assert dist.subderivative(x, e1).v == pytest.approx(-1.0)
+    assert sd.fd_subderivative(dist, x, e1).estimate.v == pytest.approx(-1.0, abs=1e-2)
+    assert dist.subderivative(1e-5 * x, e1).v == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("x", [(-(0.1 + 0.2), -0.3), (-1.0, -1.0), (-1.0, -1.0 - 1e-10),
+                               (-1.0, -2.0), (-1.0, 0.5), (0.0, 0.0)])
+def test_complementarity_projection_count_is_scale_free(x):
+    X = sd.ComplementaritySet(1)
+    counts = {lam: len(X.project(lam * np.array(x))) for lam in (1e-3, 1.0, 1e5)}
+    assert len(set(counts.values())) == 1, counts
+
+
 def test_complementarity_tangent_at_corner():
     X = sd.ComplementaritySet(1)
     origin = np.zeros(2)

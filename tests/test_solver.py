@@ -288,6 +288,50 @@ def test_fallback_termination_not_certified():
         assert "budget" in tr.detail
 
 
+class _NonLipschitzBowl(sd.FunctionModel):
+    """-sqrt(|x_1|) + ||x||^2 / 2: d f(x)(w) = -inf where x_1 = 0 and w_1 != 0."""
+
+    @property
+    def dim(self):
+        return 2
+
+    def value(self, x):
+        return ExtReal(-np.sqrt(abs(x[0])) + 0.5 * float(np.dot(x, x)))
+
+    def subderivative(self, x, w):
+        if x[0] == 0.0:
+            head = -np.inf if w[0] != 0.0 else 0.0
+        else:
+            head = -0.5 * np.sign(x[0]) * w[0] / np.sqrt(abs(x[0]))
+        return ExtReal(head + float(np.dot(x, w)))
+
+
+def _bowl_run():
+    return sd.run(_NonLipschitzBowl(), np.array([0.0, 1.0]),
+                  sd.SolverConfig(strategy="fallback"))
+
+
+def test_fallback_run_steps_along_minus_inf_directions():
+    # Discarding the -inf candidates left the run on the line x_1 = 0, where
+    # it stopped EpsStationary at (0, 9.5e-7) with f ~ 4.5e-13 although the
+    # finite-difference slope along e1 there is about -1e4.
+    f = _NonLipschitzBowl()
+    e1 = np.array([1.0, 0.0])
+    assert sd.fd_subderivative(f, np.array([0.0, 9.5e-7]), e1).estimate.v < -1e3
+    tr = _bowl_run()
+    assert tr.records[0].dir_value == -np.inf and tr.records[0].alpha > 0.0
+    assert tr.x_final[0] != 0.0
+    assert tr.f_final < -0.4  # the minimum is about -0.595
+
+
+def test_audits_skip_minus_inf_rows():
+    # The decrease bound of a d = -inf step is -inf; the audits skip it.
+    tr = _bowl_run()
+    assert tr.records[0].dir_value == -np.inf
+    assert sd.sufficient_decrease_audit(tr, 0.25)[0]
+    assert sd.rate_audit(tr, -0.6, 1.0, 0.5, 0).decrease_holds
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         sd.SolverConfig(epsilon=-1.0)
