@@ -192,9 +192,11 @@ class Singleton(SetModel):
 class ConvexPolyhedron:
     """{x : A x <= b}. Exact projections by enumerating facet subsets.
 
-    The per-subset correction matrices are cached at construction, so each
-    projection is a handful of mat-vecs. Row counts are capped; the fixtures
-    this backs are small.
+    The per-subset correction matrices are cached at construction, keyed by
+    the subset's row indices in enumeration order (by size, then
+    lexicographic), so each projection and each tangent-cone distance is a
+    handful of mat-vecs. Row counts are capped; the fixtures this backs are
+    small.
     """
 
     def __init__(self, A, b):
@@ -205,11 +207,11 @@ class ConvexPolyhedron:
         m = self.A.shape[0]
         if m > _MAX_ENUM_ROWS:
             raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
-        self._subsets = []
+        self._subsets = {}
         for r in range(1, m + 1):
             for S in itertools.combinations(range(m), r):
                 rows = self.A[list(S), :]
-                self._subsets.append((list(S), rows, np.linalg.pinv(rows)))
+                self._subsets[S] = (rows, np.linalg.pinv(rows), self.b[list(S)])
 
     @property
     def dim(self) -> int:
@@ -223,8 +225,8 @@ class ConvexPolyhedron:
         cands = []
         if self.contains(x):
             return [(0.0, x.copy())]
-        for S, rows, pinv in self._subsets:
-            y = x - pinv @ (rows @ x - self.b[S])
+        for rows, pinv, bS in self._subsets.values():
+            y = x - pinv @ (rows @ x - bS)
             if np.all(self.A @ y <= self.b + _MEMBERSHIP_TOL):
                 cands.append((float(np.linalg.norm(x - y)), y))
         return cands
@@ -238,9 +240,9 @@ class ConvexPolyhedron:
             return 0.0
         best = float(np.linalg.norm(w))  # v = 0 is always in the cone
         for r in range(1, active.size + 1):
-            for S in itertools.combinations(range(active.size), r):
-                rows = Aact[list(S), :]
-                v = w - np.linalg.pinv(rows) @ (rows @ w)
+            for S in itertools.combinations(active.tolist(), r):
+                rows, pinv, _ = self._subsets[S]
+                v = w - pinv @ (rows @ w)
                 if np.all(Aact @ v <= _MEMBERSHIP_TOL):
                     best = min(best, float(np.linalg.norm(w - v)))
         return best

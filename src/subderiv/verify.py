@@ -1,16 +1,19 @@
 """Independent oracles: finite differences, brute-force search, and samplers.
 
-Nothing here shares code with the closed-form paths it checks. The
-finite-difference harness discretizes the defining lower limit directly;
-the brute-force direction search enumerates a dense grid of the unit sphere;
-the samplers instantiate the descent-property and sufficient-decrease
-inequalities literally.
+What is independent is the method. The finite-difference harness
+discretizes the defining lower limit directly and asks only for values; the
+brute-force direction search checks the closed-form searches against plain
+enumeration of a dense grid of the unit sphere; the samplers instantiate the
+descent-property and sufficient-decrease inequalities literally. The
+subderivative oracle is an input that a search and its brute-force check
+share: the enumeration scores its grid with one batched
+``f.subderivatives`` query, which must equal the scalar query bit for bit
+(``tests/test_batched.py`` pins every override).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import SemiDiffMap
-from .direction import DirectionResult, NormChoice, norm_of
+from .direction import DirectionResult, NormChoice, _batch_values, norm_of
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector
@@ -119,9 +122,17 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
                     t_grid, quotients, min_quotients)
 
 
-def _l2_sphere_grid(n: int, resolution: float) -> list[Vector]:
+def _index_rows(base: int, r: int) -> np.ndarray:
+    """Every r-tuple over range(base) as the rows of a (base**r, r) matrix,
+    in ``itertools.product`` order (the last entry varies fastest)."""
+    return np.indices((base,) * r).reshape(r, base ** r).T
+
+
+def _l2_sphere_grid(n: int, resolution: float) -> np.ndarray:
+    """Hyperspherical angles: rows (cos a1, sin a1 cos a2, ..., sin a1 ... sin a_{n-1}),
+    each product formed left to right, the last angle varying fastest."""
     if n == 1:
-        return [np.array([-1.0]), np.array([1.0])]
+        return np.array([[-1.0], [1.0]])
     counts = [max(2, int(math.ceil(math.pi / resolution)) + 1)] * (n - 2)
     counts.append(max(4, int(math.ceil(2 * math.pi / resolution))))
     total = int(np.prod(counts))
@@ -129,72 +140,65 @@ def _l2_sphere_grid(n: int, resolution: float) -> list[Vector]:
         raise ValueError(f"resolution {resolution} needs {total} sphere samples")
     axes = [np.linspace(0.0, math.pi, c) for c in counts[:-1]]
     axes.append(np.linspace(0.0, 2 * math.pi, counts[-1], endpoint=False))
-    out = []
-    for angles in itertools.product(*axes):
-        w = np.empty(n)
-        s = 1.0
-        for i, a in enumerate(angles):
-            w[i] = s * math.cos(a)
-            s *= math.sin(a)
-        w[n - 1] = s
-        out.append(w)
-    return out
+    W = np.empty(counts + [n])
+    s = np.ones(())
+    for i, axis in enumerate(axes):
+        along = [1] * (n - 1)
+        along[i] = -1
+        W[..., i] = s * np.array([math.cos(a) for a in axis]).reshape(along)
+        s = s * np.array([math.sin(a) for a in axis]).reshape(along)
+    W[..., n - 1] = s
+    return W.reshape(total, n)
 
 
-def _simplex_grid(n: int, k: int):
-    """All nonnegative integer n-tuples summing to k."""
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _simplex_grid(n - 1, k - first):
-            yield (first,) + rest
-
-
-def _l1_sphere_grid(n: int, resolution: float) -> list[Vector]:
+def _l1_sphere_grid(n: int, resolution: float) -> np.ndarray:
+    """Points c/k with c a nonnegative integer n-tuple summing to k, in
+    lexicographic order of c, each with every sign pattern on its support
+    (+ before -, the first support coordinate varying slowest)."""
     k = max(1, int(round(1.0 / resolution)))
-    out = []
-    for combo in _simplex_grid(n, k):
-        mags = np.array(combo, dtype=float) / k
-        support = [i for i in range(n) if mags[i] > 0]
-        for signs in itertools.product([1.0, -1.0], repeat=len(support)):
-            w = mags.copy()
-            for s, i in zip(signs, support):
-                w[i] *= s
-            out.append(w)
-        if len(out) > _BRUTE_SAMPLE_CAP:
-            raise ValueError(f"resolution {resolution} needs too many l1 samples")
-    return out
+    # a tuple with s nonzero entries: C(n, s) supports, C(k-1, s-1) values, 2^s signs
+    total = sum(math.comb(n, s) * math.comb(k - 1, s - 1) * 2 ** s
+                for s in range(1, min(n, k) + 1))
+    if total > _BRUTE_SAMPLE_CAP:
+        raise ValueError(f"resolution {resolution} needs too many l1 samples")
+    head = _index_rows(k + 1, n - 1)
+    last = k - head.sum(axis=1)
+    combos = np.column_stack([head, last])[last >= 0]
+    bits = _index_rows(2, n)
+    # a sign pattern applies to a tuple when it is + off the tuple's support
+    fits = ~np.any((combos[:, None, :] == 0) & (bits[None, :, :] == 1), axis=2)
+    mags = combos.astype(float) / k
+    return (mags[:, None, :] * (1.0 - 2.0 * bits)[None, :, :])[fits]
 
 
-def _linf_sphere_grid(n: int, resolution: float) -> list[Vector]:
+def _linf_sphere_grid(n: int, resolution: float) -> np.ndarray:
+    """Faces w_j = +1, then w_j = -1, for j = 1..n in turn, each with the
+    other coordinates running over an axis grid in product order."""
     steps = max(2, int(round(2.0 / resolution)) + 1)
     axis = np.linspace(-1.0, 1.0, steps)
     if 2 * n * steps ** (n - 1) > _BRUTE_SAMPLE_CAP:
         raise ValueError(f"resolution {resolution} needs too many linf samples")
-    out = []
+    rest = axis[_index_rows(steps, n - 1)]
+    W = np.empty((n, 2, rest.shape[0], n))
     for j in range(n):
-        for sgn in (1.0, -1.0):
-            for rest in itertools.product(axis, repeat=n - 1):
-                w = np.empty(n)
-                w[j] = sgn
-                idx = 0
-                for i in range(n):
-                    if i != j:
-                        w[i] = rest[idx]
-                        idx += 1
-                out.append(w)
-    return out
+        W[j][..., j] = [[1.0], [-1.0]]
+        W[j][..., [i for i in range(n) if i != j]] = rest
+    return W.reshape(-1, n)
 
 
 def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
                           resolution: float) -> DirectionResult:
     """Dense enumeration of the unit sphere of the chosen norm.
 
-    The grid always includes the signed coordinate vectors (corners are grid
-    points by construction for l1/linf) and, when available, the normalized
-    negative gradient, so exact solvers are matched on their own candidates.
-    Dimension is capped at 4; this is an oracle, not a production search.
+    The candidates are the signed coordinate vectors e1, -e1, e2, ...
+    (corners are grid points by construction for l1/linf), the normalized
+    negative gradient when available, so exact solvers are matched on their
+    own candidates, and then the sphere grid. All of them are scored by one
+    batched query ``f.subderivatives(x, W)``; a NaN counts as +inf, the
+    first minimum wins, and if every value is +inf the first candidate is
+    returned. The winner's value is recomputed through the scalar
+    ``f.subderivative``. Dimension is capped at 4; this is an oracle, not a
+    production search.
     """
     x = as_vector(x, f.dim)
     n = f.dim
@@ -202,33 +206,20 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
         raise DimensionTooLarge(f"brute force capped at dimension {_BRUTE_DIM_CAP}")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    cands: list[Vector] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cands.append(e.copy())
-        cands.append(-e)
+    eye = np.eye(n)
+    cands = [np.stack([eye, -eye], axis=1).reshape(2 * n, n)]
     if f.has_gradient:
         g = f.gradient(x)
         nrm = norm_of(g, norm)
         if nrm > 0:
             cands.append(-(g / nrm))
-    if norm is NormChoice.L2:
-        cands.extend(_l2_sphere_grid(n, resolution))
-    elif norm is NormChoice.L1:
-        cands.extend(_l1_sphere_grid(n, resolution))
-    else:
-        cands.extend(_linf_sphere_grid(n, resolution))
-    best_w, best_v = None, np.inf
-    evals = 0
-    for wv in cands:
-        d = f.subderivative(x, wv)
-        evals += 1
-        if d.v < best_v:
-            best_w, best_v = wv, d.v
-    if best_w is None:
-        best_w = cands[0]
-    return DirectionResult(best_w, f.subderivative(x, best_w), False, evals + 1)
+    grid = {NormChoice.L2: _l2_sphere_grid, NormChoice.L1: _l1_sphere_grid,
+            NormChoice.LINF: _linf_sphere_grid}[norm]
+    cands.append(grid(n, resolution))
+    W = np.vstack(cands)
+    vals = _batch_values(f, x, W)
+    best_w = W[int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))].copy()
+    return DirectionResult(best_w, f.subderivative(x, best_w), False, len(W) + 1)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Set models: projection completeness, tangent distances, distance oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,61 @@ def test_distance_oracle_empty_projection():
     f = sd.distance_to_set(_NoProjection())
     with pytest.raises(sd.EmptyProjection):
         f.value(np.zeros(1))
+
+
+def _per_call_tangent_distance(P, x, w):
+    """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset."""
+    tol = sd.sets._MEMBERSHIP_TOL
+    active = np.flatnonzero(P.A @ x >= P.b - tol)
+    if active.size == 0:
+        return 0.0
+    Aact = P.A[active, :]
+    if np.all(Aact @ w <= tol):
+        return 0.0
+    best = float(np.linalg.norm(w))
+    for r in range(1, active.size + 1):
+        for S in itertools.combinations(range(active.size), r):
+            rows = Aact[list(S), :]
+            v = w - np.linalg.pinv(rows) @ (rows @ w)
+            if np.all(Aact @ v <= tol):
+                best = min(best, float(np.linalg.norm(w - v)))
+    return best
+
+
+def _random_polyhedron_cases(rng):
+    for active in (2, 3, 4):
+        for dim in (2, 3, 4):
+            for _ in range(6):
+                x = rng.uniform(-2, 2, dim)
+                A = rng.normal(size=(active + rng.integers(3), dim))
+                b = A @ x
+                b[active:] += rng.uniform(0.5, 2.0, A.shape[0] - active)
+                yield sd.ConvexPolyhedron(A, b), x
+
+
+def _union_cases(rng):
+    pieces = [
+        sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                            np.array([1.0, 0.0, 1.0, 1.0])),
+        sd.ConvexPolyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                            np.array([-1.0, 3.0, 3.0])),
+    ]
+    corners = [np.array([1.0, 1.0]), np.array([0.0, -1.0]), np.array([-3.0, 2.0]),
+               np.array([2.0, -3.0]), np.array([-3.0, -3.0])]
+    for P in pieces:
+        for _ in range(20):
+            yield P, P.project_all(rng.uniform(-4, 4, 2))[0][1]
+        for c in corners:
+            if P.contains(c):
+                yield P, c
+
+
+def test_polyhedron_tangent_distance_matches_per_call_pinv(rng):
+    moved = 0
+    for P, x in list(_union_cases(rng)) + list(_random_polyhedron_cases(rng)):
+        for _ in range(8):
+            w = rng.normal(size=P.dim)
+            want = _per_call_tangent_distance(P, x, w)
+            assert P.tangent_distance(x, w) == want
+            moved += want > 0
+    assert moved > 100

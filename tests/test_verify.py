@@ -1,10 +1,17 @@
 """The verification layer itself, cross-checked against closed forms."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import subderiv as sd
+from subderiv import verify
 from subderiv.extreal import ExtReal
+
+from test_acceptance import _bundled_semidiff_oracles
+from test_batched import ScalarOnly
 
 
 def test_fd_l1_example(l1):
@@ -118,6 +125,227 @@ def test_brute_force_bracket_between_exact_and_fallback(rng):
         fb = sd.solve_sampling_fallback(m, x, sd.NormChoice.L1, 32, seed)
         assert brute.value.v >= exact.value.v - 1e-9
         assert brute.value.v <= fb.value.v + 1e-12
+
+
+# Reference: the sphere grids and the scan as they were built before the
+# enumeration became one matrix and one batched query, row by row and one
+# scalar query per candidate.
+
+def _rowwise_l2_grid(n, resolution, cap):
+    if n == 1:
+        return [np.array([-1.0]), np.array([1.0])]
+    counts = [max(2, int(math.ceil(math.pi / resolution)) + 1)] * (n - 2)
+    counts.append(max(4, int(math.ceil(2 * math.pi / resolution))))
+    total = int(np.prod(counts))
+    if total > cap:
+        raise ValueError(f"resolution {resolution} needs {total} sphere samples")
+    axes = [np.linspace(0.0, math.pi, c) for c in counts[:-1]]
+    axes.append(np.linspace(0.0, 2 * math.pi, counts[-1], endpoint=False))
+    out = []
+    for angles in itertools.product(*axes):
+        w = np.empty(n)
+        s = 1.0
+        for i, a in enumerate(angles):
+            w[i] = s * math.cos(a)
+            s *= math.sin(a)
+        w[n - 1] = s
+        out.append(w)
+    return out
+
+
+def _rowwise_simplex(n, k):
+    if n == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in _rowwise_simplex(n - 1, k - first):
+            yield (first,) + rest
+
+
+def _rowwise_l1_grid(n, resolution, cap):
+    k = max(1, int(round(1.0 / resolution)))
+    out = []
+    for combo in _rowwise_simplex(n, k):
+        mags = np.array(combo, dtype=float) / k
+        support = [i for i in range(n) if mags[i] > 0]
+        for signs in itertools.product([1.0, -1.0], repeat=len(support)):
+            w = mags.copy()
+            for s, i in zip(signs, support):
+                w[i] *= s
+            out.append(w)
+        if len(out) > cap:
+            raise ValueError(f"resolution {resolution} needs too many l1 samples")
+    return out
+
+
+def _rowwise_linf_grid(n, resolution, cap):
+    steps = max(2, int(round(2.0 / resolution)) + 1)
+    axis = np.linspace(-1.0, 1.0, steps)
+    if 2 * n * steps ** (n - 1) > cap:
+        raise ValueError(f"resolution {resolution} needs too many linf samples")
+    out = []
+    for j in range(n):
+        for sgn in (1.0, -1.0):
+            for rest in itertools.product(axis, repeat=n - 1):
+                w = np.empty(n)
+                w[j] = sgn
+                idx = 0
+                for i in range(n):
+                    if i != j:
+                        w[i] = rest[idx]
+                        idx += 1
+                out.append(w)
+    return out
+
+
+GRIDS = {
+    sd.NormChoice.L2: (verify._l2_sphere_grid, _rowwise_l2_grid),
+    sd.NormChoice.L1: (verify._l1_sphere_grid, _rowwise_l1_grid),
+    sd.NormChoice.LINF: (verify._linf_sphere_grid, _rowwise_linf_grid),
+}
+RESOLUTIONS = (0.05, 0.125, 0.25, 0.3, 1.0)
+
+
+def _rowwise_brute_force(f, x, norm, resolution):
+    n = f.dim
+    cands = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cands.append(e.copy())
+        cands.append(-e)
+    if f.has_gradient:
+        g = f.gradient(x)
+        nrm = sd.direction.norm_of(g, norm)
+        if nrm > 0:
+            cands.append(-(g / nrm))
+    cands.extend(GRIDS[norm][1](n, resolution, verify._BRUTE_SAMPLE_CAP))
+    best_w, best_v = None, np.inf
+    for wv in cands:
+        d = f.subderivative(x, wv)
+        if d.v < best_v:
+            best_w, best_v = wv, d.v
+    if best_w is None:
+        best_w = cands[0]
+    return sd.DirectionResult(best_w, f.subderivative(x, best_w), False, len(cands) + 1)
+
+
+class Patchwork(sd.FunctionModel):
+    """d f(x)(w) by region of w in the plane: +inf for w_0 > 0.5 or
+    w_0 < -0.95, -inf for w_1 < -0.9 (when ``minus_inf``), and otherwise
+    floor(4 (w_0 - w_1)) / 4, so many grid points tie. ``plus_inf_only``
+    answers +inf everywhere."""
+
+    def __init__(self, minus_inf=True, plus_inf_only=False):
+        self.minus_inf = minus_inf
+        self.plus_inf_only = plus_inf_only
+
+    @property
+    def dim(self):
+        return 2
+
+    def value(self, x):
+        return ExtReal(0.0)
+
+    def subderivatives(self, x, W):
+        W = sd.model.as_directions(W, 2)
+        if self.plus_inf_only:
+            return np.full(W.shape[0], np.inf)
+        v = np.floor(4.0 * (W[:, 0] - W[:, 1])) / 4.0
+        if self.minus_inf:
+            v = np.where(W[:, 1] < -0.9, -np.inf, v)
+        return np.where((W[:, 0] > 0.5) | (W[:, 0] < -0.95), np.inf, v)
+
+    def subderivative(self, x, w):
+        return ExtReal(float(self.subderivatives(x, np.asarray(w)[None, :])[0]))
+
+
+def assert_same_direction(got, want):
+    assert got.w.tobytes() == want.w.tobytes()
+    assert got.value == want.value
+    assert got.exact is want.exact is False
+    assert got.evaluations == want.evaluations
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_grids_match_the_row_by_row_builders(norm, n, monkeypatch):
+    build, rowwise = GRIDS[norm]
+    full = verify._BRUTE_SAMPLE_CAP
+    resolutions = RESOLUTIONS + ((1e-3,) if norm is sd.NormChoice.L2 and n <= 2 else ())
+    for res in resolutions:
+        want = np.array(rowwise(n, res, full)).reshape(-1, n)
+        got = build(n, res)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (n, res)
+        if norm is sd.NormChoice.L2 and n == 1:
+            continue  # the two points of the line, never capped
+        # Both raise exactly when the grid has more rows than the cap.
+        size = want.shape[0]
+        with pytest.raises(ValueError):
+            rowwise(n, res, size - 1)
+        monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", size - 1)
+        with pytest.raises(ValueError):
+            build(n, res)
+        monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", size)
+        assert build(n, res).shape == (size, n)
+        monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", full)
+
+
+def test_sphere_grid_caps_at_full_size():
+    # 19.7M, 2.6M and 2.1M rows against the cap of 2M
+    with pytest.raises(ValueError):
+        verify._l2_sphere_grid(3, 1e-3)
+    with pytest.raises(ValueError):
+        verify._l1_sphere_grid(4, 0.01)
+    with pytest.raises(ValueError):
+        verify._linf_sphere_grid(4, 0.02)
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+def test_brute_force_matches_the_scalar_scan_on_the_catalogue(norm):
+    rng = np.random.default_rng(20261018)
+    for name, model in _bundled_semidiff_oracles(rng):
+        for kinked in (False, True):
+            x = rng.uniform(-2, 2, model.dim)
+            if kinked:
+                x[rng.integers(model.dim)] = 0.0
+            want = _rowwise_brute_force(model, x, norm, 0.5)
+            assert_same_direction(sd.brute_force_direction(model, x, norm, 0.5), want)
+            scalar = ScalarOnly(model)
+            assert_same_direction(sd.brute_force_direction(scalar, x, norm, 0.5), want)
+            assert scalar.calls == want.evaluations, name
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+def test_brute_force_gradient_candidate_keeps_its_place(norm):
+    # g = (2, -2, 0): under linf, -(g/2) = (-1, 1, -0.0) is a minimizer that
+    # the grid repeats later with +0.0 and other third coordinates.
+    c = np.array([0.5, -1.0, 0.25])
+    model = sd.quadratic_model(c)
+    x = c + np.array([2.0, -2.0, 0.0])
+    want = _rowwise_brute_force(model, x, norm, 0.5)
+    assert_same_direction(sd.brute_force_direction(model, x, norm, 0.5), want)
+    if norm is not sd.NormChoice.L1:  # under l1, -e1 reaches -2 first
+        g = model.gradient(x)
+        assert want.w.tobytes() == (-(g / sd.direction.norm_of(g, norm))).tobytes()
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+@pytest.mark.parametrize("case, first", [
+    ((True, False), [0.0, -1.0]),    # -e2: the first -inf candidate
+    ((False, False), None),          # ties at a finite minimum
+    ((False, True), [1.0, 0.0]),     # every value +inf: the first candidate
+], ids=["minus_inf", "ties", "all_plus_inf"])
+def test_brute_force_extended_values_and_ties(norm, case, first):
+    model = Patchwork(*case)
+    x = np.zeros(2)
+    want = _rowwise_brute_force(model, x, norm, 0.125)
+    for f in (model, ScalarOnly(model)):
+        got = sd.brute_force_direction(f, x, norm, 0.125)
+        assert_same_direction(got, want)
+    if first is not None:
+        assert np.array_equal(want.w, first)
 
 
 def test_descent_sampler_quadratic_equality_case(quad2):
