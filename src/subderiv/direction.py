@@ -6,7 +6,9 @@ normalized negative gradient; coordinate-separable subderivatives split into
 (the part's values at +1 and -1) and solved in closed form; concave
 subderivatives attain their minimum at an extreme point of the l1 ball.
 Everything else goes through a seeded sampling fallback that can refute
-stationarity but never certify it.
+stationarity but never certify it. Its unit-ball samples depend only on
+(n, norm, budget, seed), so each such set is drawn once per process and
+reused, read-only, at every iterate.
 
 The l1 vertex search and the fallback each make one batched query,
 ``f.subderivatives(x, W)``, over all their candidates, so a model does the
@@ -21,6 +23,7 @@ enumeration order and only a strictly smaller value displaces the incumbent
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +158,22 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, norm: NormChoice) -> Vec
     return signs * mags * rng.uniform() ** (1.0 / n)
 
 
+@functools.lru_cache(maxsize=8)
+def _fallback_samples(n: int, norm: NormChoice, budget: int, seed: int) -> np.ndarray:
+    """The fallback's ``budget`` unit-ball samples as the rows of a read-only
+    (budget, n) matrix, drawn one row at a time from ``default_rng(seed)``.
+
+    They depend on nothing else, so they are drawn once per key and shared by
+    every search that asks for them.
+    """
+    rng = np.random.default_rng(seed)
+    samples = np.empty((budget, n))
+    for i in range(budget):
+        samples[i] = _unit_ball_sample(rng, n, norm)
+    samples.setflags(write=False)
+    return samples
+
+
 def norm_of(w: Vector, norm: NormChoice) -> float:
     if norm is NormChoice.L2:
         return float(np.linalg.norm(w))
@@ -166,7 +185,10 @@ def norm_of(w: Vector, norm: NormChoice) -> float:
 def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
                             budget: int, seed: int) -> DirectionResult:
     """Best of signed coordinate directions, the normalized negative gradient
-    when available, and ``budget`` seeded uniform unit-ball samples.
+    when available, and ``budget`` seeded uniform unit-ball samples. The
+    samples depend only on (f.dim, norm, budget, seed) and are drawn once per
+    process (``_fallback_samples``); the same seed gives the same samples at
+    every x.
 
     Directions with a +inf or NaN subderivative are discarded. A -inf one is
     kept, and the first such candidate wins (``armijo`` has the step rule for
@@ -177,15 +199,13 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     x = as_vector(x, f.dim)
-    rng = np.random.default_rng(seed)
     cands = [l1_vertices(f.dim)]
     if f.has_gradient:
         g = f.gradient(x)
         nrm = norm_of(g, norm)
         if nrm > 0:
             cands.append(-(g / nrm))
-    for _ in range(budget):
-        cands.append(_unit_ball_sample(rng, f.dim, norm))
+    cands.append(_fallback_samples(f.dim, norm, budget, seed))
     cands = np.vstack(cands)
     vals = _batch_values(f, x, cands)
     vals = np.where(np.isnan(vals), np.inf, vals)

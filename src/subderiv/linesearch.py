@@ -72,7 +72,10 @@ def armijo(f: FunctionModel, x: Vector, w: Vector, d: float,
 
     ``d`` is the direction-search value d f(x)(w) and must be negative;
     f(x) must be finite. Returns (alpha, backtracks). Raises
-    BacktrackExhausted past the cap.
+    BacktrackExhausted past the cap; its message names the smallest trial
+    alpha, the decrease the test asked for there, -(alpha / 2) d (0 at
+    d = -inf: any decrease), and 8 ulps of |f(x)|, so a search that ran into
+    the resolution of f (an asked decrease below those 8 ulps) reads as such.
     """
     p = params or ArmijoParams()
     if not d < 0:
@@ -85,8 +88,11 @@ def armijo(f: FunctionModel, x: Vector, w: Vector, d: float,
         trial = f.value(x + alpha * w).v  # +inf trial values simply fail the test
         if trial - fx < (0.5 * alpha * d if d > -math.inf else 0.0):
             return alpha, m
+    asked = float(-0.5 * alpha * d) if d > -math.inf else 0.0
     raise BacktrackExhausted(
-        f"no acceptable step within {p.max_backtracks} backtracks")
+        f"no acceptable step within {p.max_backtracks} backtracks: the smallest "
+        f"trial alpha={alpha!r} asked for a decrease of more than {asked!r}, "
+        f"against 8 ulps of |f(x)| = {8 * math.ulp(abs(fx))!r}")
 
 
 def schedule_step(schedule: Schedule, k: int, f: FunctionModel, x: Vector,

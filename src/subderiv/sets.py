@@ -197,6 +197,12 @@ class ConvexPolyhedron:
     lexicographic), so each projection and each tangent-cone distance is a
     handful of mat-vecs. Row counts are capped; the fixtures this backs are
     small.
+
+    Row i of A y <= b is tested with the tolerance
+    1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
+    round in A y - b, so that scaling the set and the point together scales
+    which rows count as satisfied or active along with them. At unit scale
+    it is the absolute 1e-9 the other sets use.
     """
 
     def __init__(self, A, b):
@@ -204,6 +210,9 @@ class ConvexPolyhedron:
         self.b = as_vector(b, name="b")
         if self.A.shape[0] != self.b.shape[0]:
             raise DimensionMismatch("A rows must match b length")
+        self._abs_A = np.abs(self.A)
+        self._abs_b = np.abs(self.b)
+        self._b_unit = self.b + _MEMBERSHIP_TOL   # the bound at unit scale
         m = self.A.shape[0]
         if m > _MAX_ENUM_ROWS:
             raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
@@ -217,8 +226,15 @@ class ConvexPolyhedron:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    def _row_tol(self, y: Vector) -> np.ndarray:
+        """Per-row membership tolerance at y (see the class docstring)."""
+        return _MEMBERSHIP_TOL * np.maximum(1.0, self._abs_A @ np.abs(y) + self._abs_b)
+
     def contains(self, x: Vector) -> bool:
-        return bool(np.all(self.A @ x <= self.b + _MEMBERSHIP_TOL))
+        Ax = self.A @ x
+        if (Ax <= self._b_unit).all():    # the tolerance is never below 1e-9
+            return True
+        return bool((Ax <= self.b + self._row_tol(x)).all())
 
     def project_all(self, x: Vector) -> list[tuple[float, Vector]]:
         """(distance, point) candidates; the minimum distance entry is exact."""
@@ -227,12 +243,12 @@ class ConvexPolyhedron:
             return [(0.0, x.copy())]
         for rows, pinv, bS in self._subsets.values():
             y = x - pinv @ (rows @ x - bS)
-            if np.all(self.A @ y <= self.b + _MEMBERSHIP_TOL):
+            if self.contains(y):
                 cands.append((float(np.linalg.norm(x - y)), y))
         return cands
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
-        active = np.flatnonzero(self.A @ x >= self.b - _MEMBERSHIP_TOL)
+        active = np.flatnonzero(self.A @ x >= self.b - self._row_tol(x))
         if active.size == 0:
             return 0.0
         Aact = self.A[active, :]

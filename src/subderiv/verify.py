@@ -14,6 +14,7 @@ share: the enumeration scores its grid with one batched
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -75,6 +76,29 @@ class FDResult:
     min_quotients: list[float] = field(default_factory=list)    # incl. perturbations
 
 
+@functools.lru_cache(maxsize=8)
+def _fd_perturbations(seed: int, levels: int, perturbations: int,
+                      dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The FD grid's raw perturbation draws and their norms, read-only.
+
+    Level j draws ``perturbations`` standard normal vectors of length ``dim``
+    one at a time from ``default_rng([seed, j])``; they fill row j of the
+    (levels + 1, perturbations, dim) array, and ``np.linalg.norm`` of each
+    fills the (levels + 1, perturbations) array. Nothing here depends on the
+    point or the direction, so each key is drawn once per process.
+    """
+    draws = np.empty((levels + 1, perturbations, dim))
+    norms = np.empty((levels + 1, perturbations))
+    for j in range(levels + 1):
+        rng = np.random.default_rng([seed, j])
+        for i in range(perturbations):
+            draws[j, i] = rng.standard_normal(dim)
+            norms[j, i] = np.linalg.norm(draws[j, i])
+    draws.setflags(write=False)
+    norms.setflags(write=False)
+    return draws, norms
+
+
 def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
                      cfg: Optional[FDConfig] = None) -> FDResult:
     """Difference-quotient estimate of d f(x)(w) straight from the definition.
@@ -85,6 +109,10 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
     unperturbed quotient and flags non-convergence when the last three
     levels disagree beyond ``agreement_tol``. Either mode reports +inf when
     every finest-level quotient exceeds the divergence threshold.
+
+    The perturbations are seeded per level by ``cfg.seed`` and depend only on
+    the seed and the grid's shape, so they are drawn once per process
+    (``_fd_perturbations``) and rescaled to each level's radius.
     """
     cfg = cfg or FDConfig()
     x = as_vector(x, f.dim, "x")
@@ -94,6 +122,7 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
         raise DomainViolation("fd_subderivative needs f(x) finite")
     wnorm = float(np.linalg.norm(w))
     t_grid = [cfg.t0 * cfg.rho ** j for j in range(cfg.levels + 1)]
+    draws, norms = _fd_perturbations(cfg.seed, cfg.levels, cfg.perturbations, f.dim)
     quotients: list[float] = []
     min_quotients: list[float] = []
     for j, t in enumerate(t_grid):
@@ -101,11 +130,8 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
         level_min = q
         radius = min(t, 0.1 * wnorm)
         if radius > 0 and cfg.perturbations > 0:
-            rng = np.random.default_rng([cfg.seed, j])
-            for _ in range(cfg.perturbations):
-                u = rng.standard_normal(f.dim)
-                u *= radius / np.linalg.norm(u)
-                qp = (f.value(x + t * (w + u)).v - fx) / t
+            for probe in x + t * (w + draws[j] * (radius / norms[j])[:, None]):
+                qp = (f.value(probe).v - fx) / t
                 level_min = min(level_min, qp)
         quotients.append(q)
         min_quotients.append(level_min)

@@ -151,7 +151,8 @@ def test_batched_rejects_bad_direction_matrices():
 
 
 class ScalarOnly(sd.FunctionModel):
-    """Forwards the scalar queries of ``inner`` and counts subderivative calls."""
+    """Forwards the scalar queries of ``inner`` (and its separable parts) and
+    counts subderivative calls."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -173,6 +174,11 @@ class ScalarOnly(sd.FunctionModel):
 
     def gradient(self, x):
         return self.inner.gradient(x)
+
+    def separable_parts(self, x):
+        # Forwarded, so the copied is_separable flag stays honest; a model
+        # that is not separable keeps the flag False and raises here as before.
+        return self.inner.separable_parts(x)
 
 
 def _scan(f, x, cands, skip_plus_inf):
@@ -254,6 +260,20 @@ def test_default_path_asks_the_scalar_oracle_once_per_candidate():
     f = ScalarOnly(build_problem("dc_quadratic_l1", {"n": "5"}).model)
     res = sd.solve_l1_extreme(f, np.full(5, 3.0))
     assert f.calls == res.evaluations == 2 * 5 + 1
+
+
+def test_scalar_only_wrapper_declares_only_the_structure_it_forwards():
+    x = np.array([0.5, 0.0, -1.0, 2.0])
+    for name, model in SEARCH_MODELS.items():
+        f = ScalarOnly(model)
+        assert f.is_separable == model.is_separable, name
+        if model.is_separable:
+            got, want = f.separable_parts(x), model.separable_parts(x)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1], want[1]))
+        else:
+            with pytest.raises(sd.NotSeparable):
+                f.separable_parts(np.zeros(model.dim))
 
 
 def test_l1_extreme_all_infinite_returns_first_vertex():

@@ -5,6 +5,7 @@ import pytest
 
 import subderiv as sd
 from subderiv.extreal import ExtReal
+from subderiv.problems import build_problem
 
 from conftest import l1_table_direction
 
@@ -257,3 +258,101 @@ def test_direction_results_respect_ball(rng):
     assert np.max(np.abs(sd.solve_linf_separable(parts, grad, x, model=m2).w)) <= 1 + 1e-12
     q = sd.quadratic_model(np.zeros(2))
     assert np.linalg.norm(sd.solve_l2_smooth(q, x).w) <= 1 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The fallback's samples are drawn once per (n, norm, budget, seed).
+# ---------------------------------------------------------------------------
+
+def _drawn_per_call(n, norm, budget, seed):
+    """The fallback's former per-call draw loop, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(budget):
+        if norm is sd.NormChoice.LINF:
+            rows.append(rng.uniform(-1.0, 1.0, size=n))
+        elif norm is sd.NormChoice.L2:
+            g = rng.standard_normal(n)
+            g /= np.linalg.norm(g)
+            rows.append(g * rng.uniform() ** (1.0 / n))
+        else:
+            e = rng.exponential(size=n)
+            mags = e / np.sum(e)
+            signs = rng.choice([-1.0, 1.0], size=n)
+            rows.append(signs * mags * rng.uniform() ** (1.0 / n))
+    return rows
+
+
+class RecordingQuadratic(sd.FunctionModel):
+    """A smooth quadratic that keeps every batched direction matrix it is asked."""
+
+    has_gradient = True
+    semi_differentiable = True
+
+    def __init__(self, n):
+        self.inner = sd.quadratic_model(np.linspace(-1.0, 1.0, n))
+        self.batches = []
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def subderivative(self, x, w):
+        return self.inner.subderivative(x, w)
+
+    def subderivatives(self, x, W):
+        self.batches.append(np.array(W))
+        return self.inner.subderivatives(x, W)
+
+    def gradient(self, x):
+        return self.inner.gradient(x)
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice))
+@pytest.mark.parametrize("budget", [0, 1, 64])
+@pytest.mark.parametrize("seed", [0, 20240817])
+def test_fallback_candidates_match_the_per_call_draws(norm, budget, seed):
+    f = RecordingQuadratic(5)
+    x = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+    for _ in range(2):     # a cold and a warm cache give the same candidates
+        sd.solve_sampling_fallback(f, x, norm, budget, seed)
+    g = f.gradient(x)
+    want = np.vstack([sd.direction.l1_vertices(5), -(g / sd.direction.norm_of(g, norm))]
+                     + _drawn_per_call(5, norm, budget, seed))
+    for W in f.batches:
+        assert W.tobytes() == want.tobytes()
+
+
+def test_fallback_samples_are_read_only_and_results_own_their_direction():
+    samples = sd.direction._fallback_samples(3, sd.NormChoice.L2, 8, 4)
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0, 0] = 2.0
+    # The winner is a sample at x = 0: no signed unit vector goes downhill.
+    f = sd.sum_models([sd.quadratic_model(np.zeros(3)), sd.NegL1Norm(3)])
+    first = sd.solve_sampling_fallback(f, np.zeros(3), sd.NormChoice.L2, 8, 4)
+    kept = first.w.copy()
+    first.w[:] = 7.0
+    again = sd.solve_sampling_fallback(f, np.zeros(3), sd.NormChoice.L2, 8, 4)
+    assert again.w.tobytes() == kept.tobytes()
+    assert again.value == first.value
+
+
+def _trace_bytes(tr):
+    rows = [(r.k, r.f, r.dir_value, r.alpha, r.backtracks, r.step_norm) for r in tr.records]
+    return (repr(rows), tr.status, tr.detail, tr.certified, tr.f_final,
+            tr.x_final.tobytes(), [x.tobytes() for x in tr.iterates])
+
+
+def test_fallback_run_matches_the_per_call_draws(monkeypatch):
+    bp = build_problem("relu_net", {})
+    assert bp.defaults.strategy == "fallback"
+    cached = sd.run(bp.model, bp.x0, bp.defaults)
+
+    def per_call(n, norm, budget, seed):
+        return np.array(_drawn_per_call(n, norm, budget, seed)).reshape(budget, n)
+    monkeypatch.setattr(sd.direction, "_fallback_samples", per_call)
+    assert _trace_bytes(sd.run(bp.model, bp.x0, bp.defaults)) == _trace_bytes(cached)

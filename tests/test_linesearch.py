@@ -132,6 +132,18 @@ def test_armijo_minus_inf_still_strict():
         sd.armijo(flat, np.zeros(1), np.array([1.0]), -np.inf)
 
 
+def test_armijo_exhausted_message_names_step_asked_decrease_and_resolution():
+    flat = sd.smooth_model(1, lambda x: 3.0, lambda x: np.zeros(1))
+    params = sd.ArmijoParams(max_backtracks=4)
+    with pytest.raises(sd.BacktrackExhausted) as exc:
+        sd.armijo(flat, np.zeros(1), np.array([1.0]), -2.0, params)
+    assert str(exc.value).endswith(f"alpha=0.0625 asked for a decrease of more than 0.0625, "
+                                   f"against 8 ulps of |f(x)| = {8 * 2.0 ** -51!r}")
+    with pytest.raises(sd.BacktrackExhausted) as exc:
+        sd.armijo(flat, np.zeros(1), np.array([1.0]), -np.inf, params)
+    assert "alpha=0.0625 asked for a decrease of more than 0.0," in str(exc.value)
+
+
 def test_schedule_step_values(quad2):
     dim = sd.diminishing_schedule(1.0)
     a0, _ = sd.schedule_step(dim, 0, quad2, np.zeros(2), np.zeros(2), -1.0)

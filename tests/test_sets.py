@@ -208,7 +208,7 @@ def test_distance_oracle_empty_projection():
 def _per_call_tangent_distance(P, x, w):
     """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset."""
     tol = sd.sets._MEMBERSHIP_TOL
-    active = np.flatnonzero(P.A @ x >= P.b - tol)
+    active = np.flatnonzero(P.A @ x >= P.b - P._row_tol(x))
     if active.size == 0:
         return 0.0
     Aact = P.A[active, :]
@@ -261,3 +261,54 @@ def test_polyhedron_tangent_distance_matches_per_call_pinv(rng):
             assert P.tangent_distance(x, w) == want
             moved += want > 0
     assert moved > 100
+
+
+def _mirror_pairs(seed, trials):
+    """Random 3-row polyhedra {A y <= b}, each with its mirror {-A y <= b},
+    in dimension 2 and 3, as (A, b, dim) with x = 0 outside both."""
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        dim = 2 + t % 2
+        A = rng.normal(size=(3, dim))
+        b = rng.normal(size=3)
+        if np.any(b < 0):
+            yield A, b, dim
+
+
+def _mirror_union(A, b, lam):
+    return sd.FiniteUnion([sd.ConvexPolyhedron(A, lam * b), sd.ConvexPolyhedron(-A, lam * b)])
+
+
+def test_polyhedron_mirror_pairs_keep_both_projections_at_large_scale():
+    # With an absolute 1e-9 membership tolerance, A y <= b + 1e-9 rejected
+    # the exact projection onto both pieces of 5 of these pairs once b was
+    # scaled by 1e5 (rounding in A y is about 1e-9 there), and the union
+    # returned no nearest point at all.
+    kept = 0
+    for A, b, dim in _mirror_pairs(5, 460):
+        if len(_mirror_union(A, b, 1.0).project(np.zeros(dim))) == 2:
+            assert len(_mirror_union(A, b, 1e5).project(np.zeros(dim))) == 2
+            kept += 1
+    assert kept > 300
+
+
+def test_polyhedron_union_distance_and_ties_scale_with_the_set():
+    # dist_{lam S}(lam x) = lam dist_S(x), with as many tied projections, and
+    # the tangent cone at a projection does not depend on lam.
+    rng = np.random.default_rng(11)
+    for A, b, dim in _mirror_pairs(6, 120):
+        for x in (np.zeros(dim), rng.uniform(-2, 2, dim)):
+            base = _mirror_union(A, b, 1.0)
+            pts = base.project(x)
+            if not pts:
+                continue
+            d = np.linalg.norm(x - pts[0])
+            w = rng.normal(size=dim)
+            cone = base.tangent_distance(pts[0], w)
+            for lam in (1e-3, 1e5):
+                X = _mirror_union(A, b, lam)
+                got = X.project(lam * x)
+                assert len(got) == len(pts)
+                assert np.linalg.norm(lam * x - got[0]) == pytest.approx(lam * d, rel=1e-9)
+                assert X.tangent_distance(lam * pts[0], w) == pytest.approx(cone, rel=1e-6,
+                                                                           abs=1e-9)

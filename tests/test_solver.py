@@ -1,10 +1,13 @@
 """Main-loop behavior: termination, descent, rate certificates, reductions."""
 
+import re
+
 import numpy as np
 import pytest
 
 import subderiv as sd
 from subderiv.extreal import ExtReal
+from subderiv.problems import build_problem
 
 from conftest import make_neg_relu
 
@@ -89,6 +92,26 @@ def test_run_backtrack_exhausted_status():
     tr = sd.run(Liar(), np.zeros(1), sd.SolverConfig(strategy="l2", max_iter=10))
     assert tr.status is sd.TerminalStatus.BACKTRACK_EXHAUSTED
     assert tr.records[-1].alpha == 0.0
+
+
+def test_exhausted_search_names_the_resolution_of_f():
+    # The benchmark's separable_l1 run: every |x_i - 1| reaches 2^-24, where
+    # the sup-norm measure d = -n 2^-24 still exceeds epsilon, but no step
+    # changes the computed f = 6000 + 2 ulp(6000) by the asked decrease.
+    n = 4000
+    bp = build_problem("separable_l1", {"n": str(n), "lam": "1.0", "a": "2.0"})
+    x0 = np.random.default_rng([0, 1]).choice([-1.0, -0.5, 0.0, 0.5], n)
+    tr = sd.run(bp.model, x0, bp.defaults)
+    assert tr.status is sd.TerminalStatus.BACKTRACK_EXHAUSTED
+    assert tr.f_final == 6000.000000000002
+    found = re.search(r"alpha=(\S+) asked for a decrease of more than (\S+), "
+                      r"against 8 ulps of \|f\(x\)\| = (\S+)$", tr.detail)
+    alpha, asked, resolution = map(float, found.groups())
+    last = tr.records[-1]
+    assert alpha == 0.5 ** 60
+    assert asked == -0.5 * alpha * last.dir_value
+    assert resolution == 8 * np.spacing(tr.f_final)
+    assert asked < resolution
 
 
 def test_run_diminishing_step_out_of_domain_ends_left_domain():

@@ -87,6 +87,78 @@ def test_fd_agreement_across_semidiff_oracles(rng):
                 m.subderivative(x, w).v, abs=1e-5)
 
 
+def _fd_drawn_per_level(f, x, w, cfg):
+    """fd_subderivative's former loop, drawing each level's perturbations anew."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    fx = f.value(x).v
+    wnorm = float(np.linalg.norm(w))
+    t_grid = [cfg.t0 * cfg.rho ** j for j in range(cfg.levels + 1)]
+    quotients, min_quotients = [], []
+    for j, t in enumerate(t_grid):
+        q = (f.value(x + t * w).v - fx) / t
+        level_min = q
+        radius = min(t, 0.1 * wnorm)
+        if radius > 0 and cfg.perturbations > 0:
+            rng = np.random.default_rng([cfg.seed, j])
+            for _ in range(cfg.perturbations):
+                u = rng.standard_normal(f.dim)
+                u *= radius / np.linalg.norm(u)
+                qp = (f.value(x + t * (w + u)).v - fx) / t
+                level_min = min(level_min, qp)
+        quotients.append(q)
+        min_quotients.append(level_min)
+    return t_grid, quotients, min_quotients
+
+
+def _as_bytes(*lists):
+    return tuple(np.array(v).tobytes() for v in lists)
+
+
+class _ValueLog(sd.FunctionModel):
+    """Forwards ``value`` and keeps the bytes of every point it is asked at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.points = []
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        self.points.append(np.asarray(x, dtype=float).tobytes())
+        return self.inner.value(x)
+
+    def subderivative(self, x, w):
+        return self.inner.subderivative(x, w)
+
+
+def test_fd_matches_the_per_level_draws_on_the_catalogue(rng):
+    # Every probe point is asked in the same order with the same bytes, and
+    # the grid fields (which fix the estimate and both flags) are equal.
+    net = sd.relu_network_loss([1, 1, 1], [(np.array([0.7]), np.array([0.2])),
+                                           (np.array([-0.4]), np.array([0.6]))])
+    cfgs = [sd.FDConfig(), sd.FDConfig(mode=sd.FDMode.LIMINF_APPROX, seed=7, levels=6,
+                                       perturbations=3)]
+    for name, model in _bundled_semidiff_oracles(rng) + [("relu_net", net)]:
+        for cfg in cfgs:
+            for _ in range(2):
+                x = rng.uniform(-2, 2, model.dim)
+                w = rng.uniform(-1, 1, model.dim)
+                got_log, want_log = _ValueLog(model), _ValueLog(model)
+                got = sd.fd_subderivative(got_log, x, w, cfg)
+                want = _as_bytes(*_fd_drawn_per_level(want_log, x, w, cfg))
+                assert got_log.points == want_log.points, name
+                assert _as_bytes(got.t_grid, got.quotients, got.min_quotients) == want, name
+
+
+def test_fd_perturbations_are_read_only():
+    draws, norms = verify._fd_perturbations(1, 3, 2, 4)
+    assert draws.shape == (4, 2, 4) and norms.shape == (4, 2)
+    assert not draws.flags.writeable and not norms.flags.writeable
+
+
 def test_brute_force_quadratic_l2(quad2):
     res = sd.brute_force_direction(quad2, np.array([3.0, 4.0]),
                                    sd.NormChoice.L2, 1e-3)
