@@ -201,8 +201,9 @@ class ConvexPolyhedron:
     Row i of A y <= b is tested with the tolerance
     1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
     round in A y - b, so that scaling the set and the point together scales
-    which rows count as satisfied or active along with them. At unit scale
-    it is the absolute 1e-9 the other sets use.
+    which rows count as satisfied or active along with them. On rows whose
+    magnitude (|A| |y|)_i + |b_i| is at most 1 it is the absolute 1e-9 the
+    other sets use; beyond that it grows with the magnitude.
     """
 
     def __init__(self, A, b):
@@ -212,7 +213,7 @@ class ConvexPolyhedron:
             raise DimensionMismatch("A rows must match b length")
         self._abs_A = np.abs(self.A)
         self._abs_b = np.abs(self.b)
-        self._b_unit = self.b + _MEMBERSHIP_TOL   # the bound at unit scale
+        self._b_unit = self.b + _MEMBERSHIP_TOL   # b plus the smallest row tolerance
         m = self.A.shape[0]
         if m > _MAX_ENUM_ROWS:
             raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
@@ -232,7 +233,9 @@ class ConvexPolyhedron:
 
     def contains(self, x: Vector) -> bool:
         Ax = self.A @ x
-        if (Ax <= self._b_unit).all():    # the tolerance is never below 1e-9
+        # The row tolerance is never below 1e-9, so a point that passes at
+        # 1e-9 passes the relative test too; accepting it here skips |A| |x|.
+        if (Ax <= self._b_unit).all():
             return True
         return bool((Ax <= self.b + self._row_tol(x)).all())
 

@@ -208,7 +208,8 @@ def test_distance_oracle_empty_projection():
 def _per_call_tangent_distance(P, x, w):
     """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset."""
     tol = sd.sets._MEMBERSHIP_TOL
-    active = np.flatnonzero(P.A @ x >= P.b - P._row_tol(x))
+    row_tol = tol * np.maximum(1.0, np.abs(P.A) @ np.abs(x) + np.abs(P.b))
+    active = np.flatnonzero(P.A @ x >= P.b - row_tol)
     if active.size == 0:
         return 0.0
     Aact = P.A[active, :]
@@ -283,7 +284,7 @@ def test_polyhedron_mirror_pairs_keep_both_projections_at_large_scale():
     # With an absolute 1e-9 membership tolerance, A y <= b + 1e-9 rejected
     # the exact projection onto both pieces of 5 of these pairs once b was
     # scaled by 1e5 (rounding in A y is about 1e-9 there), and the union
-    # returned no nearest point at all.
+    # returned no nearest point instead of two.
     kept = 0
     for A, b, dim in _mirror_pairs(5, 460):
         if len(_mirror_union(A, b, 1.0).project(np.zeros(dim))) == 2:
