@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
 from .extreal import ExtReal, ext_add, ext_add_arrays, ulp_tied
-from .model import FunctionModel, Vector, as_vector, check_same_dim
+from .model import FunctionModel, Vector, as_directions, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
 
@@ -118,6 +118,12 @@ class _Sum(FunctionModel):
             acc = ext_add(acc, m.value(x))
         return acc
 
+    def values(self, X) -> np.ndarray:
+        acc = self.models[0].values(X)
+        for m in self.models[1:]:
+            acc = ext_add_arrays(acc, m.values(X))
+        return acc
+
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         acc = self.models[0].subderivative(x, w)
         for m in self.models[1:]:
@@ -181,6 +187,9 @@ class _Scaled(FunctionModel):
     def value(self, x: Vector) -> ExtReal:
         return self.inner.value(x).scaled(self.lam)
 
+    def values(self, X) -> np.ndarray:
+        return self.lam * self.inner.values(X)
+
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return self.inner.subderivative(x, w).scaled(self.lam)
 
@@ -202,7 +211,26 @@ def scale(model: FunctionModel, lam: float) -> FunctionModel:
     return _Scaled(model, lam)
 
 
-class _SmoothComposite(FunctionModel):
+class _Composite(FunctionModel):
+    """g o F: the value queries, shared by the smooth and semi-differentiable maps."""
+
+    g: FunctionModel
+    F: SemiDiffMap
+
+    @property
+    def dim(self) -> int:
+        return self.F.dim_in
+
+    def value(self, x: Vector) -> ExtReal:
+        return self.g.value(self.F.eval(x))
+
+    def values(self, X) -> np.ndarray:
+        # F is a per-point callable, so it runs row by row; g sees one batch.
+        X = as_directions(X, self.dim, "X")
+        return self.g.values(np.array([self.F.eval(x) for x in X]).reshape(-1, self.g.dim))
+
+
+class _SmoothComposite(_Composite):
     def __init__(self, g: FunctionModel, F: SmoothMap, concave_modulus: Optional[float]):
         if g.dim != F.dim_out:
             raise DimensionMismatch(
@@ -215,13 +243,6 @@ class _SmoothComposite(FunctionModel):
         self.descent_constant = None
         if concave_modulus is not None and F.smoothness_constant is not None:
             self.descent_constant = concave_modulus * F.smoothness_constant
-
-    @property
-    def dim(self) -> int:
-        return self.F.dim_in
-
-    def value(self, x: Vector) -> ExtReal:
-        return self.g.value(self.F.eval(x))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return self.g.subderivative(self.F.eval(x), self.F.jacobian_apply(x, w))
@@ -242,7 +263,7 @@ def precompose_smooth(g: FunctionModel, F: SmoothMap,
     return _SmoothComposite(g, F, concave_modulus)
 
 
-class _SemiDiffComposite(FunctionModel):
+class _SemiDiffComposite(_Composite):
     def __init__(self, g: FunctionModel, F: SemiDiffMap):
         if g.dim != F.dim_out:
             raise DimensionMismatch(
@@ -252,13 +273,6 @@ class _SemiDiffComposite(FunctionModel):
         self.g = g
         self.F = F
         self.semi_differentiable = True
-
-    @property
-    def dim(self) -> int:
-        return self.F.dim_in
-
-    def value(self, x: Vector) -> ExtReal:
-        return self.g.value(self.F.eval(x))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return self.g.subderivative(self.F.eval(x), self.F.semiderivative(x, w))
@@ -331,6 +345,16 @@ class _PointwiseExtremum(FunctionModel):
     def value(self, x: Vector) -> ExtReal:
         vals = self._values(x)
         return ExtReal(max(vals) if self.take_max else min(vals))
+
+    def values(self, X) -> np.ndarray:
+        # The builtin max/min reduction of ``value``: a later member replaces
+        # the incumbent only when strictly larger (smaller).
+        first, *rest = self.models
+        out = first.values(X)
+        for m in rest:
+            v = m.values(X)
+            out = np.where(v > out if self.take_max else v < out, v, out)
+        return out
 
     def _active(self, x: Vector) -> list[FunctionModel]:
         """Members whose value ties the extremum at x, in member order.

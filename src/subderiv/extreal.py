@@ -9,6 +9,7 @@ NegInf < finite < PosInf without epsilon games.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,21 @@ def ulp_tied(a: float, b: float) -> bool:
     and an absolute tolerance finds them at one scale of the inputs only.
     """
     return abs(a - b) <= 8 * math.ulp(max(abs(a), abs(b)))
+
+
+def ulp_tied_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``ulp_tied`` of two float arrays.
+
+    ``np.spacing`` is ``math.ulp`` below the largest float; there and at
+    infinity the values ``math.ulp`` takes are filled in, so the two rules
+    agree on every non-NaN input.
+    """
+    m = np.maximum(np.abs(a), np.abs(b))
+    below = m < sys.float_info.max
+    ulp = np.where(below, np.spacing(np.where(below, m, 1.0)), math.ulp(sys.float_info.max))
+    ulp = np.where(np.isinf(m), math.inf, ulp)
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf is not tied
+        return np.abs(a - b) <= 8 * ulp
 
 
 def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:

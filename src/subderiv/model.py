@@ -6,9 +6,12 @@ as an extended real, and the lower directional derivative
     d f(x)(w) = liminf over t -> 0+, w' -> w of (f(x + t w') - f(x)) / t,
 
 again as an extended real. Both must be pure: identical arguments give
-bit-identical answers. An optional batched query, ``subderivatives(x, W)``,
-answers d f(x)(w) for every row w of a matrix at once, so the work that
-depends only on x is done once per point. Capability flags
+bit-identical answers. Two optional batched queries answer many at once:
+``subderivatives(x, W)`` gives d f(x)(w) for every row w of a matrix, so the
+work that depends only on x is done once per point, and ``values(X)`` gives
+f at every row of a matrix, so a whole grid of probe points is one call.
+Both default to a loop over the scalar query, and an override must return
+exactly the scalar answer for every row, bit for bit. Capability flags
 (semi-differentiability, a descent constant, a lower bound, gradient
 access, separable structure) let the direction-search and line-search
 layers pick the right specialized path.
@@ -71,6 +74,10 @@ class FunctionModel(abc.ABC):
         ``subderivative``; an override must return, for every row w of
         ``as_directions(W)``, exactly the float ``subderivative(x, w).v``,
         bit for bit, because the direction searches pick among exact ties.
+      * ``values`` is optional too. The default loops over ``value``; an
+        override must return, for every row x of ``as_directions(X)``,
+        exactly the float ``value(x).v``, bit for bit, never NaN, and raise
+        what ``value`` raises at the rows where it would.
     """
 
     semi_differentiable: bool = False
@@ -105,6 +112,17 @@ class FunctionModel(abc.ABC):
         """
         W = as_directions(W, self.dim)
         return np.array([self.subderivative(x, w).v for w in W], dtype=float)
+
+    def values(self, X) -> np.ndarray:
+        """f(x) for every row x of the k x n matrix X, as k floats.
+
+        Values may be +-inf, never NaN. X is first made a C-contiguous
+        float64 matrix with finite entries by ``as_directions``. Models
+        override this where f is plain array arithmetic; this default asks
+        ``value`` once per row.
+        """
+        X = as_directions(X, self.dim, "X")
+        return np.array([self.value(x).v for x in X], dtype=float)
 
     def gradient(self, x: Vector) -> Vector:
         """Gradient at x, for models advertising ``has_gradient``."""

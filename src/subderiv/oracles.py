@@ -42,6 +42,9 @@ class L1Norm(FunctionModel):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(self.lam * float(np.sum(np.abs(x))))
 
+    def values(self, X) -> np.ndarray:
+        return self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
+
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         s = np.where(x > 0, w, np.where(x < 0, -w, np.abs(w)))
         return ExtReal(self.lam * float(np.sum(s)))
@@ -78,6 +81,9 @@ class NegL1Norm(FunctionModel):
 
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(-self.lam * float(np.sum(np.abs(x))))
+
+    def values(self, X) -> np.ndarray:
+        return -self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         s = np.where(x > 0, -w, np.where(x < 0, w, -np.abs(w)))
@@ -295,11 +301,19 @@ class SeparableMoreau(FunctionModel):
     def dim(self) -> int:
         return self._n
 
+    def _envelope(self, t: np.ndarray) -> np.ndarray:
+        """Per-coordinate envelope values at the entries of the 1-D array t."""
+        env = [(t - y) ** 2 / (2.0 * self.r) + self.inner.cost(y)
+               for y in self.inner.prox_range(t, self.r)]
+        return np.minimum(*env)
+
     def value(self, x: Vector) -> ExtReal:
-        x = np.asarray(x, dtype=float)
-        env = [(x - y) ** 2 / (2.0 * self.r) + self.inner.cost(y)
-               for y in self.inner.prox_range(x, self.r)]
-        return ExtReal(float(np.sum(np.minimum(*env))))
+        return ExtReal(float(np.sum(self._envelope(np.asarray(x, dtype=float)))))
+
+    def values(self, X) -> np.ndarray:
+        # The inner is elementwise on 1-D arrays, so it sees the rows end to end.
+        X = as_directions(X, self.dim, "X")
+        return np.sum(self._envelope(X.ravel()).reshape(X.shape), axis=1)
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         _, (up, down) = self.separable_parts(x)
@@ -442,13 +456,16 @@ class ReLUNetworkLoss(FunctionModel):
                 f"packed {theta.shape[0]} parameters, expected {self._p}")
         return theta
 
-    def _pass(self, theta: Vector, dtheta: Optional[np.ndarray] = None):
+    def _pass(self, theta: np.ndarray, dtheta: Optional[np.ndarray] = None):
         """Forward pass over every datum at once.
 
         Returns the per-layer pre-activations A = W Z - b (one column per
         datum), the output and its directional derivatives along the k rows
         of the (k, p) matrix ``dtheta``, stacked on a leading axis of length
         k; without ``dtheta`` no direction is propagated and the last is None.
+        Without ``dtheta``, ``theta`` may also be a (k, p) stack of parameter
+        vectors; every array then gains that leading axis, and each row's
+        layer products are the BLAS calls its own pass makes.
         """
         n_layers = len(self.widths) - 1
         Z = self.X
@@ -457,7 +474,7 @@ class ReLUNetworkLoss(FunctionModel):
         for i in range(n_layers):
             act = self.final_relu or i < n_layers - 1
             W, b = self._unpack(theta, i)
-            A = W @ Z - b[:, None]
+            A = W @ Z - b[..., None]
             if dtheta is not None:
                 dW, db = self._unpack(dtheta, i)
                 dA = dW @ Z + W @ dZ - db[:, :, None]
@@ -479,6 +496,10 @@ class ReLUNetworkLoss(FunctionModel):
     def value(self, x: Vector) -> ExtReal:
         _, out, _ = self._pass(as_vector(x, self._p, "theta"))
         return ExtReal(float(np.sum((out - self.Y) ** 2)) / self.X.shape[1])
+
+    def values(self, X) -> np.ndarray:
+        _, out, _ = self._pass(as_directions(X, self._p, "theta"))
+        return np.sum((out - self.Y) ** 2, axis=(1, 2)) / self.X.shape[1]
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         w = as_vector(w, self._p, "dtheta")

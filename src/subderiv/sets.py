@@ -11,6 +11,12 @@ Every bundled set is geometrically derivable, which makes its distance
 function semi-differentiable. Polyhedral projections and tangent-cone
 distances are computed exactly by active-set enumeration over facets; the
 bundled sets are low-dimensional test fixtures, not production geometry.
+
+The row query ``nearest_points(X)`` gives ``project(x)[0]`` for every row x
+of a matrix, which is all the distance value needs. Each bundled set answers
+it with one array kernel and its ``project`` runs the same kernel on one row,
+so the two round alike; the kernels form matrix products with ``_dot_first``,
+never through BLAS, whose rounding can depend on the number of rows.
 """
 
 from __future__ import annotations
@@ -22,11 +28,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
-from .extreal import ExtReal, ulp_tied
-from .model import FunctionModel, Vector, as_vector
+from .extreal import ExtReal, ulp_tied, ulp_tied_arrays
+from .model import FunctionModel, Vector, as_directions, as_vector
 
 _MEMBERSHIP_TOL = 1e-9
 _MAX_ENUM_ROWS = 16
+_KERNEL_ELEMENTS = 1 << 18   # cap on a polyhedron kernel's (points, subsets, m, n) block
+
+
+def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_j M[j] * V[j] over the leading axis, broadcast, added left to
+    right in j, so each entry rounds the same way however many points are
+    stacked. The kernels keep the points on the last axis, where each
+    elementwise step runs over all of them at once."""
+    acc = M[0] * V[0]
+    for j in range(1, M.shape[0]):
+        acc = acc + M[j] * V[j]
+    return acc
 
 
 class SetModel(abc.ABC):
@@ -51,8 +69,32 @@ class SetModel(abc.ABC):
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         """dist(w; T_X(x)) for a point x of the set."""
 
+    def nearest_points(self, X) -> np.ndarray:
+        """``project(x)[0]`` for every row x of the k x n matrix X, as a k x n matrix.
 
-class Box(SetModel):
+        X is first made a C-contiguous float64 matrix with finite entries by
+        ``as_directions``. A row without a nearest point raises
+        EmptyProjection. Overrides must match ``project(x)[0]`` bit for bit;
+        this default asks ``project`` once per row.
+        """
+        X = as_directions(X, self.dim, "X")
+        out = np.empty_like(X)
+        for i, x in enumerate(X):
+            pts = self.project(x)
+            if not pts:
+                raise EmptyProjection("set model returned no nearest point")
+            out[i] = pts[0]
+        return out
+
+
+class _UniqueProjection(SetModel):
+    """A set with one nearest point, computed by its ``nearest_points`` kernel."""
+
+    def project(self, x: Vector) -> list[Vector]:
+        return [self.nearest_points(as_vector(x, self.dim)[None, :])[0]]
+
+
+class Box(_UniqueProjection):
     """Axis-aligned box [lo, hi]; infinite bounds are allowed."""
 
     geometrically_derivable = True
@@ -74,9 +116,8 @@ class Box(SetModel):
         return bool(np.all(x >= self.lo - _MEMBERSHIP_TOL)
                     and np.all(x <= self.hi + _MEMBERSHIP_TOL))
 
-    def project(self, x: Vector) -> list[Vector]:
-        x = as_vector(x, self.dim)
-        return [np.clip(x, self.lo, self.hi)]
+    def nearest_points(self, X) -> np.ndarray:
+        return np.clip(as_directions(X, self.dim, "X"), self.lo, self.hi)
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         x = as_vector(x, self.dim)
@@ -96,7 +137,7 @@ def nonnegative_orthant(n: int) -> Box:
     return Box(np.zeros(n), np.full(n, np.inf))
 
 
-class Ball(SetModel):
+class Ball(_UniqueProjection):
     """Euclidean ball of radius r around a center."""
 
     geometrically_derivable = True
@@ -115,13 +156,13 @@ class Ball(SetModel):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(x - self.center) <= self.radius + _MEMBERSHIP_TOL)
 
-    def project(self, x: Vector) -> list[Vector]:
-        x = as_vector(x, self.dim)
-        d = x - self.center
-        nrm = np.linalg.norm(d)
-        if nrm <= self.radius:
-            return [x]
-        return [self.center + (self.radius / nrm) * d]
+    def nearest_points(self, X) -> np.ndarray:
+        X = as_directions(X, self.dim, "X")
+        D = X - self.center
+        nrm = np.sqrt(np.vecdot(D, D))
+        # r / max(nrm, r) is r / nrm on every row it scales, and never r / 0
+        scale = self.radius / np.maximum(nrm, self.radius)
+        return np.where((nrm <= self.radius)[:, None], X, self.center + scale[:, None] * D)
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         x = as_vector(x, self.dim)
@@ -134,7 +175,7 @@ class Ball(SetModel):
         return float(max(0.0, np.dot(d, w) / nrm))
 
 
-class AffineSubspace(SetModel):
+class AffineSubspace(_UniqueProjection):
     """{x : A x = b}; projection and tangent distance via the pseudo-inverse."""
 
     geometrically_derivable = True
@@ -154,9 +195,10 @@ class AffineSubspace(SetModel):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(self.A @ x - self.b) <= _MEMBERSHIP_TOL)
 
-    def project(self, x: Vector) -> list[Vector]:
-        x = as_vector(x, self.dim)
-        return [x - self._pinv @ (self.A @ x - self.b)]
+    def nearest_points(self, X) -> np.ndarray:
+        X = as_directions(X, self.dim, "X")
+        residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
+        return X - _dot_first(self._pinv.T[:, :, None], residual[:, None, :]).T
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         w = as_vector(w, self.dim)
@@ -164,7 +206,7 @@ class AffineSubspace(SetModel):
         return float(np.linalg.norm(self._pinv @ (self.A @ w)))
 
 
-class Singleton(SetModel):
+class Singleton(_UniqueProjection):
     """The one-point set {p}."""
 
     geometrically_derivable = True
@@ -180,23 +222,65 @@ class Singleton(SetModel):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(x - self.p) <= _MEMBERSHIP_TOL)
 
-    def project(self, x: Vector) -> list[Vector]:
-        as_vector(x, self.dim)
-        return [self.p.copy()]
+    def nearest_points(self, X) -> np.ndarray:
+        X = as_directions(X, self.dim, "X")
+        return np.broadcast_to(self.p, X.shape).copy()
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         w = as_vector(w, self.dim)
         return float(np.linalg.norm(w))
 
 
-class ConvexPolyhedron:
+class _Polyhedral(SetModel):
+    """Projection onto a finite union of convex polyhedra, ``self.pieces``.
+
+    Each piece gives, for every row, its first nearest candidate and the
+    distance to it; the nearest points of the union are those of the pieces
+    whose distance ties the least one by ``ulp_tied``, in piece order,
+    repeats dropped.
+    """
+
+    geometrically_derivable = True
+    pieces: Sequence["ConvexPolyhedron"]
+
+    def _nearest_pieces(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of X, each piece's nearest candidate, shape (k, pieces, n),
+        and whether that piece ties the least distance, shape (k, pieces)."""
+        found = [p._nearest(X) for p in self.pieces]
+        d = np.stack([dist for dist, _ in found], axis=1)
+        Y = np.stack([y for _, y in found], axis=1)
+        return Y, np.isfinite(d) & ulp_tied_arrays(d, d.min(axis=1, keepdims=True))
+
+    def project(self, x: Vector) -> list[Vector]:
+        x = as_vector(x, self.dim)
+        Y, tied = self._nearest_pieces(x[None, :])
+        out: list[Vector] = []
+        for y in Y[0][tied[0]]:
+            if not any(all(map(ulp_tied, y, z)) for z in out):
+                out.append(y)
+        return out
+
+    def nearest_points(self, X) -> np.ndarray:
+        X = as_directions(X, self.dim, "X")
+        Y, tied = self._nearest_pieces(X)
+        if not tied.any(axis=1).all():
+            raise EmptyProjection("set model returned no nearest point")
+        return Y[np.arange(X.shape[0]), np.argmax(tied, axis=1)]
+
+
+class ConvexPolyhedron(_Polyhedral):
     """{x : A x <= b}. Exact projections by enumerating facet subsets.
 
     The per-subset correction matrices are cached at construction, keyed by
     the subset's row indices in enumeration order (by size, then
-    lexicographic), so each projection and each tangent-cone distance is a
-    handful of mat-vecs. Row counts are capped; the fixtures this backs are
-    small.
+    lexicographic). For projections they are also stacked once, each
+    zero-padded to m rows, so the candidates x - pinv_S (A_S x - b_S) of
+    every facet subset S, their feasibility and their distances come from a
+    few broadcast array operations over all points and subsets at once. The
+    empty subset comes first; its candidate is x itself, feasible exactly
+    when x lies in the set. The nearest point is the first feasible
+    candidate of least distance, so a point of the set is its own. Row
+    counts are capped; the fixtures this backs are small.
 
     Row i of A y <= b is tested with the tolerance
     1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
@@ -213,42 +297,68 @@ class ConvexPolyhedron:
             raise DimensionMismatch("A rows must match b length")
         self._abs_A = np.abs(self.A)
         self._abs_b = np.abs(self.b)
-        self._b_unit = self.b + _MEMBERSHIP_TOL   # b plus the smallest row tolerance
-        m = self.A.shape[0]
+        m, n = self.A.shape
         if m > _MAX_ENUM_ROWS:
             raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
         self._subsets = {}
         for r in range(1, m + 1):
             for S in itertools.combinations(range(m), r):
                 rows = self.A[list(S), :]
-                self._subsets[S] = (rows, np.linalg.pinv(rows), self.b[list(S)])
+                self._subsets[S] = (rows, np.linalg.pinv(rows))
+        # The empty subset and then the cached ones, stacked for the projection
+        # kernel and padded to m rows: row l of subset i is row
+        # _subset_rows[l, i] of A, a padding row where _subset_used[l, i] is
+        # False, and pinv column l is _subset_pinvs[l, :, i] (zero on padding).
+        count = len(self._subsets) + 1
+        self._subset_rows = np.zeros((m, count), dtype=int)
+        self._subset_used = np.zeros((m, count, 1), dtype=bool)
+        self._subset_pinvs = np.zeros((m, n, count, 1))
+        for i, (S, (_, pinv)) in enumerate(self._subsets.items(), start=1):
+            self._subset_rows[:len(S), i] = S
+            self._subset_used[:len(S), i] = True
+            self._subset_pinvs[:len(S), :, i, 0] = pinv.T
 
     @property
     def dim(self) -> int:
         return self.A.shape[1]
 
+    @property
+    def pieces(self) -> list["ConvexPolyhedron"]:
+        return [self]
+
     def _row_tol(self, y: Vector) -> np.ndarray:
         """Per-row membership tolerance at y (see the class docstring)."""
         return _MEMBERSHIP_TOL * np.maximum(1.0, self._abs_A @ np.abs(y) + self._abs_b)
 
-    def contains(self, x: Vector) -> bool:
-        Ax = self.A @ x
-        # The row tolerance is never below 1e-9, so a point that passes at
-        # 1e-9 passes the relative test too; accepting it here skips |A| |x|.
-        if (Ax <= self._b_unit).all():
-            return True
-        return bool((Ax <= self.b + self._row_tol(x)).all())
+    def _feasible(self, Y: np.ndarray) -> np.ndarray:
+        """Does each point y = Y[:, ...] (coordinates on the leading axis)
+        satisfy A y <= b within the row tolerance?"""
+        rows = (slice(None), slice(None)) + (None,) * (Y.ndim - 1)
+        Ay = _dot_first(self.A.T[rows], Y[:, None])
+        scale = _dot_first(self._abs_A.T[rows], np.abs(Y)[:, None]) + self._abs_b[rows[1:]]
+        return np.all(Ay <= self.b[rows[1:]] + _MEMBERSHIP_TOL * np.maximum(1.0, scale), axis=0)
 
-    def project_all(self, x: Vector) -> list[tuple[float, Vector]]:
-        """(distance, point) candidates; the minimum distance entry is exact."""
-        cands = []
-        if self.contains(x):
-            return [(0.0, x.copy())]
-        for rows, pinv, bS in self._subsets.values():
-            y = x - pinv @ (rows @ x - bS)
-            if self.contains(y):
-                cands.append((float(np.linalg.norm(x - y)), y))
-        return cands
+    def contains(self, x: Vector) -> bool:
+        return bool(self._feasible(as_vector(x, self.dim)))
+
+    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For every row of the (k, n) matrix X, the distance to its nearest
+        candidate (+inf when no candidate is feasible) and that candidate."""
+        dist = np.empty(X.shape[0])
+        Y = np.empty_like(X)
+        chunk = max(1, _KERNEL_ELEMENTS // self._subset_pinvs.size)
+        for lo in range(0, X.shape[0], chunk):
+            Xt = X[lo:lo + chunk].T                                          # (n, k)
+            residual = _dot_first(self.A.T[:, :, None], Xt[:, None, :]) - self.b[:, None]
+            residual = np.where(self._subset_used, residual[self._subset_rows], 0.0)
+            C = Xt[:, None, :] - _dot_first(self._subset_pinvs, residual[:, None])  # (n, subsets, k)
+            D = Xt[:, None, :] - C
+            d = np.where(self._feasible(C), np.sqrt(_dot_first(D, D)), np.inf)
+            first = np.argmin(d, axis=0)
+            points = np.arange(Xt.shape[1])
+            dist[lo:lo + chunk] = d[first, points]
+            Y[lo:lo + chunk] = C[:, first, points].T
+        return dist, Y
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         active = np.flatnonzero(self.A @ x >= self.b - self._row_tol(x))
@@ -260,22 +370,20 @@ class ConvexPolyhedron:
         best = float(np.linalg.norm(w))  # v = 0 is always in the cone
         for r in range(1, active.size + 1):
             for S in itertools.combinations(active.tolist(), r):
-                rows, pinv, _ = self._subsets[S]
+                rows, pinv = self._subsets[S]
                 v = w - pinv @ (rows @ w)
                 if np.all(Aact @ v <= _MEMBERSHIP_TOL):
                     best = min(best, float(np.linalg.norm(w - v)))
         return best
 
 
-class FiniteUnion(SetModel):
+class FiniteUnion(_Polyhedral):
     """Finite union of convex polyhedra.
 
     Unions preserve derivability, and the tangent cone at x is the union of
     the member cones over the pieces containing x; projections are gathered
     per piece and filtered to the global minimizers.
     """
-
-    geometrically_derivable = True
 
     def __init__(self, pieces: Sequence[ConvexPolyhedron]):
         if not pieces:
@@ -293,23 +401,6 @@ class FiniteUnion(SetModel):
     def contains(self, x: Vector) -> bool:
         x = as_vector(x, self.dim)
         return any(p.contains(x) for p in self.pieces)
-
-    def project(self, x: Vector) -> list[Vector]:
-        x = as_vector(x, self.dim)
-        cands: list[tuple[float, Vector]] = []
-        for p in self.pieces:
-            got = p.project_all(x)
-            if got:
-                cands.append(min(got, key=lambda t: t[0]))
-        if not cands:
-            return []
-        dbest = min(d for d, _ in cands)
-        out: list[Vector] = []
-        for d, y in cands:
-            if ulp_tied(d, dbest):
-                if not any(all(map(ulp_tied, y, z)) for z in out):
-                    out.append(y)
-        return out
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         x = as_vector(x, self.dim)
@@ -349,21 +440,28 @@ class ComplementaritySet(SetModel):
             return False
         return bool(np.all(np.abs(y * z) <= _MEMBERSHIP_TOL))
 
-    @staticmethod
-    def _pair_projections(a: float, b: float) -> list[tuple[float, float]]:
-        # Nearest points on the corner {(a,b): a<=0, b<=0, ab=0}.
-        p1 = (min(a, 0.0), 0.0)           # onto the ray b = 0, a <= 0
-        p2 = (0.0, min(b, 0.0))           # onto the ray a = 0, b <= 0
-        d1 = (a - p1[0]) ** 2 + b ** 2
-        d2 = a ** 2 + (b - p2[1]) ** 2
-        if ulp_tied(d1, d2):
-            return [p1] if p1 == p2 else [p1, p2]
-        return [p1] if d1 < d2 else [p2]
+    def _corner_projections(self, X: np.ndarray):
+        """Nearest points of each pair (a, b) of every row of X on the corner
+        {a <= 0, b <= 0, ab = 0}: a on the ray b = 0, b on the ray a = 0,
+        whether the two rays tie by ``ulp_tied``, and whether the first ray
+        is nearest (the first is taken on a tie). All arrays are (rows, k)."""
+        a, b = X[:, :self.k], X[:, self.k:]
+        on_a, on_b = np.minimum(a, 0.0), np.minimum(b, 0.0)
+        d1 = (a - on_a) ** 2 + b ** 2
+        d2 = a ** 2 + (b - on_b) ** 2
+        tied = ulp_tied_arrays(d1, d2)
+        return on_a, on_b, tied, tied | (d1 < d2)
 
     def project(self, x: Vector) -> list[Vector]:
         x = as_vector(x, self.dim)
-        y, z = self._pairs(x)
-        per_pair = [self._pair_projections(float(y[i]), float(z[i])) for i in range(self.k)]
+        on_a, on_b, tied, first = (v[0] for v in self._corner_projections(x[None, :]))
+        per_pair = []
+        for i in range(self.k):
+            p1, p2 = (on_a[i], 0.0), (0.0, on_b[i])
+            if tied[i]:
+                per_pair.append([p1] if p1 == p2 else [p1, p2])
+            else:
+                per_pair.append([p1] if first[i] else [p2])
         out = []
         for combo in itertools.product(*per_pair):
             p = np.empty(self.dim)
@@ -372,6 +470,11 @@ class ComplementaritySet(SetModel):
                 p[self.k + i] = b
             out.append(p)
         return out
+
+    def nearest_points(self, X) -> np.ndarray:
+        X = as_directions(X, self.dim, "X")
+        on_a, on_b, _, first = self._corner_projections(X)
+        return np.hstack([np.where(first, on_a, 0.0), np.where(first, 0.0, on_b)])
 
     @staticmethod
     def _pair_tangent_dist_sq(a: float, b: float, u: float, v: float) -> float:
@@ -424,6 +527,12 @@ class DistanceToSet(FunctionModel):
         x = as_vector(x, self.dim)
         d, _ = self._nearest(x)
         return ExtReal(d)
+
+    def values(self, X) -> np.ndarray:
+        # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.
+        X = as_directions(X, self.dim, "X")
+        D = X - self.X.nearest_points(X)
+        return np.sqrt(np.vecdot(D, D))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         x = as_vector(x, self.dim)

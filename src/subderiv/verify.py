@@ -1,14 +1,15 @@
 """Independent oracles: finite differences, brute-force search, and samplers.
 
 What is independent is the method. The finite-difference harness
-discretizes the defining lower limit directly and asks only for values; the
+discretizes the defining lower limit directly and asks only for values, all
+of one estimate's probe points in one batched ``f.values`` query; the
 brute-force direction search checks the closed-form searches against plain
 enumeration of a dense grid of the unit sphere; the samplers instantiate the
 descent-property and sufficient-decrease inequalities literally. The
 subderivative oracle is an input that a search and its brute-force check
 share: the enumeration scores its grid with one batched
 ``f.subderivatives`` query, which must equal the scalar query bit for bit
-(``tests/test_batched.py`` pins every override).
+(``tests/test_batched.py`` pins every override, of both batched queries).
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class FDConfig:
             raise ValueError("need t0 > 0 and rho in (0, 1)")
         if self.levels < 2:
             raise ValueError("need at least two grid levels")
+        if not self.t0 * self.rho ** self.levels > 0:
+            raise ValueError("the finest step t0 * rho**levels underflows to 0")
 
 
 @dataclass
@@ -99,6 +102,17 @@ def _fd_perturbations(seed: int, levels: int, perturbations: int,
     return draws, norms
 
 
+def _values_at(f: FunctionModel, X: np.ndarray) -> np.ndarray:
+    """f at every row of X through one batched query, checked as ``value`` is."""
+    vals = np.asarray(f.values(X), dtype=float)
+    if vals.shape != (X.shape[0],):
+        raise ValueError(f"{type(f).__name__}.values returned shape "
+                         f"{vals.shape} for {X.shape[0]} points")
+    if np.isnan(vals).any():
+        raise ValueError(f"{type(f).__name__}.values returned NaN")
+    return vals
+
+
 def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
                      cfg: Optional[FDConfig] = None) -> FDResult:
     """Difference-quotient estimate of d f(x)(w) straight from the definition.
@@ -112,7 +126,10 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
 
     The perturbations are seeded per level by ``cfg.seed`` and depend only on
     the seed and the grid's shape, so they are drawn once per process
-    (``_fd_perturbations``) and rescaled to each level's radius.
+    (``_fd_perturbations``) and rescaled to each level's radius. Every probe
+    point, level by level with w' = w first, is scored by one ``f.values``
+    query after the scalar f(x); a level's minimum quotient is its first
+    minimum, as a running ``min`` over the level's quotients would give.
     """
     cfg = cfg or FDConfig()
     x = as_vector(x, f.dim, "x")
@@ -122,19 +139,19 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
         raise DomainViolation("fd_subderivative needs f(x) finite")
     wnorm = float(np.linalg.norm(w))
     t_grid = [cfg.t0 * cfg.rho ** j for j in range(cfg.levels + 1)]
-    draws, norms = _fd_perturbations(cfg.seed, cfg.levels, cfg.perturbations, f.dim)
-    quotients: list[float] = []
-    min_quotients: list[float] = []
-    for j, t in enumerate(t_grid):
-        q = (f.value(x + t * w).v - fx) / t
-        level_min = q
-        radius = min(t, 0.1 * wnorm)
-        if radius > 0 and cfg.perturbations > 0:
-            for probe in x + t * (w + draws[j] * (radius / norms[j])[:, None]):
-                qp = (f.value(probe).v - fx) / t
-                level_min = min(level_min, qp)
-        quotients.append(q)
-        min_quotients.append(level_min)
+    T = np.array(t_grid)[:, None]
+    # probes[j] holds level j's points: x + t w, then its perturbed ones.
+    # Every step t is positive, so each level's radius min(t, 0.1 ||w||) is
+    # positive exactly when 0.1 ||w|| is.
+    probes = (x + T * w)[:, None, :]
+    if cfg.perturbations > 0 and 0.1 * wnorm > 0:
+        draws, norms = _fd_perturbations(cfg.seed, cfg.levels, cfg.perturbations, f.dim)
+        radii = np.minimum(T, 0.1 * wnorm)
+        moved = x + T[:, :, None] * (w + draws * (radii / norms)[:, :, None])
+        probes = np.concatenate([probes, moved], axis=1)
+    Q = (_values_at(f, probes.reshape(-1, f.dim)).reshape(probes.shape[:2]) - fx) / T
+    quotients = Q[:, 0].tolist()
+    min_quotients = Q[np.arange(Q.shape[0]), np.argmin(Q, axis=1)].tolist()
     diverged = min_quotients[-1] > cfg.divergence_threshold
     if diverged:
         return FDResult(POS_INF, True, None, t_grid, quotients, min_quotients)
@@ -264,22 +281,24 @@ def descent_property_sample(f: FunctionModel, L: float,
                             seed: int, tol: float = 1e-9) -> DescentSampleReport:
     """Sample the descent inequality f(y) <= f(x) + d f(x)(y-x) + (L/2)||y-x||^2.
 
-    Pairs (x, y) are drawn uniformly in the box ``region``; gaps beyond
-    ``tol`` are recorded as violations, and the worst signed gap is reported
-    either way.
+    Pairs (x, y) are drawn uniformly in the box ``region``, x then y for
+    each pair in turn, and both ends are scored by one ``f.values`` query
+    each; gaps beyond ``tol`` are recorded as violations, and the worst
+    signed gap is reported either way.
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)
+    X = np.empty((pairs, f.dim))
+    Y = np.empty((pairs, f.dim))
+    for i in range(pairs):
+        X[i] = rng.uniform(lo, hi)
+        Y[i] = rng.uniform(lo, hi)
     violations = []
     max_gap = -np.inf
-    for _ in range(pairs):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
-        fx = f.value(x).v
-        fy = f.value(y).v
+    for x, y, fx, fy in zip(X, Y, _values_at(f, X).tolist(), _values_at(f, Y).tolist()):
         d = f.subderivative(x, y - x).v
         rhs = fx + d + 0.5 * L * float(np.dot(y - x, y - x))
         gap = fy - rhs

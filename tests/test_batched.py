@@ -1,11 +1,17 @@
-"""The batched query subderivatives(x, W) against the scalar subderivative.
+"""The batched queries against the scalar ones.
 
-Every override must return, for each row w of W, exactly the float
-subderivative(x, w).v: the direction searches pick among exact ties through
-the batched query, and the traced benchmark replays them through the scalar
-one. The default (a loop over subderivative) must leave the searches' answers
-as they were when they scanned their candidates one call at a time.
+Every override of subderivatives(x, W) must return, for each row w of W,
+exactly the float subderivative(x, w).v: the direction searches pick among
+exact ties through the batched query, and the traced benchmark replays them
+through the scalar one. The default (a loop over subderivative) must leave
+the searches' answers as they were when they scanned their candidates one
+call at a time. Likewise every override of values(X) must return exactly
+value(x).v for each row x, and every set's nearest_points(X) exactly
+project(x)[0], so the finite-difference estimate, which scores its probe
+points with one values query, is the one the per-point loop gave.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ import subderiv as sd
 from subderiv.direction import _unit_ball_sample, l1_vertices, reduced_vertices
 from subderiv.extreal import ExtReal
 from subderiv.problems import build_problem
+from subderiv.verify import _fd_perturbations
 
 from conftest import dyadic, tied_theta
 
@@ -304,3 +311,352 @@ def test_fallback_keeps_minus_inf_candidates():
         assert np.array_equal(res.w, [1.0])
         assert res.value == sd.NEG_INF
         assert not res.exact and res.evaluations == 2 + 5 + 1
+
+
+
+# ---------------------------------------------------------------------------
+# values(X) against value(x), and nearest_points(X) against project(x)[0].
+# ---------------------------------------------------------------------------
+
+
+def _union():
+    """Two pieces with the points (t, 0.5), t in [-1, 1], equidistant from both."""
+    return sd.FiniteUnion([
+        sd.ConvexPolyhedron(np.array([[0.0, 1.0]]), np.array([0.0])),
+        sd.ConvexPolyhedron(np.array([[0.0, -1.0]]), np.array([-1.0])),
+        sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                            np.array([5.0, -4.0, 1.0, 1.0])),
+    ])
+
+
+def _square():
+    return sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                               np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+def _decagon():
+    """The regular decagon circumscribing the unit circle: 1023 facet
+    subsets, so 190 rows are projected in several chunks."""
+    angles = np.arange(10) * (2 * np.pi / 10)
+    return sd.ConvexPolyhedron(np.column_stack([np.cos(angles), np.sin(angles)]), np.ones(10))
+
+
+def _sets():
+    """(name, set, points of interest: inside, on the boundary, at ties)."""
+    return [
+        ("box", sd.Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
+         [[0.5, 1.0], [-0.0, 0.0], [3.0, -0.0], [1.0, 2.0]]),
+        ("orthant", sd.nonnegative_orthant(3), [[-0.0, 1.0, 0.0], [1.0, 2.0, 3.0], [-1.0, -0.0, 2.0]]),
+        ("ball", sd.Ball(np.array([0.5, -0.5]), 1.0), [[0.5, -0.5], [0.5, 0.5], [0.6, -0.4], [3.0, 1.0]]),
+        ("affine", sd.AffineSubspace(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+                                     np.array([1.0, 0.5])), [[1.0, 0.0, -0.5], [0.0, 0.0, 0.0]]),
+        ("singleton", sd.Singleton(np.array([0.5, -1.0])), [[0.5, -1.0], [-0.0, 0.0]]),
+        ("polyhedron", _square(), [[0.5, 0.0], [1.0, 1.0], [3.0, 3.0], [-0.0, 0.5]]),
+        ("decagon", _decagon(), [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-0.0, 5.0]]),
+        ("union", _union(), [[0.0, 0.5], [-0.5, 0.5], [2.0, 0.5], [4.5, 0.5], [0.5, -1.0],
+                             [9.0, 0.5]]),
+        ("complementarity", sd.ComplementaritySet(2),
+         [[1.0, 0.0, 1.0, -0.0], [-1.0, 0.5, -1.0, 0.5], [-2.0, -1.0, -2.0, -1.0],
+          [-0.0, 0.0, 0.0, -0.0]]),
+    ]
+
+
+SETS = _sets()
+
+
+def _rows(dim, special, rng, k=190):
+    """k rows: the special points first, then kinked and random ones."""
+    X = rng.uniform(-3.0, 3.0, (k, dim))
+    X[: len(special)] = special
+    X[len(special)::5, 0] = 0.0
+    X[len(special) + 1::7, -1] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("name, X, special", SETS, ids=[c[0] for c in SETS])
+def test_set_row_kernel_matches_project_at_any_row_count(name, X, special):
+    rows = _rows(X.dim, special, np.random.default_rng(len(name)))
+    got = X.nearest_points(rows)
+    assert got.dtype == np.float64 and got.shape == rows.shape
+    for i, x in enumerate(rows):
+        assert X.nearest_points(rows[i:i + 1])[0].tobytes() == got[i].tobytes(), (name, i)
+        assert X.project(x.copy())[0].tobytes() == got[i].tobytes(), (name, i)
+    assert X.nearest_points(np.asfortranarray(rows)).tobytes() == got.tobytes()
+
+
+def test_set_fixtures_reach_inside_points_and_ties():
+    sets = {name: X for name, X, _ in SETS}
+    assert len(sets["union"].project(np.array([0.0, 0.5]))) == 2
+    assert len(sets["union"].project(np.array([2.0, 0.5]))) == 2
+    assert sets["union"].contains(np.array([4.5, 0.5]))
+    assert len(sets["complementarity"].project(np.array([-2.0, -1.0, -2.0, -1.0]))) == 4
+    for name, X, special in SETS:
+        assert any(X.contains(np.array(p)) for p in special), name
+    assert 190 * sets["decagon"]._subset_pinvs.size > 2 * sd.sets._KERNEL_ELEMENTS
+
+
+def _catalogue():
+    rng = np.random.default_rng(20261019)
+    A = rng.uniform(-1, 1, (3, 3))
+    b = rng.uniform(-1, 1, 3)
+    square = sd.SmoothMap(2, 2, lambda x: x * x, lambda x, w: 2.0 * x * w)
+    quad = sd.quadratic_model(rng.normal(size=3))
+    sqrt2r = math.sqrt(2 * 0.5)
+    zero_norm_kinks = [[sqrt2r, -sqrt2r, 0.0], [-0.0, sqrt2r, 2.0], [0.4, 0.0, -sqrt2r]]
+    kinks = [[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [1.5, 0.0, -2.0]]
+    user = sd.UserScalarInner(lambda y: abs(y), lambda t, r: (math.copysign(max(abs(t) - r, 0.0), t),))
+    out = [
+        ("l1", sd.L1Norm(3, 1.3), kinks),
+        ("neg_l1", sd.NegL1Norm(3, 0.7), kinks),
+        ("moreau_l1", sd.moreau_envelope(sd.L1Inner(0.8), 0.5, n=3), kinks),
+        ("moreau_l0", sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=3), zero_norm_kinks),
+        ("moreau_user", sd.moreau_envelope(user, 0.5, n=3), kinks),
+        ("sum", sd.sum_models([quad, sd.NegL1Norm(3), sd.scale(sd.L1Norm(3), 2.5)]), kinks),
+        ("scale", sd.scale(sd.sum_models([sd.L1Norm(3), sd.NegL1Norm(3, 0.5)]), 1.7), kinks),
+        ("comp_smooth", sd.precompose_smooth(sd.L1Norm(3), sd.affine_map(A, b)), kinks),
+        ("comp_square", sd.precompose_smooth(sd.L1Norm(2, 0.5), square), [[0.0, -0.0]]),
+        ("comp_semidiff", sd.precompose_semidiff(sd.L1Norm(3), sd.relu_map(3)), kinks),
+        # -0.0 from NegL1Norm against 0.0 from L1Norm at x = 0: a strict fold keeps the first
+        ("max_signed_zero", sd.pointwise_max([sd.NegL1Norm(3), sd.L1Norm(3)]), kinks),
+        ("min_signed_zero", sd.pointwise_min([sd.L1Norm(3), sd.NegL1Norm(3, 1e-300)]), kinks),
+        ("min_of_smooth", sd.pointwise_min(_tied_branches(rng, 5.0)[:2]), [[0.0] * N]),
+        ("penalized", sd.penalize(sd.L1Norm(2), sd.identity_map(2), _union(), 1.5), [[0.0, 0.5]]),
+        ("quadratic_moreau", sd.moreau_envelope(
+            sd.QuadraticInner(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2])), 1.0),
+         [[0.0, 0.0]]),
+        ("zero_norm_default_loop", sd.ZeroNormComposite(np.eye(3), np.zeros(3)), kinks),
+    ]
+    out += [(f"dist_{name}", sd.distance_to_set(X), special) for name, X, special in SETS]
+    out += [(name, net, [theta]) for name, net, (theta, _) in _relu_cases(rng)]
+    verify_net = sd.relu_network_loss([1, 1, 1], [(np.array([0.7]), np.array([0.2])),
+                                                  (np.array([-0.4]), np.array([0.6])),
+                                                  (np.array([0.2]), np.array([-0.1]))])
+    out.append(("relu[1, 1, 1]", verify_net, [[0.0, 0.0, 1.0, 0.5]]))
+    return out
+
+
+VALUE_CASES = _catalogue()
+
+
+@pytest.mark.parametrize("name, model, special", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
+def test_values_match_value_bit_for_bit(name, model, special):
+    rows = _rows(model.dim, special, np.random.default_rng(len(name) + 1))
+    got = model.values(rows)
+    assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
+    assert not np.isnan(got).any()
+    assert got.tobytes() == np.array([model.value(x).v for x in rows]).tobytes(), name
+    # a row read from the matrix and the same point built fresh give the same bits
+    assert got.tobytes() == np.array([model.value(x.copy()).v for x in rows]).tobytes(), name
+    assert model.values(np.asfortranarray(rows)).tobytes() == got.tobytes(), name
+    assert model.values(rows[:0]).shape == (0,)
+
+
+def test_signed_zero_fixtures_tie_at_the_origin():
+    cases = {name: model for name, model, _ in VALUE_CASES}
+    vals = cases["max_signed_zero"].values(np.zeros((1, 3)))
+    assert vals[0] == 0.0 and math.copysign(1.0, vals[0]) == -1.0
+    vals = cases["min_signed_zero"].values(np.zeros((1, 3)))
+    assert vals[0] == 0.0 and math.copysign(1.0, vals[0]) == 1.0
+
+
+class Barrier(sd.FunctionModel):
+    """+inf where x_0 < 0 (or -inf with ``sign`` -1), else 0."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    @property
+    def dim(self):
+        return 2
+
+    def value(self, x):
+        return ExtReal(self.sign * math.inf if x[0] < 0 else 0.0)
+
+    def subderivative(self, x, w):
+        return ExtReal(0.0)
+
+
+def test_values_raise_what_value_raises():
+    f = sd.sum_models([sd.L1Norm(2), Barrier(1), Barrier(-1)])
+    X = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert f.values(X[:1]).tolist() == [1.0]
+    with pytest.raises(sd.IndeterminateSum):
+        f.value(X[1])
+    with pytest.raises(sd.IndeterminateSum):
+        f.values(X)
+    # the empty polyhedron {y <= -1, -y <= -1} has no feasible candidate
+    empty = sd.ConvexPolyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    for X in (empty, sd.FiniteUnion([empty])):
+        f = sd.distance_to_set(X)
+        with pytest.raises(sd.EmptyProjection):
+            f.value(np.zeros(1))
+        with pytest.raises(sd.EmptyProjection):
+            f.values(np.zeros((3, 1)))
+        with pytest.raises(sd.EmptyProjection):
+            X.nearest_points(np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("name, model, special", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
+def test_values_reject_bad_matrices(name, model, special):
+    n = model.dim
+    with pytest.raises(sd.DimensionMismatch):
+        model.values(np.zeros(n))
+    with pytest.raises(sd.DimensionMismatch):
+        model.values(np.zeros((2, n + 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.zeros((2, n))
+        X[1, -1] = bad
+        with pytest.raises(ValueError):
+            model.values(X)
+        with pytest.raises(ValueError):
+            model.value(X[1]) if name.startswith("dist_") else sd.verify._values_at(model, X)
+
+
+@pytest.mark.parametrize("name, X, special", SETS, ids=[c[0] for c in SETS])
+def test_nearest_points_reject_bad_matrices(name, X, special):
+    with pytest.raises(sd.DimensionMismatch):
+        X.nearest_points(np.zeros((2, X.dim + 1)))
+    with pytest.raises(ValueError):
+        X.nearest_points(np.full((1, X.dim), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# fd_subderivative: one values query, folded as the per-point loop folded.
+# ---------------------------------------------------------------------------
+
+
+def reference_fd_quotients(f, x, w, cfg=sd.FDConfig()):
+    """The per-point loop fd_subderivative ran: one value call per probe,
+    each level's minimum a running min over its quotients."""
+    fx = f.value(x).v
+    wnorm = float(np.linalg.norm(w))
+    draws, norms = _fd_perturbations(cfg.seed, cfg.levels, cfg.perturbations, f.dim)
+    quotients, min_quotients = [], []
+    for j in range(cfg.levels + 1):
+        t = cfg.t0 * cfg.rho ** j
+        q = (f.value(x + t * w).v - fx) / t
+        level_min = q
+        radius = min(t, 0.1 * wnorm)
+        if radius > 0 and cfg.perturbations > 0:
+            for probe in x + t * (w + draws[j] * (radius / norms[j])[:, None]):
+                level_min = min(level_min, (f.value(probe).v - fx) / t)
+        quotients.append(q)
+        min_quotients.append(level_min)
+    return quotients, min_quotients
+
+
+class Counting(ScalarOnly):
+    """ScalarOnly that also records every point ``value`` is asked about."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.points = []
+
+    def value(self, x):
+        self.points.append(np.array(x))
+        return self.inner.value(x)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+FD_CASES = [c for c in VALUE_CASES
+            if c[0] in ("l1", "moreau_l0", "max_signed_zero", "penalized", "dist_union",
+                        "dist_complementarity", "dist_polyhedron", "comp_semidiff",
+                        "relu[1, 1, 1]")]
+
+
+@pytest.mark.parametrize("name, model, special", FD_CASES, ids=[c[0] for c in FD_CASES])
+def test_fd_quotients_match_the_per_point_loop(name, model, special):
+    rng = np.random.default_rng(len(name) + 2)
+    cfg = sd.FDConfig()
+    for x in [np.array(special[0], dtype=float)] + [rng.uniform(-2, 2, model.dim) for _ in range(3)]:
+        for w in (rng.uniform(-1, 1, model.dim), np.zeros(model.dim)):
+            got = sd.fd_subderivative(model, x, w, cfg)
+            default = sd.fd_subderivative(ScalarOnly(model), x, w, cfg)
+            q, qmin = reference_fd_quotients(model, x, w, cfg)
+            for res in (got, default):
+                assert _bits(res.quotients) == _bits(q), name
+                assert _bits(res.min_quotients) == _bits(qmin), name
+
+
+@pytest.mark.parametrize("cfg", [sd.FDConfig(), sd.FDConfig(levels=5, perturbations=3),
+                                 sd.FDConfig(perturbations=0)])
+def test_fd_asks_the_default_path_once_per_probe_point(cfg):
+    # the points the per-point loop asked about, in its order, and no others
+    x, w = np.array([0.5, 0.0, -1.0]), np.array([0.3, -0.2, 0.9])
+    for direction, calls in ((w, 1 + (cfg.levels + 1) * (1 + cfg.perturbations)),
+                             (np.zeros(3), 1 + (cfg.levels + 1))):
+        f, ref = Counting(sd.L1Norm(3)), Counting(sd.L1Norm(3))
+        sd.fd_subderivative(f, x, direction, cfg)
+        reference_fd_quotients(ref, x, direction, cfg)
+        assert len(f.points) == len(ref.points) == calls
+        assert b"".join(p.tobytes() for p in f.points) == b"".join(
+            p.tobytes() for p in ref.points)
+
+
+class SignedZero(sd.FunctionModel):
+    """0.0, and -0.0 where x_1 < 0: at x = 0 along e_0 each unperturbed
+    quotient is 0.0 and each perturbed one 0.0 or -0.0, all tied."""
+
+    @property
+    def dim(self):
+        return 2
+
+    def value(self, x):
+        return ExtReal(-0.0 if x[1] < 0 else 0.0)
+
+    def subderivative(self, x, w):
+        return ExtReal(0.0)
+
+
+def test_fd_level_minimum_is_the_first_of_tied_quotients():
+    f, x, w = SignedZero(), np.zeros(2), np.array([1.0, 0.0])
+    res = sd.fd_subderivative(f, x, w)
+    _, qmin = reference_fd_quotients(f, x, w, sd.FDConfig())
+    assert _bits(res.min_quotients) == _bits(qmin)
+    assert not any(math.copysign(1.0, q) < 0 for q in res.min_quotients)
+    # the perturbed probes below the axis give -0.0 quotients on most levels,
+    # so a fold that kept the last minimum would return -0.0 there
+    draws, _ = _fd_perturbations(sd.FDConfig().seed, 20, 8, 2)
+    assert sum(d[-1, 1] < 0 for d in draws) >= 5
+
+
+def test_fd_config_rejects_a_finest_step_that_underflows():
+    with pytest.raises(ValueError):
+        sd.FDConfig(levels=1100)
+    assert sd.FDConfig(levels=1000).levels == 1000
+
+
+def reference_descent_sample(f, L, region, pairs, seed, tol=1e-9):
+    """The per-pair loop descent_property_sample ran."""
+    lo, hi = (np.asarray(v, dtype=float) for v in region)
+    rng = np.random.default_rng(seed)
+    violations, max_gap = [], -np.inf
+    for _ in range(pairs):
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        gap = f.value(y).v - (f.value(x).v + f.subderivative(x, y - x).v
+                              + 0.5 * L * float(np.dot(y - x, y - x)))
+        if math.isnan(gap):
+            continue
+        max_gap = max(max_gap, gap)
+        if gap > tol:
+            violations.append((x, y, gap))
+    return violations, float(max_gap)
+
+
+@pytest.mark.parametrize("name", ["dc", "moreau_l0", "union"])
+def test_descent_sample_matches_the_per_pair_loop(name):
+    f = {"dc": sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.NegL1Norm(2)]),
+         "moreau_l0": sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=2),
+         "union": sd.distance_to_set(_union())}[name]
+    region = (np.full(2, -3.0), np.full(2, 3.0))
+    for L in (0.0, 0.5, 2.0):
+        rep = sd.descent_property_sample(f, L, region, 40, seed=3)
+        violations, max_gap = reference_descent_sample(f, L, region, 40, 3)
+        assert rep.pairs == 40 and rep.max_gap == max_gap
+        assert len(rep.violations) == len(violations)
+        for (x, y, gap), (x0, y0, gap0) in zip(rep.violations, violations):
+            assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes() and gap == gap0

@@ -1,9 +1,12 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import subderiv as sd
 from subderiv import NEG_INF, POS_INF, ExtReal, ext_add
+from subderiv.extreal import ulp_tied, ulp_tied_arrays
 
 
 def test_finite_addition():
@@ -53,3 +56,14 @@ def test_negation_and_float():
     assert float(POS_INF) == math.inf
     assert POS_INF.is_finite is False
     assert ExtReal(1.0).is_finite
+
+
+def test_ulp_tied_arrays_is_ulp_tied_elementwise():
+    big = sys.float_info.max
+    vals = [0.0, -0.0, 5e-324, 1e-310, 1.0, 1.0 + 8 * 2**-52, 1.0 + 9 * 2**-52, -3.0,
+            1e300, big, -big, math.nextafter(big, 0.0), math.inf, -math.inf]
+    a = np.array([u for u in vals for _ in vals])
+    b = np.array([v for _ in vals for v in vals])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [ulp_tied(u, v) for u, v in zip(a.tolist(), b.tolist())]
+    assert ulp_tied_arrays(a, b).tolist() == want

@@ -24,6 +24,8 @@ def bundled_sets():
         ("orthant", sd.nonnegative_orthant(2)),
         ("union", union),
         ("complementarity", sd.ComplementaritySet(1)),
+        ("polyhedron", sd.ConvexPolyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                                           np.array([1.0, 0.0, 0.0]))),   # a triangle
     ]
 
 
@@ -104,6 +106,47 @@ def test_union_returns_all_tied_projections():
     pts = union.project(np.array([1.5]))
     got = sorted(float(p[0]) for p in pts)
     assert got == pytest.approx([1.0, 2.0])
+
+
+def _triangle_and_square():
+    return [sd.ConvexPolyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                                np.array([1.0, 0.0, 0.0])),
+            sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                np.array([1.0, 0.0, 1.0, 1.0]))]
+
+
+def test_polyhedron_is_a_set_model_matching_the_one_piece_union():
+    # distance_to_set(ConvexPolyhedron(A, b)) used to raise AttributeError:
+    # the polyhedron had no geometrically_derivable flag and no project.
+    rng = np.random.default_rng(5)
+    for P in _triangle_and_square():
+        assert isinstance(P, sd.SetModel) and P.geometrically_derivable
+        f, g = sd.distance_to_set(P), sd.distance_to_set(sd.FiniteUnion([P]))
+        assert f.semi_differentiable
+        inside = outside = 0
+        for x in [np.array([0.25, 0.25]), np.array([0.0, 0.5])] + list(rng.uniform(-2, 2, (40, 2))):
+            inside += P.contains(x)
+            outside += not P.contains(x)
+            assert f.value(x) == g.value(x)
+            for w in rng.normal(size=(4, 2)):
+                assert f.subderivative(x, w) == g.subderivative(x, w)
+        assert inside >= 2 and outside >= 10
+
+
+def test_polyhedral_points_are_their_own_nearest_points():
+    # x itself is the first candidate of least distance for a point of the
+    # set. On the halfspace x0 + x1 <= 0 at (-0.0, -0.0), A x - b is -0.0,
+    # and the facet's own candidate x - pinv (A x - b), also at distance 0,
+    # is (0.0, 0.0).
+    halfspace = sd.ConvexPolyhedron(np.array([[1.0, 1.0]]), np.array([0.0]))
+    cases = [(P, [[-0.0, 0.5], [0.25, -0.0], [0.25, 0.25]]) for P in _triangle_and_square()]
+    cases.append((halfspace, [[-0.0, -0.0], [-1.0, 1.0], [-0.0, -1.0]]))
+    for P, points in cases:
+        for X in (P, sd.FiniteUnion([P])):
+            for x in map(np.array, points):
+                assert X.contains(x)
+                assert X.project(x)[0].tobytes() == x.tobytes()
+                assert X.nearest_points(x[None, :])[0].tobytes() == x.tobytes()
 
 
 def test_complementarity_membership_and_projection():
@@ -247,7 +290,7 @@ def _union_cases(rng):
                np.array([2.0, -3.0]), np.array([-3.0, -3.0])]
     for P in pieces:
         for _ in range(20):
-            yield P, P.project_all(rng.uniform(-4, 4, 2))[0][1]
+            yield P, P.project(rng.uniform(-4, 4, 2))[0]
         for c in corners:
             if P.contains(c):
                 yield P, c
