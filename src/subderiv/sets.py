@@ -48,7 +48,12 @@ def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 class SetModel(abc.ABC):
-    """A closed set exposing membership, projection, and tangent distance."""
+    """A closed set exposing membership, projection, and tangent distance.
+
+    The optional row query ``nearest_points(X)`` gives ``project(x)[0]``
+    for every row x of a matrix, bit for bit; its default loops over
+    ``project``.
+    """
 
     geometrically_derivable: bool = False
 
@@ -351,7 +356,8 @@ class ConvexPolyhedron(_Polyhedral):
             Xt = X[lo:lo + chunk].T                                          # (n, k)
             residual = _dot_first(self.A.T[:, :, None], Xt[:, None, :]) - self.b[:, None]
             residual = np.where(self._subset_used, residual[self._subset_rows], 0.0)
-            C = Xt[:, None, :] - _dot_first(self._subset_pinvs, residual[:, None])  # (n, subsets, k)
+            # candidates x - pinv_S (A_S x - b_S), shape (n, subsets, k)
+            C = Xt[:, None, :] - _dot_first(self._subset_pinvs, residual[:, None])
             D = Xt[:, None, :] - C
             d = np.where(self._feasible(C), np.sqrt(_dot_first(D, D)), np.inf)
             first = np.argmin(d, axis=0)

@@ -320,7 +320,8 @@ def test_fallback_keeps_minus_inf_candidates():
 
 
 def _union():
-    """Two pieces with the points (t, 0.5), t in [-1, 1], equidistant from both."""
+    """The half-planes y <= 0 and y >= 1 and the box [4, 5] x [-1, 1]: the
+    points (t, 0.5) with t < 3.5 tie between the half-planes."""
     return sd.FiniteUnion([
         sd.ConvexPolyhedron(np.array([[0.0, 1.0]]), np.array([0.0])),
         sd.ConvexPolyhedron(np.array([[0.0, -1.0]]), np.array([-1.0])),
@@ -346,8 +347,10 @@ def _sets():
     return [
         ("box", sd.Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
          [[0.5, 1.0], [-0.0, 0.0], [3.0, -0.0], [1.0, 2.0]]),
-        ("orthant", sd.nonnegative_orthant(3), [[-0.0, 1.0, 0.0], [1.0, 2.0, 3.0], [-1.0, -0.0, 2.0]]),
-        ("ball", sd.Ball(np.array([0.5, -0.5]), 1.0), [[0.5, -0.5], [0.5, 0.5], [0.6, -0.4], [3.0, 1.0]]),
+        ("orthant", sd.nonnegative_orthant(3),
+         [[-0.0, 1.0, 0.0], [1.0, 2.0, 3.0], [-1.0, -0.0, 2.0]]),
+        ("ball", sd.Ball(np.array([0.5, -0.5]), 1.0),
+         [[0.5, -0.5], [0.5, 0.5], [0.6, -0.4], [3.0, 1.0]]),
         ("affine", sd.AffineSubspace(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
                                      np.array([1.0, 0.5])), [[1.0, 0.0, -0.5], [0.0, 0.0, 0.0]]),
         ("singleton", sd.Singleton(np.array([0.5, -1.0])), [[0.5, -1.0], [-0.0, 0.0]]),
@@ -404,7 +407,8 @@ def _catalogue():
     sqrt2r = math.sqrt(2 * 0.5)
     zero_norm_kinks = [[sqrt2r, -sqrt2r, 0.0], [-0.0, sqrt2r, 2.0], [0.4, 0.0, -sqrt2r]]
     kinks = [[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [1.5, 0.0, -2.0]]
-    user = sd.UserScalarInner(lambda y: abs(y), lambda t, r: (math.copysign(max(abs(t) - r, 0.0), t),))
+    user = sd.UserScalarInner(lambda y: abs(y),
+                              lambda t, r: (math.copysign(max(abs(t) - r, 0.0), t),))
     out = [
         ("l1", sd.L1Norm(3, 1.3), kinks),
         ("neg_l1", sd.NegL1Norm(3, 0.7), kinks),
@@ -497,19 +501,17 @@ def test_values_raise_what_value_raises():
 
 
 @pytest.mark.parametrize("name, model, special", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
-def test_values_reject_bad_matrices(name, model, special):
+def test_values_reject_bad_matrices_as_the_default_does(name, model, special):
     n = model.dim
-    with pytest.raises(sd.DimensionMismatch):
-        model.values(np.zeros(n))
-    with pytest.raises(sd.DimensionMismatch):
-        model.values(np.zeros((2, n + 1)))
-    for bad in (np.nan, np.inf, -np.inf):
+    bad = [(np.zeros(n), sd.DimensionMismatch), (np.zeros((2, n + 1)), sd.DimensionMismatch)]
+    for entry in (np.nan, np.inf, -np.inf):
         X = np.zeros((2, n))
-        X[1, -1] = bad
-        with pytest.raises(ValueError):
-            model.values(X)
-        with pytest.raises(ValueError):
-            model.value(X[1]) if name.startswith("dist_") else sd.verify._values_at(model, X)
+        X[1, -1] = entry
+        bad.append((X, ValueError))
+    for X, error in bad:
+        for f in (model, ScalarOnly(model)):
+            with pytest.raises(error):
+                f.values(X)
 
 
 @pytest.mark.parametrize("name, X, special", SETS, ids=[c[0] for c in SETS])
@@ -571,7 +573,8 @@ FD_CASES = [c for c in VALUE_CASES
 def test_fd_quotients_match_the_per_point_loop(name, model, special):
     rng = np.random.default_rng(len(name) + 2)
     cfg = sd.FDConfig()
-    for x in [np.array(special[0], dtype=float)] + [rng.uniform(-2, 2, model.dim) for _ in range(3)]:
+    points = [np.array(special[0], dtype=float)] + [rng.uniform(-2, 2, model.dim) for _ in range(3)]
+    for x in points:
         for w in (rng.uniform(-1, 1, model.dim), np.zeros(model.dim)):
             got = sd.fd_subderivative(model, x, w, cfg)
             default = sd.fd_subderivative(ScalarOnly(model), x, w, cfg)
