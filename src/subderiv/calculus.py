@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
 from .extreal import ExtReal, ext_add, ext_add_arrays, ulp_tied
-from .model import FunctionModel, Vector, as_directions, as_vector, check_same_dim
+from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_vector,
+                    check_same_dim)
 from .sets import SetModel, distance_to_set
 
 
@@ -56,9 +57,6 @@ class SmoothMap(SemiDiffMap):
         super().__init__(dim_in, dim_out, eval_fn, jacobian_apply_fn)
         self.smoothness_constant = smoothness_constant
 
-    def jacobian_apply(self, x: Vector, w: Vector) -> Vector:
-        return self.semiderivative(x, w)
-
 
 def affine_map(A, b=None) -> SmoothMap:
     """x -> A x + b. The derivative is constant, so the smoothness modulus is 0."""
@@ -90,7 +88,7 @@ def relu_map(n: int) -> SemiDiffMap:
                                                    np.asarray(w, dtype=float)))
 
 
-class _Sum(FunctionModel):
+class _Sum(RowSubderivatives):
     def __init__(self, models: Sequence[FunctionModel]):
         if not models:
             raise EmptyList("sum of zero models")
@@ -122,12 +120,6 @@ class _Sum(FunctionModel):
         acc = self.models[0].values(X)
         for m in self.models[1:]:
             acc = ext_add_arrays(acc, m.values(X))
-        return acc
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        acc = self.models[0].subderivative(x, w)
-        for m in self.models[1:]:
-            acc = ext_add(acc, m.subderivative(x, w))
         return acc
 
     def subderivatives(self, x: Vector, W) -> np.ndarray:
@@ -167,7 +159,7 @@ def sum_models(models: Sequence[FunctionModel]) -> FunctionModel:
     return _Sum(models)
 
 
-class _Scaled(FunctionModel):
+class _Scaled(RowSubderivatives):
     def __init__(self, inner: FunctionModel, lam: float):
         self.inner = inner
         self.lam = float(lam)
@@ -190,9 +182,6 @@ class _Scaled(FunctionModel):
     def values(self, X) -> np.ndarray:
         return self.lam * self.inner.values(X)
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return self.inner.subderivative(x, w).scaled(self.lam)
-
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         return self.lam * self.inner.subderivatives(x, W)
 
@@ -212,7 +201,11 @@ def scale(model: FunctionModel, lam: float) -> FunctionModel:
 
 
 class _Composite(FunctionModel):
-    """g o F: the value queries, shared by the smooth and semi-differentiable maps."""
+    """g o F: the queries shared by the smooth and semi-differentiable maps.
+
+    One chain rule serves both, d(g o F)(x)(w) = d g(F(x))(dF(x)(w)); for a
+    SmoothMap the semi-derivative is the Jacobian action.
+    """
 
     g: FunctionModel
     F: SemiDiffMap
@@ -229,6 +222,9 @@ class _Composite(FunctionModel):
         X = as_directions(X, self.dim, "X")
         return self.g.values(np.array([self.F.eval(x) for x in X]).reshape(-1, self.g.dim))
 
+    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+        return self.g.subderivative(self.F.eval(x), self.F.semiderivative(x, w))
+
 
 class _SmoothComposite(_Composite):
     def __init__(self, g: FunctionModel, F: SmoothMap, concave_modulus: Optional[float]):
@@ -243,9 +239,6 @@ class _SmoothComposite(_Composite):
         self.descent_constant = None
         if concave_modulus is not None and F.smoothness_constant is not None:
             self.descent_constant = concave_modulus * F.smoothness_constant
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return self.g.subderivative(self.F.eval(x), self.F.jacobian_apply(x, w))
 
 
 def precompose_smooth(g: FunctionModel, F: SmoothMap,
@@ -273,9 +266,6 @@ class _SemiDiffComposite(_Composite):
         self.g = g
         self.F = F
         self.semi_differentiable = True
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return self.g.subderivative(self.F.eval(x), self.F.semiderivative(x, w))
 
 
 def _compose_maps(G: SemiDiffMap, F: SemiDiffMap) -> SemiDiffMap:
@@ -322,7 +312,7 @@ def forward_chain(layers: Sequence[SemiDiffMap], x: Vector, w: Vector
     return v, u
 
 
-class _PointwiseExtremum(FunctionModel):
+class _PointwiseExtremum(RowSubderivatives):
     def __init__(self, models: Sequence[FunctionModel], take_max: bool):
         if not models:
             raise EmptyList("pointwise extremum of zero models")
@@ -367,13 +357,9 @@ class _PointwiseExtremum(FunctionModel):
         best = max(vals) if self.take_max else min(vals)
         return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        ds = [m.subderivative(x, w).v for m in self._active(x)]
-        return ExtReal(max(ds) if self.take_max else min(ds))
-
     def subderivatives(self, x: Vector, W) -> np.ndarray:
-        # Same reduction as the builtin max/min above: a later member
-        # replaces the incumbent only when strictly larger (smaller).
+        # Same reduction as ``values``: a later member replaces the
+        # incumbent only when strictly larger (smaller).
         first, *rest = self._active(x)
         out = first.subderivatives(x, W)
         for m in rest:

@@ -18,13 +18,18 @@ from typing import Optional
 from .direction import NormChoice
 from .linesearch import ArmijoParams, armijo_schedule, diminishing_schedule
 from .problems import REGISTRY, BuiltProblem, build_problem
-from .solver import (SolverConfig, TerminalStatus, Trace, ball_radius_sq,
-                     rate_audit, rate_constant, resolve_strategy, run)
+from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
+                     ball_radius_sq, rate_audit, rate_constant, resolve_strategy,
+                     run)
 
 CSV_HEADER = "iter,f,dir_value,alpha,backtracks,step_norm,wall_ns"
 
 _FLAG_KEYS = ("epsilon", "norm", "mu", "alpha0", "schedule", "max_iter",
               "seed", "strategy", "budget", "format", "no_timing", "r")
+
+# SolverConfig fields a setting overrides directly, with their converters.
+_CONFIG_KEYS = (("epsilon", float), ("norm", NormChoice), ("max_iter", int),
+                ("seed", int), ("strategy", str), ("budget", int))
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "csv",
@@ -117,15 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="print the registry and exit")
     p.add_argument("--config", help="key=value file; explicit flags win on conflict")
     p.add_argument("--epsilon", type=float, help="stationarity tolerance")
-    p.add_argument("--norm", choices=["l2", "l1", "linf"], help="unit-ball norm")
+    p.add_argument("--norm", choices=[c.value for c in NormChoice],
+                   help="unit-ball norm")
     p.add_argument("--mu", type=float, help="Armijo reduction multiple in (0,1)")
     p.add_argument("--alpha0", type=float,
                    help="initial Armijo step / diminishing numerator")
     p.add_argument("--schedule", choices=["armijo", "diminishing"])
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--seed", type=int, help="seed for the sampling fallback")
-    p.add_argument("--strategy",
-                   choices=["auto", "l2", "linf-sep", "l1-ext", "fallback"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--budget", type=int, help="fallback sample budget")
     p.add_argument("--r", type=float,
                    help="Moreau smoothing radius for envelope problems (default 0.5)")
@@ -148,18 +153,9 @@ def _merge_settings(args: argparse.Namespace, file_cfg: dict) -> dict:
 
 def _apply_settings(built: BuiltProblem, settings: dict) -> SolverConfig:
     cfg = built.defaults
-    if "epsilon" in settings:
-        cfg = replace(cfg, epsilon=float(settings["epsilon"]))
-    if "norm" in settings:
-        cfg = replace(cfg, norm=NormChoice(str(settings["norm"])))
-    if "max_iter" in settings:
-        cfg = replace(cfg, max_iter=int(settings["max_iter"]))
-    if "seed" in settings:
-        cfg = replace(cfg, seed=int(settings["seed"]))
-    if "strategy" in settings:
-        cfg = replace(cfg, strategy=str(settings["strategy"]))
-    if "budget" in settings:
-        cfg = replace(cfg, budget=int(settings["budget"]))
+    for key, convert in _CONFIG_KEYS:
+        if key in settings:
+            cfg = replace(cfg, **{key: convert(settings[key])})
     mu = float(settings.get("mu", 0.5))
     alpha0 = float(settings.get("alpha0", 1.0))
     kind = settings.get("schedule")

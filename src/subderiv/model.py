@@ -6,15 +6,17 @@ as an extended real, and the lower directional derivative
     d f(x)(w) = liminf over t -> 0+, w' -> w of (f(x + t w') - f(x)) / t,
 
 again as an extended real. Both must be pure: identical arguments give
-bit-identical answers. Two optional batched queries answer many at once:
+bit-identical answers. Two batched queries answer many at once:
 ``subderivatives(x, W)`` gives d f(x)(w) for every row w of a matrix, so the
 work that depends only on x is done once per point, and ``values(X)`` gives
 f at every row of a matrix, so a whole grid of probe points is one call.
 Both default to a loop over the scalar query, and an override must return
-exactly the scalar answer for every row, bit for bit. Capability flags
-(semi-differentiability, a descent constant, a lower bound, gradient
-access, separable structure) let the direction-search and line-search
-layers pick the right specialized path.
+exactly the scalar answer for every row, bit for bit. A model whose
+subderivative is plain array arithmetic states it once, as the batched
+query, and derives from ``RowSubderivatives``: its scalar query is then the
+one-row case of the batch. Capability flags (semi-differentiability, a
+descent constant, a lower bound, gradient access, separable structure) let
+the direction-search and line-search layers pick the right specialized path.
 
 All models are immutable values; implementations must be stateless and safe
 for any number of concurrent readers.
@@ -74,6 +76,8 @@ class FunctionModel(abc.ABC):
         ``subderivative``; an override must return, for every row w of
         ``as_directions(W)``, exactly the float ``subderivative(x, w).v``,
         bit for bit, because the direction searches pick among exact ties.
+        A ``RowSubderivatives`` model meets this by construction when each
+        row of its batch does not depend on the other rows.
       * ``values`` is optional too. The default loops over ``value``; an
         override must return, for every row x of ``as_directions(X)``,
         exactly the float ``value(x).v``, bit for bit, never NaN, and raise
@@ -139,6 +143,22 @@ class FunctionModel(abc.ABC):
         g_i(t) = t * up[i] for t >= 0 and -t * down[i] for t <= 0.
         """
         raise NotSeparable(f"{type(self).__name__} has no separable structure")
+
+
+class RowSubderivatives(FunctionModel):
+    """A model that states its subderivative once, as the batched query.
+
+    ``subderivative(x, w)`` is the one-row case of ``subderivatives``, so it
+    checks w as ``as_directions`` checks a row: a wrong length raises
+    DimensionMismatch and a non-finite entry raises ValueError.
+    """
+
+    @abc.abstractmethod
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        """d f(x)(w) for every row w of W, read through ``as_directions``."""
+
+    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+        return ExtReal(self.subderivatives(x, np.asarray(w, dtype=float)[None])[0])
 
 
 def check_same_dim(models: Sequence[FunctionModel]) -> int:

@@ -15,10 +15,10 @@ import numpy as np
 from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .extreal import ExtReal, POS_INF
-from .model import FunctionModel, Vector, as_directions, as_vector
+from .model import FunctionModel, RowSubderivatives, Vector, as_directions, as_vector
 
 
-class L1Norm(FunctionModel):
+class L1Norm(RowSubderivatives):
     """lam * ||x||_1 with the sign-split directional derivative.
 
     d f(x)(w) = sum_{x_i>0} lam w_i + sum_{x_i<0} (-lam w_i) + sum_{x_i=0} lam |w_i|.
@@ -45,10 +45,6 @@ class L1Norm(FunctionModel):
     def values(self, X) -> np.ndarray:
         return self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        s = np.where(x > 0, w, np.where(x < 0, -w, np.abs(w)))
-        return ExtReal(self.lam * float(np.sum(s)))
-
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         W = as_directions(W, self.dim)
         S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
@@ -61,7 +57,7 @@ class L1Norm(FunctionModel):
         return np.zeros(self.dim), (up, down)
 
 
-class NegL1Norm(FunctionModel):
+class NegL1Norm(RowSubderivatives):
     """-lam * ||x||_1; concave, so the descent property holds with constant 0."""
 
     semi_differentiable = True
@@ -84,10 +80,6 @@ class NegL1Norm(FunctionModel):
 
     def values(self, X) -> np.ndarray:
         return -self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        s = np.where(x > 0, -w, np.where(x < 0, w, -np.abs(w)))
-        return ExtReal(self.lam * float(np.sum(s)))
 
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         W = as_directions(W, self.dim)
@@ -135,7 +127,7 @@ class ZeroNormComposite(FunctionModel):
         return ExtReal(0.0) if not new.any() else POS_INF
 
 
-class SmoothModel(FunctionModel):
+class SmoothModel(RowSubderivatives):
     """Differentiable objective: d f(x)(w) = <grad f(x), w>."""
 
     semi_differentiable = True
@@ -158,9 +150,6 @@ class SmoothModel(FunctionModel):
 
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(float(self._f(x)))
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return ExtReal(float(np.dot(self._grad(x), w)))
 
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
@@ -279,7 +268,7 @@ class UserScalarInner(ScalarProxInner):
         return np.array([min(s) for s in sets]), np.array([max(s) for s in sets])
 
 
-class SeparableMoreau(FunctionModel):
+class SeparableMoreau(RowSubderivatives):
     """Moreau envelope of a separable scalar inner, built on its ``prox_range``."""
 
     semi_differentiable = True
@@ -315,10 +304,10 @@ class SeparableMoreau(FunctionModel):
         X = as_directions(X, self.dim, "X")
         return np.sum(self._envelope(X.ravel()).reshape(X.shape), axis=1)
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        W = as_directions(W, self.dim)
         _, (up, down) = self.separable_parts(x)
-        w = np.asarray(w, dtype=float)
-        return ExtReal(float(np.sum(np.where(w > 0, up * w, -down * w))))
+        return np.sum(np.where(W > 0, up * W, -down * W), axis=1)
 
     def gradient(self, x: Vector) -> Vector:
         if not self.inner.unique_prox:
@@ -342,7 +331,7 @@ class QuadraticInner:
             raise DimensionMismatch("Q must be square")
 
 
-class QuadraticMoreau(FunctionModel):
+class QuadraticMoreau(RowSubderivatives):
     """Moreau envelope of a convex quadratic; the prox is a linear solve."""
 
     semi_differentiable = True
@@ -371,9 +360,6 @@ class QuadraticMoreau(FunctionModel):
         q = 0.5 * float(y @ self.inner.Q @ y) + float(self.inner.c @ y)
         return ExtReal(float(np.dot(x - y, x - y)) / (2.0 * self.r) + q)
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return ExtReal(float(np.dot(self.gradient(x), w)))
-
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         return np.vecdot(as_directions(W, self.dim), self.gradient(x))
 
@@ -396,7 +382,7 @@ def moreau_envelope(inner, r: float, n: Optional[int] = None) -> FunctionModel:
         f"no closed-form prox bundled for {type(inner).__name__}")
 
 
-class ReLUNetworkLoss(FunctionModel):
+class ReLUNetworkLoss(RowSubderivatives):
     """Mean squared loss of a fully connected ReLU network over its parameters.
 
     The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
@@ -500,10 +486,6 @@ class ReLUNetworkLoss(FunctionModel):
     def values(self, X) -> np.ndarray:
         _, out, _ = self._pass(as_directions(X, self._p, "theta"))
         return np.sum((out - self.Y) ** 2, axis=(1, 2)) / self.X.shape[1]
-
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        w = as_vector(w, self._p, "dtheta")
-        return ExtReal(float(self.subderivatives(x, w[None, :])[0]))
 
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         W = as_directions(W, self._p, "dtheta")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .calculus import pointwise_min, sum_models
 from .direction import NormChoice
-from .linesearch import ArmijoParams, Schedule, armijo_schedule
 from .model import FunctionModel, Vector
 from .oracles import (L1Norm, NegL1Norm, ZeroNormInner, linear_model,
                       moreau_envelope, quadratic_model, relu_network_loss,
@@ -63,7 +62,6 @@ class BuiltProblem:
     defaults: SolverConfig
     L: Optional[float] = None          # descent constant for the rate audit
     f_star: Optional[float] = None     # lower bound for the rate audit
-    tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,13 @@ def _get_float(params: dict, key: str, default: float) -> float:
     return float(params.get(key, default))
 
 
-def _armijo(mu: float = 0.5) -> Schedule:
-    return armijo_schedule(ArmijoParams(mu=mu))
-
-
 def _build_quadratic(params: dict) -> BuiltProblem:
     n = _get_int(params, "n", 2)
     c = _parse_vector(params.get("c"), np.zeros(n))
     x0 = _parse_vector(params.get("x0"), 3.0 * np.ones(n))
     model = quadratic_model(c)
-    cfg = SolverConfig(epsilon=1e-6, norm=NormChoice.L2, schedule=_armijo(),
-                       max_iter=500, strategy="l2")
-    return BuiltProblem(model, x0, cfg, L=1.0, f_star=0.0, tags=("smooth",))
+    cfg = SolverConfig(epsilon=1e-6, norm=NormChoice.L2, max_iter=500, strategy="l2")
+    return BuiltProblem(model, x0, cfg, L=1.0, f_star=0.0)
 
 
 def _build_linear(params: dict) -> BuiltProblem:
@@ -101,9 +94,8 @@ def _build_linear(params: dict) -> BuiltProblem:
     c = _parse_vector(params.get("c"), np.concatenate([[1.0], np.zeros(n - 1)]))
     x0 = _parse_vector(params.get("x0"), np.zeros(n))
     model = linear_model(c)
-    cfg = SolverConfig(epsilon=1e-6, norm=NormChoice.L2, schedule=_armijo(),
-                       max_iter=200, strategy="l2")
-    return BuiltProblem(model, x0, cfg, tags=("smooth", "unbounded"))
+    cfg = SolverConfig(epsilon=1e-6, norm=NormChoice.L2, max_iter=200, strategy="l2")
+    return BuiltProblem(model, x0, cfg)
 
 
 def _build_dc_quadratic_l1(params: dict) -> BuiltProblem:
@@ -111,10 +103,9 @@ def _build_dc_quadratic_l1(params: dict) -> BuiltProblem:
     lam = _get_float(params, "lam", 1.0)
     x0 = _parse_vector(params.get("x0"), 3.0 * np.ones(n))
     model = sum_models([quadratic_model(np.zeros(n)), NegL1Norm(n, lam)])
-    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1, schedule=_armijo(),
+    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1,
                        max_iter=5000, strategy="l1-ext")
-    return BuiltProblem(model, x0, cfg, L=1.0, f_star=-n * lam * lam / 2.0,
-                        tags=("concave-subderivative",))
+    return BuiltProblem(model, x0, cfg, L=1.0, f_star=-n * lam * lam / 2.0)
 
 
 def _build_separable_l1(params: dict) -> BuiltProblem:
@@ -124,9 +115,9 @@ def _build_separable_l1(params: dict) -> BuiltProblem:
                                                 else 2.0 * np.ones(n)))
     x0 = _parse_vector(params.get("x0"), np.zeros(n))
     model = sum_models([quadratic_model(a), L1Norm(n, lam)])
-    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.LINF, schedule=_armijo(),
+    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.LINF,
                        max_iter=5000, strategy="linf-sep")
-    return BuiltProblem(model, x0, cfg, tags=("separable",))
+    return BuiltProblem(model, x0, cfg)
 
 
 def _build_sparse_moreau(params: dict) -> BuiltProblem:
@@ -138,10 +129,9 @@ def _build_sparse_moreau(params: dict) -> BuiltProblem:
     # Smoothed sparsity of x directly (affine shift folded into x0); the
     # envelope has the descent property with constant 1/r.
     model = moreau_envelope(ZeroNormInner(), r, n=n)
-    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.LINF, schedule=_armijo(),
+    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.LINF,
                        max_iter=5000, strategy="linf-sep")
-    return BuiltProblem(model, x0, cfg, L=1.0 / r, f_star=0.0,
-                        tags=("separable", "nonconvex"))
+    return BuiltProblem(model, x0, cfg, L=1.0 / r, f_star=0.0)
 
 
 def _build_diff_max(params: dict) -> BuiltProblem:
@@ -160,9 +150,9 @@ def _build_diff_max(params: dict) -> BuiltProblem:
             smoothness_constant=1.0))
     model = pointwise_min(branches)
     x0 = _parse_vector(params.get("x0"), 3.0 * np.ones(n))
-    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1, schedule=_armijo(),
+    cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1,
                        max_iter=2000, strategy="l1-ext")
-    return BuiltProblem(model, x0, cfg, tags=("concave-subderivative", "min-of-smooth"))
+    return BuiltProblem(model, x0, cfg)
 
 
 def _build_relu_net(params: dict) -> BuiltProblem:
@@ -174,9 +164,9 @@ def _build_relu_net(params: dict) -> BuiltProblem:
     model = relu_network_loss(widths, data)
     x0 = _parse_vector(params.get("x0"),
                        rng.uniform(-1.0, 1.0, model.dim))
-    cfg = SolverConfig(epsilon=1e-3, norm=NormChoice.L2, schedule=_armijo(),
+    cfg = SolverConfig(epsilon=1e-3, norm=NormChoice.L2,
                        max_iter=300, strategy="fallback", budget=64, seed=0)
-    return BuiltProblem(model, x0, cfg, tags=("semi-differentiable", "network"))
+    return BuiltProblem(model, x0, cfg)
 
 
 REGISTRY: dict[str, ProblemSpec] = {}

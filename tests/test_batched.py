@@ -3,12 +3,15 @@
 Every override of subderivatives(x, W) must return, for each row w of W,
 exactly the float subderivative(x, w).v: the direction searches pick among
 exact ties through the batched query, and the traced benchmark replays them
-through the scalar one. The default (a loop over subderivative) must leave
-the searches' answers as they were when they scanned their candidates one
-call at a time. Likewise every override of values(X) must return exactly
-value(x).v for each row x, and every set's nearest_points(X) exactly
-project(x)[0], so the finite-difference estimate, which scores its probe
-points with one values query, is the one the per-point loop gave.
+through the scalar one. A bundled model states its formula once, as the
+batch, and its scalar query is the one-row case, so for these the
+bit-for-bit test checks that each row of a batch equals that row asked
+alone. The default (a loop over subderivative) must leave the searches'
+answers as they were when they scanned their candidates one call at a
+time. Likewise every override of values(X) must return exactly value(x).v
+for each row x, and every set's nearest_points(X) exactly project(x)[0],
+so the finite-difference estimate, which scores its probe points with one
+values query, is the one the per-point loop gave.
 """
 
 import math
@@ -76,6 +79,10 @@ def _cases():
         ("pointwise_max", sd.pointwise_max(_tied_branches(rng, -5.0)),
          [np.zeros(N)] + points),
         ("diff_max", diff_max, points),
+        ("moreau_l1", sd.moreau_envelope(sd.L1Inner(0.8), 0.5, n=N), points),
+        # sqrt(2r) = 1 is the hard threshold, where the prox is set-valued
+        ("moreau_l0", sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=N),
+         points + [np.array([1.0, -1.0, 0.0, 2.0, -0.0, 0.5])]),
         ("zero_norm_default_loop", zero_norm, points),
     ] + _relu_cases(rng)
 
@@ -561,6 +568,61 @@ class Counting(ScalarOnly):
 
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The scalar query of a model that states its subderivative as a batch.
+# ---------------------------------------------------------------------------
+
+
+def _bundled():
+    """Every bundled model of both catalogues, with one of its points."""
+    return ([(f"batch-{name}", model, np.asarray(points[0], dtype=float))
+             for name, model, points in CASES]
+            + [(f"value-{name}", model, np.asarray(special[0], dtype=float))
+               for name, model, special in VALUE_CASES])
+
+
+BUNDLED = _bundled()
+
+
+@pytest.mark.parametrize("name, model, x", BUNDLED, ids=[c[0] for c in BUNDLED])
+def test_scalar_query_reads_a_list_as_its_array(name, model, x):
+    w = np.random.default_rng(len(name)).normal(size=model.dim)
+    assert model.subderivative(x, w.tolist()) == model.subderivative(x, w)
+
+
+ROW_MODELS = [c for c in BUNDLED
+              if isinstance(c[1], (sd.RowSubderivatives, sd.sets.DistanceToSet))]
+
+
+@pytest.mark.parametrize("name, model, x", ROW_MODELS, ids=[c[0] for c in ROW_MODELS])
+def test_scalar_query_checks_the_direction_as_the_batch_does(name, model, x):
+    n = model.dim
+    for bad in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((1, n))):
+        with pytest.raises(sd.DimensionMismatch):
+            model.subderivative(x, bad)
+    for entry in (np.nan, np.inf, -np.inf):
+        w = np.zeros(n)
+        w[-1] = entry
+        with pytest.raises(ValueError, match="finite"):
+            model.subderivative(x, w)
+
+
+def test_bundled_models_state_each_subderivative_once():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    bundled = {c for c in subclasses(sd.FunctionModel)
+               if c.__module__.startswith("subderiv.") and c is not sd.RowSubderivatives}
+    batched = {c for c in bundled if "subderivatives" in vars(c)}
+    assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum", "_Scaled"}
+    for c in batched:
+        assert "subderivative" not in vars(c) and issubclass(c, sd.RowSubderivatives), c
+    assert {c for c in bundled if "subderivative" in vars(c)} == {
+        sd.ZeroNormComposite, sd.sets.DistanceToSet, sd.calculus._Composite}
 
 
 FD_CASES = [c for c in VALUE_CASES
