@@ -200,15 +200,31 @@ def scale(model: FunctionModel, lam: float) -> FunctionModel:
     return _Scaled(model, lam)
 
 
-class _Composite(FunctionModel):
-    """g o F: the queries shared by the smooth and semi-differentiable maps.
+class _Composite(RowSubderivatives):
+    """g o F by the chain rule d(g o F)(x)(w) = d g(F(x))(dF(x)(w)).
 
-    One chain rule serves both, d(g o F)(x)(w) = d g(F(x))(dF(x)(w)); for a
-    SmoothMap the semi-derivative is the Jacobian action.
+    One query evaluates F(x) once and dF(x)(w) once per row, and asks g
+    about all rows at once. With ``smooth`` (``precompose_smooth``, and
+    ``penalize`` with a SmoothMap) dF(x) is the Jacobian action and the
+    composite keeps g's extended values and concave subderivative, with
+    descent constant modulus * L when both are known. Without it
+    (``precompose_semidiff``) the composite claims only g's
+    semi-differentiability.
     """
 
-    g: FunctionModel
-    F: SemiDiffMap
+    def __init__(self, g: FunctionModel, F: SemiDiffMap, smooth: bool,
+                 concave_modulus: Optional[float] = None):
+        if g.dim != F.dim_out:
+            raise DimensionMismatch(
+                f"g expects dimension {g.dim}, F produces {F.dim_out}")
+        self.g = g
+        self.F = F
+        self.semi_differentiable = g.semi_differentiable
+        if smooth:
+            self.extended_valued = g.extended_valued
+            self.subderivative_concave = g.subderivative_concave
+            if concave_modulus is not None and F.smoothness_constant is not None:
+                self.descent_constant = concave_modulus * F.smoothness_constant
 
     @property
     def dim(self) -> int:
@@ -222,23 +238,10 @@ class _Composite(FunctionModel):
         X = as_directions(X, self.dim, "X")
         return self.g.values(np.array([self.F.eval(x) for x in X]).reshape(-1, self.g.dim))
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        return self.g.subderivative(self.F.eval(x), self.F.semiderivative(x, w))
-
-
-class _SmoothComposite(_Composite):
-    def __init__(self, g: FunctionModel, F: SmoothMap, concave_modulus: Optional[float]):
-        if g.dim != F.dim_out:
-            raise DimensionMismatch(
-                f"g expects dimension {g.dim}, F produces {F.dim_out}")
-        self.g = g
-        self.F = F
-        self.semi_differentiable = g.semi_differentiable
-        self.extended_valued = g.extended_valued
-        self.subderivative_concave = g.subderivative_concave
-        self.descent_constant = None
-        if concave_modulus is not None and F.smoothness_constant is not None:
-            self.descent_constant = concave_modulus * F.smoothness_constant
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        W = as_directions(W, self.dim)
+        U = np.array([self.F.semiderivative(x, w) for w in W]).reshape(-1, self.g.dim)
+        return self.g.subderivatives(self.F.eval(x), U)
 
 
 def precompose_smooth(g: FunctionModel, F: SmoothMap,
@@ -253,29 +256,7 @@ def precompose_smooth(g: FunctionModel, F: SmoothMap,
     modulus must be supplied by the caller since it is not computable from an
     oracle.
     """
-    return _SmoothComposite(g, F, concave_modulus)
-
-
-class _SemiDiffComposite(_Composite):
-    def __init__(self, g: FunctionModel, F: SemiDiffMap):
-        if g.dim != F.dim_out:
-            raise DimensionMismatch(
-                f"g expects dimension {g.dim}, F produces {F.dim_out}")
-        if not g.semi_differentiable:
-            raise ValueError("precompose_semidiff needs a semi-differentiable outer g")
-        self.g = g
-        self.F = F
-        self.semi_differentiable = True
-
-
-def _compose_maps(G: SemiDiffMap, F: SemiDiffMap) -> SemiDiffMap:
-    if G.dim_in != F.dim_out:
-        raise DimensionMismatch(
-            f"G expects dimension {G.dim_in}, F produces {F.dim_out}")
-    return SemiDiffMap(
-        F.dim_in, G.dim_out,
-        lambda x: G.eval(F.eval(x)),
-        lambda x, w: G.semiderivative(F.eval(x), F.semiderivative(x, w)))
+    return _Composite(g, F, smooth=True, concave_modulus=concave_modulus)
 
 
 def precompose_semidiff(g, F: SemiDiffMap):
@@ -283,12 +264,22 @@ def precompose_semidiff(g, F: SemiDiffMap):
 
     Accepts a semi-differentiable FunctionModel (result: FunctionModel) or a
     SemiDiffMap (result: SemiDiffMap). Either way the directional derivative
-    composes exactly: d(g o F)(x)(w) = d g(F(x))(dF(x)(w)).
+    composes exactly: d(g o F)(x)(w) = d g(F(x))(dF(x)(w)). The model
+    composite is semi-differentiable and advertises nothing else, not even
+    when F is a SmoothMap; ``precompose_smooth`` keeps g's concavity.
     """
     if isinstance(g, FunctionModel):
-        return _SemiDiffComposite(g, F)
+        if not g.semi_differentiable:
+            raise ValueError("precompose_semidiff needs a semi-differentiable outer g")
+        return _Composite(g, F, smooth=False)
     if isinstance(g, SemiDiffMap):
-        return _compose_maps(g, F)
+        if g.dim_in != F.dim_out:
+            raise DimensionMismatch(
+                f"G expects dimension {g.dim_in}, F produces {F.dim_out}")
+        return SemiDiffMap(
+            F.dim_in, g.dim_out,
+            lambda x: g.eval(F.eval(x)),
+            lambda x, w: g.semiderivative(F.eval(x), F.semiderivative(x, w)))
     raise TypeError(f"cannot precompose {type(g).__name__}")
 
 
@@ -391,16 +382,12 @@ def penalize(phi: FunctionModel, G, X: SetModel, rho: float) -> FunctionModel:
     if rho <= 0:
         raise NonpositiveScale(f"penalty constant must be positive, got {rho}")
     dist = distance_to_set(X)
-    if isinstance(G, SmoothMap):
-        comp = precompose_smooth(dist, G)
-    elif isinstance(G, SemiDiffMap):
-        if not dist.semi_differentiable:
-            raise ValueError(
-                "penalize with a non-smooth G needs a geometrically derivable X")
-        comp = precompose_semidiff(dist, G)
-    else:
+    if not isinstance(G, SemiDiffMap):
         raise TypeError(f"G must be a SmoothMap or SemiDiffMap, got {type(G).__name__}")
-    return sum_models([phi, scale(comp, rho)])
+    smooth = isinstance(G, SmoothMap)
+    if not (smooth or dist.semi_differentiable):
+        raise ValueError("penalize with a non-smooth G needs a geometrically derivable X")
+    return sum_models([phi, scale(_Composite(dist, G, smooth), rho)])
 
 
 def envelope_composite_descent_constant(L: float, r: float) -> float:

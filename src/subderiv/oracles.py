@@ -14,7 +14,7 @@ import numpy as np
 
 from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
-from .extreal import ExtReal, POS_INF
+from .extreal import ExtReal
 from .model import FunctionModel, RowSubderivatives, Vector, as_directions, as_vector
 
 
@@ -93,7 +93,7 @@ class NegL1Norm(RowSubderivatives):
         return np.zeros(self.dim), (up, down)
 
 
-class ZeroNormComposite(FunctionModel):
+class ZeroNormComposite(RowSubderivatives):
     """||A x + b||_0, the nonzero count of the affine image.
 
     The subderivative is combinatorial: 0 when the support of A w is contained
@@ -122,9 +122,12 @@ class ZeroNormComposite(FunctionModel):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(float(np.count_nonzero(self._support(self.A @ x + self.b))))
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
-        new = self._support(self.A @ w) & ~self._support(self.A @ x + self.b)
-        return ExtReal(0.0) if not new.any() else POS_INF
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
+        # vecdot forms each row's A w from its own dot products; W @ A.T
+        # need not round a row alike at every row count.
+        AW = np.vecdot(as_directions(W, self.dim)[:, None, :], self.A)
+        new = self._support(AW) & ~self._support(self.A @ x + self.b)
+        return np.where(new.any(axis=1), np.inf, 0.0)
 
 
 class SmoothModel(RowSubderivatives):

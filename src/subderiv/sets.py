@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
 from .extreal import ExtReal, ulp_tied, ulp_tied_arrays
-from .model import FunctionModel, Vector, as_directions, as_vector
+from .model import RowSubderivatives, Vector, as_directions, as_vector
 
 _MEMBERSHIP_TOL = 1e-9
 _MAX_ENUM_ROWS = 16
@@ -505,7 +505,7 @@ class ComplementaritySet(SetModel):
         return float(np.sqrt(total))
 
 
-class DistanceToSet(FunctionModel):
+class DistanceToSet(RowSubderivatives):
     """Euclidean distance to a set, with its closed-form subderivative.
 
     The value is globally 1-Lipschitz, so |d f(x)(w)| <= ||w||. The model is
@@ -540,13 +540,19 @@ class DistanceToSet(FunctionModel):
         D = X - self.X.nearest_points(X)
         return np.sqrt(np.vecdot(D, D))
 
-    def subderivative(self, x: Vector, w: Vector) -> ExtReal:
+    def subderivatives(self, x: Vector, W) -> np.ndarray:
         x = as_vector(x, self.dim)
-        w = as_vector(w, self.dim)
+        W = as_directions(W, self.dim)
         if self.X.contains(x):
-            return ExtReal(self.X.tangent_distance(x, w))
+            return np.array([self.X.tangent_distance(x, w) for w in W], dtype=float)
         d, pts = self._nearest(x)
-        return ExtReal(min(float(np.dot(x - y, w)) / d for y in pts))
+        # A later nearest point replaces the incumbent only when strictly
+        # smaller, so a tie keeps the first, as the builtin min does.
+        out = np.vecdot(W, x - pts[0]) / d
+        for y in pts[1:]:
+            v = np.vecdot(W, x - y) / d
+            out = np.where(v < out, v, out)
+        return out
 
 
 def distance_to_set(X: SetModel) -> DistanceToSet:

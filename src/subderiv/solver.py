@@ -153,38 +153,37 @@ def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Tra
         t0 = time.perf_counter_ns()
         res = search_direction(f, x, cfg)
         d = res.value.v
+        stop = None
         if d >= -cfg.epsilon:
-            dt = time.perf_counter_ns() - t0
-            records.append(IterationRecord(k, fx, d, 0.0, 0, 0.0, dt))
-            iterates.append(x)
-            status = TerminalStatus.EPS_STATIONARY
-            certified = res.exact
-            if not res.exact:
-                detail = "no descent direction found within budget"
-            break
-        try:
-            alpha, m = schedule_step(cfg.schedule, k, f, x, res.w, d)
-        except BacktrackExhausted as exc:
-            dt = time.perf_counter_ns() - t0
-            records.append(IterationRecord(k, fx, d, 0.0, 0, 0.0, dt))
-            iterates.append(x)
-            status = TerminalStatus.BACKTRACK_EXHAUSTED
-            detail = str(exc)
-            break
-        step = alpha * res.w
+            stop = TerminalStatus.EPS_STATIONARY
+        else:
+            try:
+                alpha, m = schedule_step(cfg.schedule, k, f, x, res.w, d)
+            except BacktrackExhausted as exc:
+                stop, cause = TerminalStatus.BACKTRACK_EXHAUSTED, exc
+            else:
+                step = alpha * res.w
+                x_next = x + step
+                fx_next = f.value(x_next).v
+                if fx_next == math.inf:
+                    stop = TerminalStatus.LEFT_DOMAIN
+        dt = time.perf_counter_ns() - t0
         iterates.append(x)
-        x_next = x + step
-        fx_next = f.value(x_next).v
-        if fx_next == math.inf:
-            dt = time.perf_counter_ns() - t0
+        if stop is not None:
+            # The terminal row takes no step; x stays at the last finite iterate.
             records.append(IterationRecord(k, fx, d, 0.0, 0, 0.0, dt))
-            status = TerminalStatus.LEFT_DOMAIN
-            detail = f"the step with alpha={alpha!r} leaves the domain: f(x + alpha w) = +inf"
+            status = stop
+            if stop is TerminalStatus.EPS_STATIONARY:
+                certified = res.exact
+                if not res.exact:
+                    detail = "no descent direction found within budget"
+            elif stop is TerminalStatus.BACKTRACK_EXHAUSTED:
+                detail = str(cause)
+            else:
+                detail = f"the step with alpha={alpha!r} leaves the domain: f(x + alpha w) = +inf"
             break
         x = x_next
-        dt = time.perf_counter_ns() - t0
-        records.append(IterationRecord(k, fx, d, alpha, m,
-                                       float(np.linalg.norm(step)), dt))
+        records.append(IterationRecord(k, fx, d, alpha, m, float(np.linalg.norm(step)), dt))
         fx = fx_next
         if fx < cfg.floor:
             status = TerminalStatus.UNBOUNDED

@@ -83,7 +83,7 @@ def _cases():
         # sqrt(2r) = 1 is the hard threshold, where the prox is set-valued
         ("moreau_l0", sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=N),
          points + [np.array([1.0, -1.0, 0.0, 2.0, -0.0, 0.5])]),
-        ("zero_norm_default_loop", zero_norm, points),
+        ("zero_norm", zero_norm, points),
     ] + _relu_cases(rng)
 
 
@@ -592,12 +592,11 @@ def test_scalar_query_reads_a_list_as_its_array(name, model, x):
     assert model.subderivative(x, w.tolist()) == model.subderivative(x, w)
 
 
-ROW_MODELS = [c for c in BUNDLED
-              if isinstance(c[1], (sd.RowSubderivatives, sd.sets.DistanceToSet))]
-
-
-@pytest.mark.parametrize("name, model, x", ROW_MODELS, ids=[c[0] for c in ROW_MODELS])
+@pytest.mark.parametrize("name, model, x", BUNDLED, ids=[c[0] for c in BUNDLED])
 def test_scalar_query_checks_the_direction_as_the_batch_does(name, model, x):
+    # every bundled model, the compositions, the zero-norm composite and
+    # the distances to sets among them, checks w as a row
+    assert isinstance(model, sd.RowSubderivatives), name
     n = model.dim
     for bad in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((1, n))):
         with pytest.raises(sd.DimensionMismatch):
@@ -618,11 +617,120 @@ def test_bundled_models_state_each_subderivative_once():
     bundled = {c for c in subclasses(sd.FunctionModel)
                if c.__module__.startswith("subderiv.") and c is not sd.RowSubderivatives}
     batched = {c for c in bundled if "subderivatives" in vars(c)}
-    assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum", "_Scaled"}
+    assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum", "_Scaled",
+                                             "_Composite", "ZeroNormComposite", "DistanceToSet"}
     for c in batched:
         assert "subderivative" not in vars(c) and issubclass(c, sd.RowSubderivatives), c
-    assert {c for c in bundled if "subderivative" in vars(c)} == {
-        sd.ZeroNormComposite, sd.sets.DistanceToSet, sd.calculus._Composite}
+    assert {c for c in bundled if "subderivative" in vars(c)} == set()
+
+
+class CountingMap(sd.SemiDiffMap):
+    """x -> x * x with its semi-derivative, counting evaluations of F."""
+
+    def __init__(self, n):
+        super().__init__(n, n, lambda x: x * x, lambda x, w: 2.0 * x * w)
+        self.evals = 0
+
+    def eval(self, x):
+        self.evals += 1
+        return super().eval(x)
+
+
+class CountingBox(sd.Box):
+    """A box counting its membership tests and projections."""
+
+    def __init__(self, lo, hi):
+        super().__init__(lo, hi)
+        self.contains_calls = self.project_calls = 0
+
+    def contains(self, x):
+        self.contains_calls += 1
+        return super().contains(x)
+
+    def project(self, x):
+        self.project_calls += 1
+        return super().project(x)
+
+
+def test_batched_query_works_out_the_point_once():
+    W = np.random.default_rng(5).normal(size=(7, 2))
+    x = np.array([1.5, -0.5])
+    F = CountingMap(2)
+    sd.precompose_semidiff(sd.L1Norm(2), F).subderivatives(x, W)
+    assert F.evals == 1
+    box = CountingBox(np.zeros(2), np.ones(2))
+    sd.distance_to_set(box).subderivatives(x, W)
+    assert (box.contains_calls, box.project_calls) == (1, 1)
+    # inside the set only membership is asked, then each row's tangent distance
+    sd.distance_to_set(box).subderivatives(np.array([0.5, 0.0]), W)
+    assert (box.contains_calls, box.project_calls) == (2, 1)
+    F, box = CountingMap(2), CountingBox(np.zeros(2), np.ones(2))
+    zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
+    sd.penalize(zero, F, box, 1.5).subderivatives(x, W)
+    assert (F.evals, box.contains_calls, box.project_calls) == (1, 1, 1)
+
+
+def reference_row(f, x, w):
+    """The per-direction formula that the scalar query of a distance, of the
+    zero-norm composite or of a composition ran."""
+    if isinstance(f, sd.sets.DistanceToSet):
+        if f.X.contains(x):
+            return f.X.tangent_distance(x, w)
+        pts = f.X.project(x)
+        d = float(np.linalg.norm(x - pts[0]))
+        return min(float(np.dot(x - y, w)) / d for y in pts)
+    if isinstance(f, sd.ZeroNormComposite):
+        new = (np.abs(f.A @ w) > f.support_tol) & ~(np.abs(f.A @ x + f.b) > f.support_tol)
+        return np.inf if new.any() else 0.0
+    return f.g.subderivative(f.F.eval(x), f.F.semiderivative(x, w)).v
+
+
+ROW_REFERENCE_CASES = [c for c in VALUE_CASES if isinstance(
+    c[1], (sd.sets.DistanceToSet, sd.ZeroNormComposite, sd.calculus._Composite))]
+
+
+@pytest.mark.parametrize("name, model, special", ROW_REFERENCE_CASES,
+                         ids=[c[0] for c in ROW_REFERENCE_CASES])
+def test_row_formulas_match_the_per_direction_formulas(name, model, special):
+    rng = np.random.default_rng(len(name) + 3)
+    for x in [np.array(p, dtype=float) for p in special] + [rng.uniform(-2, 2, model.dim)]:
+        for W in _direction_sets(model.dim, rng).values():
+            want = np.array([reference_row(model, x, w) for w in W], dtype=float)
+            assert model.subderivatives(x, W).tobytes() == want.tobytes(), name
+
+
+class ExtendedNegL1(sd.NegL1Norm):
+    extended_valued = True
+
+
+FLAGS = ("semi_differentiable", "extended_valued", "subderivative_concave", "has_gradient",
+         "is_separable", "descent_constant", "lower_bound")
+
+
+def test_composite_constructors_keep_their_capability_flags():
+    square = sd.SmoothMap(2, 2, lambda x: x * x, lambda x, w: 2.0 * x * w,
+                          smoothness_constant=2.0)
+    eye = sd.affine_map(np.eye(2))
+    zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
+    concave = (True, False, True, False, False, None, None)
+    semidiff_only = (True, False, False, False, False, None, None)
+    cases = [
+        (sd.precompose_smooth(sd.NegL1Norm(2), square), concave),
+        (sd.precompose_smooth(sd.NegL1Norm(2), square, concave_modulus=3.0),
+         (True, False, True, False, False, 6.0, None)),
+        (sd.precompose_smooth(ExtendedNegL1(2), eye), (True, True, True, False, False, None, None)),
+        (sd.precompose_smooth(sd.ZeroNormComposite(np.eye(2), np.zeros(2)), eye),
+         (False, False, False, False, False, None, None)),
+        # a semi-differentiable composite keeps neither concavity nor extended
+        # values, even over a smooth map
+        (sd.precompose_semidiff(ExtendedNegL1(2), sd.relu_map(2)), semidiff_only),
+        (sd.precompose_semidiff(ExtendedNegL1(2), eye), semidiff_only),
+        (sd.penalize(zero, sd.identity_map(2), sd.nonnegative_orthant(2), 1.5), semidiff_only),
+        (sd.penalize(zero, sd.relu_map(2), sd.Singleton(np.zeros(2)), 1.0), semidiff_only),
+        (sd.distance_to_set(sd.nonnegative_orthant(2)), semidiff_only),
+    ]
+    for i, (model, want) in enumerate(cases):
+        assert tuple(getattr(model, f) for f in FLAGS) == want, i
 
 
 FD_CASES = [c for c in VALUE_CASES
