@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, NonpositiveScale
 from .extreal import ExtReal, ext_add, ext_add_arrays, ulp_tied
-from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_vector,
-                    check_same_dim)
+from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
 
@@ -116,16 +115,16 @@ class _Sum(RowSubderivatives):
             acc = ext_add(acc, m.value(x))
         return acc
 
-    def values(self, X) -> np.ndarray:
-        acc = self.models[0].values(X)
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        acc = self.models[0]._values(X)
         for m in self.models[1:]:
-            acc = ext_add_arrays(acc, m.values(X))
+            acc = ext_add_arrays(acc, m._values(X))
         return acc
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        acc = self.models[0].subderivatives(x, W)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        acc = self.models[0]._subderivatives(x, W)
         for m in self.models[1:]:
-            acc = ext_add_arrays(acc, m.subderivatives(x, W))
+            acc = ext_add_arrays(acc, m._subderivatives(x, W))
         return acc
 
     def gradient(self, x: Vector) -> Vector:
@@ -179,11 +178,11 @@ class _Scaled(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return self.inner.value(x).scaled(self.lam)
 
-    def values(self, X) -> np.ndarray:
-        return self.lam * self.inner.values(X)
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self.lam * self.inner._values(X)
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        return self.lam * self.inner.subderivatives(x, W)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return self.lam * self.inner._subderivatives(x, W)
 
     def gradient(self, x: Vector) -> Vector:
         return self.lam * self.inner.gradient(x)
@@ -233,13 +232,11 @@ class _Composite(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return self.g.value(self.F.eval(x))
 
-    def values(self, X) -> np.ndarray:
-        # F is a per-point callable, so it runs row by row; g sees one batch.
-        X = as_directions(X, self.dim, "X")
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        # F is a user callable run row by row; g checks its one batch.
         return self.g.values(np.array([self.F.eval(x) for x in X]).reshape(-1, self.g.dim))
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        W = as_directions(W, self.dim)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         U = np.array([self.F.semiderivative(x, w) for w in W]).reshape(-1, self.g.dim)
         return self.g.subderivatives(self.F.eval(x), U)
 
@@ -320,20 +317,20 @@ class _PointwiseExtremum(RowSubderivatives):
     def dim(self) -> int:
         return self._dim
 
-    def _values(self, x: Vector) -> list[float]:
+    def _member_values(self, x: Vector) -> list[float]:
         return [m.value(x).v for m in self.models]
 
     def value(self, x: Vector) -> ExtReal:
-        vals = self._values(x)
+        vals = self._member_values(x)
         return ExtReal(max(vals) if self.take_max else min(vals))
 
-    def values(self, X) -> np.ndarray:
+    def _values(self, X: np.ndarray) -> np.ndarray:
         # The builtin max/min reduction of ``value``: a later member replaces
         # the incumbent only when strictly larger (smaller).
         first, *rest = self.models
-        out = first.values(X)
+        out = first._values(X)
         for m in rest:
-            v = m.values(X)
+            v = m._values(X)
             out = np.where(v > out if self.take_max else v < out, v, out)
         return out
 
@@ -344,17 +341,17 @@ class _PointwiseExtremum(RowSubderivatives):
         the extremum, so the tolerance scales with f and a distant branch
         does not widen it.
         """
-        vals = self._values(x)
+        vals = self._member_values(x)
         best = max(vals) if self.take_max else min(vals)
         return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # Same reduction as ``values``: a later member replaces the
         # incumbent only when strictly larger (smaller).
         first, *rest = self._active(x)
-        out = first.subderivatives(x, W)
+        out = first._subderivatives(x, W)
         for m in rest:
-            d = m.subderivatives(x, W)
+            d = m._subderivatives(x, W)
             out = np.where(d > out if self.take_max else d < out, d, out)
         return out
 

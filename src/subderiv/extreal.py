@@ -113,7 +113,9 @@ def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
 
 
 def ext_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``ext_add`` of two float arrays of extended reals."""
-    if np.any(np.isinf(a) & (a == -b)):
+    """Elementwise ``ext_add`` of two float arrays of extended reals. The
+    opposite-infinity pairs are sought only when a has an infinite entry;
+    a NaN already in a or b passes through."""
+    if np.isinf(a).any() and np.any(np.isinf(a) & (a == -b)):
         raise IndeterminateSum("(+inf) + (-inf) is undefined")
     return a + b

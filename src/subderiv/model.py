@@ -10,13 +10,15 @@ bit-identical answers. Two batched queries answer many at once:
 ``subderivatives(x, W)`` gives d f(x)(w) for every row w of a matrix, so the
 work that depends only on x is done once per point, and ``values(X)`` gives
 f at every row of a matrix, so a whole grid of probe points is one call.
-Both default to a loop over the scalar query, and an override must return
-exactly the scalar answer for every row, bit for bit. A model whose
-subderivative is plain array arithmetic states it once, as the batched
-query, and derives from ``RowSubderivatives``: its scalar query is then the
-one-row case of the batch. Capability flags (semi-differentiability, a
-descent constant, a lower bound, gradient access, separable structure) let
-the direction-search and line-search layers pick the right specialized path.
+Each checks its input once and hands it to a row kernel, ``_subderivatives``
+or ``_values``, which models override and combinators call on their members.
+A kernel defaults to a loop over the scalar query, and an override must
+return exactly the scalar answer for every row, bit for bit. A model whose
+subderivative is plain array arithmetic states it once, as the kernel, and
+derives from ``RowSubderivatives``: its scalar query is then the one-row
+case of the batch. Capability flags (semi-differentiability, a descent
+constant, a lower bound, gradient access, separable structure) let the
+direction-search and line-search layers pick the right specialized path.
 
 All models are immutable values; implementations must be stateless and safe
 for any number of concurrent readers.
@@ -72,16 +74,19 @@ class FunctionModel(abc.ABC):
         full limit and is finite for all finite x and w.
       * if ``descent_constant`` L is set, then for all x, y in the advertised
         region: f(y) <= f(x) + d f(x)(y - x) + (L/2) ||y - x||^2.
-      * ``subderivatives`` is optional. The default loops over
-        ``subderivative``; an override must return, for every row w of
-        ``as_directions(W)``, exactly the float ``subderivative(x, w).v``,
-        bit for bit, because the direction searches pick among exact ties.
-        A ``RowSubderivatives`` model meets this by construction when each
+      * ``subderivatives`` checks x and W, then asks ``_subderivatives``,
+        whose default loops over ``subderivative``; an override must return,
+        for every row w, exactly the float ``subderivative(x, w).v``, bit
+        for bit, because the direction searches pick among exact ties. A
+        ``RowSubderivatives`` model meets this by construction when each
         row of its batch does not depend on the other rows.
-      * ``values`` is optional too. The default loops over ``value``; an
-        override must return, for every row x of ``as_directions(X)``,
-        exactly the float ``value(x).v``, bit for bit, never NaN, and raise
-        what ``value`` raises at the rows where it would.
+      * ``values`` checks X, then asks ``_values``, whose default loops over
+        ``value``; an override must return, for every row x, exactly the
+        float ``value(x).v``, bit for bit, never NaN, and raise what
+        ``value`` raises at the rows where it would.
+      * A model that overrides a public batched query still answers it when
+        called directly, but a combinator asks it through its kernel: for a
+        model that defines only the scalar queries, the per-row loop.
     """
 
     semi_differentiable: bool = False
@@ -108,24 +113,26 @@ class FunctionModel(abc.ABC):
     def subderivatives(self, x: Vector, W) -> np.ndarray:
         """d f(x)(w) for every row w of the k x n matrix W, as k floats.
 
-        Values may be +-inf. W is first made a C-contiguous float64 matrix
-        by ``as_directions``, so each row has unit stride, as a freshly
-        built direction does. Models override this to share the work that
-        depends only on x across the rows; this default asks
-        ``subderivative`` once per row.
+        Values may be +-inf. x is checked by ``as_vector`` and W is made a
+        C-contiguous float64 matrix with finite entries by ``as_directions``,
+        so each row has unit stride, as a freshly built direction does.
         """
-        W = as_directions(W, self.dim)
+        return self._subderivatives(as_vector(x, self.dim), as_directions(W, self.dim))
+
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        """The row kernel on checked input; this default asks ``subderivative``."""
         return np.array([self.subderivative(x, w).v for w in W], dtype=float)
 
     def values(self, X) -> np.ndarray:
         """f(x) for every row x of the k x n matrix X, as k floats.
 
         Values may be +-inf, never NaN. X is first made a C-contiguous
-        float64 matrix with finite entries by ``as_directions``. Models
-        override this where f is plain array arithmetic; this default asks
-        ``value`` once per row.
+        float64 matrix with finite entries by ``as_directions``.
         """
-        X = as_directions(X, self.dim, "X")
+        return self._values(as_directions(X, self.dim, "X"))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """The row kernel on a checked matrix; this default asks ``value``."""
         return np.array([self.value(x).v for x in X], dtype=float)
 
     def gradient(self, x: Vector) -> Vector:
@@ -146,16 +153,16 @@ class FunctionModel(abc.ABC):
 
 
 class RowSubderivatives(FunctionModel):
-    """A model that states its subderivative once, as the batched query.
+    """A model that states its subderivative once, as the row kernel.
 
     ``subderivative(x, w)`` is the one-row case of ``subderivatives``, so it
-    checks w as ``as_directions`` checks a row: a wrong length raises
+    checks x and w as the batch does: a wrong length raises
     DimensionMismatch and a non-finite entry raises ValueError.
     """
 
     @abc.abstractmethod
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        """d f(x)(w) for every row w of W, read through ``as_directions``."""
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        """d f(x)(w) for every row w of the checked matrix W."""
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return ExtReal(self.subderivatives(x, np.asarray(w, dtype=float)[None])[0])

@@ -15,7 +15,7 @@ import numpy as np
 from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .extreal import ExtReal
-from .model import FunctionModel, RowSubderivatives, Vector, as_directions, as_vector
+from .model import FunctionModel, RowSubderivatives, Vector, as_vector
 
 
 class L1Norm(RowSubderivatives):
@@ -42,11 +42,10 @@ class L1Norm(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(self.lam * float(np.sum(np.abs(x))))
 
-    def values(self, X) -> np.ndarray:
-        return self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self.lam * np.sum(np.abs(X), axis=1)
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        W = as_directions(W, self.dim)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
         return self.lam * np.sum(S, axis=1)
 
@@ -78,11 +77,10 @@ class NegL1Norm(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(-self.lam * float(np.sum(np.abs(x))))
 
-    def values(self, X) -> np.ndarray:
-        return -self.lam * np.sum(np.abs(as_directions(X, self.dim, "X")), axis=1)
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return -self.lam * np.sum(np.abs(X), axis=1)
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        W = as_directions(W, self.dim)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         S = np.where(x > 0, -W, np.where(x < 0, W, -np.abs(W)))
         return self.lam * np.sum(S, axis=1)
 
@@ -122,10 +120,10 @@ class ZeroNormComposite(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(float(np.count_nonzero(self._support(self.A @ x + self.b))))
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot forms each row's A w from its own dot products; W @ A.T
         # need not round a row alike at every row count.
-        AW = np.vecdot(as_directions(W, self.dim)[:, None, :], self.A)
+        AW = np.vecdot(W[:, None, :], self.A)
         new = self._support(AW) & ~self._support(self.A @ x + self.b)
         return np.where(new.any(axis=1), np.inf, 0.0)
 
@@ -154,9 +152,9 @@ class SmoothModel(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(float(self._f(x)))
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
-        return np.vecdot(as_directions(W, self.dim), self._grad(x))
+        return np.vecdot(W, self._grad(x))
 
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self._grad(x), dtype=float)
@@ -302,13 +300,11 @@ class SeparableMoreau(RowSubderivatives):
     def value(self, x: Vector) -> ExtReal:
         return ExtReal(float(np.sum(self._envelope(np.asarray(x, dtype=float)))))
 
-    def values(self, X) -> np.ndarray:
+    def _values(self, X: np.ndarray) -> np.ndarray:
         # The inner is elementwise on 1-D arrays, so it sees the rows end to end.
-        X = as_directions(X, self.dim, "X")
         return np.sum(self._envelope(X.ravel()).reshape(X.shape), axis=1)
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        W = as_directions(W, self.dim)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         _, (up, down) = self.separable_parts(x)
         return np.sum(np.where(W > 0, up * W, -down * W), axis=1)
 
@@ -363,8 +359,8 @@ class QuadraticMoreau(RowSubderivatives):
         q = 0.5 * float(y @ self.inner.Q @ y) + float(self.inner.c @ y)
         return ExtReal(float(np.dot(x - y, x - y)) / (2.0 * self.r) + q)
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        return np.vecdot(as_directions(W, self.dim), self.gradient(x))
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return np.vecdot(W, self.gradient(x))
 
     def gradient(self, x: Vector) -> Vector:
         return (np.asarray(x, dtype=float) - self._prox(x)) / self.r
@@ -486,13 +482,12 @@ class ReLUNetworkLoss(RowSubderivatives):
         _, out, _ = self._pass(as_vector(x, self._p, "theta"))
         return ExtReal(float(np.sum((out - self.Y) ** 2)) / self.X.shape[1])
 
-    def values(self, X) -> np.ndarray:
-        _, out, _ = self._pass(as_directions(X, self._p, "theta"))
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        _, out, _ = self._pass(X)
         return np.sum((out - self.Y) ** 2, axis=(1, 2)) / self.X.shape[1]
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        W = as_directions(W, self._p, "dtheta")
-        _, out, dout = self._pass(as_vector(x, self._p, "theta"), W)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        _, out, dout = self._pass(x, W)
         slopes = ((out - self.Y) * dout).reshape(W.shape[0], -1)
         return 2.0 * np.sum(slopes, axis=1) / self.X.shape[1]
 

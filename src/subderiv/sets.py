@@ -13,10 +13,12 @@ distances are computed exactly by active-set enumeration over facets; the
 bundled sets are low-dimensional test fixtures, not production geometry.
 
 The row query ``nearest_points(X)`` gives ``project(x)[0]`` for every row x
-of a matrix, which is all the distance value needs. Each bundled set answers
-it with one array kernel and its ``project`` runs the same kernel on one row,
-so the two round alike; the kernels form matrix products with ``_dot_first``,
-never through BLAS, whose rounding can depend on the number of rows.
+of a matrix, which is all the distance value needs. It checks X once and
+asks the row kernel ``_nearest_points``, which sets override and the
+distance calls directly. Each bundled set's kernel is one array kernel and
+its ``project`` runs it on one row, so the two round alike; the kernels form
+matrix products with ``_dot_first``, never through BLAS, whose rounding can
+depend on the number of rows.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 class SetModel(abc.ABC):
     """A closed set exposing membership, projection, and tangent distance.
 
-    The optional row query ``nearest_points(X)`` gives ``project(x)[0]``
-    for every row x of a matrix, bit for bit; its default loops over
-    ``project``.
+    The row query ``nearest_points(X)`` gives ``project(x)[0]`` for every
+    row x of a matrix, bit for bit, through the kernel ``_nearest_points``.
     """
 
     geometrically_derivable: bool = False
@@ -79,10 +80,13 @@ class SetModel(abc.ABC):
 
         X is first made a C-contiguous float64 matrix with finite entries by
         ``as_directions``. A row without a nearest point raises
-        EmptyProjection. Overrides must match ``project(x)[0]`` bit for bit;
-        this default asks ``project`` once per row.
+        EmptyProjection.
         """
-        X = as_directions(X, self.dim, "X")
+        return self._nearest_points(as_directions(X, self.dim, "X"))
+
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
+        """The row kernel on a checked matrix; overrides must match
+        ``project(x)[0]`` bit for bit, and this default asks ``project``."""
         out = np.empty_like(X)
         for i, x in enumerate(X):
             pts = self.project(x)
@@ -93,10 +97,10 @@ class SetModel(abc.ABC):
 
 
 class _UniqueProjection(SetModel):
-    """A set with one nearest point, computed by its ``nearest_points`` kernel."""
+    """A set with one nearest point, computed by its ``_nearest_points`` kernel."""
 
     def project(self, x: Vector) -> list[Vector]:
-        return [self.nearest_points(as_vector(x, self.dim)[None, :])[0]]
+        return [self._nearest_points(as_vector(x, self.dim)[None, :])[0]]
 
 
 class Box(_UniqueProjection):
@@ -121,8 +125,8 @@ class Box(_UniqueProjection):
         return bool(np.all(x >= self.lo - _MEMBERSHIP_TOL)
                     and np.all(x <= self.hi + _MEMBERSHIP_TOL))
 
-    def nearest_points(self, X) -> np.ndarray:
-        return np.clip(as_directions(X, self.dim, "X"), self.lo, self.hi)
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
+        return np.clip(X, self.lo, self.hi)
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         x = as_vector(x, self.dim)
@@ -161,8 +165,7 @@ class Ball(_UniqueProjection):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(x - self.center) <= self.radius + _MEMBERSHIP_TOL)
 
-    def nearest_points(self, X) -> np.ndarray:
-        X = as_directions(X, self.dim, "X")
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
         nrm = np.sqrt(np.vecdot(D, D))
         # r / max(nrm, r) is r / nrm on every row it scales, and never r / 0
@@ -200,8 +203,7 @@ class AffineSubspace(_UniqueProjection):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(self.A @ x - self.b) <= _MEMBERSHIP_TOL)
 
-    def nearest_points(self, X) -> np.ndarray:
-        X = as_directions(X, self.dim, "X")
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
         return X - _dot_first(self._pinv.T[:, :, None], residual[:, None, :]).T
 
@@ -227,8 +229,7 @@ class Singleton(_UniqueProjection):
         x = as_vector(x, self.dim)
         return bool(np.linalg.norm(x - self.p) <= _MEMBERSHIP_TOL)
 
-    def nearest_points(self, X) -> np.ndarray:
-        X = as_directions(X, self.dim, "X")
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.p, X.shape).copy()
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
@@ -265,8 +266,7 @@ class _Polyhedral(SetModel):
                 out.append(y)
         return out
 
-    def nearest_points(self, X) -> np.ndarray:
-        X = as_directions(X, self.dim, "X")
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         Y, tied = self._nearest_pieces(X)
         if not tied.any(axis=1).all():
             raise EmptyProjection("set model returned no nearest point")
@@ -477,8 +477,7 @@ class ComplementaritySet(SetModel):
             out.append(p)
         return out
 
-    def nearest_points(self, X) -> np.ndarray:
-        X = as_directions(X, self.dim, "X")
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         on_a, on_b, _, first = self._corner_projections(X)
         return np.hstack([np.where(first, on_a, 0.0), np.where(first, 0.0, on_b)])
 
@@ -534,15 +533,12 @@ class DistanceToSet(RowSubderivatives):
         d, _ = self._nearest(x)
         return ExtReal(d)
 
-    def values(self, X) -> np.ndarray:
+    def _values(self, X: np.ndarray) -> np.ndarray:
         # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.
-        X = as_directions(X, self.dim, "X")
-        D = X - self.X.nearest_points(X)
+        D = X - self.X._nearest_points(X)
         return np.sqrt(np.vecdot(D, D))
 
-    def subderivatives(self, x: Vector, W) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        W = as_directions(W, self.dim)
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         if self.X.contains(x):
             return np.array([self.X.tangent_distance(x, w) for w in W], dtype=float)
         d, pts = self._nearest(x)

@@ -595,17 +595,22 @@ def test_scalar_query_reads_a_list_as_its_array(name, model, x):
 @pytest.mark.parametrize("name, model, x", BUNDLED, ids=[c[0] for c in BUNDLED])
 def test_scalar_query_checks_the_direction_as_the_batch_does(name, model, x):
     # every bundled model, the compositions, the zero-norm composite and
-    # the distances to sets among them, checks w as a row
+    # the distances to sets among them, checks w as a row, and the batch
+    # checks x as a point
     assert isinstance(model, sd.RowSubderivatives), name
     n = model.dim
     for bad in (np.zeros(n + 1), np.zeros(n - 1), np.zeros((1, n))):
         with pytest.raises(sd.DimensionMismatch):
             model.subderivative(x, bad)
+        with pytest.raises(sd.DimensionMismatch):
+            model.subderivatives(bad, np.zeros((1, n)))
     for entry in (np.nan, np.inf, -np.inf):
         w = np.zeros(n)
         w[-1] = entry
         with pytest.raises(ValueError, match="finite"):
             model.subderivative(x, w)
+        with pytest.raises(ValueError, match="finite"):
+            model.subderivatives(w, np.eye(n))
 
 
 def test_bundled_models_state_each_subderivative_once():
@@ -614,14 +619,21 @@ def test_bundled_models_state_each_subderivative_once():
             yield sub
             yield from subclasses(sub)
 
+    # each bundled model and set states its row kernel and leaves the checked
+    # public queries, and the scalar subderivative, to the base classes
     bundled = {c for c in subclasses(sd.FunctionModel)
                if c.__module__.startswith("subderiv.") and c is not sd.RowSubderivatives}
-    batched = {c for c in bundled if "subderivatives" in vars(c)}
+    batched = {c for c in bundled if "_subderivatives" in vars(c)}
     assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum", "_Scaled",
                                              "_Composite", "ZeroNormComposite", "DistanceToSet"}
     for c in batched:
-        assert "subderivative" not in vars(c) and issubclass(c, sd.RowSubderivatives), c
-    assert {c for c in bundled if "subderivative" in vars(c)} == set()
+        assert issubclass(c, sd.RowSubderivatives), c
+    public = {"subderivative", "subderivatives", "values"}
+    assert {c for c in bundled if public & set(vars(c))} == set()
+    sets = {c for c in subclasses(sd.SetModel) if c.__module__.startswith("subderiv.")}
+    assert {c.__name__ for c in sets if "_nearest_points" in vars(c)} >= {
+        "Box", "Ball", "AffineSubspace", "Singleton", "ComplementaritySet"}
+    assert {c for c in sets if "nearest_points" in vars(c)} == set()
 
 
 class CountingMap(sd.SemiDiffMap):

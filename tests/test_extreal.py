@@ -6,7 +6,7 @@ import pytest
 
 import subderiv as sd
 from subderiv import NEG_INF, POS_INF, ExtReal, ext_add
-from subderiv.extreal import ulp_tied, ulp_tied_arrays
+from subderiv.extreal import ext_add_arrays, ulp_tied, ulp_tied_arrays
 
 
 def test_finite_addition():
@@ -67,3 +67,25 @@ def test_ulp_tied_arrays_is_ulp_tied_elementwise():
     with np.errstate(over="ignore", invalid="ignore"):
         want = [ulp_tied(u, v) for u, v in zip(a.tolist(), b.tolist())]
     assert ulp_tied_arrays(a, b).tolist() == want
+
+
+def test_ext_add_arrays_is_ext_add_elementwise():
+    vals = [-math.inf, -1.5, -0.0, 0.0, 2.5, math.inf]
+    pairs = [(p, q) for p in vals for q in vals]
+    finite_sums = []
+    for p, q in pairs:
+        try:
+            want = ext_add(ExtReal(p), ExtReal(q)).v
+        except sd.IndeterminateSum:
+            with pytest.raises(sd.IndeterminateSum):
+                ext_add_arrays(np.array([p]), np.array([q]))
+            continue
+        finite_sums.append((p, q, want))
+        assert ext_add_arrays(np.array([p]), np.array([q])).tobytes() == np.array([want]).tobytes()
+    assert len(finite_sums) == len(pairs) - 2      # only the opposite infinities raise
+    a, b, want = np.array(finite_sums).T
+    assert ext_add_arrays(a, b).tobytes() == want.tobytes()
+    with pytest.raises(sd.IndeterminateSum):
+        ext_add_arrays(*np.array(pairs).T)
+    # a NaN already in an addend passes through rather than raising
+    assert np.isnan(ext_add_arrays(np.array([np.nan, 1.0]), np.array([np.inf, np.nan]))).all()
