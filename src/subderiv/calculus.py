@@ -25,7 +25,10 @@ class SemiDiffMap:
     """Vector-valued map with a directional derivative taken as a full limit.
 
     ``semiderivative(x, .)`` is continuous and positively homogeneous of
-    degree 1 in the direction.
+    degree 1 in the direction. ``eval_rows(X)`` maps every row of a checked
+    (k, dim_in) float64 matrix at once; row i must equal ``eval(X[i])`` bit
+    for bit. The default loops over ``eval`` and raises DimensionMismatch
+    when a value does not have shape (dim_out,).
     """
 
     def __init__(self, dim_in: int, dim_out: int,
@@ -38,6 +41,17 @@ class SemiDiffMap:
 
     def eval(self, x: Vector) -> Vector:
         return np.asarray(self._eval(x), dtype=float)
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        Y = np.empty((X.shape[0], self.dim_out))
+        for i, x in enumerate(X):
+            Y[i] = self._checked(self.eval(x))
+        return Y
+
+    def _checked(self, y: Vector) -> Vector:
+        if y.shape != (self.dim_out,):
+            raise DimensionMismatch(f"map output has shape {y.shape}, expected ({self.dim_out},)")
+        return y
 
     def semiderivative(self, x: Vector, w: Vector) -> Vector:
         return np.asarray(self._dir(x, w), dtype=float)
@@ -57,18 +71,36 @@ class SmoothMap(SemiDiffMap):
         self.smoothness_constant = smoothness_constant
 
 
+class _AffineMap(SmoothMap):
+    """x -> A x + b with one ``np.vecdot`` per output for a point and a row
+    alike; ``A @ x`` is a gemv call and need not round as a row does."""
+
+    def __init__(self, A: np.ndarray, b: Vector):
+        self.A, self.b = A, b
+        super().__init__(A.shape[1], A.shape[0], lambda x: np.vecdot(A, x) + b,
+                         lambda x, w: A @ w, smoothness_constant=0.0)
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        return np.vecdot(X[:, None, :], self.A) + self.b
+
+
+class _IdentityMap(SmoothMap):
+    def __init__(self, n: int):
+        super().__init__(n, n, lambda x: np.asarray(x, dtype=float),
+                         lambda x, w: np.asarray(w, dtype=float), smoothness_constant=0.0)
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        return X
+
+
 def affine_map(A, b=None) -> SmoothMap:
     """x -> A x + b. The derivative is constant, so the smoothness modulus is 0."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    bv = np.zeros(m) if b is None else as_vector(b, m, "b")
-    return SmoothMap(n, m, lambda x: A @ x + bv, lambda x, w: A @ w,
-                     smoothness_constant=0.0)
+    return _AffineMap(A, np.zeros(A.shape[0]) if b is None else as_vector(b, A.shape[0], "b"))
 
 
 def identity_map(n: int) -> SmoothMap:
-    return SmoothMap(n, n, lambda x: np.asarray(x, dtype=float),
-                     lambda x, w: np.asarray(w, dtype=float), smoothness_constant=0.0)
+    return _IdentityMap(n)
 
 
 def relu_direction(a: Vector, da: Vector) -> Vector:
@@ -230,14 +262,15 @@ class _Composite(RowSubderivatives):
         return self.F.dim_in
 
     def value(self, x: Vector) -> ExtReal:
-        return self.g.value(self.F.eval(x))
+        return self.g.value(self.F._checked(self.F.eval(x)))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        # F is a user callable run row by row; g checks its one batch.
-        return self.g.values(np.array([self.F.eval(x) for x in X]).reshape(-1, self.g.dim))
+        # F may be a user map, so g checks the batch of its values.
+        return self.g.values(self.F.eval_rows(X))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        U = np.array([self.F.semiderivative(x, w) for w in W]).reshape(-1, self.g.dim)
+        U = np.array([self.F._checked(self.F.semiderivative(x, w)) for w in W]
+                     ).reshape(-1, self.g.dim)
         return self.g.subderivatives(self.F.eval(x), U)
 
 

@@ -165,13 +165,21 @@ def smooth_model(n: int, f, grad, smoothness_constant=None, lower_bound=None) ->
     return SmoothModel(n, f, grad, smoothness_constant, lower_bound)
 
 
+class _Quadratic(SmoothModel):
+    def __init__(self, c: Vector):
+        self.c = c
+        super().__init__(c.shape[0], lambda x: 0.5 * float(np.dot(x - c, x - c)),
+                         lambda x: x - c, smoothness_constant=1.0, lower_bound=0.0)
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        # vecdot runs the dot kernel of the scalar np.dot on each row.
+        D = X - self.c
+        return 0.5 * np.vecdot(D, D)
+
+
 def quadratic_model(c: Vector) -> SmoothModel:
     """(1/2) ||x - c||^2, the workhorse smooth fixture."""
-    c = as_vector(c, name="c")
-    return SmoothModel(c.shape[0],
-                       lambda x: 0.5 * float(np.dot(x - c, x - c)),
-                       lambda x: x - c,
-                       smoothness_constant=1.0, lower_bound=0.0)
+    return _Quadratic(as_vector(c, name="c"))
 
 
 def linear_model(c: Vector) -> SmoothModel:
@@ -331,7 +339,13 @@ class QuadraticInner:
 
 
 class QuadraticMoreau(RowSubderivatives):
-    """Moreau envelope of a convex quadratic; the prox is a linear solve."""
+    """Moreau envelope of a convex quadratic; the prox is a linear solve.
+
+    ``value`` is the one-row case of ``values``, which takes every prox in
+    one stacked solve (LAPACK gesv per matrix, as the scalar solve runs) and
+    each row's dot products with ``np.vecdot``, so a row's value does not
+    depend on the row count.
+    """
 
     semi_differentiable = True
     has_gradient = True
@@ -355,9 +369,15 @@ class QuadraticMoreau(RowSubderivatives):
         return np.linalg.solve(self._K, np.asarray(x, dtype=float) / self.r - self.inner.c)
 
     def value(self, x: Vector) -> ExtReal:
-        y = self._prox(x)
-        q = 0.5 * float(y @ self.inner.Q @ y) + float(self.inner.c @ y)
-        return ExtReal(float(np.dot(x - y, x - y)) / (2.0 * self.r) + q)
+        return ExtReal(self.values(np.asarray(x, dtype=float)[None])[0])
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        K, Q, c = self._K, self.inner.Q, self.inner.c
+        Y = np.linalg.solve(np.broadcast_to(K, (X.shape[0],) + K.shape),
+                            (X / self.r - c)[..., None])[..., 0]
+        q = 0.5 * np.vecdot(Y, np.vecdot(Y[:, None, :], Q)) + np.vecdot(Y, c)
+        D = X - Y
+        return np.vecdot(D, D) / (2.0 * self.r) + q
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return np.vecdot(W, self.gradient(x))

@@ -411,6 +411,10 @@ def _catalogue():
     b = rng.uniform(-1, 1, 3)
     square = sd.SmoothMap(2, 2, lambda x: x * x, lambda x, w: 2.0 * x * w)
     quad = sd.quadratic_model(rng.normal(size=3))
+    # a stream of their own, so the fixtures drawn below stay as they were
+    more = np.random.default_rng(20261020)
+    M6 = more.normal(size=(6, 6))
+    A23, A43 = more.uniform(-1, 1, (2, 3)), more.uniform(-1, 1, (4, 3))
     sqrt2r = math.sqrt(2 * 0.5)
     zero_norm_kinks = [[sqrt2r, -sqrt2r, 0.0], [-0.0, sqrt2r, 2.0], [0.4, 0.0, -sqrt2r]]
     kinks = [[0.0, -0.0, 1.0], [-0.0, -0.0, -0.0], [1.5, 0.0, -2.0]]
@@ -435,6 +439,15 @@ def _catalogue():
         ("quadratic_moreau", sd.moreau_envelope(
             sd.QuadraticInner(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2])), 1.0),
          [[0.0, 0.0]]),
+        # at n >= 5 a quadratic form built two ways parts in the last bits
+        ("quadratic_moreau_6",
+         sd.moreau_envelope(sd.QuadraticInner(M6 @ M6.T, more.normal(size=6)), 0.7),
+         [[0.0, -0.0, 1.0, 0.0, 2.0, -1.0]]),
+        ("quadratic", quad, kinks),
+        ("comp_affine_2x3", sd.precompose_smooth(sd.L1Norm(2), sd.affine_map(A23, b[:2])), kinks),
+        ("comp_affine_4x3", sd.precompose_smooth(sd.NegL1Norm(4, 0.5), sd.affine_map(A43)),
+         kinks),
+        ("comp_identity", sd.precompose_smooth(sd.L1Norm(3, 0.9), sd.identity_map(3)), kinks),
         ("zero_norm_default_loop", sd.ZeroNormComposite(np.eye(3), np.zeros(3)), kinks),
     ]
     out += [(f"dist_{name}", sd.distance_to_set(X), special) for name, X, special in SETS]
@@ -642,9 +655,11 @@ class CountingMap(sd.SemiDiffMap):
     def __init__(self, n):
         super().__init__(n, n, lambda x: x * x, lambda x, w: 2.0 * x * w)
         self.evals = 0
+        self.shapes = set()
 
     def eval(self, x):
         self.evals += 1
+        self.shapes.add(np.shape(x))
         return super().eval(x)
 
 
@@ -680,6 +695,91 @@ def test_batched_query_works_out_the_point_once():
     zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
     sd.penalize(zero, F, box, 1.5).subderivatives(x, W)
     assert (F.evals, box.contains_calls, box.project_calls) == (1, 1, 1)
+
+
+def test_user_map_sees_each_row_once_as_a_point():
+    # a map built from callables keeps the default eval_rows, a loop over eval
+    assert CountingMap.eval_rows is sd.SemiDiffMap.eval_rows
+    X = np.random.default_rng(6).normal(size=(5, 2))
+    F = CountingMap(2)
+    sd.precompose_smooth(sd.L1Norm(2), F).values(X)
+    assert (F.evals, F.shapes) == (5, {(2,)})
+
+
+def test_bundled_maps_and_quadratics_state_their_row_kernels():
+    assert "_values" in vars(sd.oracles.QuadraticMoreau)
+    assert "_values" in vars(type(sd.quadratic_model(np.zeros(2))))
+    assert "_values" in vars(sd.calculus._Composite)
+    for F in (sd.affine_map(np.ones((2, 3))), sd.identity_map(3)):
+        assert "eval_rows" in vars(type(F)), F
+        assert isinstance(F, sd.SmoothMap) and F.smoothness_constant == 0.0
+    assert type(sd.relu_map(2)).eval_rows is sd.SemiDiffMap.eval_rows
+
+
+def test_composite_rejects_a_map_output_of_the_wrong_length():
+    twice = sd.SmoothMap(2, 2, lambda x: np.concatenate([x, x]),
+                         lambda x, w: np.concatenate([w, w]))
+    g = sd.precompose_smooth(sd.L1Norm(2), twice)
+    X = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
+    for query in (lambda: g.value([1.0, 2.0]), lambda: g.values(X),
+                  lambda: g.subderivative([1.0, 2.0], [1.0, 0.0]),
+                  lambda: twice.eval_rows(X)):
+        with pytest.raises(sd.DimensionMismatch):
+            query()
+    # a right F(x) with a wrong dF(x)w, and an F that returns a scalar
+    h = sd.precompose_smooth(sd.L1Norm(2), sd.SmoothMap(
+        2, 2, lambda x: x, lambda x, w: np.concatenate([w, w])))
+    with pytest.raises(sd.DimensionMismatch):
+        h.subderivatives(X[0], X)
+    flat = sd.precompose_smooth(sd.L1Norm(1), sd.SmoothMap(2, 1, lambda x: x[0], lambda x, w: w[0]))
+    for query in (lambda: flat.value(X[0]), lambda: flat.values(X)):
+        with pytest.raises(sd.DimensionMismatch):
+            query()
+    assert twice.eval_rows(X[:0]).shape == (0, 2)
+
+
+ROW_COUNTS = (1, 2, 3, 64, 189)
+ROW_KERNEL_CASES = [c for c in VALUE_CASES if c[0] in (
+    "quadratic", "sum", "quadratic_moreau", "quadratic_moreau_6", "comp_smooth",
+    "comp_affine_2x3", "comp_affine_4x3", "comp_identity", "penalized")]
+
+
+@pytest.mark.parametrize("name, model, special", ROW_KERNEL_CASES,
+                         ids=[c[0] for c in ROW_KERNEL_CASES])
+def test_value_row_kernels_match_value_at_any_row_count(name, model, special):
+    rows = _rows(model.dim, special, np.random.default_rng(len(name) + 4), k=189)
+    want = np.array([model.value(x.copy()).v for x in rows])
+    for k in ROW_COUNTS:
+        got = np.concatenate([model.values(rows[i:i + k]) for i in range(0, len(rows), k)])
+        assert got.tobytes() == want.tobytes(), (name, k)
+
+
+def _maps():
+    rng = np.random.default_rng(20261021)
+    return [("affine_2x3", sd.affine_map(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, 2))),
+            ("affine_4x3", sd.affine_map(rng.uniform(-1, 1, (4, 3)))),
+            ("affine_3x3", sd.affine_map(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3))),
+            ("identity", sd.identity_map(3))]
+
+
+@pytest.mark.parametrize("name, F", _maps(), ids=[c[0] for c in _maps()])
+def test_map_rows_match_eval_at_any_row_count(name, F):
+    rows = _rows(F.dim_in, [[0.0, -0.0, 1.0]], np.random.default_rng(len(name)), k=189)
+    want = np.array([F.eval(x.copy()) for x in rows])
+    assert want.shape == (189, F.dim_out)
+    for k in ROW_COUNTS:
+        got = np.concatenate([F.eval_rows(rows[i:i + k]) for i in range(0, len(rows), k)])
+        assert got.tobytes() == want.tobytes(), (name, k)
+    assert F.eval_rows(rows[:0]).shape == (0, F.dim_out)
+
+
+def test_quadratic_envelope_is_its_closed_form_at_n_6():
+    env = {name: model for name, model, _ in VALUE_CASES}["quadratic_moreau_6"]
+    K, c, r = env._K, env.inner.c, env.r
+    for x in np.random.default_rng(7).uniform(-3, 3, (5, 6)):
+        t = x / r - c
+        want = float(x @ x) / (2 * r) - 0.5 * float(t @ np.linalg.solve(K, t))
+        assert env.value(x).v == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def reference_row(f, x, w):
