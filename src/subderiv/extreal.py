@@ -78,7 +78,6 @@ class ExtReal:
 
 POS_INF = ExtReal(math.inf)
 NEG_INF = ExtReal(-math.inf)
-ZERO = ExtReal(0.0)
 
 
 def ulp_tied(a: float, b: float) -> bool:

@@ -12,12 +12,16 @@ function semi-differentiable. Polyhedral projections and tangent-cone
 distances are computed exactly by active-set enumeration over facets; the
 bundled sets are low-dimensional test fixtures, not production geometry.
 
-The row query ``nearest_points(X)`` gives ``project(x)[0]`` for every row x
-of a matrix, which is all the distance value needs. It checks X once and
-asks the row kernel ``_nearest_points``, which sets override and the
-distance calls directly. Each bundled set's kernel is one array kernel and
-its ``project`` runs it on one row, so the two round alike; the kernels form
-matrix products with ``_dot_first``, never through BLAS, whose rounding can
+Two row kernels answer many queries at once, and a user set that states
+only the scalar queries gets both as loops over them. ``nearest_points(X)``
+gives ``project(x)[0]`` for every row x of a matrix, which is all the
+distance value needs; it checks X and asks ``_nearest_points``. At a point
+x of the set, ``_tangent_distances(x, W)`` gives ``tangent_distance(x, w)``
+for every row w, and the distance asks it once for all its directions. A
+bundled set states the kernels, and its ``project`` and ``tangent_distance``
+run them on one row, so the two round alike; its ``tangent_distance``
+raises NotFeasible off the set. The kernels form matrix products with
+``_dot_first`` and norms row by row, never through BLAS, whose rounding can
 depend on the number of rows.
 """
 
@@ -52,8 +56,9 @@ def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 class SetModel(abc.ABC):
     """A closed set exposing membership, projection, and tangent distance.
 
-    The row query ``nearest_points(X)`` gives ``project(x)[0]`` for every
-    row x of a matrix, bit for bit, through the kernel ``_nearest_points``.
+    The kernels ``_nearest_points`` and ``_tangent_distances`` answer
+    ``project(x)[0]`` and ``tangent_distance(x, w)`` for every row, bit for
+    bit; by default they loop over those scalar queries.
     """
 
     geometrically_derivable: bool = False
@@ -95,8 +100,30 @@ class SetModel(abc.ABC):
             out[i] = pts[0]
         return out
 
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        """dist(w; T_X(x)) for every row w of the checked k x n matrix W, at
+        a checked point x of the set; this default asks ``tangent_distance``."""
+        return np.array([self.tangent_distance(x, w) for w in W], dtype=float)
 
-class _UniqueProjection(SetModel):
+
+class _RowTangents(SetModel):
+    """A set that states its tangent-cone distance once, as the row kernel.
+    ``tangent_distance`` is the one-row case; it raises NotFeasible off the
+    set, DimensionMismatch on a wrong length and ValueError on a non-finite entry."""
+
+    @abc.abstractmethod
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        ...
+
+    def tangent_distance(self, x: Vector, w: Vector) -> float:
+        x = as_vector(x, self.dim)
+        if not self.contains(x):
+            raise NotFeasible("tangent_distance requires x in the set")
+        W = as_directions(np.asarray(w, dtype=float)[None], self.dim, "w")
+        return float(self._tangent_distances(x, W)[0])
+
+
+class _UniqueProjection(_RowTangents):
     """A set with one nearest point, computed by its ``_nearest_points`` kernel."""
 
     def project(self, x: Vector) -> list[Vector]:
@@ -128,18 +155,13 @@ class Box(_UniqueProjection):
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.lo, self.hi)
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        x = as_vector(x, self.dim)
-        w = as_vector(w, self.dim)
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         at_lo = np.abs(x - self.lo) <= _MEMBERSHIP_TOL
         at_hi = np.abs(x - self.hi) <= _MEMBERSHIP_TOL
-        # Tangent cone: w_i >= 0 on active lower faces, w_i <= 0 on upper.
-        viol = np.where(at_lo, np.minimum(w, 0.0), 0.0) ** 2
-        viol += np.where(at_hi, np.maximum(w, 0.0), 0.0) ** 2
-        # A coordinate pinned on both faces (lo == hi) must not move at all.
-        both = at_lo & at_hi
-        viol[both] = w[both] ** 2
-        return float(np.sqrt(np.sum(viol)))
+        # Tangent cone: w_i >= 0 on active lower faces, w_i <= 0 on upper; on
+        # both faces (lo == hi) one term is zero and all of w_i is kept.
+        V = np.where(at_lo, np.minimum(W, 0.0), 0.0) + np.where(at_hi, np.maximum(W, 0.0), 0.0)
+        return np.sqrt(np.vecdot(V, V))
 
 
 def nonnegative_orthant(n: int) -> Box:
@@ -172,15 +194,13 @@ class Ball(_UniqueProjection):
         scale = self.radius / np.maximum(nrm, self.radius)
         return np.where((nrm <= self.radius)[:, None], X, self.center + scale[:, None] * D)
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        x = as_vector(x, self.dim)
-        w = as_vector(w, self.dim)
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         d = x - self.center
         nrm = np.linalg.norm(d)
         if nrm < self.radius - _MEMBERSHIP_TOL:
-            return 0.0
+            return np.zeros(W.shape[0])
         # Boundary: tangent cone is the halfspace <x - c, w> <= 0.
-        return float(max(0.0, np.dot(d, w) / nrm))
+        return np.maximum(0.0, np.vecdot(W, d) / nrm)
 
 
 class AffineSubspace(_UniqueProjection):
@@ -207,10 +227,12 @@ class AffineSubspace(_UniqueProjection):
         residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
         return X - _dot_first(self._pinv.T[:, :, None], residual[:, None, :]).T
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        w = as_vector(w, self.dim)
-        # Tangent space is null(A) at every point of the set.
-        return float(np.linalg.norm(self._pinv @ (self.A @ w)))
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        # Tangent space is null(A) at every point of the set; the rows of the
+        # normal part are made contiguous for vecdot's per-row dot kernel.
+        AW = _dot_first(self.A.T[:, :, None], W.T[:, None, :])
+        P = np.ascontiguousarray(_dot_first(self._pinv.T[:, :, None], AW[:, None, :]).T)
+        return np.sqrt(np.vecdot(P, P))
 
 
 class Singleton(_UniqueProjection):
@@ -232,12 +254,11 @@ class Singleton(_UniqueProjection):
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.p, X.shape).copy()
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        w = as_vector(w, self.dim)
-        return float(np.linalg.norm(w))
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.vecdot(W, W))
 
 
-class _Polyhedral(SetModel):
+class _Polyhedral(_RowTangents):
     """Projection onto a finite union of convex polyhedra, ``self.pieces``.
 
     Each piece gives, for every row, its first nearest candidate and the
@@ -276,16 +297,16 @@ class _Polyhedral(SetModel):
 class ConvexPolyhedron(_Polyhedral):
     """{x : A x <= b}. Exact projections by enumerating facet subsets.
 
-    The per-subset correction matrices are cached at construction, keyed by
-    the subset's row indices in enumeration order (by size, then
-    lexicographic). For projections they are also stacked once, each
-    zero-padded to m rows, so the candidates x - pinv_S (A_S x - b_S) of
-    every facet subset S, their feasibility and their distances come from a
-    few broadcast array operations over all points and subsets at once. The
-    empty subset comes first; its candidate is x itself, feasible exactly
-    when x lies in the set. The nearest point is the first feasible
-    candidate of least distance, so a point of the set is its own. Row
-    counts are capped; the fixtures this backs are small.
+    The per-subset correction matrices are stacked once at construction,
+    each zero-padded to m rows, so the candidates x - pinv_S (A_S x - b_S)
+    of every facet subset S, their feasibility and their distances come from
+    a few broadcast array operations over all points and subsets at once.
+    The empty subset comes first; its candidate is x itself, feasible
+    exactly when x lies in the set. The nearest point is the first feasible
+    candidate of least distance, so a point of the set is its own. The
+    tangent-cone distance walks the same table, restricted to the subsets
+    of the rows active at x. Row counts are capped; the fixtures this backs
+    are small.
 
     Row i of A y <= b is tested with the tolerance
     1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
@@ -305,23 +326,18 @@ class ConvexPolyhedron(_Polyhedral):
         m, n = self.A.shape
         if m > _MAX_ENUM_ROWS:
             raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
-        self._subsets = {}
-        for r in range(1, m + 1):
-            for S in itertools.combinations(range(m), r):
-                rows = self.A[list(S), :]
-                self._subsets[S] = (rows, np.linalg.pinv(rows))
-        # The empty subset and then the cached ones, stacked for the projection
-        # kernel and padded to m rows: row l of subset i is row
+        # Every facet subset, the empty one first, by size and then
+        # lexicographic, padded to m rows: row l of subset i is row
         # _subset_rows[l, i] of A, a padding row where _subset_used[l, i] is
         # False, and pinv column l is _subset_pinvs[l, :, i] (zero on padding).
-        count = len(self._subsets) + 1
-        self._subset_rows = np.zeros((m, count), dtype=int)
-        self._subset_used = np.zeros((m, count, 1), dtype=bool)
-        self._subset_pinvs = np.zeros((m, n, count, 1))
-        for i, (S, (_, pinv)) in enumerate(self._subsets.items(), start=1):
+        subsets = [S for r in range(m + 1) for S in itertools.combinations(range(m), r)]
+        self._subset_rows = np.zeros((m, len(subsets)), dtype=int)
+        self._subset_used = np.zeros((m, len(subsets), 1), dtype=bool)
+        self._subset_pinvs = np.zeros((m, n, len(subsets), 1))
+        for i, S in enumerate(subsets):
             self._subset_rows[:len(S), i] = S
             self._subset_used[:len(S), i] = True
-            self._subset_pinvs[:len(S), :, i, 0] = pinv.T
+            self._subset_pinvs[:len(S), :, i, 0] = np.linalg.pinv(self.A[list(S), :]).T
 
     @property
     def dim(self) -> int:
@@ -366,20 +382,26 @@ class ConvexPolyhedron(_Polyhedral):
             Y[lo:lo + chunk] = C[:, first, points].T
         return dist, Y
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        active = np.flatnonzero(self.A @ x >= self.b - self._row_tol(x))
-        if active.size == 0:
-            return 0.0
-        Aact = self.A[active, :]
-        if np.all(Aact @ w <= _MEMBERSHIP_TOL):
-            return 0.0
-        best = float(np.linalg.norm(w))  # v = 0 is always in the cone
-        for r in range(1, active.size + 1):
-            for S in itertools.combinations(active.tolist(), r):
-                rows, pinv = self._subsets[S]
-                v = w - pinv @ (rows @ w)
-                if np.all(Aact @ v <= _MEMBERSHIP_TOL):
-                    best = min(best, float(np.linalg.norm(w - v)))
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        """Least ||w - v|| over v = 0 and v = w - pinv_S A_S w with A_act v <= 1e-9,
+        for each subset S of the active rows; the empty S gives v = w."""
+        act = self.A @ x >= self.b - self._row_tol(x)
+        if not act.any():   # an interior point, whose tangent cone is the whole space
+            return np.zeros(W.shape[0])
+        sel = np.flatnonzero(np.all(act[self._subset_rows] | ~self._subset_used[:, :, 0], axis=0))
+        rows, used = self._subset_rows[:, sel], self._subset_used[:, sel]
+        pinvs = self._subset_pinvs[:, :, sel]
+        A_act = self.A[act].T[:, :, None, None]
+        best = np.sqrt(np.vecdot(W, W))   # v = 0 is always in the cone
+        chunk = max(1, _KERNEL_ELEMENTS // pinvs.size)
+        for lo in range(0, W.shape[0], chunk):
+            Wt = W[lo:lo + chunk].T                                          # (n, k)
+            AW = np.where(used, _dot_first(self.A.T[:, :, None], Wt[:, None, :])[rows], 0.0)
+            V = Wt[:, None, :] - _dot_first(pinvs, AW[:, None])             # (n, subsets, k)
+            ok = np.all(_dot_first(A_act, V[:, None]) <= _MEMBERSHIP_TOL, axis=0)
+            D = Wt[:, None, :] - V
+            d = np.where(ok, np.sqrt(_dot_first(D, D)), np.inf).min(axis=0)
+            best[lo:lo + chunk] = np.minimum(best[lo:lo + chunk], d)
         return best
 
 
@@ -408,16 +430,12 @@ class FiniteUnion(_Polyhedral):
         x = as_vector(x, self.dim)
         return any(p.contains(x) for p in self.pieces)
 
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        x = as_vector(x, self.dim)
-        w = as_vector(w, self.dim)
-        owners = [p for p in self.pieces if p.contains(x)]
-        if not owners:
-            raise NotFeasible("tangent_distance requires x in the set")
-        return min(p.tangent_distance(x, w) for p in owners)
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return np.minimum.reduce([p._tangent_distances(x, W) for p in self.pieces
+                                  if p.contains(x)])
 
 
-class ComplementaritySet(SetModel):
+class ComplementaritySet(_RowTangents):
     """{(y, z) in R^{2k} : <y, z> = 0, y <= 0, z <= 0}.
 
     With both blocks nonpositive the inner product vanishes iff y_i z_i = 0
@@ -436,12 +454,9 @@ class ComplementaritySet(SetModel):
     def dim(self) -> int:
         return 2 * self.k
 
-    def _pairs(self, x: Vector):
-        return x[:self.k], x[self.k:]
-
     def contains(self, x: Vector) -> bool:
         x = as_vector(x, self.dim)
-        y, z = self._pairs(x)
+        y, z = x[:self.k], x[self.k:]
         if np.any(y > _MEMBERSHIP_TOL) or np.any(z > _MEMBERSHIP_TOL):
             return False
         return bool(np.all(np.abs(y * z) <= _MEMBERSHIP_TOL))
@@ -481,27 +496,13 @@ class ComplementaritySet(SetModel):
         on_a, on_b, _, first = self._corner_projections(X)
         return np.hstack([np.where(first, on_a, 0.0), np.where(first, 0.0, on_b)])
 
-    @staticmethod
-    def _pair_tangent_dist_sq(a: float, b: float, u: float, v: float) -> float:
-        if a < -_MEMBERSHIP_TOL:        # interior of the ray b = 0
-            return v * v
-        if b < -_MEMBERSHIP_TOL:        # interior of the ray a = 0
-            return u * u
-        # Corner point: the tangent cone is the corner itself.
-        d1 = v * v + max(u, 0.0) ** 2
-        d2 = u * u + max(v, 0.0) ** 2
-        return min(d1, d2)
-
-    def tangent_distance(self, x: Vector, w: Vector) -> float:
-        x = as_vector(x, self.dim)
-        w = as_vector(w, self.dim)
-        y, z = self._pairs(x)
-        u, v = self._pairs(w)
-        total = 0.0
-        for i in range(self.k):
-            total += self._pair_tangent_dist_sq(float(y[i]), float(z[i]),
-                                                float(u[i]), float(v[i]))
-        return float(np.sqrt(total))
+    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        a, b = x[:self.k], x[self.k:]
+        U, V = W[:, :self.k], W[:, self.k:]
+        # Inside the ray b = 0 only v must vanish, inside a = 0 only u; a corner is its own cone.
+        corner = np.minimum(V * V + np.maximum(U, 0.0) ** 2, U * U + np.maximum(V, 0.0) ** 2)
+        sq = np.where(a < -_MEMBERSHIP_TOL, V * V, np.where(b < -_MEMBERSHIP_TOL, U * U, corner))
+        return np.sqrt(np.sum(sq, axis=1))
 
 
 class DistanceToSet(RowSubderivatives):
@@ -529,9 +530,7 @@ class DistanceToSet(RowSubderivatives):
         return float(np.linalg.norm(x - pts[0])), pts
 
     def value(self, x: Vector) -> ExtReal:
-        x = as_vector(x, self.dim)
-        d, _ = self._nearest(x)
-        return ExtReal(d)
+        return ExtReal(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.
@@ -540,7 +539,7 @@ class DistanceToSet(RowSubderivatives):
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         if self.X.contains(x):
-            return np.array([self.X.tangent_distance(x, w) for w in W], dtype=float)
+            return self.X._tangent_distances(x, W)
         d, pts = self._nearest(x)
         # A later nearest point replaces the incumbent only when strictly
         # smaller, so a tie keeps the first, as the builtin min does.

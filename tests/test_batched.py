@@ -14,6 +14,7 @@ so the finite-difference estimate, which scores its probe points with one
 values query, is the one the per-point loop gave.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -383,6 +384,9 @@ def _rows(dim, special, rng, k=190):
     return X
 
 
+ROW_COUNTS = (1, 2, 3, 64, 189)
+
+
 @pytest.mark.parametrize("name, X, special", SETS, ids=[c[0] for c in SETS])
 def test_set_row_kernel_matches_project_at_any_row_count(name, X, special):
     rows = _rows(X.dim, special, np.random.default_rng(len(name)))
@@ -392,6 +396,64 @@ def test_set_row_kernel_matches_project_at_any_row_count(name, X, special):
         assert X.nearest_points(rows[i:i + 1])[0].tobytes() == got[i].tobytes(), (name, i)
         assert X.project(x.copy())[0].tobytes() == got[i].tobytes(), (name, i)
     assert X.nearest_points(np.asfortranarray(rows)).tobytes() == got.tobytes()
+
+
+def _pyramid():
+    """{z >= -1, |x| <= -z, |y| <= -z}: 4 rows active at the apex 0, 3 at a
+    base corner, 2 on a base edge."""
+    return sd.ConvexPolyhedron(np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                         [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]),
+                               np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+
+
+def _tangent_sets():
+    """(name, set, points of the set on each branch of its tangent cone)."""
+    lo, hi = np.full(12, -1.0), np.ones(12)
+    lo[3] = hi[3] = 0.5
+    mixed = np.where(np.arange(12) % 3 == 0, lo, hi)
+    mixed[1] = 0.25
+    rays = np.zeros(18)
+    rays[[0, 2, 4, 6]] = -1.5          # pairs 0, 2, 4, 6 inside the ray z = 0
+    rays[[10, 12, 14]] = -0.5          # pairs 1, 3, 5 inside the ray y = 0; 7, 8 at the corner
+    t = math.tan(math.pi / 10)         # (1, t) is the decagon vertex between its first two facets
+    return [
+        ("box", sd.Box(np.array([-1.0, 2.0]), np.array([1.0, 2.0])),
+         [[-1.0, 2.0], [1.0, 2.0], [0.0, 2.0]]),
+        ("box_12", sd.Box(lo, hi), [hi, lo, mixed, np.where(np.arange(12) == 3, 0.5, 0.0)]),
+        ("orthant", sd.nonnegative_orthant(3), [[0.0, 0.0, 0.0], [-0.0, 1.0, 0.0], [1.0, 2.0, 3.0]]),
+        ("ball", sd.Ball(np.array([0.5, -0.5]), 1.0), [[1.5, -0.5], [0.5, 0.5], [0.5, -0.5]]),
+        ("affine", sd.AffineSubspace(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+                                     np.array([1.0, 0.5])), [[1.0, 0.0, -0.5], [0.0, 1.0, 0.5]]),
+        ("singleton", sd.Singleton(np.array([0.5, -1.0])), [[0.5, -1.0]]),
+        ("polyhedron", _square(), [[1.0, 1.0], [0.0, -1.0], [0.5, 1.0], [0.5, 0.0]]),
+        ("decagon", _decagon(), [[1.0, t], [1.0, 0.0], [0.0, 0.0]]),
+        ("pyramid", _pyramid(), [[0.0, 0.0, 0.0], [1.0, 1.0, -1.0], [1.0, 0.0, -1.0],
+                                 [0.5, 0.0, -1.0], [0.0, 0.0, -0.5]]),
+        ("union", _union(), [[4.0, 0.0], [4.5, 1.0], [4.0, 1.0], [0.0, -2.0], [4.5, 0.5]]),
+        ("complementarity", sd.ComplementaritySet(2),
+         [[0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, -2.0], [0.0, -1.0, -0.0, 0.0]]),
+        ("complementarity_9", sd.ComplementaritySet(9), [np.zeros(18), rays]),
+    ]
+
+
+TANGENT_SETS = _tangent_sets()
+
+
+@pytest.mark.parametrize("name, X, points", TANGENT_SETS, ids=[c[0] for c in TANGENT_SETS])
+def test_tangent_row_kernel_matches_tangent_distance_at_any_row_count(name, X, points):
+    rng = np.random.default_rng(len(name) + 7)
+    answers = []
+    for x in map(np.array, points):
+        assert X.contains(x), (name, x)
+        W = _rows(X.dim, [np.zeros(X.dim), X.project(x + 1.0)[0] - x], rng, k=189)
+        want = np.array([X.tangent_distance(x, w.copy()) for w in W])
+        for k in ROW_COUNTS:
+            got = np.concatenate([X._tangent_distances(x, W[i:i + k])
+                                  for i in range(0, len(W), k)])
+            assert got.tobytes() == want.tobytes(), (name, x, k)
+        answers.append(want)
+    # the directions reach both the cone (distance 0) and beyond it
+    assert (np.concatenate(answers) > 0).any() and (np.concatenate(answers) == 0).any()
 
 
 def test_set_fixtures_reach_inside_points_and_ties():
@@ -647,6 +709,15 @@ def test_bundled_models_state_each_subderivative_once():
     assert {c.__name__ for c in sets if "_nearest_points" in vars(c)} >= {
         "Box", "Ball", "AffineSubspace", "Singleton", "ComplementaritySet"}
     assert {c for c in sets if "nearest_points" in vars(c)} == set()
+    # each bundled set states its tangent-cone distance once, as the kernel
+    concrete = {c for c in sets if not inspect.isabstract(c)}
+    assert {c.__name__ for c in concrete} == {
+        "Box", "Ball", "AffineSubspace", "Singleton", "ConvexPolyhedron", "FiniteUnion",
+        "ComplementaritySet"}
+    for c in concrete:
+        assert "_tangent_distances" in vars(c), c
+    assert {c for c in sets if "tangent_distance" in vars(c)} == {sd.sets._RowTangents}
+    assert not hasattr(_square(), "_subsets")
 
 
 class CountingMap(sd.SemiDiffMap):
@@ -664,11 +735,11 @@ class CountingMap(sd.SemiDiffMap):
 
 
 class CountingBox(sd.Box):
-    """A box counting its membership tests and projections."""
+    """A box counting its membership tests, projections and tangent kernels."""
 
     def __init__(self, lo, hi):
         super().__init__(lo, hi)
-        self.contains_calls = self.project_calls = 0
+        self.contains_calls = self.project_calls = self.tangent_calls = 0
 
     def contains(self, x):
         self.contains_calls += 1
@@ -677,6 +748,10 @@ class CountingBox(sd.Box):
     def project(self, x):
         self.project_calls += 1
         return super().project(x)
+
+    def _tangent_distances(self, x, W):
+        self.tangent_calls += 1
+        return super()._tangent_distances(x, W)
 
 
 def test_batched_query_works_out_the_point_once():
@@ -688,9 +763,9 @@ def test_batched_query_works_out_the_point_once():
     box = CountingBox(np.zeros(2), np.ones(2))
     sd.distance_to_set(box).subderivatives(x, W)
     assert (box.contains_calls, box.project_calls) == (1, 1)
-    # inside the set only membership is asked, then each row's tangent distance
+    # inside the set only membership is asked, then the tangent kernel once
     sd.distance_to_set(box).subderivatives(np.array([0.5, 0.0]), W)
-    assert (box.contains_calls, box.project_calls) == (2, 1)
+    assert (box.contains_calls, box.project_calls, box.tangent_calls) == (2, 1, 1)
     F, box = CountingMap(2), CountingBox(np.zeros(2), np.ones(2))
     zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
     sd.penalize(zero, F, box, 1.5).subderivatives(x, W)
@@ -738,7 +813,6 @@ def test_composite_rejects_a_map_output_of_the_wrong_length():
     assert twice.eval_rows(X[:0]).shape == (0, 2)
 
 
-ROW_COUNTS = (1, 2, 3, 64, 189)
 ROW_KERNEL_CASES = [c for c in VALUE_CASES if c[0] in (
     "quadratic", "sum", "quadratic_moreau", "quadratic_moreau_6", "comp_smooth",
     "comp_affine_2x3", "comp_affine_4x3", "comp_identity", "penalized")]

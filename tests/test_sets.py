@@ -227,6 +227,50 @@ def test_distance_oracle_semidifferentiable_flag(name, X):
     assert sd.distance_to_set(X).semi_differentiable
 
 
+@pytest.mark.parametrize("name,X", bundled_sets())
+def test_tangent_distance_checks_its_point_and_direction(name, X):
+    # Box(0, 1).tangent_distance([5], [1]) used to answer 0.0 off the set, and
+    # the polyhedron answered nan for a nan direction
+    n = X.dim
+    on = X.project(np.full(n, 0.3))[0]
+    off = next(p for p in (np.full(n, 5.0), np.full(n, -5.0)) if not X.contains(p))
+    w = np.ones(n)
+    assert X.tangent_distance(on, w) >= 0.0
+    with pytest.raises(sd.NotFeasible):
+        X.tangent_distance(off, w)
+    for x, v in ((np.zeros(n + 1), w), (on, np.zeros(n + 1)), (on, np.zeros((1, n)))):
+        with pytest.raises(sd.DimensionMismatch):
+            X.tangent_distance(x, v)
+    for entry in (np.nan, np.inf, -np.inf):
+        bad = np.ones(n)
+        bad[-1] = entry
+        for x, v in ((bad, w), (on, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                X.tangent_distance(x, v)
+
+
+class CountingComplementarity(sd.ComplementaritySet):
+    """A complementarity set counting its projections."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.project_calls = 0
+
+    def project(self, x):
+        self.project_calls += 1
+        return super().project(x)
+
+
+def test_distance_value_reads_one_nearest_point():
+    # at x = -1 every pair ties, and project enumerates all 2^16 nearest points
+    X = CountingComplementarity(16)
+    f = sd.distance_to_set(X)
+    x = -np.ones(32)
+    got = f.value(x).v
+    assert got == 4.0 and np.float64(got).tobytes() == f.values(x[None]).tobytes()
+    assert X.project_calls == 0
+
+
 class _NoProjection(sd.SetModel):
     @property
     def dim(self):
@@ -248,23 +292,33 @@ def test_distance_oracle_empty_projection():
         f.value(np.zeros(1))
 
 
+def _left_to_right(M, v):
+    """M v with each entry summed left to right, as the set kernels sum."""
+    out = M[..., 0] * v[0]
+    for j in range(1, len(v)):
+        out = out + M[..., j] * v[j]
+    return out
+
+
 def _per_call_tangent_distance(P, x, w):
-    """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset."""
+    """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset,
+    products and norms summed left to right, and the v = 0 candidate as
+    sqrt(w . w)."""
     tol = sd.sets._MEMBERSHIP_TOL
     row_tol = tol * np.maximum(1.0, np.abs(P.A) @ np.abs(x) + np.abs(P.b))
     active = np.flatnonzero(P.A @ x >= P.b - row_tol)
     if active.size == 0:
         return 0.0
     Aact = P.A[active, :]
-    if np.all(Aact @ w <= tol):
+    if np.all(_left_to_right(Aact, w) <= tol):
         return 0.0
-    best = float(np.linalg.norm(w))
+    best = float(np.sqrt(np.dot(w, w)))
     for r in range(1, active.size + 1):
         for S in itertools.combinations(range(active.size), r):
             rows = Aact[list(S), :]
-            v = w - np.linalg.pinv(rows) @ (rows @ w)
-            if np.all(Aact @ v <= tol):
-                best = min(best, float(np.linalg.norm(w - v)))
+            v = w - _left_to_right(np.linalg.pinv(rows), _left_to_right(rows, w))
+            if np.all(_left_to_right(Aact, v) <= tol):
+                best = min(best, float(np.sqrt(_left_to_right(w - v, w - v))))
     return best
 
 
