@@ -4,6 +4,9 @@ Exit codes: 0 when the run terminates EpsStationary or MaxIter, 1 on runtime
 failures (including Unbounded and BacktrackExhausted terminals), 2 on usage
 errors. Identical flags plus seed give byte-identical traces; wall-clock
 timing is the one nondeterministic column and ``--no-timing`` zeroes it.
+
+Each run reads one settings dict: the ``--config`` file, then the flags that
+were given, then a ``--sweep`` line's overrides, later sources winning.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
                      run)
 
 CSV_HEADER = "iter,f,dir_value,alpha,backtracks,step_norm,wall_ns"
-
-_FLAG_KEYS = ("epsilon", "norm", "mu", "alpha0", "schedule", "max_iter",
-              "seed", "strategy", "budget", "format", "no_timing", "r")
 
 # SolverConfig fields a setting overrides directly, with their converters.
 _CONFIG_KEYS = (("epsilon", float), ("norm", NormChoice), ("max_iter", int),
@@ -100,17 +100,18 @@ def read_trace_csv(path: str) -> tuple[list[dict], str]:
     return rows, status
 
 
-def _parse_config_file(path: str) -> dict:
-    out = {}
+def _read_lines(path: str) -> list[str]:
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+        return [ln for ln in (raw.split("#", 1)[0].strip() for raw in fh) if ln]
+
+
+def _key_values(items, what: str) -> dict:
+    out = {}
+    for item in items:
+        if "=" not in item:
+            raise ValueError(f"{what} without '=': {item!r}")
+        key, val = item.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed for the sampling fallback")
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--budget", type=int, help="fallback sample budget")
-    p.add_argument("--r", type=float,
+    p.add_argument("--r", type=float, dest="param.r", metavar="R",
                    help="Moreau smoothing radius for envelope problems (default 0.5)")
     p.add_argument("--out", help="trace output path")
     p.add_argument("--format", choices=["csv", "json"], default=None)
@@ -142,13 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _merge_settings(args: argparse.Namespace, file_cfg: dict) -> dict:
-    settings = dict(file_cfg)
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            settings[key] = val
-    return settings
+def _flag_settings(args: argparse.Namespace) -> dict:
+    """The flags that were given; ``--r`` arrives as ``param.r``."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("list", "config", "sweep") and v is not None and v is not False}
+
+
+def _parse_no_timing(value) -> bool:
+    text = str(value).lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValueError(f"no_timing must be true or false, got {value!r}")
 
 
 def _apply_settings(built: BuiltProblem, settings: dict) -> SolverConfig:
@@ -167,15 +174,7 @@ def _apply_settings(built: BuiltProblem, settings: dict) -> SolverConfig:
     return cfg
 
 
-def _problem_params(settings: dict) -> dict:
-    params = {k.split(".", 1)[1]: v for k, v in settings.items()
-              if k.startswith("param.")}
-    if "r" in settings:
-        params.setdefault("r", settings["r"])
-    return params
-
-
-def _run_single(settings: dict, out: Optional[str], fmt: str, no_timing: bool) -> int:
+def _run_single(settings: dict) -> int:
     name = settings.get("problem")
     if not name:
         print("error: --problem is required (or use --list)", file=sys.stderr)
@@ -184,30 +183,32 @@ def _run_single(settings: dict, out: Optional[str], fmt: str, no_timing: bool) -
         print(f"error: --problem got unknown name {name!r}; see --list",
               file=sys.stderr)
         return 2
-    built = build_problem(name, _problem_params(settings))
+    no_timing = _parse_no_timing(settings.get("no_timing", False))
+    built = build_problem(name, {k.split(".", 1)[1]: v for k, v in settings.items()
+                                 if k.startswith("param.")})
     cfg = _apply_settings(built, settings)
     trace = run(built.model, built.x0, cfg)
     audit = None
-    if (built.L is not None and built.f_star is not None
+    L = built.model.descent_constant
+    if (L is not None and built.f_star is not None
             and cfg.schedule.kind == "armijo" and trace.records):
         mu = cfg.schedule.armijo_params.mu
         N = len(trace.records) - 1
         # The descent inequality is Euclidean; a non-Euclidean search ball
         # rescales the effective constant by its worst ||w||_2^2.
         strategy = resolve_strategy(built.model, cfg.strategy)
-        L_eff = built.L * ball_radius_sq(strategy, built.model.dim, cfg.norm,
-                                         cfg.reduced_l1)
+        L_eff = L * ball_radius_sq(strategy, built.model.dim, cfg.norm,
+                                   cfg.reduced_l1)
         res = rate_audit(trace, built.f_star, L_eff, mu, N)
         audit = {"lhs": res.lhs, "rhs": res.rhs, "rate_holds": res.rate_holds,
                  "decrease_holds": res.decrease_holds, "holds": res.holds,
                  "N": N, "M": rate_constant(mu, L_eff),
-                 "L": built.L, "L_effective": L_eff, "f_star": built.f_star}
+                 "L": L, "L_effective": L_eff, "f_star": built.f_star}
+    out = settings.get("out")
     if out:
-        echo = {k: (v.value if isinstance(v, NormChoice) else v)
-                for k, v in sorted(settings.items())}
-        echo["problem"] = name
-        emit_trace(trace, out, fmt, config_echo=echo, audit=audit,
-                   no_timing=no_timing)
+        echo = {k: v for k, v in settings.items() if k != "out"}
+        emit_trace(trace, out, settings.get("format", "csv"), config_echo=echo,
+                   audit=audit, no_timing=no_timing)
     summary = (f"{name}: status={trace.status.value} iters={len(trace.records)} "
                f"f_final={trace.f_final!r}")
     if trace.detail:
@@ -217,6 +218,21 @@ def _run_single(settings: dict, out: Optional[str], fmt: str, no_timing: bool) -
         return 0
     print(f"error: terminal status {trace.status.value}", file=sys.stderr)
     return 1
+
+
+def _sweep_settings(sweep_path: str, base: dict) -> list[dict]:
+    """One settings dict per sweep line: the line's overrides beat ``base``.
+
+    A line without its own ``out`` writes to ``<out>.<line index>``.
+    """
+    jobs = []
+    for i, line in enumerate(_read_lines(sweep_path)):
+        overrides = _key_values(shlex.split(line), "sweep token")
+        job = {**base, **overrides}
+        if "out" in base and "out" not in overrides:
+            job["out"] = f"{base['out']}.{i}"
+        jobs.append(job)
+    return jobs
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -232,60 +248,27 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{name}: {spec.description}{params}")
         return 0
     try:
-        file_cfg = _parse_config_file(args.config) if args.config else {}
+        file_cfg = (_key_values(_read_lines(args.config), "config line")
+                    if args.config else {})
     except (OSError, ValueError) as exc:
         print(f"error: --config: {exc}", file=sys.stderr)
         return 2
-    settings = _merge_settings(args, file_cfg)
-    if args.problem:
-        settings["problem"] = args.problem
-    fmt = args.format or settings.get("format") or "csv"
-    no_timing = bool(args.no_timing or settings.get("no_timing"))
-    out = args.out or settings.get("out")
-
+    settings = {**file_cfg, **_flag_settings(args)}
+    jobs = [settings]
     if args.sweep:
-        return _run_sweep(args.sweep, settings, out, fmt, no_timing)
-    try:
-        return _run_single(settings, out, fmt, no_timing)
-    except KeyboardInterrupt:
-        raise
-    except Exception as exc:  # runtime failures exit 1 with one diagnostic line
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
-
-def _run_sweep(sweep_path: str, base: dict, out: Optional[str], fmt: str,
-               no_timing: bool) -> int:
-    """Each sweep line holds key=value overrides; runs in file order."""
-    try:
-        with open(sweep_path) as fh:
-            lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    except OSError as exc:
-        print(f"error: --sweep: {exc}", file=sys.stderr)
-        return 2
-    jobs = []
-    for i, line in enumerate(ln for ln in lines if ln):
-        overrides = {}
-        for tok in shlex.split(line):
-            if "=" not in tok:
-                print(f"error: sweep token without '=': {tok!r}", file=sys.stderr)
-                return 2
-            k, v = tok.split("=", 1)
-            overrides[k] = v
-        settings = dict(base)
-        settings.update(overrides)
-        job_out = overrides.get("out")
-        if job_out is None and out:
-            job_out = f"{out}.{i}"
-        jobs.append((settings, job_out))
-    codes = []
-    for settings, job_out in jobs:
         try:
-            codes.append(_run_single(settings, job_out, fmt, no_timing))
+            jobs = _sweep_settings(args.sweep, settings)
+        except (OSError, ValueError) as exc:
+            print(f"error: --sweep: {exc}", file=sys.stderr)
+            return 2
+    codes = []
+    for job in jobs:  # runtime failures exit 1 with one diagnostic line each
+        try:
+            codes.append(_run_single(job))
         except Exception as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             codes.append(1)
-    return max(codes) if codes else 2
+    return max(codes, default=2)
 
 
 if __name__ == "__main__":

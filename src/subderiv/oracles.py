@@ -28,67 +28,43 @@ class L1Norm(RowSubderivatives):
     semi_differentiable = True
     is_separable = True
     lower_bound = 0.0
+    _sign = 1.0
 
     def __init__(self, n: int, lam: float = 1.0):
         if lam <= 0:
             raise ValueError("lam must be positive")
         self._n = int(n)
         self.lam = float(lam)
+        self._c = self._sign * self.lam
 
     @property
     def dim(self) -> int:
         return self._n
 
     def value(self, x: Vector) -> ExtReal:
-        return ExtReal(self.lam * float(np.sum(np.abs(x))))
+        return ExtReal(self._c * float(np.sum(np.abs(x))))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        return self.lam * np.sum(np.abs(X), axis=1)
+        return self._c * np.sum(np.abs(X), axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
-        return self.lam * np.sum(S, axis=1)
+        return self._c * np.sum(S, axis=1)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         x = np.asarray(x, dtype=float)
-        up = np.where(x < 0, -self.lam, self.lam)
-        down = np.where(x > 0, -self.lam, self.lam)
+        up = np.where(x < 0, -self._c, self._c)
+        down = np.where(x > 0, -self._c, self._c)
         return np.zeros(self.dim), (up, down)
 
 
-class NegL1Norm(RowSubderivatives):
+class NegL1Norm(L1Norm):
     """-lam * ||x||_1; concave, so the descent property holds with constant 0."""
 
-    semi_differentiable = True
-    is_separable = True
+    _sign = -1.0
+    lower_bound = None
     subderivative_concave = True
     descent_constant = 0.0
-
-    def __init__(self, n: int, lam: float = 1.0):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        self._n = int(n)
-        self.lam = float(lam)
-
-    @property
-    def dim(self) -> int:
-        return self._n
-
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(-self.lam * float(np.sum(np.abs(x))))
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        return -self.lam * np.sum(np.abs(X), axis=1)
-
-    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        S = np.where(x > 0, -W, np.where(x < 0, W, -np.abs(W)))
-        return self.lam * np.sum(S, axis=1)
-
-    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        x = np.asarray(x, dtype=float)
-        up = np.where(x < 0, self.lam, -self.lam)
-        down = np.where(x > 0, self.lam, -self.lam)
-        return np.zeros(self.dim), (up, down)
 
 
 class ZeroNormComposite(RowSubderivatives):

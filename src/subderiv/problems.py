@@ -60,7 +60,6 @@ class BuiltProblem:
     model: FunctionModel
     x0: Vector
     defaults: SolverConfig
-    L: Optional[float] = None          # descent constant for the rate audit
     f_star: Optional[float] = None     # lower bound for the rate audit
 
 
@@ -86,7 +85,7 @@ def _build_quadratic(params: dict) -> BuiltProblem:
     x0 = _parse_vector(params.get("x0"), 3.0 * np.ones(n))
     model = quadratic_model(c)
     cfg = SolverConfig(epsilon=1e-6, norm=NormChoice.L2, max_iter=500, strategy="l2")
-    return BuiltProblem(model, x0, cfg, L=1.0, f_star=0.0)
+    return BuiltProblem(model, x0, cfg, f_star=0.0)
 
 
 def _build_linear(params: dict) -> BuiltProblem:
@@ -105,7 +104,7 @@ def _build_dc_quadratic_l1(params: dict) -> BuiltProblem:
     model = sum_models([quadratic_model(np.zeros(n)), NegL1Norm(n, lam)])
     cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1,
                        max_iter=5000, strategy="l1-ext")
-    return BuiltProblem(model, x0, cfg, L=1.0, f_star=-n * lam * lam / 2.0)
+    return BuiltProblem(model, x0, cfg, f_star=-n * lam * lam / 2.0)
 
 
 def _build_separable_l1(params: dict) -> BuiltProblem:
@@ -131,7 +130,7 @@ def _build_sparse_moreau(params: dict) -> BuiltProblem:
     model = moreau_envelope(ZeroNormInner(), r, n=n)
     cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.LINF,
                        max_iter=5000, strategy="linf-sep")
-    return BuiltProblem(model, x0, cfg, L=1.0 / r, f_star=0.0)
+    return BuiltProblem(model, x0, cfg, f_star=0.0)
 
 
 def _build_diff_max(params: dict) -> BuiltProblem:

@@ -251,15 +251,32 @@ class RateAudit:
         return self.rate_holds and self.decrease_holds
 
 
+def sufficient_decrease_audit(trace: Trace, M: float) -> list[bool]:
+    """Per-step check of f(x_{k+1}) - f(x_k) <= -M min{|d_k|, d_k^2}.
+
+    Terminal probe rows (alpha = 0) take no step; their bound is 0 and holds
+    iff f did not increase, which is vacuously true since there is no
+    successor. Rows with d_k = -inf are skipped and reported True: their
+    bound is -inf, and Armijo accepts such a step on a plain decrease.
+    """
+    out = []
+    for i, r in enumerate(trace.records):
+        f_next = (trace.records[i + 1].f if i + 1 < len(trace.records)
+                  else trace.f_final)
+        if (r.alpha == 0.0 and f_next == r.f) or r.dir_value == -math.inf:
+            out.append(True)
+            continue
+        bound = -M * min(abs(r.dir_value), r.dir_value ** 2)
+        out.append(f_next - r.f <= bound)
+    return out
+
+
 def rate_audit(trace: Trace, f_star: float, L: float, mu: float, N: int) -> RateAudit:
     """Check the O(eps^-2) rate certificate on a recorded Armijo trace.
 
     Verifies min_{0<=k<=N} |d_k| <= sqrt((f(x_0) - f_star) / (M (N+1))) with
-    M = min{1/2, mu/(2L)}, plus the per-step sufficient decrease
-    f(x_{k+1}) - f(x_k) <= -M min{|d_k|, d_k^2} at every recorded step.
-    Steps with d_k = -inf are skipped in that check: their bound is -inf,
-    and Armijo accepts them on a plain decrease. ``L`` and ``f_star`` must
-    be valid for the traced objective.
+    M = min{1/2, mu/(2L)}, plus ``sufficient_decrease_audit`` on rows 0
+    through N. ``L`` and ``f_star`` must be valid for the traced objective.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -271,14 +288,5 @@ def rate_audit(trace: Trace, f_star: float, L: float, mu: float, N: int) -> Rate
     lhs = min(abs(r.dir_value) for r in recs)
     gap = trace.records[0].f - f_star
     rhs = math.sqrt(max(gap, 0.0) / (M * (N + 1)))
-    decrease = True
-    for i, r in enumerate(recs):
-        if r.alpha == 0.0 or r.dir_value == -math.inf:
-            continue  # terminal probe, or a step with no finite bound
-        f_next = (trace.records[i + 1].f if i + 1 < len(trace.records)
-                  else trace.f_final)
-        bound = -M * min(abs(r.dir_value), r.dir_value ** 2)
-        if not f_next - r.f <= bound:
-            decrease = False
-            break
+    decrease = all(sufficient_decrease_audit(trace, M)[:N + 1])
     return RateAudit(lhs=lhs, rhs=rhs, rate_holds=lhs <= rhs, decrease_holds=decrease)

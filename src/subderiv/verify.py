@@ -28,7 +28,7 @@ from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector
 from .sets import SetModel
-from .solver import Trace
+from .solver import sufficient_decrease_audit  # noqa: F401 (re-exported)
 
 _BRUTE_DIM_CAP = 4
 _BRUTE_SAMPLE_CAP = 2_000_000
@@ -308,26 +308,6 @@ def descent_property_sample(f: FunctionModel, L: float,
         if gap > tol:
             violations.append((x, y, gap))
     return DescentSampleReport(violations, float(max_gap), pairs)
-
-
-def sufficient_decrease_audit(trace: Trace, M: float) -> list[bool]:
-    """Per-step check of f(x_{k+1}) - f(x_k) <= -M min{|d_k|, d_k^2}.
-
-    Terminal probe rows (alpha = 0) take no step; their bound is 0 and holds
-    iff f did not increase, which is vacuously true since there is no
-    successor. Rows with d_k = -inf are skipped and reported True: their
-    bound is -inf, and Armijo accepts such a step on a plain decrease.
-    """
-    out = []
-    for i, r in enumerate(trace.records):
-        f_next = (trace.records[i + 1].f if i + 1 < len(trace.records)
-                  else trace.f_final)
-        if (r.alpha == 0.0 and f_next == r.f) or r.dir_value == -math.inf:
-            out.append(True)
-            continue
-        bound = -M * min(abs(r.dir_value), r.dir_value ** 2)
-        out.append(f_next - r.f <= bound)
-    return out
 
 
 def tangent_membership(G: SemiDiffMap, X: SetModel, x: Vector, w: Vector,

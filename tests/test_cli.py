@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, trace formats, determinism, config files."""
 
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import subderiv as sd
 from subderiv.cli import (CSV_HEADER, emit_trace, main, read_report,
                           read_trace_csv)
 from subderiv.problems import REGISTRY, build_problem, load_matrix, load_vector
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_list_prints_registry(capsys):
@@ -199,3 +202,59 @@ def test_every_registered_problem_reaches_terminal_status():
         tr = sd.run(built.model, built.x0, built.defaults)
         assert tr.status in (sd.TerminalStatus.EPS_STATIONARY,
                              sd.TerminalStatus.MAX_ITER), name
+
+
+def test_r_flag_beats_the_config_files_radius(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem=sparse_moreau\nparam.r=0.5\n")
+    out = tmp_path / "s.json"
+    assert main(["--config", str(cfgfile), "--r", "0.25", "--format", "json",
+                 "--out", str(out)]) == 0
+    rep = read_report(str(out))
+    assert rep["rate_audit"]["L"] == pytest.approx(4.0)
+    assert rep["config"]["param.r"] == 0.25
+    assert "r" not in rep["config"]
+
+
+def test_config_no_timing_false_keeps_wall_times(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem=quadratic\nno_timing=false\n")
+    out = tmp_path / "t.csv"
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == 0
+    rows, _ = read_trace_csv(str(out))
+    assert any(r["wall_ns"] > 0 for r in rows)
+    cfgfile.write_text("problem=quadratic\nno_timing=maybe\n")
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "no_timing" in capsys.readouterr().err
+
+
+def test_sweep_line_format_and_no_timing_win(tmp_path):
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text("problem=quadratic\n"
+                     "problem=quadratic format=json no_timing=true\n")
+    out = tmp_path / "s.out"
+    assert main(["--sweep", str(sweep), "--out", str(out)]) == 0
+    rows, status = read_trace_csv(str(tmp_path / "s.out.0"))
+    assert status == "EpsStationary"
+    assert any(r["wall_ns"] > 0 for r in rows)
+    rep = read_report(str(tmp_path / "s.out.1"))
+    assert rep["status"] == "EpsStationary"
+    assert all(it["wall_ns"] == 0 for it in rep["iterations"])
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_default_trace_matches_golden(name, tmp_path):
+    # Golden files: each registered problem at its defaults with --no-timing.
+    # Floats compare within 1e-9 relative so that another CPU's dot kernels
+    # do not fail the test; every discrete column compares exactly.
+    out = tmp_path / "t.csv"
+    assert main(["--problem", name, "--no-timing", "--out", str(out)]) == 0
+    rows, status = read_trace_csv(str(out))
+    want_rows, want_status = read_trace_csv(str(GOLDEN / f"{name}.csv"))
+    assert status == want_status
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        for key in ("iter", "backtracks", "wall_ns"):
+            assert got[key] == want[key], (got["iter"], key)
+        for key in ("f", "dir_value", "alpha", "step_norm"):
+            assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0), (got["iter"], key)

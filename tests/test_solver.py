@@ -391,7 +391,7 @@ def test_sparse_moreau_audit_uses_norm_adjusted_constant():
     tr = sd.run(built.model, built.x0, built.defaults)
     assert tr.status is sd.TerminalStatus.EPS_STATIONARY
     mu, n = 0.5, built.model.dim
-    L_eff = built.L * sd.ball_radius_sq("linf-sep", n)
+    L_eff = built.model.descent_constant * sd.ball_radius_sq("linf-sep", n)
     audit = sd.rate_audit(tr, built.f_star, L_eff, mu, len(tr.records) - 1)
     assert audit.holds
     assert all(sd.sufficient_decrease_audit(tr, sd.rate_constant(mu, L_eff)))
