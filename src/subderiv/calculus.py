@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyList, NonpositiveScale
-from .extreal import ExtReal, ext_add, ext_add_arrays, ulp_tied
+from .errors import DimensionMismatch, EmptyList, IndeterminateSum, NonpositiveScale
+from .extreal import ext_add_arrays, ulp_tied
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
@@ -139,12 +139,14 @@ class _Sum(RowSubderivatives):
     def dim(self) -> int:
         return self._dim
 
-    def value(self, x: Vector) -> ExtReal:
-        # Left-to-right over the member list; this order is the documented
-        # floating-point contract for sum additivity.
-        acc = self.models[0].value(x)
+    def _value(self, x: Vector) -> float:
+        # Left to right over the members, the documented floating-point
+        # contract; no member is NaN, so a NaN sum is (+inf) + (-inf).
+        acc = self.models[0]._value(x)
         for m in self.models[1:]:
-            acc = ext_add(acc, m.value(x))
+            acc += m._value(x)
+            if acc != acc:
+                raise IndeterminateSum("(+inf) + (-inf) is undefined")
         return acc
 
     def _values(self, X: np.ndarray) -> np.ndarray:
@@ -207,8 +209,8 @@ class _Scaled(RowSubderivatives):
     def dim(self) -> int:
         return self.inner.dim
 
-    def value(self, x: Vector) -> ExtReal:
-        return self.inner.value(x).scaled(self.lam)
+    def _value(self, x: Vector) -> float:
+        return self.lam * self.inner._value(x)
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return self.lam * self.inner._values(X)
@@ -261,8 +263,8 @@ class _Composite(RowSubderivatives):
     def dim(self) -> int:
         return self.F.dim_in
 
-    def value(self, x: Vector) -> ExtReal:
-        return self.g.value(self.F._checked(self.F.eval(x)))
+    def _value(self, x: Vector) -> float:
+        return self.g._value(self.F._checked(self.F.eval(x)))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # F may be a user map, so g checks the batch of its values.
@@ -350,15 +352,12 @@ class _PointwiseExtremum(RowSubderivatives):
     def dim(self) -> int:
         return self._dim
 
-    def _member_values(self, x: Vector) -> list[float]:
-        return [m.value(x).v for m in self.models]
-
-    def value(self, x: Vector) -> ExtReal:
-        vals = self._member_values(x)
-        return ExtReal(max(vals) if self.take_max else min(vals))
+    def _value(self, x: Vector) -> float:
+        vals = [m._value(x) for m in self.models]
+        return max(vals) if self.take_max else min(vals)
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        # The builtin max/min reduction of ``value``: a later member replaces
+        # The builtin max/min reduction of ``_value``: a later member replaces
         # the incumbent only when strictly larger (smaller).
         first, *rest = self.models
         out = first._values(X)
@@ -374,7 +373,7 @@ class _PointwiseExtremum(RowSubderivatives):
         the extremum, so the tolerance scales with f and a distant branch
         does not widen it.
         """
-        vals = self._member_values(x)
+        vals = [m._value(x) for m in self.models]
         best = max(vals) if self.take_max else min(vals)
         return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
 

@@ -6,7 +6,8 @@ errors. Identical flags plus seed give byte-identical traces; wall-clock
 timing is the one nondeterministic column and ``--no-timing`` zeroes it.
 
 Each run reads one settings dict: the ``--config`` file, then the flags that
-were given, then a ``--sweep`` line's overrides, later sources winning.
+were given, then a ``--sweep`` line's overrides, later sources winning; a
+setting the run does not read is a usage error, found before any solve.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
                      run)
 
 CSV_HEADER = "iter,f,dir_value,alpha,backtracks,step_norm,wall_ns"
+FORMATS = ("csv", "json")
 
 # SolverConfig fields a setting overrides directly, with their converters.
 _CONFIG_KEYS = (("epsilon", float), ("norm", NormChoice), ("max_iter", int),
                 ("seed", int), ("strategy", str), ("budget", int))
+# Every setting a run reads, besides the problem's ``param.<name>`` keys.
+_SETTING_KEYS = {"problem", "out", "format", "no_timing", "mu", "alpha0", "schedule",
+                 *(key for key, _ in _CONFIG_KEYS)}
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "csv",
@@ -136,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, dest="param.r", metavar="R",
                    help="Moreau smoothing radius for envelope problems (default 0.5)")
     p.add_argument("--out", help="trace output path")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--no-timing", action="store_true", dest="no_timing",
                    help="zero the wall_ns column for byte-identical traces")
     p.add_argument("--sweep", help="file of per-run key=value overrides, runs in file order")
@@ -183,6 +188,13 @@ def _run_single(settings: dict) -> int:
         print(f"error: --problem got unknown name {name!r}; see --list",
               file=sys.stderr)
         return 2
+    params = {"param." + p for p in REGISTRY[name].params.replace(",", " ").split()}
+    unknown = [k for k in settings if k not in _SETTING_KEYS and k not in params]
+    fmt = settings.get("format", "csv")
+    if unknown or fmt not in FORMATS:
+        print(f"error: {name} reads no setting {unknown[0]!r}" if unknown
+              else f"error: unknown format {fmt!r}", file=sys.stderr)
+        return 2
     no_timing = _parse_no_timing(settings.get("no_timing", False))
     built = build_problem(name, {k.split(".", 1)[1]: v for k, v in settings.items()
                                  if k.startswith("param.")})
@@ -207,7 +219,7 @@ def _run_single(settings: dict) -> int:
     out = settings.get("out")
     if out:
         echo = {k: v for k, v in settings.items() if k != "out"}
-        emit_trace(trace, out, settings.get("format", "csv"), config_echo=echo,
+        emit_trace(trace, out, fmt, config_echo=echo,
                    audit=audit, no_timing=no_timing)
     summary = (f"{name}: status={trace.status.value} iters={len(trace.records)} "
                f"f_final={trace.f_final!r}")

@@ -80,12 +80,12 @@ def armijo(f: FunctionModel, x: Vector, w: Vector, d: float,
     p = params or ArmijoParams()
     if not d < 0:
         raise ValueError(f"armijo requires a negative direction value, got {d}")
-    fx = f.value(x).v
+    fx = f._value(x)
     if not math.isfinite(fx):
         raise ValueError("armijo requires f(x) finite")
     for m in range(p.max_backtracks + 1):
         alpha = p.alpha_init * p.mu ** m
-        trial = f.value(x + alpha * w).v  # +inf trial values simply fail the test
+        trial = f._value(x + alpha * w)  # +inf trial values simply fail the test
         if trial - fx < (0.5 * alpha * d if d > -math.inf else 0.0):
             return alpha, m
     asked = float(-0.5 * alpha * d) if d > -math.inf else 0.0

@@ -13,12 +13,15 @@ f at every row of a matrix, so a whole grid of probe points is one call.
 Each checks its input once and hands it to a row kernel, ``_subderivatives``
 or ``_values``, which models override and combinators call on their members.
 A kernel defaults to a loop over the scalar query, and an override must
-return exactly the scalar answer for every row, bit for bit. A model whose
-subderivative is plain array arithmetic states it once, as the kernel, and
-derives from ``RowSubderivatives``: its scalar query is then the one-row
-case of the batch. Capability flags (semi-differentiability, a descent
-constant, a lower bound, gradient access, separable structure) let the
-direction-search and line-search layers pick the right specialized path.
+return exactly the scalar answer for every row, bit for bit. The scalar
+kernel ``_value(x)`` is the float ``value(x).v``; combinators, the solver
+and the line search read f(x) through it, so an ``ExtReal`` is built only
+at the public query. A bundled model states its value and subderivative
+once, as kernels, and derives from ``RowSubderivatives``: its ``value``
+wraps ``_value`` and its scalar subderivative is the one-row batch.
+Capability flags (semi-differentiability, a descent constant, a lower
+bound, gradient access, separable structure) let the direction-search and
+line-search layers pick the right specialized path.
 
 All models are immutable values; implementations must be stateless and safe
 for any number of concurrent readers.
@@ -80,10 +83,11 @@ class FunctionModel(abc.ABC):
         for bit, because the direction searches pick among exact ties. A
         ``RowSubderivatives`` model meets this by construction when each
         row of its batch does not depend on the other rows.
-      * ``values`` checks X, then asks ``_values``, whose default loops over
-        ``value``; an override must return, for every row x, exactly the
-        float ``value(x).v``, bit for bit, never NaN, and raise what
-        ``value`` raises at the rows where it would.
+      * ``_value(x)`` is exactly the float ``value(x).v``, never NaN, and
+        raises what ``value`` raises; its default asks ``value``. ``values``
+        checks X, then asks ``_values``, whose default loops over
+        ``_value``; an override must return exactly ``_value(x)`` for every
+        row x, bit for bit, and raise what ``_value`` raises at its rows.
       * A model that overrides a public batched query still answers it when
         called directly, but a combinator asks it through its kernel: for a
         model that defines only the scalar queries, the per-row loop.
@@ -105,6 +109,10 @@ class FunctionModel(abc.ABC):
     @abc.abstractmethod
     def value(self, x: Vector) -> ExtReal:
         """f(x) as an extended real (never NaN)."""
+
+    def _value(self, x: Vector) -> float:
+        """The scalar kernel, f(x) as a float; this default asks ``value``."""
+        return self.value(x).v
 
     @abc.abstractmethod
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
@@ -132,8 +140,8 @@ class FunctionModel(abc.ABC):
         return self._values(as_directions(X, self.dim, "X"))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        """The row kernel on a checked matrix; this default asks ``value``."""
-        return np.array([self.value(x).v for x in X], dtype=float)
+        """The row kernel on a checked matrix; this default asks ``_value``."""
+        return np.array([self._value(x) for x in X], dtype=float)
 
     def gradient(self, x: Vector) -> Vector:
         """Gradient at x, for models advertising ``has_gradient``."""
@@ -153,16 +161,23 @@ class FunctionModel(abc.ABC):
 
 
 class RowSubderivatives(FunctionModel):
-    """A model that states its subderivative once, as the row kernel.
+    """A model that states its value and subderivative once, as kernels.
 
-    ``subderivative(x, w)`` is the one-row case of ``subderivatives``, so it
-    checks x and w as the batch does: a wrong length raises
-    DimensionMismatch and a non-finite entry raises ValueError.
+    ``value(x)`` is ``ExtReal(_value(x))`` and ``subderivative(x, w)`` the
+    one-row case of ``subderivatives``, so it checks x and w as the batch
+    does: a wrong length raises DimensionMismatch, a non-finite entry ValueError.
     """
+
+    @abc.abstractmethod
+    def _value(self, x: Vector) -> float:
+        """f(x) as a float, never NaN."""
 
     @abc.abstractmethod
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         """d f(x)(w) for every row w of the checked matrix W."""
+
+    def value(self, x: Vector) -> ExtReal:
+        return ExtReal(self._value(x))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return ExtReal(self.subderivatives(x, np.asarray(w, dtype=float)[None])[0])

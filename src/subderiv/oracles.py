@@ -14,7 +14,6 @@ import numpy as np
 
 from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
-from .extreal import ExtReal
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector
 
 
@@ -41,8 +40,8 @@ class L1Norm(RowSubderivatives):
     def dim(self) -> int:
         return self._n
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(self._c * float(np.sum(np.abs(x))))
+    def _value(self, x: Vector) -> float:
+        return self._c * float(np.sum(np.abs(x)))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return self._c * np.sum(np.abs(X), axis=1)
@@ -93,8 +92,8 @@ class ZeroNormComposite(RowSubderivatives):
     def _support(self, y: Vector) -> np.ndarray:
         return np.abs(y) > self.support_tol
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(float(np.count_nonzero(self._support(self.A @ x + self.b))))
+    def _value(self, x: Vector) -> float:
+        return float(np.count_nonzero(self._support(self.A @ x + self.b)))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot forms each row's A w from its own dot products; W @ A.T
@@ -125,8 +124,11 @@ class SmoothModel(RowSubderivatives):
     def dim(self) -> int:
         return self._n
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(float(self._f(x)))
+    def _value(self, x: Vector) -> float:
+        v = float(self._f(x))
+        if math.isnan(v):
+            raise ValueError("ExtReal payload must not be NaN")
+        return v
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
@@ -281,8 +283,8 @@ class SeparableMoreau(RowSubderivatives):
                for y in self.inner.prox_range(t, self.r)]
         return np.minimum(*env)
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(float(np.sum(self._envelope(np.asarray(x, dtype=float)))))
+    def _value(self, x: Vector) -> float:
+        return float(np.sum(self._envelope(np.asarray(x, dtype=float))))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # The inner is elementwise on 1-D arrays, so it sees the rows end to end.
@@ -317,7 +319,7 @@ class QuadraticInner:
 class QuadraticMoreau(RowSubderivatives):
     """Moreau envelope of a convex quadratic; the prox is a linear solve.
 
-    ``value`` is the one-row case of ``values``, which takes every prox in
+    ``_value`` is the one-row case of ``values``, which takes every prox in
     one stacked solve (LAPACK gesv per matrix, as the scalar solve runs) and
     each row's dot products with ``np.vecdot``, so a row's value does not
     depend on the row count.
@@ -344,8 +346,8 @@ class QuadraticMoreau(RowSubderivatives):
     def _prox(self, x: Vector) -> Vector:
         return np.linalg.solve(self._K, np.asarray(x, dtype=float) / self.r - self.inner.c)
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(self.values(np.asarray(x, dtype=float)[None])[0])
+    def _value(self, x: Vector) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         K, Q, c = self._K, self.inner.Q, self.inner.c
@@ -474,9 +476,9 @@ class ReLUNetworkLoss(RowSubderivatives):
         pre, _, _ = self._pass(as_vector(theta, self._p, "theta"))
         return [[A[:, j] for A in pre] for j in range(self.X.shape[1])]
 
-    def value(self, x: Vector) -> ExtReal:
+    def _value(self, x: Vector) -> float:
         _, out, _ = self._pass(as_vector(x, self._p, "theta"))
-        return ExtReal(float(np.sum((out - self.Y) ** 2)) / self.X.shape[1])
+        return float(np.sum((out - self.Y) ** 2)) / self.X.shape[1]
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         _, out, _ = self._pass(X)

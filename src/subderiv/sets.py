@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
-from .extreal import ExtReal, ulp_tied, ulp_tied_arrays
+from .extreal import ulp_tied, ulp_tied_arrays
 from .model import RowSubderivatives, Vector, as_directions, as_vector
 
 _MEMBERSHIP_TOL = 1e-9
@@ -529,8 +529,8 @@ class DistanceToSet(RowSubderivatives):
             raise EmptyProjection("set model returned no nearest point")
         return float(np.linalg.norm(x - pts[0])), pts
 
-    def value(self, x: Vector) -> ExtReal:
-        return ExtReal(self.values(np.asarray(x, dtype=float)[None])[0])
+    def _value(self, x: Vector) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.

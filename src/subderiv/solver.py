@@ -141,7 +141,7 @@ def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Tra
     """
     cfg = cfg or SolverConfig()
     x = as_vector(x0, f.dim, "x0")
-    fx = f.value(x).v
+    fx = f._value(x)
     if not math.isfinite(fx):
         raise DomainViolation(f"f(x0) = {fx}; the starting value must be finite")
     records: list[IterationRecord] = []
@@ -164,7 +164,7 @@ def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Tra
             else:
                 step = alpha * res.w
                 x_next = x + step
-                fx_next = f.value(x_next).v
+                fx_next = f._value(x_next)
                 if fx_next == math.inf:
                     stop = TerminalStatus.LEFT_DOMAIN
         dt = time.perf_counter_ns() - t0

@@ -134,7 +134,7 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
     cfg = cfg or FDConfig()
     x = as_vector(x, f.dim, "x")
     w = as_vector(w, f.dim, "w")
-    fx = f.value(x).v
+    fx = f._value(x)
     if not math.isfinite(fx):
         raise DomainViolation("fd_subderivative needs f(x) finite")
     wnorm = float(np.linalg.norm(w))

@@ -705,6 +705,17 @@ def test_bundled_models_state_each_subderivative_once():
         assert issubclass(c, sd.RowSubderivatives), c
     public = {"subderivative", "subderivatives", "values"}
     assert {c for c in bundled if public & set(vars(c))} == set()
+    # each bundled model states its value once, as the scalar kernel, and
+    # only the one base wraps it in an ExtReal
+    assert {c for c in bundled if "value" in vars(c)} == set()
+    assert "value" in vars(sd.RowSubderivatives)
+    assert {c.__name__ for c in bundled if "_value" in vars(c)} >= {
+        "L1Norm", "ZeroNormComposite", "SmoothModel", "SeparableMoreau", "QuadraticMoreau",
+        "ReLUNetworkLoss", "DistanceToSet", "_Sum", "_Scaled", "_Composite",
+        "_PointwiseExtremum"}
+    for c in bundled:
+        if not inspect.isabstract(c):
+            assert c._value is not sd.FunctionModel._value, c
     sets = {c for c in subclasses(sd.SetModel) if c.__module__.startswith("subderiv.")}
     assert {c.__name__ for c in sets if "_nearest_points" in vars(c)} >= {
         "Box", "Ball", "AffineSubspace", "Singleton", "ComplementaritySet"}
@@ -718,6 +729,60 @@ def test_bundled_models_state_each_subderivative_once():
         assert "_tangent_distances" in vars(c), c
     assert {c for c in sets if "tangent_distance" in vars(c)} == {sd.sets._RowTangents}
     assert not hasattr(_square(), "_subsets")
+
+
+# ---------------------------------------------------------------------------
+# The scalar value kernel: _value(x) is value(x).v, and _values its rows.
+# ---------------------------------------------------------------------------
+
+
+def _kernel_cases():
+    """Both catalogues, then each model behind the scalar-only wrapper."""
+    cases = ([(f"batch-{name}", model, points) for name, model, points in CASES]
+             + [(f"value-{name}", model, special) for name, model, special in VALUE_CASES])
+    return cases + [(f"{name}-scalar-only", ScalarOnly(model), points)
+                    for name, model, points in cases]
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name, model, points", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_value_kernel_is_value_bit_for_bit(name, model, points):
+    rows = _rows(model.dim, points, np.random.default_rng(len(name) + 2), k=24)
+    kernel = [model._value(x) for x in rows]
+    assert all(type(v) is float for v in kernel), name
+    assert _bits(kernel) == _bits([model.value(x).v for x in rows]), name
+    assert _bits(model._values(rows)) == _bits(kernel), name
+
+
+def test_nan_from_a_user_smooth_member_raises_through_the_combinators():
+    nan = sd.smooth_model(2, lambda x: math.nan, lambda x: np.zeros(2))
+    one = sd.smooth_model(2, lambda x: 1.0, lambda x: np.zeros(2))
+    x = np.array([0.5, -1.0])
+    for f in (nan, sd.pointwise_min([one, nan]), sd.sum_models([one, nan]), sd.scale(nan, 2.0),
+              sd.precompose_smooth(nan, sd.affine_map(np.eye(2)))):
+        for query in (f.value, f._value, lambda x: f.values(x[None])):
+            with pytest.raises(ValueError, match="NaN"):
+                query(x)
+
+
+def test_a_model_without_a_value_formula_stays_abstract():
+    class NoValue(sd.FunctionModel):
+        dim = 1
+
+        def subderivative(self, x, w):
+            return ExtReal(0.0)
+
+    class NoValueKernel(sd.RowSubderivatives):
+        dim = 1
+
+        def _subderivatives(self, x, W):
+            return np.zeros(W.shape[0])
+
+    for cls in (NoValue, NoValueKernel):
+        with pytest.raises(TypeError, match="abstract"):
+            cls()
 
 
 class CountingMap(sd.SemiDiffMap):

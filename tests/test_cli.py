@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import subderiv as sd
+import subderiv.cli as cli
 from subderiv.cli import (CSV_HEADER, emit_trace, main, read_report,
                           read_trace_csv)
 from subderiv.problems import REGISTRY, build_problem, load_matrix, load_vector
@@ -240,6 +241,39 @@ def test_sweep_line_format_and_no_timing_win(tmp_path):
     rep = read_report(str(tmp_path / "s.out.1"))
     assert rep["status"] == "EpsStationary"
     assert all(it["wall_ns"] == 0 for it in rep["iterations"])
+
+
+def test_unknown_format_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the run went on past an unknown format")
+
+    monkeypatch.setattr(cli, "build_problem", no_solve)
+    monkeypatch.setattr(cli, "run", no_solve)
+    out = tmp_path / "x.out"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"problem=dc_quadratic_l1\nparam.n=200\nformat=xml\nout={out}\n")
+    assert main(["--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "'xml'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_unknown_setting_exits_2_and_names_the_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem=quadratic\nmax-iter=3\n")
+    assert main(["--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "'max-iter'" in captured.err
+    assert captured.out == ""
+
+
+def test_parameter_the_problem_does_not_take_exits_2(tmp_path, capsys):
+    assert main(["--problem", "quadratic", "--r", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "'param.r'" in captured.err
+    assert captured.out == ""
+    # sparse_moreau lists r among its params, so the flag runs there
+    assert main(["--problem", "sparse_moreau", "--r", "0.25"]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
