@@ -10,10 +10,9 @@ verification layer.
 """
 
 from .calculus import (SemiDiffMap, SmoothMap, affine_map, dc_envelope_descent_constant,
-                       envelope_composite_descent_constant, forward_chain,
-                       identity_map, penalize, pointwise_max, pointwise_min,
-                       precompose_semidiff, precompose_smooth, relu_map, scale,
-                       sum_models)
+                       envelope_composite_descent_constant, identity_map, penalize,
+                       pointwise_max, pointwise_min, precompose_semidiff,
+                       precompose_smooth, relu_map, scale, sum_models)
 from .direction import (DirectionResult, NormChoice, solve_l1_extreme,
                         solve_l2_smooth, solve_linf_separable,
                         solve_sampling_fallback)

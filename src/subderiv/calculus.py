@@ -25,10 +25,11 @@ class SemiDiffMap:
     """Vector-valued map with a directional derivative taken as a full limit.
 
     ``semiderivative(x, .)`` is continuous and positively homogeneous of
-    degree 1 in the direction. ``eval_rows(X)`` maps every row of a checked
-    (k, dim_in) float64 matrix at once; row i must equal ``eval(X[i])`` bit
-    for bit. The default loops over ``eval`` and raises DimensionMismatch
-    when a value does not have shape (dim_out,).
+    degree 1 in the direction. The row kernels ``eval_rows(X)`` and
+    ``semiderivative_rows(x, W)`` take a checked (k, dim_in) float64 matrix;
+    row i must equal ``eval(X[i])``, resp. ``semiderivative(x, W[i])``, bit
+    for bit. The defaults loop over the scalar queries and raise
+    DimensionMismatch when an answer does not have shape (dim_out,).
     """
 
     def __init__(self, dim_in: int, dim_out: int,
@@ -56,6 +57,12 @@ class SemiDiffMap:
     def semiderivative(self, x: Vector, w: Vector) -> Vector:
         return np.asarray(self._dir(x, w), dtype=float)
 
+    def semiderivative_rows(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        U = np.empty((W.shape[0], self.dim_out))
+        for i, w in enumerate(W):
+            U[i] = self._checked(self.semiderivative(x, w))
+        return U
+
 
 class SmoothMap(SemiDiffMap):
     """Continuously differentiable map; the semi-derivative is the Jacobian action.
@@ -73,7 +80,8 @@ class SmoothMap(SemiDiffMap):
 
 class _AffineMap(SmoothMap):
     """x -> A x + b with one ``np.vecdot`` per output for a point and a row
-    alike; ``A @ x`` is a gemv call and need not round as a row does."""
+    alike; ``A @ x`` is a gemv call and need not round as a row does. The
+    derivative is that gemv, ``A @ w``, and its rows one stacked matmul."""
 
     def __init__(self, A: np.ndarray, b: Vector):
         self.A, self.b = A, b
@@ -83,6 +91,9 @@ class _AffineMap(SmoothMap):
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         return np.vecdot(X[:, None, :], self.A) + self.b
 
+    def semiderivative_rows(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return np.matmul(self.A, W[:, :, None])[:, :, 0]
+
 
 class _IdentityMap(SmoothMap):
     def __init__(self, n: int):
@@ -91,6 +102,9 @@ class _IdentityMap(SmoothMap):
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         return X
+
+    def semiderivative_rows(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return W
 
 
 def affine_map(A, b=None) -> SmoothMap:
@@ -236,13 +250,13 @@ def scale(model: FunctionModel, lam: float) -> FunctionModel:
 class _Composite(RowSubderivatives):
     """g o F by the chain rule d(g o F)(x)(w) = d g(F(x))(dF(x)(w)).
 
-    One query evaluates F(x) once and dF(x)(w) once per row, and asks g
-    about all rows at once. With ``smooth`` (``precompose_smooth``, and
-    ``penalize`` with a SmoothMap) dF(x) is the Jacobian action and the
-    composite keeps g's extended values and concave subderivative, with
-    descent constant modulus * L when both are known. Without it
-    (``precompose_semidiff``) the composite claims only g's
-    semi-differentiability.
+    One query evaluates F(x) once, every row dF(x)(w) with one
+    ``F.semiderivative_rows`` call, and asks g about all rows at once. With
+    ``smooth`` (``precompose_smooth``, and ``penalize`` with a SmoothMap)
+    dF(x) is the Jacobian action and the composite keeps g's extended
+    values and concave subderivative, with descent constant modulus * L
+    when both are known. Without it (``precompose_semidiff``) the composite
+    claims only g's semi-differentiability.
     """
 
     def __init__(self, g: FunctionModel, F: SemiDiffMap, smooth: bool,
@@ -271,9 +285,7 @@ class _Composite(RowSubderivatives):
         return self.g.values(self.F.eval_rows(X))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        U = np.array([self.F._checked(self.F.semiderivative(x, w)) for w in W]
-                     ).reshape(-1, self.g.dim)
-        return self.g.subderivatives(self.F.eval(x), U)
+        return self.g.subderivatives(self.F.eval(x), self.F.semiderivative_rows(x, W))
 
 
 def precompose_smooth(g: FunctionModel, F: SmoothMap,
@@ -310,29 +322,10 @@ def precompose_semidiff(g, F: SemiDiffMap):
                 f"G expects dimension {g.dim_in}, F produces {F.dim_out}")
         return SemiDiffMap(
             F.dim_in, g.dim_out,
-            lambda x: g.eval(F.eval(x)),
-            lambda x, w: g.semiderivative(F.eval(x), F.semiderivative(x, w)))
+            lambda x: g.eval(F._checked(F.eval(x))),
+            lambda x, w: g.semiderivative(F._checked(F.eval(x)),
+                                          F._checked(F.semiderivative(x, w))))
     raise TypeError(f"cannot precompose {type(g).__name__}")
-
-
-def forward_chain(layers: Sequence[SemiDiffMap], x: Vector, w: Vector
-                  ) -> tuple[Vector, Vector]:
-    """One forward pass through a composition, propagating value and direction.
-
-    Returns ((F_k o ... o F_1)(x), its semi-derivative at x applied to w).
-    The empty composition is the identity.
-    """
-    v = np.asarray(x, dtype=float)
-    u = np.asarray(w, dtype=float)
-    if v.shape != u.shape:
-        raise DimensionMismatch("x and w must share the input dimension")
-    for i, layer in enumerate(layers):
-        if v.shape[0] != layer.dim_in:
-            raise DimensionMismatch(
-                f"layer {i} expects dimension {layer.dim_in}, got {v.shape[0]}")
-        u = layer.semiderivative(v, u)
-        v = layer.eval(v)
-    return v, u
 
 
 class _PointwiseExtremum(RowSubderivatives):

@@ -1,8 +1,6 @@
 """Geometrically derivable sets: membership, projection, tangent-cone distance.
 
-Each SetModel enumerates *all* Euclidean nearest points it can, because the
-distance function's subderivative outside the set is a minimum over the full
-projection set:
+The distance function's subderivative is
 
     d dist(.; X)(x)(w) = dist(w; T_X(x))                     if x in X,
                          min_{y in proj_X(x)} <x - y, w> / dist(x; X)  else.
@@ -12,15 +10,15 @@ function semi-differentiable. Polyhedral projections and tangent-cone
 distances are computed exactly by active-set enumeration over facets; the
 bundled sets are low-dimensional test fixtures, not production geometry.
 
-Two row kernels answer many queries at once, and a user set that states
-only the scalar queries gets both as loops over them. ``nearest_points(X)``
+Three row kernels answer many queries at once, and a user set that states
+only the scalar queries gets each as a loop over them. ``nearest_points(X)``
 gives ``project(x)[0]`` for every row x of a matrix, which is all the
-distance value needs; it checks X and asks ``_nearest_points``. At a point
-x of the set, ``_tangent_distances(x, W)`` gives ``tangent_distance(x, w)``
-for every row w, and the distance asks it once for all its directions. A
-bundled set states the kernels, and its ``project`` and ``tangent_distance``
-run them on one row, so the two round alike; its ``tangent_distance``
-raises NotFeasible off the set. The kernels form matrix products with
+distance value needs; it checks X and asks ``_nearest_points``. For all
+rows w at once, ``_nearest_support(x, W)`` answers the distance's outside
+branch and ``_tangent_distances(x, W)`` its inside one. A bundled set
+states the kernels, and its ``project`` and ``tangent_distance`` run them
+on one row, so the two round alike; its ``tangent_distance`` raises
+NotFeasible off the set. The kernels form matrix products with
 ``_dot_first`` and norms row by row, never through BLAS, whose rounding can
 depend on the number of rows.
 """
@@ -58,7 +56,8 @@ class SetModel(abc.ABC):
 
     The kernels ``_nearest_points`` and ``_tangent_distances`` answer
     ``project(x)[0]`` and ``tangent_distance(x, w)`` for every row, bit for
-    bit; by default they loop over those scalar queries.
+    bit, and ``_nearest_support`` the distance off the set; by default they
+    ask ``project`` and ``tangent_distance``.
     """
 
     geometrically_derivable: bool = False
@@ -99,6 +98,20 @@ class SetModel(abc.ABC):
                 raise EmptyProjection("set model returned no nearest point")
             out[i] = pts[0]
         return out
+
+    def _nearest_support(self, x: Vector, W: np.ndarray) -> tuple[float, np.ndarray]:
+        """dist(x; X) and, per row w of the checked matrix W, the least
+        <w, x - y> over *all* nearest points y of x off the set, because the
+        distance's subderivative there is a minimum over the whole projection
+        set. This default walks ``project(x)``, d from its first point, first minimum kept."""
+        pts = self.project(x)
+        if not pts:
+            raise EmptyProjection("set model returned no nearest point")
+        support = np.vecdot(W, x - pts[0])
+        for y in pts[1:]:
+            v = np.vecdot(W, x - y)
+            support = np.where(v < support, v, support)
+        return float(np.linalg.norm(x - pts[0])), support
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         """dist(w; T_X(x)) for every row w of the checked k x n matrix W, at
@@ -473,28 +486,33 @@ class ComplementaritySet(_RowTangents):
         tied = ulp_tied_arrays(d1, d2)
         return on_a, on_b, tied, tied | (d1 < d2)
 
+    def _points(self, on_a: np.ndarray, on_b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Corner points on the ray b = 0 where ``mask`` holds, else on a = 0."""
+        return np.hstack([np.where(mask, on_a, 0.0), np.where(mask, 0.0, on_b)])
+
     def project(self, x: Vector) -> list[Vector]:
         x = as_vector(x, self.dim)
         on_a, on_b, tied, first = (v[0] for v in self._corner_projections(x[None, :]))
-        per_pair = []
-        for i in range(self.k):
-            p1, p2 = (on_a[i], 0.0), (0.0, on_b[i])
-            if tied[i]:
-                per_pair.append([p1] if p1 == p2 else [p1, p2])
-            else:
-                per_pair.append([p1] if first[i] else [p2])
-        out = []
-        for combo in itertools.product(*per_pair):
-            p = np.empty(self.dim)
-            for i, (a, b) in enumerate(combo):
-                p[i] = a
-                p[self.k + i] = b
-            out.append(p)
-        return out
+        # each choice on the pairs whose tied rays differ, in itertools.product order
+        split = np.flatnonzero(tied & ((on_a != 0.0) | (on_b != 0.0)))
+        mask = np.repeat(first[None, :], 2 ** split.size, axis=0)
+        mask[:, split] = (np.arange(len(mask))[:, None] >> np.arange(split.size)[::-1]) % 2 == 0
+        return list(self._points(on_a, on_b, mask))
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         on_a, on_b, _, first = self._corner_projections(X)
-        return np.hstack([np.where(first, on_a, 0.0), np.where(first, 0.0, on_b)])
+        return self._points(on_a, on_b, first)
+
+    def _nearest_support(self, x: Vector, W: np.ndarray) -> tuple[float, np.ndarray]:
+        """<w, x - y> splits by pair, so a row's least over the 2^t points of t
+        tied pairs is where each tied pair takes the ray with the smaller term
+        (the first on an exact tie); the row is scored there by the walk's vecdot."""
+        on_a, on_b, tied, first = (v[0] for v in self._corner_projections(x[None, :]))
+        a, b = x[:self.k], x[self.k:]
+        U, V = W[:, :self.k], W[:, self.k:]
+        smaller_a = U * (a - on_a) + V * b <= U * a + V * (b - on_b)
+        Y = self._points(on_a, on_b, np.where(tied, smaller_a, first))
+        return float(np.linalg.norm(x - self._points(on_a, on_b, first))), np.vecdot(W, x - Y)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         a, b = x[:self.k], x[self.k:]
@@ -510,9 +528,9 @@ class DistanceToSet(RowSubderivatives):
 
     The value is globally 1-Lipschitz, so |d f(x)(w)| <= ||w||. The model is
     semi-differentiable exactly when the set is geometrically derivable.
-    The projection enumeration must be complete for the outside branch to be
-    exact; a user set returning a strict subset of nearest points yields an
-    upper bound (documented contract, not checked).
+    Off the set the subderivative is the set's ``_nearest_support`` over d,
+    exact only when it reaches every nearest point; a user set whose
+    ``project`` returns a strict subset yields an upper bound (not checked).
     """
 
     def __init__(self, X: SetModel):
@@ -522,12 +540,6 @@ class DistanceToSet(RowSubderivatives):
     @property
     def dim(self) -> int:
         return self.X.dim
-
-    def _nearest(self, x: Vector) -> tuple[float, list[Vector]]:
-        pts = self.X.project(x)
-        if not pts:
-            raise EmptyProjection("set model returned no nearest point")
-        return float(np.linalg.norm(x - pts[0])), pts
 
     def _value(self, x: Vector) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
@@ -540,14 +552,8 @@ class DistanceToSet(RowSubderivatives):
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         if self.X.contains(x):
             return self.X._tangent_distances(x, W)
-        d, pts = self._nearest(x)
-        # A later nearest point replaces the incumbent only when strictly
-        # smaller, so a tie keeps the first, as the builtin min does.
-        out = np.vecdot(W, x - pts[0]) / d
-        for y in pts[1:]:
-            v = np.vecdot(W, x - y) / d
-            out = np.where(v < out, v, out)
-        return out
+        d, support = self.X._nearest_support(x, W)
+        return support / d
 
 
 def distance_to_set(X: SetModel) -> DistanceToSet:

@@ -851,9 +851,10 @@ def test_bundled_maps_and_quadratics_state_their_row_kernels():
     assert "_values" in vars(type(sd.quadratic_model(np.zeros(2))))
     assert "_values" in vars(sd.calculus._Composite)
     for F in (sd.affine_map(np.ones((2, 3))), sd.identity_map(3)):
-        assert "eval_rows" in vars(type(F)), F
+        assert "eval_rows" in vars(type(F)) and "semiderivative_rows" in vars(type(F)), F
         assert isinstance(F, sd.SmoothMap) and F.smoothness_constant == 0.0
     assert type(sd.relu_map(2)).eval_rows is sd.SemiDiffMap.eval_rows
+    assert type(sd.relu_map(2)).semiderivative_rows is sd.SemiDiffMap.semiderivative_rows
 
 
 def test_composite_rejects_a_map_output_of_the_wrong_length():
@@ -912,6 +913,23 @@ def test_map_rows_match_eval_at_any_row_count(name, F):
     assert F.eval_rows(rows[:0]).shape == (0, F.dim_out)
 
 
+SEMIDIFF_MAPS = _maps() + [("relu", sd.relu_map(3)), ("user_square", CountingMap(3))]
+
+
+@pytest.mark.parametrize("name, F", SEMIDIFF_MAPS, ids=[c[0] for c in SEMIDIFF_MAPS])
+def test_map_semiderivative_rows_match_semiderivative_at_any_row_count(name, F):
+    rng = np.random.default_rng(len(name) + 9)
+    W = _rows(F.dim_in, [[0.0, -0.0, 1.0], [-1.0, 0.0, -0.0]], rng, k=189)
+    for x in (np.array([0.0, -0.0, 1.0]), rng.uniform(-2, 2, F.dim_in)):
+        want = np.array([F.semiderivative(x, w.copy()) for w in W])
+        assert want.shape == (189, F.dim_out)
+        for k in ROW_COUNTS:
+            got = np.concatenate([F.semiderivative_rows(x, W[i:i + k])
+                                  for i in range(0, len(W), k)])
+            assert got.tobytes() == want.tobytes(), (name, k)
+        assert F.semiderivative_rows(x, W[:0]).shape == (0, F.dim_out)
+
+
 def test_quadratic_envelope_is_its_closed_form_at_n_6():
     env = {name: model for name, model, _ in VALUE_CASES}["quadratic_moreau_6"]
     K, c, r = env._K, env.inner.c, env.r
@@ -936,16 +954,29 @@ def reference_row(f, x, w):
     return f.g.subderivative(f.F.eval(x), f.F.semiderivative(x, w)).v
 
 
+def _lattice_ties(k, rng):
+    """Integer points of R^{2k} where most complementarity pairs tie: at
+    (a, a) with a < 0 both rays are nearest, and at (a, a) with a >= 0 both
+    give the corner; -1 everywhere ties every pair."""
+    a = rng.integers(-2, 2, (5, k))
+    b = np.where(rng.uniform(size=(5, k)) < 0.7, a, rng.integers(-2, 2, (5, k)))
+    return [-np.ones(2 * k)] + list(np.hstack([a, b]).astype(float))
+
+
 ROW_REFERENCE_CASES = [c for c in VALUE_CASES if isinstance(
-    c[1], (sd.sets.DistanceToSet, sd.ZeroNormComposite, sd.calculus._Composite))]
+    c[1], (sd.sets.DistanceToSet, sd.ZeroNormComposite, sd.calculus._Composite))] + [
+    ("dist_complementarity_8", sd.distance_to_set(sd.ComplementaritySet(8)),
+     _lattice_ties(8, np.random.default_rng(8)))]
 
 
 @pytest.mark.parametrize("name, model, special", ROW_REFERENCE_CASES,
                          ids=[c[0] for c in ROW_REFERENCE_CASES])
 def test_row_formulas_match_the_per_direction_formulas(name, model, special):
     rng = np.random.default_rng(len(name) + 3)
+    # directions in {-1, 0, 1}, where the terms of tied rays tie exactly
+    lattice = np.random.default_rng(len(name)).integers(-1, 2, (64, model.dim)).astype(float)
     for x in [np.array(p, dtype=float) for p in special] + [rng.uniform(-2, 2, model.dim)]:
-        for W in _direction_sets(model.dim, rng).values():
+        for W in list(_direction_sets(model.dim, rng).values()) + [lattice]:
             want = np.array([reference_row(model, x, w) for w in W], dtype=float)
             assert model.subderivatives(x, W).tobytes() == want.tobytes(), name
 

@@ -169,6 +169,19 @@ def test_precompose_dimension_mismatch():
         sd.precompose_smooth(sd.L1Norm(3), _square_map())
 
 
+def test_precompose_semidiff_checks_the_inner_map_outputs():
+    # F claims dim_out 2 but returns one entry; the composite map used to
+    # pass it on and return shape (1,)
+    short = sd.SemiDiffMap(2, 2, lambda x: x[:1], lambda x, w: w[:1])
+    comp = sd.precompose_semidiff(sd.relu_map(2), short)
+    assert comp.dim_out == 2
+    x = np.array([1.0, -1.0])
+    for query in (lambda: comp.eval(x), lambda: comp.semiderivative(x, x),
+                  lambda: comp.semiderivative_rows(x, x[None])):
+        with pytest.raises(sd.DimensionMismatch):
+            query()
+
+
 def test_precompose_semidiff_relu_affine():
     # G = ReLU, F = x - 1 on the line; at x = 1 the pre-activation is 0 and
     # the direction -2 gives max{0, -2} = 0.
@@ -204,41 +217,43 @@ def test_precompose_semidiff_needs_semidifferentiable_outer():
         sd.precompose_semidiff(zn, sd.identity_map(2))
 
 
+def _forward_chain(layers):
+    """The layers composed first to last, folded with precompose_semidiff."""
+    chain = layers[0]
+    for layer in layers[1:]:
+        chain = sd.precompose_semidiff(layer, chain)
+    return chain
+
+
 def test_forward_chain_affine_relu():
-    layers = [sd.affine_map(2.0 * np.eye(1)), sd.relu_map(1)]
-    v, u = sd.forward_chain(layers, np.array([1.0]), np.array([1.0]))
-    assert v == pytest.approx(np.array([2.0]))
-    assert u == pytest.approx(np.array([2.0]))
-
-
-def test_forward_chain_empty_is_identity():
-    x, w = np.array([1.0, -2.0]), np.array([0.5, 0.5])
-    v, u = sd.forward_chain([], x, w)
-    assert v == pytest.approx(x)
-    assert u == pytest.approx(w)
+    chain = _forward_chain([sd.affine_map(2.0 * np.eye(1)), sd.relu_map(1)])
+    assert chain.eval(np.array([1.0])) == pytest.approx(np.array([2.0]))
+    assert chain.semiderivative(np.array([1.0]), np.array([1.0])) == pytest.approx(
+        np.array([2.0]))
 
 
 def test_forward_chain_dead_relu():
-    layers = [sd.affine_map(-1.0 * np.eye(1)), sd.relu_map(1)]
-    v, u = sd.forward_chain(layers, np.array([0.0]), np.array([1.0]))
-    assert v == pytest.approx(np.array([0.0]))
-    assert u == pytest.approx(np.array([0.0]))  # max{0, -1} = 0
+    chain = _forward_chain([sd.affine_map(-1.0 * np.eye(1)), sd.relu_map(1)])
+    assert chain.eval(np.array([0.0])) == pytest.approx(np.array([0.0]))
+    # max{0, -1} = 0
+    assert chain.semiderivative(np.array([0.0]), np.array([1.0])) == pytest.approx(
+        np.array([0.0]))
 
 
 def test_forward_chain_homogeneous_in_direction(rng):
-    layers = [sd.affine_map(rng.uniform(-1, 1, (3, 2))), sd.relu_map(3),
-              sd.affine_map(rng.uniform(-1, 1, (2, 3)))]
+    chain = _forward_chain([sd.affine_map(rng.uniform(-1, 1, (3, 2))), sd.relu_map(3),
+                            sd.affine_map(rng.uniform(-1, 1, (2, 3)))])
     x = rng.uniform(-1, 1, 2)
     w = rng.uniform(-1, 1, 2)
     for t in (0.5, 2.0, 7.0):
-        _, u1 = sd.forward_chain(layers, x, t * w)
-        _, u2 = sd.forward_chain(layers, x, w)
+        u1 = chain.semiderivative(x, t * w)
+        u2 = chain.semiderivative(x, w)
         assert u1 == pytest.approx(t * u2, abs=1e-12)
 
 
 def test_forward_chain_dimension_mismatch():
     with pytest.raises(sd.DimensionMismatch):
-        sd.forward_chain([sd.affine_map(np.ones((2, 3)))], np.zeros(2), np.zeros(2))
+        _forward_chain([sd.affine_map(np.ones((2, 3))), sd.relu_map(3)])
 
 
 def test_pointwise_max_relu_example():

@@ -315,7 +315,8 @@ def test_relu_loss_pack_and_dims():
 
 
 def _state_layers(widths, final_relu):
-    """The network as maps of the joint state (theta, z), for ``forward_chain``.
+    """The network as maps of the joint state (theta, z), to be composed
+    with ``precompose_semidiff``.
 
     theta rides along unchanged, so each layer is semi-differentiable in the
     joint variable; the packing (W^i row-major, then b^i) is re-derived here.
@@ -349,10 +350,14 @@ def _state_layers(widths, final_relu):
 def _reference_loss(widths, final_relu, data, theta, dtheta):
     """Mean squared loss and its subderivative, one datum at a time."""
     layers, p = _state_layers(widths, final_relu)
+    chain = layers[0]
+    for layer in layers[1:]:
+        chain = sd.precompose_semidiff(layer, chain)
     val = der = 0.0
     for x, y in data:
-        s, ds = sd.forward_chain(layers, np.concatenate([theta, x]),
-                                 np.concatenate([dtheta, np.zeros_like(x)]))
+        s = chain.eval(np.concatenate([theta, x]))
+        ds = chain.semiderivative(np.concatenate([theta, x]),
+                                  np.concatenate([dtheta, np.zeros_like(x)]))
         r = s[p:] - y
         val += float(np.dot(r, r))
         der += 2.0 * float(np.dot(r, ds[p:]))

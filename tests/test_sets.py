@@ -1,6 +1,7 @@
 """Set models: projection completeness, tangent distances, distance oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_distance_value_reads_one_nearest_point():
     got = f.value(x).v
     assert got == 4.0 and np.float64(got).tobytes() == f.values(x[None]).tobytes()
     assert X.project_calls == 0
+
+
+def test_distance_subderivatives_skip_the_tied_corner_points():
+    # at x = -1 every one of the 32 pairs ties, so there are 2^32 nearest
+    # points; the least <w, x - y> over them is -sum_i max(u_i, v_i)
+    X = CountingComplementarity(32)
+    f = sd.distance_to_set(X)
+    W = np.random.default_rng(32).integers(-3, 4, (189, 64)).astype(float)
+    start = time.perf_counter()
+    got = f.subderivatives(-np.ones(64), W)
+    elapsed = time.perf_counter() - start
+    assert X.project_calls == 0
+    want = -np.maximum(W[:, :32], W[:, 32:]).sum(1) / np.sqrt(32.0)
+    assert got.tobytes() == want.tobytes()
+    assert elapsed < 0.5
 
 
 class _NoProjection(sd.SetModel):
