@@ -242,7 +242,7 @@ class _Scaled(RowSubderivatives):
 
 def scale(model: FunctionModel, lam: float) -> FunctionModel:
     """lam * f for lam > 0; value, subderivative and descent constant scale."""
-    if lam <= 0:
+    if not lam > 0:
         raise NonpositiveScale(f"scale factor must be positive, got {lam}")
     return _Scaled(model, lam)
 
@@ -401,7 +401,7 @@ def penalize(phi: FunctionModel, G, X: SetModel, rho: float) -> FunctionModel:
     G may be a SmoothMap or a SemiDiffMap. The result is semi-differentiable
     when phi and G are and X is geometrically derivable.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise NonpositiveScale(f"penalty constant must be positive, got {rho}")
     dist = distance_to_set(X)
     if not isinstance(G, SemiDiffMap):
@@ -414,7 +414,7 @@ def penalize(phi: FunctionModel, G, X: SetModel, rho: float) -> FunctionModel:
 
 def envelope_composite_descent_constant(L: float, r: float) -> float:
     """Descent constant L/r for a Moreau-smoothed convex outer over an L-smooth map."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     return L / r
 
@@ -422,6 +422,6 @@ def envelope_composite_descent_constant(L: float, r: float) -> float:
 def dc_envelope_descent_constant(L: float, r: float) -> float:
     """Descent constant L(1+r)/r for [e_r g1] o F1 - g2 o F2 with convex g_i
     and L-smooth F_i (the envelope-smoothed difference of composites)."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     return L * (1.0 + r) / r

@@ -38,7 +38,7 @@ class ArmijoParams:
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie in (0, 1)")
-        if self.alpha_init <= 0:
+        if not self.alpha_init > 0:
             raise ValueError("alpha_init must be positive")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
@@ -61,7 +61,7 @@ def armijo_schedule(params: Optional[ArmijoParams] = None) -> Schedule:
 
 
 def diminishing_schedule(alpha0: float = 1.0) -> Schedule:
-    if alpha0 <= 0:
+    if not alpha0 > 0:
         raise ValueError("alpha0 must be positive")
     return Schedule(kind="diminishing", alpha0=float(alpha0))
 

@@ -30,8 +30,10 @@ class L1Norm(RowSubderivatives):
     _sign = 1.0
 
     def __init__(self, n: int, lam: float = 1.0):
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         self._n = int(n)
         self.lam = float(lam)
         self._c = self._sign * self.lam
@@ -146,8 +148,13 @@ def smooth_model(n: int, f, grad, smoothness_constant=None, lower_bound=None) ->
 class _Quadratic(SmoothModel):
     def __init__(self, c: Vector):
         self.c = c
-        super().__init__(c.shape[0], lambda x: 0.5 * float(np.dot(x - c, x - c)),
-                         lambda x: x - c, smoothness_constant=1.0, lower_bound=0.0)
+        # _value below states the value, so no value callable is stored
+        super().__init__(c.shape[0], None, lambda x: x - c,
+                         smoothness_constant=1.0, lower_bound=0.0)
+
+    def _value(self, x: Vector) -> float:
+        d = x - self.c
+        return 0.5 * float(np.dot(d, d))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # vecdot runs the dot kernel of the scalar np.dot on each row.
@@ -179,7 +186,12 @@ def linear_model(c: Vector) -> SmoothModel:
 
 
 class ScalarProxInner:
-    """Separable scalar inner: a cost and the range of its prox set, elementwise."""
+    """Separable scalar inner: a cost, the range of its prox set and the
+    envelope value, elementwise on 1-D arrays.
+
+    ``envelope`` defaults to scoring both ends of ``prox_range``; an inner
+    with a closed form states it there.
+    """
 
     unique_prox = True
     min_cost: Optional[float] = None  # inf of the cost, when known
@@ -191,6 +203,15 @@ class ScalarProxInner:
         """Smallest and largest minimizer of (y - t)^2 / (2r) + cost(y), per entry."""
         raise NotImplementedError
 
+    def envelope(self, t: np.ndarray, r: float) -> np.ndarray:
+        """min over y of (t - y)^2 / (2r) + cost(y), per entry.
+
+        Every minimizer has the same exact value; the default rounds it at
+        both ends of ``prox_range`` and takes the lesser.
+        """
+        return np.minimum(*[(t - y) ** 2 / (2.0 * r) + self.cost(y)
+                            for y in self.prox_range(t, r)])
+
 
 class L1Inner(ScalarProxInner):
     """lam |y|; the prox is the soft threshold, always a singleton."""
@@ -198,7 +219,7 @@ class L1Inner(ScalarProxInner):
     min_cost = 0.0
 
     def __init__(self, lam: float = 1.0):
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
         self.lam = float(lam)
 
@@ -208,6 +229,10 @@ class L1Inner(ScalarProxInner):
     def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         y = np.copysign(np.maximum(np.abs(t) - self.lam * r, 0.0), t)
         return y, y
+
+    def envelope(self, t: np.ndarray, r: float) -> np.ndarray:
+        y = self.prox_range(t, r)[0]
+        return (t - y) ** 2 / (2.0 * r) + self.cost(y)
 
 
 class ZeroNormInner(ScalarProxInner):
@@ -225,10 +250,21 @@ class ZeroNormInner(ScalarProxInner):
 
     def prox_range(self, t: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         thresh = math.sqrt(2.0 * r)
-        off = np.where(np.abs(t) > thresh, t, 0.0)  # the prox off the threshold
-        at = np.abs(t) == thresh
+        a = np.abs(t)
+        off = np.where(a > thresh, t, 0.0)  # the prox off the threshold
+        at = a == thresh
         return (np.where(at, np.minimum(t, 0.0), off),
                 np.where(at, np.maximum(t, 0.0), off))
+
+    def envelope(self, t: np.ndarray, r: float) -> np.ndarray:
+        # min(t^2 / (2r), 1), rounded as at the prox candidates 0 and t: at
+        # |t| = thresh the rounded thresh^2 / (2r) decides which is less.
+        # Clipping |t| at thresh keeps a huge t from overflowing t^2.
+        thresh = math.sqrt(2.0 * r)
+        a = np.abs(t)
+        s = np.minimum(a, thresh)
+        one = a >= thresh if thresh * thresh / (2.0 * r) > 1.0 else a > thresh
+        return np.where(one, 1.0, s * s / (2.0 * r))
 
 
 class UserScalarInner(ScalarProxInner):
@@ -256,14 +292,17 @@ class UserScalarInner(ScalarProxInner):
 
 
 class SeparableMoreau(RowSubderivatives):
-    """Moreau envelope of a separable scalar inner, built on its ``prox_range``."""
+    """Moreau envelope of a separable scalar inner: the value sums the inner's
+    ``envelope``, the subderivative is built on its ``prox_range``."""
 
     semi_differentiable = True
     is_separable = True
 
     def __init__(self, n: int, inner: ScalarProxInner, r: float):
-        if r <= 0:
+        if not r > 0:
             raise ValueError("r must be positive")
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         self._n = int(n)
         self.inner = inner
         self.r = float(r)
@@ -277,18 +316,12 @@ class SeparableMoreau(RowSubderivatives):
     def dim(self) -> int:
         return self._n
 
-    def _envelope(self, t: np.ndarray) -> np.ndarray:
-        """Per-coordinate envelope values at the entries of the 1-D array t."""
-        env = [(t - y) ** 2 / (2.0 * self.r) + self.inner.cost(y)
-               for y in self.inner.prox_range(t, self.r)]
-        return np.minimum(*env)
-
     def _value(self, x: Vector) -> float:
-        return float(np.sum(self._envelope(np.asarray(x, dtype=float))))
+        return float(np.sum(self.inner.envelope(np.asarray(x, dtype=float), self.r)))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # The inner is elementwise on 1-D arrays, so it sees the rows end to end.
-        return np.sum(self._envelope(X.ravel()).reshape(X.shape), axis=1)
+        return np.sum(self.inner.envelope(X.ravel(), self.r).reshape(X.shape), axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         _, (up, down) = self.separable_parts(x)
@@ -330,7 +363,7 @@ class QuadraticMoreau(RowSubderivatives):
     subderivative_concave = True
 
     def __init__(self, inner: QuadraticInner, r: float):
-        if r <= 0:
+        if not r > 0:
             raise ValueError("r must be positive")
         self.inner = inner
         self.r = float(r)

@@ -188,7 +188,7 @@ class Ball(_UniqueProjection):
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center, name="center")
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
 

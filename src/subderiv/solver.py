@@ -60,8 +60,10 @@ class SolverConfig:
     reduced_l1: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.budget < 0:
+            raise ValueError("budget must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.strategy not in STRATEGIES:
@@ -201,8 +203,6 @@ def check_d_stationary(f: FunctionModel, x: Vector, epsilon: float,
     The witness carries the minimizing direction found. The verdict is sound
     exactly when the chosen solver is exact.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     cfg = SolverConfig(epsilon=epsilon, norm=norm, strategy=strategy,
                        budget=budget, seed=seed)
     x = as_vector(x, f.dim)
@@ -214,7 +214,7 @@ def check_d_stationary(f: FunctionModel, x: Vector, epsilon: float,
 
 def rate_constant(mu: float, L: float) -> float:
     """The per-step constant M = min{1/2, mu / (2L)} of the rate bound."""
-    if L < 0:
+    if not L >= 0:
         raise ValueError("L must be nonnegative")
     if L == 0.0:
         return 0.5

@@ -286,7 +286,7 @@ def descent_property_sample(f: FunctionModel, L: float,
     each; gaps beyond ``tol`` are recorded as violations, and the worst
     signed gap is reported either way.
     """
-    if L < 0:
+    if not L >= 0:
         raise ValueError("L must be nonnegative")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")

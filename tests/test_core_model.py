@@ -73,6 +73,38 @@ def test_homogeneity_requires_positive_t(l1):
         sd.homogeneity_check(l1, np.zeros(3), np.ones(3), 0.0)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: sd.moreau_envelope(sd.ZeroNormInner(), _NAN, n=2), ValueError, "r must"),
+    (lambda: sd.moreau_envelope(sd.QuadraticInner(np.eye(2), np.zeros(2)), _NAN),
+     ValueError, "r must"),
+    (lambda: sd.L1Inner(_NAN), ValueError, "lam must"),
+    (lambda: sd.L1Norm(2, _NAN), ValueError, "lam must"),
+    (lambda: sd.scale(sd.L1Norm(2), _NAN), sd.NonpositiveScale, "scale factor"),
+    (lambda: sd.penalize(sd.L1Norm(2), sd.identity_map(2), sd.Ball(np.zeros(2), 1.0), _NAN),
+     sd.NonpositiveScale, "penalty constant"),
+    (lambda: sd.ArmijoParams(alpha_init=_NAN), ValueError, "alpha_init must"),
+    (lambda: sd.diminishing_schedule(_NAN), ValueError, "alpha0 must"),
+    (lambda: sd.Ball(np.zeros(2), _NAN), ValueError, "ball radius"),
+    (lambda: sd.envelope_composite_descent_constant(1.0, _NAN), ValueError, "r must"),
+    (lambda: sd.dc_envelope_descent_constant(1.0, _NAN), ValueError, "r must"),
+    # a NaN constant made the rate bound read M = 1/2 and the sample read clean
+    (lambda: sd.rate_constant(0.5, _NAN), ValueError, "L must"),
+    (lambda: sd.descent_property_sample(sd.L1Norm(2), _NAN, (-np.ones(2), np.ones(2)),
+                                        pairs=5, seed=0), ValueError, "L must"),
+    (lambda: sd.L1Norm(-1), ValueError, "n must"),
+    (lambda: sd.moreau_envelope(sd.L1Inner(), 0.5, n=-1), ValueError, "n must"),
+], ids=["moreau_r", "quadratic_moreau_r", "l1_inner_lam", "l1_norm_lam", "scale_lam",
+        "penalize_rho", "armijo_alpha_init", "diminishing_alpha0", "ball_radius",
+        "envelope_composite_r", "dc_envelope_r", "rate_constant_L", "descent_sample_L",
+        "l1_norm_n", "moreau_n"])
+def test_parameters_reject_nan_and_dimensions_reject_negatives(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_as_vector_validation():
     with pytest.raises(sd.DimensionMismatch):
         sd.as_vector(np.zeros((2, 2)))

@@ -240,6 +240,52 @@ def test_user_prox_needs_only_its_extreme_minimizers(prox_set, cost, r, rng):
             assert every.subderivative(x, w) == ends.subderivative(x, w)
 
 
+def _envelope_edge_points(r, lam):
+    """0, -0.0, the least subnormal, +-1e300, and every float within 80 ulps
+    of +-sqrt(2r) (the hard threshold) and +-lam r (the soft threshold)."""
+    near = [v + np.arange(-80, 81) * np.spacing(v)
+            for c in (math.sqrt(2.0 * r), lam * r) for v in (c, -c)]
+    return np.concatenate([[0.0, -0.0, 5e-324, 1e300, -1e300]] + near)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.1])
+@pytest.mark.parametrize("inner", [sd.ZeroNormInner(), sd.L1Inner(0.8)],
+                         ids=["hard", "soft"])
+def test_envelope_kernels_match_the_two_candidate_default(inner, r):
+    # thresh^2 / (2r) rounds to 1 at r = 0.5, above 1 at 0.3, below 1 at 0.1,
+    # so each side of the tie at |t| = thresh is taken
+    assert type(inner).envelope is not sd.ScalarProxInner.envelope
+    t = _envelope_edge_points(r, 0.8)
+    assert inner.envelope(t, r).tobytes() == sd.ScalarProxInner.envelope(inner, t, r).tobytes()
+
+
+def test_hard_threshold_envelope_does_not_square_a_huge_entry():
+    env = sd.ZeroNormInner().envelope(np.array([1e300, -1e300]), 0.5)
+    assert env.tolist() == [1.0, 1.0]
+
+
+def test_user_inner_envelope_runs_the_default_on_its_prox():
+    calls = []
+
+    def prox(t, r):
+        calls.append(t)
+        return _hard_set(t, r)
+
+    user = sd.UserScalarInner(_zero_norm_cost, prox)
+    assert sd.UserScalarInner.envelope is sd.ScalarProxInner.envelope
+    t = _envelope_edge_points(0.3, 0.8)
+    assert user.envelope(t, 0.3).tobytes() == sd.ZeroNormInner().envelope(t, 0.3).tobytes()
+    assert calls == t.tolist()
+
+
+def test_quadratic_value_is_half_the_squared_distance():
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=4000)
+    f = sd.quadratic_model(c)
+    for x in (rng.normal(size=4000), 1e3 * rng.normal(size=4000), c):
+        assert f._value(x) == 0.5 * float(np.dot(x - c, x - c))
+
+
 def test_moreau_rejects_unknown_inner():
     with pytest.raises(sd.ProxUnavailable):
         sd.moreau_envelope(object(), 0.5)

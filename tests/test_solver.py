@@ -364,6 +364,19 @@ def test_solver_config_validation():
         sd.SolverConfig(strategy="bogus")
 
 
+@pytest.mark.parametrize("call, match", [
+    # a NaN tolerance made d >= -epsilon false at a stationary point
+    (lambda: sd.run(sd.quadratic_model(np.zeros(2)), np.zeros(2),
+                    sd.SolverConfig(epsilon=float("nan"), strategy="l2")), "epsilon"),
+    (lambda: sd.check_d_stationary(sd.quadratic_model(np.zeros(2)), np.zeros(2),
+                                   float("nan")), "epsilon"),
+    (lambda: sd.SolverConfig(budget=-1), "budget"),
+], ids=["run_nan_epsilon", "check_nan_epsilon", "negative_budget"])
+def test_solver_config_rejects_nan_epsilon_and_negative_budget(call, match):
+    with pytest.raises(ValueError, match=f"^{match} must be nonnegative$"):
+        call()
+
+
 def test_reduced_l1_strategy_through_run():
     m = sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.NegL1Norm(2)])
     cfg = sd.SolverConfig(epsilon=1e-3, norm=sd.NormChoice.L1, strategy="l1-ext",
