@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, IndeterminateSum, NonpositiveScale
-from .extreal import ext_add_arrays, ulp_tied
+from .extreal import ext_add_arrays, ulp_tied, ulp_tied_arrays
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
 from .sets import SetModel, distance_to_set
 
@@ -328,6 +328,48 @@ def precompose_semidiff(g, F: SemiDiffMap):
     raise TypeError(f"cannot precompose {type(g).__name__}")
 
 
+class _QuadraticBranches:
+    """The branches 1/2 ||x||^2 - <a_i, x> - c_i, one per row of A. Entry i of
+    ``values_at`` is branch i's ``_value`` bit for bit: ``np.vecdot`` runs
+    the dot kernel of ``np.dot(a_i, x)`` on each row."""
+
+    def __init__(self, A: np.ndarray, c: Vector):
+        self.A, self.c = np.ascontiguousarray(A, dtype=float), np.asarray(c, dtype=float)
+
+    def values_at(self, x: Vector) -> np.ndarray:
+        return 0.5 * float(np.dot(x, x)) - np.vecdot(self.A, x) - self.c
+
+
+class _QuadraticBranch(RowSubderivatives):
+    """Row ``row`` of a stack, smooth with gradient x - a_row and constant 1."""
+
+    semi_differentiable = has_gradient = subderivative_concave = True
+    descent_constant = 1.0
+
+    def __init__(self, stack: _QuadraticBranches, row: int):
+        self.stack, self.row = stack, row
+        self.a, self.c = stack.A[row], float(stack.c[row])
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    def _value(self, x: Vector) -> float:
+        return _not_nan(0.5 * float(np.dot(x, x)) - float(np.dot(self.a, x)) - self.c)
+
+    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return np.vecdot(W, x - self.a)
+
+    def gradient(self, x: Vector) -> Vector:
+        return x - self.a
+
+
+def _not_nan(v: float) -> float:
+    if v != v:
+        raise ValueError("ExtReal payload must not be NaN")
+    return v
+
+
 class _PointwiseExtremum(RowSubderivatives):
     def __init__(self, models: Sequence[FunctionModel], take_max: bool):
         if not models:
@@ -340,12 +382,26 @@ class _PointwiseExtremum(RowSubderivatives):
         self.semi_differentiable = True
         if not take_max and len(self.models) > 0:
             self.subderivative_concave = all(m.subderivative_concave for m in self.models)
+        # Branches of one stack, in any order, are valued by one kernel.
+        first = self.models[0]
+        stacked = all(isinstance(m, _QuadraticBranch) and m.stack is first.stack
+                      for m in self.models)
+        self._stacked = (first.stack, np.array([m.row for m in self.models])) if stacked else None
 
     @property
     def dim(self) -> int:
         return self._dim
 
+    def _stack_values(self, x: Vector) -> tuple[np.ndarray, float]:
+        """The members' values at x and the extremum; argmax/argmin take the
+        first one, as the builtin max/min do, and find a NaN first."""
+        stack, rows = self._stacked
+        vals = stack.values_at(x)[rows]
+        return vals, _not_nan(float(vals[vals.argmax() if self.take_max else vals.argmin()]))
+
     def _value(self, x: Vector) -> float:
+        if self._stacked is not None:
+            return self._stack_values(x)[1]
         vals = [m._value(x) for m in self.models]
         return max(vals) if self.take_max else min(vals)
 
@@ -366,6 +422,9 @@ class _PointwiseExtremum(RowSubderivatives):
         the extremum, so the tolerance scales with f and a distant branch
         does not widen it.
         """
+        if self._stacked is not None:
+            vals, best = self._stack_values(x)
+            return [m for m, t in zip(self.models, ulp_tied_arrays(vals, best)) if t]
         vals = [m._value(x) for m in self.models]
         best = max(vals) if self.take_max else min(vals)
         return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
@@ -391,7 +450,8 @@ def pointwise_max(models: Sequence[FunctionModel]) -> FunctionModel:
 
 
 def pointwise_min(models: Sequence[FunctionModel]) -> FunctionModel:
-    """min_i f_i; active-set rule with min in place of max."""
+    """min_i f_i; active-set rule with min in place of max. The quadratic
+    branches of one stack (``diff_max``'s) are valued in one kernel."""
     return _PointwiseExtremum(models, take_max=False)
 
 

@@ -197,7 +197,7 @@ def homogeneity_check(m: FunctionModel, x: Vector, w: Vector, t: float,
     Returns True when both sides are finite and agree within ``tol``, or when
     both are the same infinity. Mismatches return False rather than raising.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("homogeneity_check requires t > 0")
     x = as_vector(x, m.dim, "x")
     w = as_vector(w, m.dim, "w")

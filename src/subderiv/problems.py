@@ -14,12 +14,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import pointwise_min, sum_models
+from .calculus import _QuadraticBranch, _QuadraticBranches, pointwise_min, sum_models
 from .direction import NormChoice
 from .model import FunctionModel, Vector
 from .oracles import (L1Norm, NegL1Norm, ZeroNormInner, linear_model,
-                      moreau_envelope, quadratic_model, relu_network_loss,
-                      smooth_model)
+                      moreau_envelope, quadratic_model, relu_network_loss)
 from .solver import SolverConfig
 
 
@@ -139,15 +138,8 @@ def _build_diff_max(params: dict) -> BuiltProblem:
     m = _get_int(params, "m", 3)
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     c = rng.uniform(-0.5, 0.5, size=m)
-    branches = []
-    for i in range(m):
-        ai, ci = A[i].copy(), float(c[i])
-        branches.append(smooth_model(
-            n,
-            lambda x, ai=ai, ci=ci: 0.5 * float(np.dot(x, x)) - float(np.dot(ai, x)) - ci,
-            lambda x, ai=ai: x - ai,
-            smoothness_constant=1.0))
-    model = pointwise_min(branches)
+    stack = _QuadraticBranches(A, c)   # branch i: 0.5 ||x||^2 - <a_i, x> - c_i
+    model = pointwise_min([_QuadraticBranch(stack, i) for i in range(m)])
     x0 = _parse_vector(params.get("x0"), 3.0 * np.ones(n))
     cfg = SolverConfig(epsilon=1e-4, norm=NormChoice.L1,
                        max_iter=2000, strategy="l1-ext")
@@ -184,7 +176,7 @@ _register("separable_l1", "(1/2)||x - a||^2 + lam ||x||_1, separable search",
           _build_separable_l1, "n, lam, a, x0")
 _register("sparse_moreau", "Moreau-smoothed sparsity count, descent constant 1/r",
           _build_sparse_moreau, "n, r, b, x0")
-_register("diff_max", "quadratic minus a max of affine functions (as a min of smooth)",
+_register("diff_max", "quadratic minus a max of affine functions (one-kernel min of branches)",
           _build_diff_max, "n, m, gen_seed, x0")
 _register("relu_net", "mean squared loss of a small ReLU network",
           _build_relu_net, "widths, m, gen_seed, x0")

@@ -61,8 +61,10 @@ class FDConfig:
     seed: int = 20240817
 
     def __post_init__(self):
-        if self.t0 <= 0 or not (0.0 < self.rho < 1.0):
+        if not self.t0 > 0 or not (0.0 < self.rho < 1.0):
             raise ValueError("need t0 > 0 and rho in (0, 1)")
+        if not self.divergence_threshold > 0 or not self.agreement_tol >= 0:
+            raise ValueError("need divergence_threshold > 0 and agreement_tol >= 0")
         if self.levels < 2:
             raise ValueError("need at least two grid levels")
         if not self.t0 * self.rho ** self.levels > 0:
@@ -247,7 +249,7 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     n = f.dim
     if n > _BRUTE_DIM_CAP:
         raise DimensionTooLarge(f"brute force capped at dimension {_BRUTE_DIM_CAP}")
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError("resolution must be positive")
     eye = np.eye(n)
     cands = [np.stack([eye, -eye], axis=1).reshape(2 * n, n)]
@@ -288,6 +290,8 @@ def descent_property_sample(f: FunctionModel, L: float,
     """
     if not L >= 0:
         raise ValueError("L must be nonnegative")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)

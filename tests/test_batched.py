@@ -712,7 +712,7 @@ def test_bundled_models_state_each_subderivative_once():
     assert {c.__name__ for c in bundled if "_value" in vars(c)} >= {
         "L1Norm", "ZeroNormComposite", "SmoothModel", "SeparableMoreau", "QuadraticMoreau",
         "ReLUNetworkLoss", "DistanceToSet", "_Sum", "_Scaled", "_Composite",
-        "_PointwiseExtremum"}
+        "_PointwiseExtremum", "_QuadraticBranch"}
     for c in bundled:
         if not inspect.isabstract(c):
             assert c._value is not sd.FunctionModel._value, c

@@ -73,6 +73,43 @@ def test_fd_config_validation():
         sd.FDConfig(levels=1)
 
 
+_NAN = float("nan")
+
+
+def _fd_zero_norm_at_support_change(cfg):
+    zn = sd.ZeroNormComposite(np.eye(2), np.zeros(2))
+    return sd.fd_subderivative(zn, np.array([0.0, 1.0]), np.array([1.0, 0.0]), cfg)
+
+
+@pytest.mark.parametrize("call, match", [
+    # "the finest step t0 * rho**levels underflows to 0"
+    (lambda: sd.FDConfig(t0=_NAN), "t0 > 0"),
+    # converged=False at every point
+    (lambda: sd.FDConfig(agreement_tol=_NAN), "agreement_tol"),
+    # never diverged: a finite estimate where d f(x)(w) = +inf
+    (lambda: _fd_zero_norm_at_support_change(sd.FDConfig(divergence_threshold=_NAN)),
+     "divergence_threshold"),
+    # "cannot convert float NaN to integer" from the grid build
+    (lambda: sd.brute_force_direction(sd.L1Norm(2), np.zeros(2), sd.NormChoice.L2,
+                                      resolution=_NAN), "resolution must"),
+    # "W must have finite entries" from the scaled direction
+    (lambda: sd.homogeneity_check(sd.L1Norm(2), np.zeros(2), np.ones(2), _NAN), "requires t > 0"),
+    # clean on a quadratic whose descent constant 0 is violated
+    (lambda: sd.descent_property_sample(sd.quadratic_model(np.zeros(2)), 0.0,
+                                        (-np.ones(2), np.ones(2)), pairs=5, seed=0, tol=_NAN),
+     "tol must"),
+], ids=["fd_t0", "fd_agreement_tol", "fd_divergence_threshold", "brute_resolution",
+        "homogeneity_t", "descent_sample_tol"])
+def test_verifier_parameters_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_fd_zero_norm_at_support_change_diverges():
+    res = _fd_zero_norm_at_support_change(sd.FDConfig())
+    assert res.diverged and res.estimate == sd.POS_INF
+
+
 def test_fd_agreement_across_semidiff_oracles(rng):
     models = [sd.L1Norm(3, 1.3), sd.NegL1Norm(3, 0.7),
               sd.moreau_envelope(sd.L1Inner(0.8), 0.5, n=3),
