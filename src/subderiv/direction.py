@@ -8,7 +8,9 @@ subderivatives attain their minimum at an extreme point of the l1 ball.
 Everything else goes through a seeded sampling fallback that can refute
 stationarity but never certify it. Its unit-ball samples depend only on
 (n, norm, budget, seed), so each such set is drawn once per process and
-reused, read-only, at every iterate.
+reused, read-only, at every iterate; likewise the l1 vertex matrix, full or
+reduced, is built once per n and shared, read-only, by the vertex search and
+the fallback (``l1_vertices`` and ``reduced_vertices`` build a fresh one).
 
 The l1 vertex search and the fallback each make one batched query,
 ``f.subderivatives(x, W)``, over all their candidates, so a model does the
@@ -119,6 +121,14 @@ def reduced_vertices(n: int) -> np.ndarray:
     return np.vstack([np.eye(n), -np.ones((1, n))])
 
 
+@functools.lru_cache(maxsize=8)
+def _vertex_matrix(n: int, reduced: bool) -> np.ndarray:
+    """``reduced_vertices(n)`` or ``l1_vertices(n)``, read-only, built once per key."""
+    verts = reduced_vertices(n) if reduced else l1_vertices(n)
+    verts.setflags(write=False)
+    return verts
+
+
 def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
     """d f(x)(w) for every row of W through one batched query."""
     vals = np.asarray(f.subderivatives(x, W), dtype=float)
@@ -139,7 +149,7 @@ def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> Dire
     one is returned.
     """
     x = as_vector(x, f.dim)
-    verts = reduced_vertices(f.dim) if reduced else l1_vertices(f.dim)
+    verts = _vertex_matrix(f.dim, reduced)
     best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
     return DirectionResult(best_w, f.subderivative(x, best_w), True, len(verts) + 1)
 
@@ -199,7 +209,7 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     x = as_vector(x, f.dim)
-    cands = [l1_vertices(f.dim)]
+    cands = [_vertex_matrix(f.dim, False)]
     if f.has_gradient:
         g = f.gradient(x)
         nrm = norm_of(g, norm)

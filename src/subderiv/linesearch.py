@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BacktrackExhausted
-from .model import FunctionModel, Vector
+from .model import FunctionModel, Vector, check_count
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class ArmijoParams:
 
     The default cap of 60 brings the step near 1e-18 at mu = 0.5; beyond
     that, failure is diagnostic (the model is neither semi-differentiable
-    nor descent-property at x), not something to retry.
+    nor descent-property at x), not something to retry. The cap is an
+    integer.
     """
 
     mu: float = 0.5
@@ -40,6 +41,7 @@ class ArmijoParams:
             raise ValueError("mu must lie in (0, 1)")
         if not self.alpha_init > 0:
             raise ValueError("alpha_init must be positive")
+        check_count(self.max_backtracks, "max_backtracks")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
 

@@ -30,6 +30,7 @@ for any number of concurrent readers.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,15 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must have finite coordinates")
     return arr
+
+
+def check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer (an ``int`` or a NumPy
+    integer; a float, even NaN or 2.0, is not), as ``range`` needs."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
@@ -163,9 +173,11 @@ class FunctionModel(abc.ABC):
 class RowSubderivatives(FunctionModel):
     """A model that states its value and subderivative once, as kernels.
 
-    ``value(x)`` is ``ExtReal(_value(x))`` and ``subderivative(x, w)`` the
-    one-row case of ``subderivatives``, so it checks x and w as the batch
-    does: a wrong length raises DimensionMismatch, a non-finite entry ValueError.
+    ``value(x)`` is ``ExtReal(_value(x))`` on x checked by ``as_vector``, and
+    ``subderivative(x, w)`` the one-row case of ``subderivatives``, so both
+    check their input as the batch does: a wrong length or shape raises
+    DimensionMismatch, a non-finite entry ValueError. The ``_value`` kernel
+    takes x as given.
     """
 
     @abc.abstractmethod
@@ -177,7 +189,7 @@ class RowSubderivatives(FunctionModel):
         """d f(x)(w) for every row w of the checked matrix W."""
 
     def value(self, x: Vector) -> ExtReal:
-        return ExtReal(self._value(x))
+        return ExtReal(self._value(as_vector(x, self.dim)))
 
     def subderivative(self, x: Vector, w: Vector) -> ExtReal:
         return ExtReal(self.subderivatives(x, np.asarray(w, dtype=float)[None])[0])

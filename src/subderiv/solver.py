@@ -25,7 +25,7 @@ from .direction import (DirectionResult, NormChoice, solve_l1_extreme,
                         solve_sampling_fallback)
 from .errors import BacktrackExhausted, DomainViolation, InsufficientTrace
 from .linesearch import Schedule, armijo_schedule, schedule_step
-from .model import FunctionModel, Vector, as_vector
+from .model import FunctionModel, Vector, as_vector, check_count
 
 STRATEGIES = ("auto", "l2", "linf-sep", "l1-ext", "fallback")
 
@@ -46,7 +46,7 @@ class SolverConfig:
     dropping below it terminates with status Unbounded. ``budget`` and
     ``seed`` only matter for the sampling fallback; ``reduced_l1`` switches
     the l1 strategy to the n+1-point vertex set (and with it the induced
-    polytope norm).
+    polytope norm). ``max_iter`` and ``budget`` are integers.
     """
 
     epsilon: float = 1e-6
@@ -62,6 +62,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
+        check_count(self.budget, "budget")
+        check_count(self.max_iter, "max_iter")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
         if self.max_iter < 1:

@@ -1,15 +1,21 @@
 """Independent oracles: finite differences, brute-force search, and samplers.
 
 What is independent is the method. The finite-difference harness
-discretizes the defining lower limit directly and asks only for values, all
-of one estimate's probe points in one batched ``f.values`` query; the
-brute-force direction search checks the closed-form searches against plain
-enumeration of a dense grid of the unit sphere; the samplers instantiate the
-descent-property and sufficient-decrease inequalities literally. The
-subderivative oracle is an input that a search and its brute-force check
-share: the enumeration scores its grid with one batched
+discretizes the defining lower limit directly and asks only for values, x
+and all of one estimate's probe points in one batched ``f.values`` query;
+the brute-force direction search checks the closed-form searches against
+plain enumeration of a dense grid of the unit sphere; the samplers
+instantiate the descent-property and sufficient-decrease inequalities
+literally. The subderivative oracle is an input that a search and its
+brute-force check share: the enumeration scores its grid with one batched
 ``f.subderivatives`` query, which must equal the scalar query bit for bit
 (``tests/test_batched.py`` pins every override, of both batched queries).
+
+What depends only on sizes is built once per process and kept read-only: an
+``FDConfig`` computes its step grid when it is made, the FD perturbation
+draws are cached per (seed, levels, perturbations, dim), and the brute-force
+candidates (signed coordinate vectors, then the sphere grid) per (norm, n,
+resolution).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .calculus import SemiDiffMap
 from .direction import DirectionResult, NormChoice, _batch_values, norm_of
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
-from .model import FunctionModel, Vector, as_vector
+from .model import FunctionModel, Vector, as_vector, check_count
 from .sets import SetModel
 from .solver import sufficient_decrease_audit  # noqa: F401 (re-exported)
 
@@ -48,7 +54,8 @@ class FDConfig:
     ~9.5e-9, where a 1/t quotient crosses the divergence threshold). Each
     level also probes ``perturbations`` directions w' on a sphere around w
     whose radius min(t, 0.1 ||w||) vanishes with t, since the defining limit
-    couples w' -> w with t -> 0.
+    couples w' -> w with t -> 0. ``levels`` and ``perturbations`` are
+    integers; the steps are computed once, when the config is made.
     """
 
     t0: float = 1e-2
@@ -65,10 +72,21 @@ class FDConfig:
             raise ValueError("need t0 > 0 and rho in (0, 1)")
         if not self.divergence_threshold > 0 or not self.agreement_tol >= 0:
             raise ValueError("need divergence_threshold > 0 and agreement_tol >= 0")
+        check_count(self.levels, "levels")
+        check_count(self.perturbations, "perturbations")
         if self.levels < 2:
             raise ValueError("need at least two grid levels")
+        if self.perturbations < 0:
+            raise ValueError("perturbations must be nonnegative")
         if not self.t0 * self.rho ** self.levels > 0:
             raise ValueError("the finest step t0 * rho**levels underflows to 0")
+        T = np.array([self.t0 * self.rho ** j for j in range(self.levels + 1)])[:, None]
+        T.setflags(write=False)
+        # not a field: derived from the fields, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_T", T)
+
+
+_DEFAULT_FD = FDConfig()
 
 
 @dataclass
@@ -126,32 +144,42 @@ def fd_subderivative(f: FunctionModel, x: Vector, w: Vector,
     levels disagree beyond ``agreement_tol``. Either mode reports +inf when
     every finest-level quotient exceeds the divergence threshold.
 
-    The perturbations are seeded per level by ``cfg.seed`` and depend only on
-    the seed and the grid's shape, so they are drawn once per process
-    (``_fd_perturbations``) and rescaled to each level's radius. Every probe
-    point, level by level with w' = w first, is scored by one ``f.values``
-    query after the scalar f(x); a level's minimum quotient is its first
-    minimum, as a running ``min`` over the level's quotients would give.
+    The step grid is computed once per config, and the default config is
+    made once per process. The perturbations are seeded per level by
+    ``cfg.seed`` and depend only on the seed and the grid's shape, so they
+    are drawn once per process (``_fd_perturbations``) and rescaled to each
+    level's radius. x and then every probe point, level by level with
+    w' = w first, are scored by one ``f.values`` query, so f(x) is its first
+    row; a level's minimum quotient is its first minimum, as a running
+    ``min`` over the level's quotients would give. Because f(x) is checked
+    after that query, a model that raises at a probe point raises its own
+    error even where f(x) is not finite; otherwise an infinite f(x) raises
+    DomainViolation.
     """
-    cfg = cfg or FDConfig()
+    cfg = _DEFAULT_FD if cfg is None else cfg
     x = as_vector(x, f.dim, "x")
     w = as_vector(w, f.dim, "w")
-    fx = f._value(x)
-    if not math.isfinite(fx):
-        raise DomainViolation("fd_subderivative needs f(x) finite")
     wnorm = float(np.linalg.norm(w))
-    t_grid = [cfg.t0 * cfg.rho ** j for j in range(cfg.levels + 1)]
-    T = np.array(t_grid)[:, None]
-    # probes[j] holds level j's points: x + t w, then its perturbed ones.
+    T = cfg._T
     # Every step t is positive, so each level's radius min(t, 0.1 ||w||) is
     # positive exactly when 0.1 ||w|| is.
-    probes = (x + T * w)[:, None, :]
-    if cfg.perturbations > 0 and 0.1 * wnorm > 0:
+    perturbed = cfg.perturbations > 0 and 0.1 * wnorm > 0
+    width = 1 + cfg.perturbations if perturbed else 1
+    points = np.empty((1 + T.shape[0] * width, f.dim))
+    points[0] = x
+    # probes[j] holds level j's points: x + t w, then its perturbed ones.
+    probes = points[1:].reshape(T.shape[0], width, f.dim)
+    probes[:, 0] = x + T * w
+    if perturbed:
         draws, norms = _fd_perturbations(cfg.seed, cfg.levels, cfg.perturbations, f.dim)
         radii = np.minimum(T, 0.1 * wnorm)
-        moved = x + T[:, :, None] * (w + draws * (radii / norms)[:, :, None])
-        probes = np.concatenate([probes, moved], axis=1)
-    Q = (_values_at(f, probes.reshape(-1, f.dim)).reshape(probes.shape[:2]) - fx) / T
+        probes[:, 1:] = x + T[:, :, None] * (w + draws * (radii / norms)[:, :, None])
+    vals = _values_at(f, points)
+    fx = vals[0]
+    if not math.isfinite(fx):
+        raise DomainViolation("fd_subderivative needs f(x) finite")
+    Q = (vals[1:].reshape(probes.shape[:2]) - fx) / T
+    t_grid = T[:, 0].tolist()
     quotients = Q[:, 0].tolist()
     min_quotients = Q[np.arange(Q.shape[0]), np.argmin(Q, axis=1)].tolist()
     diverged = min_quotients[-1] > cfg.divergence_threshold
@@ -231,6 +259,25 @@ def _linf_sphere_grid(n: int, resolution: float) -> np.ndarray:
     return W.reshape(-1, n)
 
 
+_SPHERE_GRIDS = {NormChoice.L2: _l2_sphere_grid, NormChoice.L1: _l1_sphere_grid,
+                 NormChoice.LINF: _linf_sphere_grid}
+
+
+@functools.lru_cache(maxsize=8)
+def _brute_candidates(norm: NormChoice, n: int, resolution: float) -> np.ndarray:
+    """The signed coordinate vectors e1, -e1, e2, ... (the rows of I and -I
+    interleaved, -0.0 entries included) stacked on the sphere grid, read-only.
+
+    They depend only on the key, so each is built once per process; a grid
+    over the sample cap raises and is not cached.
+    """
+    eye = np.eye(n)
+    W = np.vstack([np.stack([eye, -eye], axis=1).reshape(2 * n, n),
+                   _SPHERE_GRIDS[norm](n, resolution)])
+    W.setflags(write=False)
+    return W
+
+
 def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
                           resolution: float) -> DirectionResult:
     """Dense enumeration of the unit sphere of the chosen norm.
@@ -238,12 +285,14 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     The candidates are the signed coordinate vectors e1, -e1, e2, ...
     (corners are grid points by construction for l1/linf), the normalized
     negative gradient when available, so exact solvers are matched on their
-    own candidates, and then the sphere grid. All of them are scored by one
-    batched query ``f.subderivatives(x, W)``; a NaN counts as +inf, the
-    first minimum wins, and if every value is +inf the first candidate is
-    returned. The winner's value is recomputed through the scalar
-    ``f.subderivative``. Dimension is capped at 4; this is an oracle, not a
-    production search.
+    own candidates, and then the sphere grid. The coordinate vectors and the
+    grid depend only on (norm, n, resolution), so they are built once per
+    process (``_brute_candidates``); the gradient candidate is stacked
+    between them on each call. All of them are scored by one batched query
+    ``f.subderivatives(x, W)``; a NaN counts as +inf, the first minimum wins,
+    and if every value is +inf the first candidate is returned. The winner's
+    value is recomputed through the scalar ``f.subderivative``. Dimension is
+    capped at 4; this is an oracle, not a production search.
     """
     x = as_vector(x, f.dim)
     n = f.dim
@@ -251,17 +300,12 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
         raise DimensionTooLarge(f"brute force capped at dimension {_BRUTE_DIM_CAP}")
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    eye = np.eye(n)
-    cands = [np.stack([eye, -eye], axis=1).reshape(2 * n, n)]
+    W = _brute_candidates(norm, n, resolution)
     if f.has_gradient:
         g = f.gradient(x)
         nrm = norm_of(g, norm)
         if nrm > 0:
-            cands.append(-(g / nrm))
-    grid = {NormChoice.L2: _l2_sphere_grid, NormChoice.L1: _l1_sphere_grid,
-            NormChoice.LINF: _linf_sphere_grid}[norm]
-    cands.append(grid(n, resolution))
-    W = np.vstack(cands)
+            W = np.vstack([W[:2 * n], -(g / nrm), W[2 * n:]])
     vals = _batch_values(f, x, W)
     best_w = W[int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))].copy()
     return DirectionResult(best_w, f.subderivative(x, best_w), False, len(W) + 1)

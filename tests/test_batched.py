@@ -1078,6 +1078,67 @@ def test_fd_level_minimum_is_the_first_of_tied_quotients():
     assert sum(d[-1, 1] < 0 for d in draws) >= 5
 
 
+class ValueQueries(ScalarOnly):
+    """ScalarOnly that also forwards ``values`` and counts the value
+    queries, batched and scalar."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batched = self.scalar = 0
+
+    def value(self, x):
+        self.scalar += 1
+        return self.inner.value(x)
+
+    def values(self, X):
+        self.batched += 1
+        return self.inner.values(X)
+
+
+@pytest.mark.parametrize("name, model, special", VALUE_CASES, ids=[c[0] for c in VALUE_CASES])
+def test_fd_asks_one_values_query_per_estimate(name, model, special):
+    # f(x) is the first row of the probe batch, not a query of its own
+    rng = np.random.default_rng(len(name) + 3)
+    x = np.array(special[0], dtype=float)
+    for w in (rng.uniform(-1, 1, model.dim), np.zeros(model.dim)):
+        f = ValueQueries(model)
+        got = sd.fd_subderivative(f, x, w)
+        assert (f.batched, f.scalar) == (1, 0), name
+        q, qmin = reference_fd_quotients(model, x, w)
+        assert _bits(got.quotients) == _bits(q), name
+        assert _bits(got.min_quotients) == _bits(qmin), name
+
+
+class ProbeError(Exception):
+    pass
+
+
+class InfiniteAtZero(sd.FunctionModel):
+    """+inf at x = 0, and an error of its own at every other point."""
+
+    extended_valued = True
+
+    @property
+    def dim(self):
+        return 1
+
+    def value(self, x):
+        if x[0] == 0.0:
+            return sd.POS_INF
+        raise ProbeError("asked off the origin")
+
+    def subderivative(self, x, w):
+        return sd.POS_INF
+
+
+def test_fd_raises_a_probes_error_before_the_domain_check():
+    # f(x) is checked after the one query that also scores the probes
+    with pytest.raises(ProbeError):
+        sd.fd_subderivative(InfiniteAtZero(), np.zeros(1), np.ones(1))
+    with pytest.raises(sd.DomainViolation):
+        sd.fd_subderivative(InfiniteAtZero(), np.zeros(1), np.zeros(1))
+
+
 def test_fd_config_rejects_a_finest_step_that_underflows():
     with pytest.raises(ValueError):
         sd.FDConfig(levels=1100)

@@ -114,3 +114,21 @@ def test_as_vector_validation():
         sd.as_vector(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         sd.as_vector(np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("model, x, error, match", [
+    # read as the first two coordinates: 3.0
+    (sd.L1Norm(3), [1.0, 2.0], sd.DimensionMismatch, "dimension 2, expected 3"),
+    # summed over the whole matrix: 6.0
+    (sd.L1Norm(3), [[1.0, 2.0, 3.0]], sd.DimensionMismatch, "must be a vector"),
+    # a numpy broadcast error from x - c
+    (sd.quadratic_model(np.zeros(3)), [1.0, 2.0], sd.DimensionMismatch, "dimension 2"),
+    # IndeterminateSum: nan from the quadratic against nan from the l1 term
+    (sd.sum_models([sd.quadratic_model(np.zeros(3)), sd.L1Norm(3)]), [1.0, np.nan, 0.0],
+     ValueError, "finite coordinates"),
+], ids=["short", "matrix", "quadratic_short", "sum_nan"])
+def test_value_checks_its_point_as_subderivative_does(model, x, error, match):
+    with pytest.raises(error, match=match):
+        model.value(x)
+    with pytest.raises(error, match=match):
+        model.subderivative(x, np.zeros(model.dim))

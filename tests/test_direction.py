@@ -341,6 +341,38 @@ def test_fallback_samples_are_read_only_and_results_own_their_direction():
     assert again.value == first.value
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_vertex_matrices_are_read_only_and_the_builders_matrices(n):
+    for reduced, build in ((False, sd.direction.l1_vertices),
+                           (True, sd.direction.reduced_vertices)):
+        V = sd.direction._vertex_matrix(n, reduced)
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0, 0] = 2.0
+        assert V.dtype == np.float64 and V.tobytes() == build(n).tobytes()
+        assert sd.direction._vertex_matrix(n, reduced) is V
+        # the public builders still hand out a fresh, writable matrix
+        assert build(n).flags.writeable and build(n) is not build(n)
+
+
+def test_vertex_searches_are_the_same_cold_and_warm_and_own_their_direction():
+    f = sd.sum_models([sd.quadratic_model(np.zeros(3)), sd.NegL1Norm(3)])
+    x = np.array([0.5, -1.0, 2.0])
+    searches = [lambda: sd.solve_l1_extreme(f, x),
+                lambda: sd.solve_l1_extreme(f, x, reduced=True),
+                # over the l1 ball a linear d f(x)(.) is least at a vertex
+                lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L1, 8, 4)]
+    for search in searches:
+        sd.direction._vertex_matrix.cache_clear()
+        cold = search()
+        kept = (cold.w.tobytes(), cold.value, cold.exact, cold.evaluations)
+        assert any(cold.w.tobytes() == v.tobytes() for v in
+                   np.vstack([sd.direction.l1_vertices(3), sd.direction.reduced_vertices(3)]))
+        cold.w[:] = 7.0
+        warm = search()
+        assert (warm.w.tobytes(), warm.value, warm.exact, warm.evaluations) == kept
+
+
 def _trace_bytes(tr):
     rows = [(r.k, r.f, r.dir_value, r.alpha, r.backtracks, r.step_norm) for r in tr.records]
     return (repr(rows), tr.status, tr.detail, tr.certified, tr.f_final,

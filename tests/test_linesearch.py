@@ -81,6 +81,14 @@ def test_armijo_params_validation():
         sd.ArmijoParams(max_backtracks=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0], ids=["nan", "fraction", "float"])
+def test_armijo_backtrack_cap_is_an_integer(value):
+    # a NaN got through the range check and raised TypeError inside armijo
+    with pytest.raises(ValueError, match="^max_backtracks must be an integer"):
+        sd.ArmijoParams(max_backtracks=value)
+    assert sd.ArmijoParams(max_backtracks=np.int64(3)).max_backtracks == 3
+
+
 def test_armijo_infinite_trial_values_backtrack():
     # Value +inf at the trial point fails the strict test and backtracks.
     class Gate(sd.FunctionModel):

@@ -377,6 +377,15 @@ def test_solver_config_rejects_nan_epsilon_and_negative_budget(call, match):
         call()
 
 
+@pytest.mark.parametrize("field", ["max_iter", "budget"])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0], ids=["nan", "fraction", "float"])
+def test_solver_config_counts_are_integers(field, value):
+    # a NaN got through the range checks and raised TypeError inside run
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        sd.SolverConfig(**{field: value})
+    assert getattr(sd.SolverConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_reduced_l1_strategy_through_run():
     m = sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.NegL1Norm(2)])
     cfg = sd.SolverConfig(epsilon=1e-3, norm=sd.NormChoice.L1, strategy="l1-ext",

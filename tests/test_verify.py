@@ -73,6 +73,20 @@ def test_fd_config_validation():
         sd.FDConfig(levels=1)
 
 
+@pytest.mark.parametrize("field", ["levels", "perturbations"])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0], ids=["nan", "fraction", "float"])
+def test_fd_config_counts_are_integers(field, value):
+    # perturbations=nan ran with no perturbations at all
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        sd.FDConfig(**{field: value})
+    assert getattr(sd.FDConfig(**{field: np.int64(3)}), field) == 3
+
+
+def test_fd_config_refuses_negative_perturbations():
+    with pytest.raises(ValueError, match="perturbations must be nonnegative"):
+        sd.FDConfig(perturbations=-1)
+
+
 _NAN = float("nan")
 
 
@@ -399,6 +413,43 @@ def test_sphere_grids_match_the_row_by_row_builders(norm, n, monkeypatch):
         monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", size)
         assert build(n, res).shape == (size, n)
         monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", full)
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brute_candidates_are_read_only_and_the_builders_matrix(norm, n):
+    W = verify._brute_candidates(norm, n, 0.5)
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 2.0
+    eye = np.eye(n)
+    head = [row for i in range(n) for row in (eye[i], -eye[i])]  # -0.0 off the diagonal
+    want = np.vstack(head + [GRIDS[norm][0](n, 0.5)])
+    assert W.dtype == np.float64 and W.tobytes() == want.tobytes()
+    assert verify._brute_candidates(norm, n, 0.5) is W
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+def test_brute_force_is_the_same_cold_and_warm_and_owns_its_direction(norm):
+    c = np.array([0.5, -1.0, 0.25])
+    x = np.array([1.0, 0.0, -2.0])
+    for model in (sd.quadratic_model(c), sd.sum_models([sd.quadratic_model(c), sd.L1Norm(3)])):
+        verify._brute_candidates.cache_clear()
+        cold = sd.brute_force_direction(model, x, norm, 0.25)
+        kept = (cold.w.tobytes(), cold.value, cold.evaluations)
+        cold.w[:] = 7.0
+        warm = sd.brute_force_direction(model, x, norm, 0.25)
+        assert (warm.w.tobytes(), warm.value, warm.evaluations) == kept
+        assert_same_direction(warm, _rowwise_brute_force(model, x, norm, 0.25))
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice), ids=lambda c: c.value)
+def test_brute_force_refuses_a_cold_key_over_the_sample_cap(norm, monkeypatch):
+    verify._brute_candidates.cache_clear()
+    monkeypatch.setattr(verify, "_BRUTE_SAMPLE_CAP", 10)
+    with pytest.raises(ValueError):
+        sd.brute_force_direction(sd.L1Norm(3), np.zeros(3), norm, 0.5)
+    assert verify._brute_candidates.cache_info().currsize == 0
 
 
 def test_sphere_grid_caps_at_full_size():
