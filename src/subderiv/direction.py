@@ -12,10 +12,15 @@ reused, read-only, at every iterate; likewise the l1 vertex matrix, full or
 reduced, is built once per n and shared, read-only, by the vertex search and
 the fallback (``l1_vertices`` and ``reduced_vertices`` build a fresh one).
 
-The l1 vertex search and the fallback each make one batched query,
-``f.subderivatives(x, W)``, over all their candidates, so a model does the
-work that depends only on x once per search; the chosen direction's value
-is then recomputed through the scalar ``f.subderivative``.
+Each search checks its point x once, on entry, and then asks the model's
+row kernel ``f._subderivatives`` (see ``FunctionModel``). The l1 vertex
+search and the fallback score all their candidates with one kernel call, so
+a model does the work that depends only on x once per search, and every
+search reads the chosen direction's value back through the one-row kernel
+call ``f._subderivatives(x, w[None])``. Matrices the library builds from
+finite data (the vertex matrix, the samples, a {-1, 0, 1} direction) are not
+checked again; a row built from the model's gradient is checked as the
+public batch checks W, so a non-finite gradient raises ValueError.
 
 Tie-breaking is deterministic everywhere: candidates are scanned in a fixed
 enumeration order and only a strictly smaller value displaces the incumbent
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import NoGradient, NotSeparable
 from .extreal import ExtReal
-from .model import FunctionModel, Vector, as_vector
+from .model import FunctionModel, Vector, as_directions, as_vector, check_count
 
 
 class NormChoice(enum.Enum):
@@ -45,12 +50,12 @@ class NormChoice(enum.Enum):
 class DirectionResult:
     """A unit-ball direction, its subderivative value, and an exactness flag.
 
-    ``value`` always equals f.subderivative(x, w) as recomputed through the
-    model. ``exact`` is True for every closed-form solver: the l2 search, the
-    sup-norm separable search (two numbers per coordinate, so exact for every
-    separable model) and the l1 vertex search (for the reduced variant, exact
-    relative to the induced polytope norm). Only the sampling fallback is
-    inexact.
+    ``value`` always equals f.subderivative(x, w), read back through the
+    model's one-row kernel. ``exact`` is True for every closed-form solver:
+    the l2 search, the sup-norm separable search (two numbers per
+    coordinate, so exact for every separable model) and the l1 vertex search
+    (for the reduced variant, exact relative to the induced polytope norm).
+    Only the sampling fallback is inexact.
     ``evaluations`` counts subderivative evaluations, one per row of a
     batched query.
     """
@@ -73,8 +78,8 @@ def solve_l2_smooth(f: FunctionModel, x: Vector) -> DirectionResult:
     nrm = float(np.linalg.norm(g))
     if nrm == 0.0:
         return DirectionResult(np.zeros(f.dim), ExtReal(0.0), True, 1)
-    w = -(g / nrm)
-    return DirectionResult(w, f.subderivative(x, w), True, 2)
+    w = as_directions(-(g / nrm)[None], f.dim)[0]   # built from the model's answer
+    return DirectionResult(w, _value_at(f, x, w), True, 2)
 
 
 def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
@@ -88,8 +93,8 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     [-1, 1] lies at -1, +1 or 0: the values -grad_i + down_i, grad_i + up_i
     and 0, scanned in that order. Always exact.
     """
-    grad = as_vector(grad, name="grad")
-    n = grad.shape[0]
+    n = model.dim
+    grad = as_vector(grad, n, "grad")
     if len(parts) != 2 or any(np.shape(p) != (n,) for p in parts):
         raise NotSeparable(f"separable parts must be two arrays of shape ({n},)")
     up, down = (np.asarray(p, dtype=float) for p in parts)
@@ -98,7 +103,7 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     plus_wins = at_plus < at_minus
     best = np.where(plus_wins, at_plus, at_minus)
     w = np.where(0.0 < best, 0.0, np.where(plus_wins, 1.0, -1.0))
-    return DirectionResult(w, model.subderivative(as_vector(x, n), w), True, 1)
+    return DirectionResult(w, _value_at(model, as_vector(x, n), w), True, 1)
 
 
 def l1_vertices(n: int) -> np.ndarray:
@@ -130,12 +135,36 @@ def _vertex_matrix(n: int, reduced: bool) -> np.ndarray:
 
 
 def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
-    """d f(x)(w) for every row of W through one batched query."""
-    vals = np.asarray(f.subderivatives(x, W), dtype=float)
+    """d f(x)(w) for every row of W through one row-kernel call.
+
+    x must be a checked vector and W a C-contiguous float64 (k, n) matrix
+    with finite entries, as ``FunctionModel.subderivatives`` hands them on.
+    """
+    vals = np.asarray(f._subderivatives(x, W), dtype=float)
     if vals.shape != (W.shape[0],):
-        raise ValueError(f"{type(f).__name__}.subderivatives returned shape "
+        raise ValueError(f"{type(f).__name__}._subderivatives returned shape "
                          f"{vals.shape} for {W.shape[0]} directions")
     return vals
+
+
+def _value_at(f: FunctionModel, x: Vector, w: Vector) -> ExtReal:
+    """d f(x)(w) for a checked x and a contiguous finite w, through the
+    one-row kernel call; a NaN answer raises as ``ExtReal`` does."""
+    return ExtReal(_batch_values(f, x, w[None])[0])
+
+
+def _gradient_rows(f: FunctionModel, x: Vector, norm: NormChoice) -> list[np.ndarray]:
+    """The normalized negative gradient as a list of one (1, n) row, or no
+    row without gradient access or at a gradient whose norm is not positive.
+
+    The row is built from the model's answer, so it is checked as the public
+    batch checks W: a non-finite entry raises ValueError.
+    """
+    if not f.has_gradient:
+        return []
+    g = f.gradient(x)
+    nrm = norm_of(g, norm)
+    return [as_directions(-(g / nrm)[None], f.dim)] if nrm > 0 else []
 
 
 def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> DirectionResult:
@@ -151,7 +180,7 @@ def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> Dire
     x = as_vector(x, f.dim)
     verts = _vertex_matrix(f.dim, reduced)
     best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
-    return DirectionResult(best_w, f.subderivative(x, best_w), True, len(verts) + 1)
+    return DirectionResult(best_w, _value_at(f, x, best_w), True, len(verts) + 1)
 
 
 def _unit_ball_sample(rng: np.random.Generator, n: int, norm: NormChoice) -> Vector:
@@ -206,21 +235,16 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     Never exact: a fallback result can fail to refute stationarity but cannot
     certify it.
     """
+    check_count(budget, "budget")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     x = as_vector(x, f.dim)
-    cands = [_vertex_matrix(f.dim, False)]
-    if f.has_gradient:
-        g = f.gradient(x)
-        nrm = norm_of(g, norm)
-        if nrm > 0:
-            cands.append(-(g / nrm))
-    cands.append(_fallback_samples(f.dim, norm, budget, seed))
-    cands = np.vstack(cands)
+    cands = np.vstack([_vertex_matrix(f.dim, False), *_gradient_rows(f, x, norm),
+                       _fallback_samples(f.dim, norm, budget, seed)])
     vals = _batch_values(f, x, cands)
     vals = np.where(np.isnan(vals), np.inf, vals)
     i = int(np.argmin(vals))
     if vals[i] == np.inf:
         return DirectionResult(np.zeros(f.dim), ExtReal(0.0), False, len(cands))
     best_w = cands[i].copy()
-    return DirectionResult(best_w, f.subderivative(x, best_w), False, len(cands) + 1)
+    return DirectionResult(best_w, _value_at(f, x, best_w), False, len(cands) + 1)

@@ -90,13 +90,22 @@ def ulp_tied(a: float, b: float) -> bool:
 
 
 def ulp_tied_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``ulp_tied`` of two float arrays.
+    """Elementwise ``ulp_tied`` of two float arrays (b may be a scalar).
 
-    ``np.spacing`` is ``math.ulp`` below the largest float; there and at
-    infinity the values ``math.ulp`` takes are filled in, so the two rules
-    agree on every non-NaN input.
+    ``np.spacing`` is ``math.ulp`` below the largest float, so when every
+    magnitude is below half of it, where a - b cannot overflow, the rule is
+    taken directly; any other input takes ``_ulp_tied_filled``.
     """
     m = np.maximum(np.abs(a), np.abs(b))
+    if m.size and m.max() < sys.float_info.max / 2:
+        return np.abs(a - b) <= 8 * np.spacing(m)
+    return _ulp_tied_filled(a, b, m)
+
+
+def _ulp_tied_filled(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``ulp_tied_arrays`` at any magnitudes m = max(|a|, |b|): at the largest
+    float and at infinity the values ``math.ulp`` takes are filled in, so the
+    rule agrees with ``ulp_tied`` on every non-NaN input."""
     below = m < sys.float_info.max
     ulp = np.where(below, np.spacing(np.where(below, m, 1.0)), math.ulp(sys.float_info.max))
     ulp = np.where(np.isinf(m), math.inf, ulp)
@@ -115,6 +124,6 @@ def ext_add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``ext_add`` of two float arrays of extended reals. The
     opposite-infinity pairs are sought only when a has an infinite entry;
     a NaN already in a or b passes through."""
-    if np.isinf(a).any() and np.any(np.isinf(a) & (a == -b)):
+    if np.isinf(a).any() and (np.isinf(a) & (a == -b)).any():
         raise IndeterminateSum("(+inf) + (-inf) is undefined")
     return a + b

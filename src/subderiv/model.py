@@ -11,7 +11,8 @@ bit-identical answers. Two batched queries answer many at once:
 work that depends only on x is done once per point, and ``values(X)`` gives
 f at every row of a matrix, so a whole grid of probe points is one call.
 Each checks its input once and hands it to a row kernel, ``_subderivatives``
-or ``_values``, which models override and combinators call on their members.
+or ``_values``, which models override, combinators call on their members,
+and the direction searches call once they have checked their point.
 A kernel defaults to a loop over the scalar query, and an override must
 return exactly the scalar answer for every row, bit for bit. The scalar
 kernel ``_value(x)`` is the float ``value(x).v``; combinators, the solver
@@ -51,7 +52,7 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
         raise DimensionMismatch(f"{name} must be a vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite coordinates")
     return arr
 
@@ -70,7 +71,7 @@ def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
     arr = np.ascontiguousarray(W, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatch(f"{name} must have shape (k, {dim}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     return arr
 
@@ -99,8 +100,11 @@ class FunctionModel(abc.ABC):
         ``_value``; an override must return exactly ``_value(x)`` for every
         row x, bit for bit, and raise what ``_value`` raises at its rows.
       * A model that overrides a public batched query still answers it when
-        called directly, but a combinator asks it through its kernel: for a
-        model that defines only the scalar queries, the per-row loop.
+        called directly, but a combinator asks it through its kernel, and so
+        do the direction searches and ``brute_force_direction``, which score
+        their candidates with one ``_subderivatives(x, W)`` call and read
+        the winner back with ``_subderivatives(x, w[None])``: for a model
+        that defines only the scalar queries, the per-row loop.
     """
 
     semi_differentiable: bool = False

@@ -43,14 +43,14 @@ class L1Norm(RowSubderivatives):
         return self._n
 
     def _value(self, x: Vector) -> float:
-        return self._c * float(np.sum(np.abs(x)))
+        return self._c * float(np.abs(x).sum())
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        return self._c * np.sum(np.abs(X), axis=1)
+        return self._c * np.abs(X).sum(axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
-        return self._c * np.sum(S, axis=1)
+        return self._c * S.sum(axis=1)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         x = np.asarray(x, dtype=float)
@@ -317,15 +317,15 @@ class SeparableMoreau(RowSubderivatives):
         return self._n
 
     def _value(self, x: Vector) -> float:
-        return float(np.sum(self.inner.envelope(np.asarray(x, dtype=float), self.r)))
+        return float(self.inner.envelope(np.asarray(x, dtype=float), self.r).sum())
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # The inner is elementwise on 1-D arrays, so it sees the rows end to end.
-        return np.sum(self.inner.envelope(X.ravel(), self.r).reshape(X.shape), axis=1)
+        return self.inner.envelope(X.ravel(), self.r).reshape(X.shape).sum(axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         _, (up, down) = self.separable_parts(x)
-        return np.sum(np.where(W > 0, up * W, -down * W), axis=1)
+        return np.where(W > 0, up * W, -down * W).sum(axis=1)
 
     def gradient(self, x: Vector) -> Vector:
         if not self.inner.unique_prox:
@@ -511,16 +511,16 @@ class ReLUNetworkLoss(RowSubderivatives):
 
     def _value(self, x: Vector) -> float:
         _, out, _ = self._pass(as_vector(x, self._p, "theta"))
-        return float(np.sum((out - self.Y) ** 2)) / self.X.shape[1]
+        return float(((out - self.Y) ** 2).sum()) / self.X.shape[1]
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         _, out, _ = self._pass(X)
-        return np.sum((out - self.Y) ** 2, axis=(1, 2)) / self.X.shape[1]
+        return ((out - self.Y) ** 2).sum(axis=(1, 2)) / self.X.shape[1]
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         _, out, dout = self._pass(x, W)
         slopes = ((out - self.Y) * dout).reshape(W.shape[0], -1)
-        return 2.0 * np.sum(slopes, axis=1) / self.X.shape[1]
+        return 2.0 * slopes.sum(axis=1) / self.X.shape[1]
 
 
 def relu_network_loss(widths: Sequence[int], data: Sequence[tuple],

@@ -7,9 +7,10 @@ the brute-force direction search checks the closed-form searches against
 plain enumeration of a dense grid of the unit sphere; the samplers
 instantiate the descent-property and sufficient-decrease inequalities
 literally. The subderivative oracle is an input that a search and its
-brute-force check share: the enumeration scores its grid with one batched
-``f.subderivatives`` query, which must equal the scalar query bit for bit
-(``tests/test_batched.py`` pins every override, of both batched queries).
+brute-force check share: the enumeration scores its grid with one call of
+the row kernel ``f._subderivatives``, which must equal the scalar query bit
+for bit (``tests/test_batched.py`` pins every override, of both batched
+queries).
 
 What depends only on sizes is built once per process and kept read-only: an
 ``FDConfig`` computes its step grid when it is made, the FD perturbation
@@ -29,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .calculus import SemiDiffMap
-from .direction import DirectionResult, NormChoice, _batch_values, norm_of
+from .direction import (DirectionResult, NormChoice, _batch_values, _gradient_rows,
+                        _value_at)
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector, check_count
@@ -288,11 +290,14 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     own candidates, and then the sphere grid. The coordinate vectors and the
     grid depend only on (norm, n, resolution), so they are built once per
     process (``_brute_candidates``); the gradient candidate is stacked
-    between them on each call. All of them are scored by one batched query
-    ``f.subderivatives(x, W)``; a NaN counts as +inf, the first minimum wins,
-    and if every value is +inf the first candidate is returned. The winner's
-    value is recomputed through the scalar ``f.subderivative``. Dimension is
-    capped at 4; this is an oracle, not a production search.
+    between them on each call. x is checked once, on entry, and the gradient
+    row as the public batch checks W; the library's own candidates are not
+    checked again. All of them are scored by one call of the row kernel
+    ``f._subderivatives(x, W)``; a NaN counts as +inf, the first minimum
+    wins, and if every value is +inf the first candidate is returned. The
+    winner's value is read back through the one-row kernel call
+    ``f._subderivatives(x, w[None])``. Dimension is capped at 4; this is an
+    oracle, not a production search.
     """
     x = as_vector(x, f.dim)
     n = f.dim
@@ -301,14 +306,12 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     if not resolution > 0:
         raise ValueError("resolution must be positive")
     W = _brute_candidates(norm, n, resolution)
-    if f.has_gradient:
-        g = f.gradient(x)
-        nrm = norm_of(g, norm)
-        if nrm > 0:
-            W = np.vstack([W[:2 * n], -(g / nrm), W[2 * n:]])
+    grad = _gradient_rows(f, x, norm)
+    if grad:
+        W = np.vstack([W[:2 * n], *grad, W[2 * n:]])
     vals = _batch_values(f, x, W)
     best_w = W[int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))].copy()
-    return DirectionResult(best_w, f.subderivative(x, best_w), False, len(W) + 1)
+    return DirectionResult(best_w, _value_at(f, x, best_w), False, len(W) + 1)
 
 
 @dataclass
@@ -330,12 +333,13 @@ def descent_property_sample(f: FunctionModel, L: float,
     Pairs (x, y) are drawn uniformly in the box ``region``, x then y for
     each pair in turn, and both ends are scored by one ``f.values`` query
     each; gaps beyond ``tol`` are recorded as violations, and the worst
-    signed gap is reported either way.
+    signed gap is reported either way. ``pairs`` is an integer.
     """
     if not L >= 0:
         raise ValueError("L must be nonnegative")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+    check_count(pairs, "pairs")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)

@@ -284,7 +284,7 @@ def _drawn_per_call(n, norm, budget, seed):
 
 
 class RecordingQuadratic(sd.FunctionModel):
-    """A smooth quadratic that keeps every batched direction matrix it is asked."""
+    """A smooth quadratic that keeps every direction matrix its row kernel is asked."""
 
     has_gradient = True
     semi_differentiable = True
@@ -303,9 +303,9 @@ class RecordingQuadratic(sd.FunctionModel):
     def subderivative(self, x, w):
         return self.inner.subderivative(x, w)
 
-    def subderivatives(self, x, W):
+    def _subderivatives(self, x, W):
         self.batches.append(np.array(W))
-        return self.inner.subderivatives(x, W)
+        return self.inner._subderivatives(x, W)
 
     def gradient(self, x):
         return self.inner.gradient(x)
@@ -317,13 +317,60 @@ class RecordingQuadratic(sd.FunctionModel):
 def test_fallback_candidates_match_the_per_call_draws(norm, budget, seed):
     f = RecordingQuadratic(5)
     x = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
-    for _ in range(2):     # a cold and a warm cache give the same candidates
-        sd.solve_sampling_fallback(f, x, norm, budget, seed)
     g = f.gradient(x)
     want = np.vstack([sd.direction.l1_vertices(5), -(g / sd.direction.norm_of(g, norm))]
                      + _drawn_per_call(5, norm, budget, seed))
-    for W in f.batches:
-        assert W.tobytes() == want.tobytes()
+    for _ in range(2):     # a cold and a warm cache give the same candidates
+        f.batches.clear()
+        res = sd.solve_sampling_fallback(f, x, norm, budget, seed)
+        # one batch of every candidate, then the winner's one-row read-back
+        assert [W.shape for W in f.batches] == [want.shape, (1, 5)]
+        assert f.batches[0].tobytes() == want.tobytes()
+        assert f.batches[1].tobytes() == res.w[None].tobytes()
+
+
+def _bad_gradient(entry):
+    return sd.smooth_model(2, lambda x: 0.0, lambda x: [entry, 0.0])
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice))
+def test_an_infinite_gradient_raises_and_never_reads_as_descent(norm):
+    # The vertex -e1 scores -inf against [inf, 0]; the normalized gradient
+    # [nan, -0] is the row that must be refused before any candidate wins.
+    f, x = _bad_gradient(np.inf), np.zeros(2)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^W must have finite entries"):
+            sd.solve_l2_smooth(f, x)
+        with pytest.raises(ValueError, match="^W must have finite entries"):
+            sd.solve_sampling_fallback(f, x, norm, 8, 0)
+        with pytest.raises(ValueError, match="^W must have finite entries"):
+            sd.brute_force_direction(f, x, norm, 0.5)
+        with pytest.raises(ValueError, match="^ExtReal payload must not be NaN"):
+            sd.solve_l1_extreme(f, x)
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice))
+def test_a_nan_gradient_raises_or_finds_no_direction(norm):
+    f, x = _bad_gradient(np.nan), np.zeros(2)
+    with pytest.raises(ValueError, match="^W must have finite entries"):
+        sd.solve_l2_smooth(f, x)
+    # a NaN norm offers no gradient candidate, and every NaN value is discarded
+    res = sd.solve_sampling_fallback(f, x, norm, 8, 0)
+    assert res.w.tolist() == [0.0, 0.0] and res.value == ExtReal(0.0)
+    assert res.exact is False
+    for search in (lambda: sd.solve_l1_extreme(f, x),
+                   lambda: sd.brute_force_direction(f, x, norm, 0.5)):
+        with pytest.raises(ValueError, match="^ExtReal payload must not be NaN"):
+            search()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+def test_search_and_sampler_counts_are_integers(value):
+    with pytest.raises(ValueError, match="^budget must be an integer"):
+        sd.solve_sampling_fallback(sd.L1Norm(2), np.zeros(2), sd.NormChoice.L2, value, 0)
+    with pytest.raises(ValueError, match="^pairs must be an integer"):
+        sd.descent_property_sample(sd.quadratic_model(np.zeros(2)), 1.0,
+                                   (np.zeros(2), np.ones(2)), value, 0)
 
 
 def test_fallback_samples_are_read_only_and_results_own_their_direction():

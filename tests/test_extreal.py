@@ -6,6 +6,7 @@ import pytest
 
 import subderiv as sd
 from subderiv import NEG_INF, POS_INF, ExtReal, ext_add
+from subderiv import extreal
 from subderiv.extreal import ext_add_arrays, ulp_tied, ulp_tied_arrays
 
 
@@ -67,6 +68,42 @@ def test_ulp_tied_arrays_is_ulp_tied_elementwise():
     with np.errstate(over="ignore", invalid="ignore"):
         want = [ulp_tied(u, v) for u, v in zip(a.tolist(), b.tolist())]
     assert ulp_tied_arrays(a, b).tolist() == want
+
+
+_BIG = sys.float_info.max
+_TIE_CASES = {
+    # name: (a, b, takes the direct rule)
+    "empty": (np.array([]), np.array([]), False),
+    "empty-scalar": (np.array([]), 1.0, False),
+    "zeros": (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0]), True),
+    "subnormals": (np.array([5e-324, 1e-310, -1e-310, 2.2e-308, 0.0, 4e-323]),
+                   np.array([0.0, 1e-310 + 4e-323, 1e-310, 2.2e-308 + 5e-323, 4e-323, 0.0]),
+                   True),
+    "below-half-largest": (np.array([math.nextafter(_BIG / 2, 0.0), -_BIG / 4, 1e300]),
+                           np.array([-math.nextafter(_BIG / 2, 0.0), _BIG / 4, 1e300]), True),
+    "overflowing-difference": (np.array([_BIG, -_BIG, math.nextafter(_BIG, 0.0), _BIG / 2, 1.0]),
+                               np.array([-_BIG, _BIG, -_BIG, -_BIG / 2, 1.0]), False),
+    "infinities-and-nan": (np.array([math.inf, -math.inf, math.inf, math.nan, 1.0, math.nan]),
+                           np.array([math.inf, math.inf, 1.0, 1.0, math.nan, math.nan]), False),
+    "scalar-b": (np.array([1.0, 1.0 + 8 * 2**-52, 1.0 + 9 * 2**-52, -1.0, 3.0]), 1.0, True),
+    "scalar-b-largest": (np.array([_BIG, 1.0, -_BIG]), _BIG, False),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_TIE_CASES))
+def test_ulp_tied_arrays_direct_rule_is_the_filled_rule_bit_for_bit(case, monkeypatch):
+    a, b, direct = _TIE_CASES[case]
+    filled = extreal._ulp_tied_filled(a, b, np.maximum(np.abs(a), np.abs(b)))
+    calls = []
+    monkeypatch.setattr(extreal, "_ulp_tied_filled",
+                        lambda *args: calls.append(args) or filled)
+    got = ulp_tied_arrays(a, b)
+    assert (not calls) is direct
+    assert got.dtype == filled.dtype == np.bool_ and got.shape == filled.shape == a.shape
+    assert got.tobytes() == filled.tobytes()
+    bs = np.broadcast_to(b, a.shape).tolist()
+    assert got.tolist() == [ulp_tied(u, v) for u, v in zip(a.tolist(), bs)]
 
 
 def test_ext_add_arrays_is_ext_add_elementwise():
