@@ -16,8 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyList, IndeterminateSum, NonpositiveScale
-from .extreal import ext_add_arrays, ulp_tied, ulp_tied_arrays
+from .extreal import ext_add_arrays, ulp_tied_arrays
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
+from .oracles import SmoothModel, _not_nan, relu_direction
 from .sets import SetModel, distance_to_set
 
 
@@ -115,15 +116,6 @@ def affine_map(A, b=None) -> SmoothMap:
 
 def identity_map(n: int) -> SmoothMap:
     return _IdentityMap(n)
-
-
-def relu_direction(a: Vector, da: Vector) -> Vector:
-    """Directional derivative of componentwise max{0, .} at pre-activation a.
-
-    At a zero pre-activation the limit forces max{0, da}; this is what makes
-    the toolkit reject points that coarser stationarity notions accept.
-    """
-    return np.where(a > 0, da, np.where(a < 0, 0.0, np.maximum(da, 0.0)))
 
 
 def relu_map(n: int) -> SemiDiffMap:
@@ -340,37 +332,28 @@ class _QuadraticBranches:
         return 0.5 * float(np.dot(x, x)) - np.vecdot(self.A, x) - self.c
 
 
-class _QuadraticBranch(RowSubderivatives):
+class _QuadraticBranch(SmoothModel):
     """Row ``row`` of a stack, smooth with gradient x - a_row and constant 1."""
-
-    semi_differentiable = has_gradient = subderivative_concave = True
-    descent_constant = 1.0
 
     def __init__(self, stack: _QuadraticBranches, row: int):
         self.stack, self.row = stack, row
         self.a, self.c = stack.A[row], float(stack.c[row])
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+        super().__init__(self.a.shape[0], None, None, smoothness_constant=1.0)
 
     def _value(self, x: Vector) -> float:
         return _not_nan(0.5 * float(np.dot(x, x)) - float(np.dot(self.a, x)) - self.c)
-
-    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return np.vecdot(W, x - self.a)
 
     def gradient(self, x: Vector) -> Vector:
         return x - self.a
 
 
-def _not_nan(v: float) -> float:
-    if v != v:
-        raise ValueError("ExtReal payload must not be NaN")
-    return v
-
-
 class _PointwiseExtremum(RowSubderivatives):
+    """max_i f_i (``take_max``) or min_i f_i by the active-set rule. Members
+    are valued at x by one route, ``_member_values``: one kernel call for
+    branches of one stack (``diff_max``'s), in any order, else a loop over
+    their ``_value``. ``_extremum`` and ``_reduce`` keep the first extremum,
+    as the builtin max/min do."""
+
     def __init__(self, models: Sequence[FunctionModel], take_max: bool):
         if not models:
             raise EmptyList("pointwise extremum of zero models")
@@ -380,9 +363,8 @@ class _PointwiseExtremum(RowSubderivatives):
         self.models = list(models)
         self.take_max = take_max
         self.semi_differentiable = True
-        if not take_max and len(self.models) > 0:
+        if not take_max:
             self.subderivative_concave = all(m.subderivative_concave for m in self.models)
-        # Branches of one stack, in any order, are valued by one kernel.
         first = self.models[0]
         stacked = all(isinstance(m, _QuadraticBranch) and m.stack is first.stack
                       for m in self.models)
@@ -392,52 +374,39 @@ class _PointwiseExtremum(RowSubderivatives):
     def dim(self) -> int:
         return self._dim
 
-    def _stack_values(self, x: Vector) -> tuple[np.ndarray, float]:
-        """The members' values at x and the extremum; argmax/argmin take the
-        first one, as the builtin max/min do, and find a NaN first."""
-        stack, rows = self._stacked
-        vals = stack.values_at(x)[rows]
-        return vals, _not_nan(float(vals[vals.argmax() if self.take_max else vals.argmin()]))
-
-    def _value(self, x: Vector) -> float:
+    def _member_values(self, x: Vector) -> np.ndarray:
         if self._stacked is not None:
-            return self._stack_values(x)[1]
-        vals = [m._value(x) for m in self.models]
-        return max(vals) if self.take_max else min(vals)
+            stack, rows = self._stacked
+            return stack.values_at(x)[rows]
+        return np.array([m._value(x) for m in self.models], dtype=float)
 
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        # The builtin max/min reduction of ``_value``: a later member replaces
-        # the incumbent only when strictly larger (smaller).
-        first, *rest = self.models
-        out = first._values(X)
-        for m in rest:
-            v = m._values(X)
+    def _extremum(self, vals: np.ndarray) -> float:
+        """The first largest (smallest) entry; argmax/argmin find a NaN first."""
+        return _not_nan(float(vals[vals.argmax() if self.take_max else vals.argmin()]))
+
+    def _reduce(self, arrays) -> np.ndarray:
+        """A later array replaces the incumbent only where strictly larger (smaller)."""
+        out, *rest = arrays
+        for v in rest:
             out = np.where(v > out if self.take_max else v < out, v, out)
         return out
 
-    def _active(self, x: Vector) -> list[FunctionModel]:
-        """Members whose value ties the extremum at x, in member order.
+    def _value(self, x: Vector) -> float:
+        return self._extremum(self._member_values(x))
 
-        A branch counts as tied when ``ulp_tied`` holds for its value and
-        the extremum, so the tolerance scales with f and a distant branch
-        does not widen it.
-        """
-        if self._stacked is not None:
-            vals, best = self._stack_values(x)
-            return [m for m, t in zip(self.models, ulp_tied_arrays(vals, best)) if t]
-        vals = [m._value(x) for m in self.models]
-        best = max(vals) if self.take_max else min(vals)
-        return [m for m, v in zip(self.models, vals) if ulp_tied(v, best)]
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self._reduce([m._values(X) for m in self.models])
+
+    def _active(self, x: Vector) -> list[FunctionModel]:
+        """Members whose value ties the extremum at x by ``ulp_tied``, in
+        member order; the tolerance scales with f, and a distant member does
+        not widen it."""
+        vals = self._member_values(x)
+        tied = ulp_tied_arrays(vals, self._extremum(vals))
+        return [m for m, t in zip(self.models, tied) if t]
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        # Same reduction as ``values``: a later member replaces the
-        # incumbent only when strictly larger (smaller).
-        first, *rest = self._active(x)
-        out = first._subderivatives(x, W)
-        for m in rest:
-            d = m._subderivatives(x, W)
-            out = np.where(d > out if self.take_max else d < out, d, out)
-        return out
+        return self._reduce([m._subderivatives(x, W) for m in self._active(x)])
 
 
 def pointwise_max(models: Sequence[FunctionModel]) -> FunctionModel:

@@ -74,11 +74,10 @@ def solve_l2_smooth(f: FunctionModel, x: Vector) -> DirectionResult:
     x = as_vector(x, f.dim)
     if not f.has_gradient:
         raise NoGradient("solve_l2_smooth needs gradient access")
-    g = f.gradient(x)
-    nrm = float(np.linalg.norm(g))
-    if nrm == 0.0:
+    rows = _gradient_rows(f, x, NormChoice.L2)
+    if not rows:
         return DirectionResult(np.zeros(f.dim), ExtReal(0.0), True, 1)
-    w = as_directions(-(g / nrm)[None], f.dim)[0]   # built from the model's answer
+    w = rows[0][0]
     return DirectionResult(w, _value_at(f, x, w), True, 2)
 
 
@@ -157,14 +156,14 @@ def _gradient_rows(f: FunctionModel, x: Vector, norm: NormChoice) -> list[np.nda
     """The normalized negative gradient as a list of one (1, n) row, or no
     row without gradient access or at a gradient whose norm is not positive.
 
-    The row is built from the model's answer, so it is checked as the public
-    batch checks W: a non-finite entry raises ValueError.
+    The gradient is the model's answer, so it is checked as the public batch
+    checks W before it is divided: a non-finite entry raises ValueError.
     """
     if not f.has_gradient:
         return []
-    g = f.gradient(x)
-    nrm = norm_of(g, norm)
-    return [as_directions(-(g / nrm)[None], f.dim)] if nrm > 0 else []
+    g = as_directions([f.gradient(x)], f.dim)
+    nrm = norm_of(g[0], norm)
+    return [-(g / nrm)] if nrm > 0 else []
 
 
 def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> DirectionResult:

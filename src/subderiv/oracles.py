@@ -12,7 +12,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import relu_direction
 from .errors import DimensionMismatch, ProxUnavailable
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector
 
@@ -105,8 +104,19 @@ class ZeroNormComposite(RowSubderivatives):
         return np.where(new.any(axis=1), np.inf, 0.0)
 
 
+def _not_nan(v: float) -> float:
+    if v != v:
+        raise ValueError("ExtReal payload must not be NaN")
+    return v
+
+
 class SmoothModel(RowSubderivatives):
-    """Differentiable objective: d f(x)(w) = <grad f(x), w>."""
+    """Differentiable objective: d f(x)(w) = <grad f(x), w>.
+
+    The flags, ``dim``, the descent constant and the row kernel are stated
+    once, here; a bundled subclass states only ``_value`` (and ``_values``)
+    and ``gradient``, and stores no callable.
+    """
 
     semi_differentiable = True
     has_gradient = True
@@ -127,14 +137,11 @@ class SmoothModel(RowSubderivatives):
         return self._n
 
     def _value(self, x: Vector) -> float:
-        v = float(self._f(x))
-        if math.isnan(v):
-            raise ValueError("ExtReal payload must not be NaN")
-        return v
+        return _not_nan(float(self._f(x)))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
-        return np.vecdot(W, self._grad(x))
+        return np.vecdot(W, self.gradient(x))
 
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self._grad(x), dtype=float)
@@ -148,9 +155,7 @@ def smooth_model(n: int, f, grad, smoothness_constant=None, lower_bound=None) ->
 class _Quadratic(SmoothModel):
     def __init__(self, c: Vector):
         self.c = c
-        # _value below states the value, so no value callable is stored
-        super().__init__(c.shape[0], None, lambda x: x - c,
-                         smoothness_constant=1.0, lower_bound=0.0)
+        super().__init__(c.shape[0], None, None, smoothness_constant=1.0, lower_bound=0.0)
 
     def _value(self, x: Vector) -> float:
         d = x - self.c
@@ -160,6 +165,9 @@ class _Quadratic(SmoothModel):
         # vecdot runs the dot kernel of the scalar np.dot on each row.
         D = X - self.c
         return 0.5 * np.vecdot(D, D)
+
+    def gradient(self, x: Vector) -> Vector:
+        return x - self.c
 
 
 def quadratic_model(c: Vector) -> SmoothModel:
@@ -349,7 +357,7 @@ class QuadraticInner:
             raise DimensionMismatch("Q must be square")
 
 
-class QuadraticMoreau(RowSubderivatives):
+class QuadraticMoreau(SmoothModel):
     """Moreau envelope of a convex quadratic; the prox is a linear solve.
 
     ``_value`` is the one-row case of ``values``, which takes every prox in
@@ -358,26 +366,14 @@ class QuadraticMoreau(RowSubderivatives):
     depend on the row count.
     """
 
-    semi_differentiable = True
-    has_gradient = True
-    subderivative_concave = True
-
     def __init__(self, inner: QuadraticInner, r: float):
         if not r > 0:
             raise ValueError("r must be positive")
         self.inner = inner
         self.r = float(r)
-        self.descent_constant = 1.0 / self.r
         n = inner.Q.shape[0]
-        self._n = n
         self._K = inner.Q + np.eye(n) / self.r
-
-    @property
-    def dim(self) -> int:
-        return self._n
-
-    def _prox(self, x: Vector) -> Vector:
-        return np.linalg.solve(self._K, np.asarray(x, dtype=float) / self.r - self.inner.c)
+        super().__init__(n, None, None, smoothness_constant=1.0 / self.r)
 
     def _value(self, x: Vector) -> float:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
@@ -390,11 +386,9 @@ class QuadraticMoreau(RowSubderivatives):
         D = X - Y
         return np.vecdot(D, D) / (2.0 * self.r) + q
 
-    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return np.vecdot(W, self.gradient(x))
-
     def gradient(self, x: Vector) -> Vector:
-        return (np.asarray(x, dtype=float) - self._prox(x)) / self.r
+        x = np.asarray(x, dtype=float)
+        return (x - np.linalg.solve(self._K, x / self.r - self.inner.c)) / self.r
 
 
 def moreau_envelope(inner, r: float, n: Optional[int] = None) -> FunctionModel:
@@ -410,6 +404,15 @@ def moreau_envelope(inner, r: float, n: Optional[int] = None) -> FunctionModel:
         return QuadraticMoreau(inner, r)
     raise ProxUnavailable(
         f"no closed-form prox bundled for {type(inner).__name__}")
+
+
+def relu_direction(a: Vector, da: Vector) -> Vector:
+    """Directional derivative of componentwise max{0, .} at pre-activation a.
+
+    At a zero pre-activation the limit forces max{0, da}; this is what makes
+    the toolkit reject points that coarser stationarity notions accept.
+    """
+    return np.where(a > 0, da, np.where(a < 0, 0.0, np.maximum(da, 0.0)))
 
 
 class ReLUNetworkLoss(RowSubderivatives):

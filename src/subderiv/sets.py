@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
-from .extreal import ulp_tied, ulp_tied_arrays
+from .extreal import ulp_tied_arrays
 from .model import RowSubderivatives, Vector, as_directions, as_vector
 
 _MEMBERSHIP_TOL = 1e-9
@@ -296,7 +296,7 @@ class _Polyhedral(_RowTangents):
         Y, tied = self._nearest_pieces(x[None, :])
         out: list[Vector] = []
         for y in Y[0][tied[0]]:
-            if not any(all(map(ulp_tied, y, z)) for z in out):
+            if not any(ulp_tied_arrays(y, z).all() for z in out):
                 out.append(y)
         return out
 

@@ -340,6 +340,8 @@ def descent_property_sample(f: FunctionModel, L: float,
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     check_count(pairs, "pairs")
+    if pairs < 0:
+        raise ValueError("pairs must be nonnegative")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)

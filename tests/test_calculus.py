@@ -1,12 +1,13 @@
 """Combinator semantics: sum/scale/chain rules, forward pass, extremum rules."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import subderiv as sd
-from subderiv.extreal import ExtReal
+from subderiv.extreal import ExtReal, ulp_tied
 
 from conftest import quotient
 
@@ -365,6 +366,71 @@ def test_pointwise_rejects_empty_and_nonsemidiff():
     zn = sd.ZeroNormComposite(np.eye(1), np.zeros(1))
     with pytest.raises(ValueError):
         sd.pointwise_min([zn])
+
+
+class _Answers(sd.RowSubderivatives):
+    """A member that answers v to every query; the extremum only compares
+    its members' answers, so v stands for a value and a subderivative."""
+
+    semi_differentiable = True
+
+    def __init__(self, v):
+        self.v = v
+
+    @property
+    def dim(self):
+        return 2
+
+    def _value(self, x):
+        return self.v
+
+    def _subderivatives(self, x, W):
+        return np.full(W.shape[0], self.v)
+
+
+def _near(v, steps):
+    for _ in range(steps):
+        v = float(np.nextafter(v, math.inf))
+    return v
+
+
+_BIG = sys.float_info.max
+_LOOP_CASES = (
+    [[1.5, 1.5, 2.0], [2.0, 1.5, 1.5], [-3.0, -3.0, -3.0]]            # exact ties
+    + [[-0.0, 0.0], [0.0, -0.0], [0.0, -0.0, 0.0, -0.0], [-0.0, 1.0, 0.0, -1.0]]
+    + [[1.5, _near(1.5, k), 0.25] for k in range(1, 17)]              # 1-16 ulps apart
+    + [[_near(-1e-300, k), -1e-300] for k in (1, 8, 9, 16)]
+    + [[_BIG, _near(_BIG / 2, k), _BIG / 2] for k in (0, 1, 8, 9)]     # the filled rule
+    + [[-_BIG, float(np.nextafter(-_BIG, 0.0)), -_BIG / 2, _BIG / 2],
+       [math.inf, _BIG, -_BIG], [-math.inf, -_BIG, math.inf], [_BIG / 2, -_BIG / 2]]
+)
+
+
+@pytest.mark.parametrize("take_max", [False, True])
+@pytest.mark.parametrize("vals", _LOOP_CASES)
+def test_member_loop_keeps_the_builtin_extremum_and_the_scalar_tie_rule(vals, take_max):
+    # Members outside one stack are valued in a loop; value, active set and
+    # both reductions must be what the builtin max/min and ``ulp_tied`` give.
+    f = (sd.pointwise_max if take_max else sd.pointwise_min)([_Answers(v) for v in vals])
+    assert f._stacked is None
+    best = max(vals) if take_max else min(vals)
+    tied = [i for i, v in enumerate(vals) if ulp_tied(v, best)]
+    x, X, W = np.zeros(2), np.zeros((3, 2)), np.eye(2)
+    assert np.float64(f._value(x)).tobytes() == np.float64(best).tobytes()
+    assert [i for i, m in enumerate(f.models) if any(m is a for a in f._active(x))] == tied
+    assert f.values(X).tobytes() == np.full(3, best).tobytes()
+    if tied:
+        pick = max if take_max else min
+        want = pick(vals[i] for i in tied)
+        assert f.subderivatives(x, W).tobytes() == np.full(2, want).tobytes()
+
+
+def test_member_loop_cases_straddle_the_tie_rule_and_reach_the_filled_rule():
+    # at least one case per side of the 8-ulp rule, and magnitudes at or
+    # above half the largest float, where ``ulp_tied_arrays`` fills in ulps
+    ties = {k: ulp_tied(1.5, _near(1.5, k)) for k in range(1, 17)}
+    assert all(ties[k] for k in range(1, 9)) and not any(ties[k] for k in range(9, 17))
+    assert sum(max(map(abs, vals)) >= _BIG / 2 for vals in _LOOP_CASES) >= 8
 
 
 def test_penalize_distance_examples():

@@ -123,6 +123,34 @@ def test_moreau_quadratic_inner():
         env.subderivative(x, np.array([1.0, 2.0])).v, abs=1e-6)
 
 
+def test_moreau_quadratic_is_a_smooth_model_with_its_flags_and_kernel_bits():
+    rng = np.random.default_rng(21)
+    B = rng.normal(size=(3, 3))
+    Q, c, r = B @ B.T, rng.normal(size=3), 0.25
+    env = sd.moreau_envelope(sd.QuadraticInner(Q, c), r)
+    assert isinstance(env, sd.oracles.SmoothModel)
+    flags = {"semi_differentiable": True, "has_gradient": True,
+             "subderivative_concave": True, "descent_constant": 1.0 / r,
+             "lower_bound": None, "extended_valued": False, "is_separable": False}
+    assert {k: getattr(env, k) for k in flags} == flags
+    x, W = rng.normal(size=3), np.vstack([np.eye(3), rng.normal(size=(4, 3))])
+    grad = (x - np.linalg.solve(Q + np.eye(3) / r, x / r - c)) / r
+    assert env.gradient(x).tobytes() == grad.tobytes()
+    assert env.subderivatives(x, W).tobytes() == np.vecdot(W, grad).tobytes()
+    assert env.subderivative(x, W[4]).v == float(np.vecdot(W[4], grad))
+
+
+def test_smooth_model_with_a_list_gradient_keeps_the_row_bits():
+    rng = np.random.default_rng(22)
+    g, x, W = rng.normal(size=4), rng.normal(size=4), rng.normal(size=(6, 4))
+    as_list = sd.smooth_model(4, lambda x: 0.0, lambda x: g.tolist())
+    as_array = sd.smooth_model(4, lambda x: 0.0, lambda x: g)
+    want = np.vecdot(W, g).tobytes()
+    assert as_list.subderivatives(x, W).tobytes() == want
+    assert as_array.subderivatives(x, W).tobytes() == want
+    assert as_list.gradient(x).tobytes() == g.tobytes()
+
+
 def test_moreau_user_scalar_prox():
     # User-supplied prox for lam|y| must reproduce the bundled soft threshold.
     lam = 0.8

@@ -530,6 +530,13 @@ def test_descent_sampler_moreau_scalar_zero_norm():
     assert rep.clean
 
 
+def test_descent_sampler_refuses_negative_pairs(quad2):
+    with pytest.raises(ValueError, match="^pairs must be nonnegative"):
+        sd.descent_property_sample(quad2, 1.0, (np.zeros(2), np.ones(2)), pairs=-1, seed=0)
+    assert sd.descent_property_sample(quad2, 1.0, (np.zeros(2), np.ones(2)),
+                                      pairs=0, seed=0).clean
+
+
 def test_descent_sampler_negative_control(quad2):
     # L = 0.2 is too small for a 1-smooth quadratic; violations must show up.
     rep = sd.descent_property_sample(quad2, 0.2,
