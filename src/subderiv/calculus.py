@@ -167,6 +167,12 @@ class _Sum(RowSubderivatives):
             acc = ext_add_arrays(acc, m._subderivatives(x, W))
         return acc
 
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        acc = self.models[0]._vertex_values(x)
+        for m in self.models[1:]:
+            acc = ext_add_arrays(acc, m._vertex_values(x))
+        return acc
+
     def gradient(self, x: Vector) -> Vector:
         g = self.models[0].gradient(x).copy()
         for m in self.models[1:]:
@@ -223,6 +229,9 @@ class _Scaled(RowSubderivatives):
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return self.lam * self.inner._subderivatives(x, W)
+
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        return self.lam * self.inner._vertex_values(x)
 
     def gradient(self, x: Vector) -> Vector:
         return self.lam * self.inner.gradient(x)
@@ -407,6 +416,9 @@ class _PointwiseExtremum(RowSubderivatives):
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return self._reduce([m._subderivatives(x, W) for m in self._active(x)])
+
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        return self._reduce([m._vertex_values(x) for m in self._active(x)])
 
 
 def pointwise_max(models: Sequence[FunctionModel]) -> FunctionModel:

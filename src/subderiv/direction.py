@@ -6,21 +6,23 @@ normalized negative gradient; coordinate-separable subderivatives split into
 (the part's values at +1 and -1) and solved in closed form; concave
 subderivatives attain their minimum at an extreme point of the l1 ball.
 Everything else goes through a seeded sampling fallback that can refute
-stationarity but never certify it. Its unit-ball samples depend only on
-(n, norm, budget, seed), so each such set is drawn once per process and
-reused, read-only, at every iterate; likewise the l1 vertex matrix, full or
-reduced, is built once per n and shared, read-only, by the vertex search and
-the fallback (``l1_vertices`` and ``reduced_vertices`` build a fresh one).
+stationarity but never certify it. Its candidates, the l1 vertices and the
+unit-ball samples, depend only on (n, norm, budget, seed), so each such
+matrix is built once per process and reused, read-only, at every iterate.
 
 Each search checks its point x once, on entry, and then asks the model's
-row kernel ``f._subderivatives`` (see ``FunctionModel``). The l1 vertex
-search and the fallback score all their candidates with one kernel call, so
-a model does the work that depends only on x once per search, and every
-search reads the chosen direction's value back through the one-row kernel
-call ``f._subderivatives(x, w[None])``. Matrices the library builds from
-finite data (the vertex matrix, the samples, a {-1, 0, 1} direction) are not
+kernels (see ``FunctionModel``). The l1 vertex search asks
+``f._vertex_values(x)`` for the 2n values at e1, -e1, e2, ...: O(n) for the
+bundled oracles and their sums, scalings and extrema, the dense (2n, n)
+matrix through ``f._subderivatives`` otherwise. The reduced vertex search
+and the fallback score all their candidates with one ``f._subderivatives``
+call, so a model does the work that depends only on x once per search, and
+every search reads the chosen direction's value back through the one-row
+kernel call ``f._subderivatives(x, w[None])``. Matrices the library builds
+from finite data (the vertices, the samples, a {-1, 0, 1} direction) are not
 checked again; a row built from the model's gradient is checked as the
-public batch checks W, so a non-finite gradient raises ValueError.
+public batch checks W, and so is the gradient behind a smooth model's
+vertex values, so a non-finite gradient raises ValueError.
 
 Tie-breaking is deterministic everywhere: candidates are scanned in a fixed
 enumeration order and only a strictly smaller value displaces the incumbent
@@ -37,7 +39,8 @@ import numpy as np
 
 from .errors import NoGradient, NotSeparable
 from .extreal import ExtReal
-from .model import FunctionModel, Vector, as_directions, as_vector, check_count
+from .model import (FunctionModel, Vector, as_directions, as_vector, check_count,
+                    l1_vertices)
 
 
 class NormChoice(enum.Enum):
@@ -105,31 +108,17 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     return DirectionResult(w, _value_at(model, as_vector(x, n), w), True, 1)
 
 
-def l1_vertices(n: int) -> np.ndarray:
-    """Extreme points of the l1 ball as the rows of a (2n, n) matrix, in
-    tie-break order e1, -e1, e2, -e2, ..."""
-    verts = np.zeros((2 * n, n))
-    idx = np.arange(n)
-    verts[2 * idx, idx] = 1.0
-    verts[2 * idx + 1, idx] = -1.0
-    return verts
-
-
 def reduced_vertices(n: int) -> np.ndarray:
     """The n+1 point set {e_i} plus the all-minus-ones vector, as rows.
 
     Its convex hull is a polytope with the origin interior, hence the unit
     ball of an induced norm; minimizing a concave subderivative over that
-    ball needs only these n+1 evaluations.
+    ball needs only these n+1 evaluations. The reduced search builds it at
+    every call, so it is written in place, with no temporary.
     """
-    return np.vstack([np.eye(n), -np.ones((1, n))])
-
-
-@functools.lru_cache(maxsize=8)
-def _vertex_matrix(n: int, reduced: bool) -> np.ndarray:
-    """``reduced_vertices(n)`` or ``l1_vertices(n)``, read-only, built once per key."""
-    verts = reduced_vertices(n) if reduced else l1_vertices(n)
-    verts.setflags(write=False)
+    verts = np.zeros((n + 1, n))
+    verts[np.arange(n), np.arange(n)] = 1.0
+    verts[n] = -1.0
     return verts
 
 
@@ -139,10 +128,14 @@ def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
     x must be a checked vector and W a C-contiguous float64 (k, n) matrix
     with finite entries, as ``FunctionModel.subderivatives`` hands them on.
     """
-    vals = np.asarray(f._subderivatives(x, W), dtype=float)
-    if vals.shape != (W.shape[0],):
-        raise ValueError(f"{type(f).__name__}._subderivatives returned shape "
-                         f"{vals.shape} for {W.shape[0]} directions")
+    return _checked_values(f, "_subderivatives", f._subderivatives(x, W), W.shape[0])
+
+
+def _checked_values(f: FunctionModel, kernel: str, vals, k: int) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (k,):
+        raise ValueError(f"{type(f).__name__}.{kernel} returned shape "
+                         f"{vals.shape} for {k} directions")
     return vals
 
 
@@ -174,12 +167,18 @@ def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> Dire
     {e_i} union {-e} is used instead; that is exact for the norm whose unit
     ball is the convex hull of those points, and the result's direction may
     exceed the l1 ball (||-e||_1 = n). If every vertex is +inf, the first
-    one is returned.
+    one is returned. The full search asks the model's ``_vertex_values(x)``.
     """
-    x = as_vector(x, f.dim)
-    verts = _vertex_matrix(f.dim, reduced)
-    best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
-    return DirectionResult(best_w, _value_at(f, x, best_w), True, len(verts) + 1)
+    n = f.dim
+    x = as_vector(x, n)
+    if reduced:
+        verts = reduced_vertices(n)
+        best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
+        return DirectionResult(best_w, _value_at(f, x, best_w), True, n + 2)
+    i = int(np.argmin(_checked_values(f, "_vertex_values", f._vertex_values(x), 2 * n)))
+    best_w = np.zeros(n)
+    best_w[i // 2] = -1.0 if i % 2 else 1.0
+    return DirectionResult(best_w, _value_at(f, x, best_w), True, 2 * n + 1)
 
 
 def _unit_ball_sample(rng: np.random.Generator, n: int, norm: NormChoice) -> Vector:
@@ -196,20 +195,25 @@ def _unit_ball_sample(rng: np.random.Generator, n: int, norm: NormChoice) -> Vec
     return signs * mags * rng.uniform() ** (1.0 / n)
 
 
-@functools.lru_cache(maxsize=8)
 def _fallback_samples(n: int, norm: NormChoice, budget: int, seed: int) -> np.ndarray:
     """The fallback's ``budget`` unit-ball samples as the rows of a read-only
-    (budget, n) matrix, drawn one row at a time from ``default_rng(seed)``.
-
-    They depend on nothing else, so they are drawn once per key and shared by
-    every search that asks for them.
-    """
+    (budget, n) matrix, drawn one row at a time from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
     samples = np.empty((budget, n))
     for i in range(budget):
         samples[i] = _unit_ball_sample(rng, n, norm)
     samples.setflags(write=False)
     return samples
+
+
+@functools.lru_cache(maxsize=8)
+def _fallback_candidates(n: int, norm: NormChoice, budget: int, seed: int) -> np.ndarray:
+    """``l1_vertices(n)`` over ``_fallback_samples``, one read-only
+    (2n + budget, n) matrix. It depends on nothing else, so it is built once
+    per key and shared by every search that asks for it."""
+    cands = np.vstack([l1_vertices(n), _fallback_samples(n, norm, budget, seed)])
+    cands.setflags(write=False)
+    return cands
 
 
 def norm_of(w: Vector, norm: NormChoice) -> float:
@@ -225,8 +229,8 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     """Best of signed coordinate directions, the normalized negative gradient
     when available, and ``budget`` seeded uniform unit-ball samples. The
     samples depend only on (f.dim, norm, budget, seed) and are drawn once per
-    process (``_fallback_samples``); the same seed gives the same samples at
-    every x.
+    process, under the vertices (``_fallback_candidates``); the same seed
+    gives the same samples at every x.
 
     Directions with a +inf or NaN subderivative are discarded. A -inf one is
     kept, and the first such candidate wins (``armijo`` has the step rule for
@@ -237,9 +241,12 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     check_count(budget, "budget")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    x = as_vector(x, f.dim)
-    cands = np.vstack([_vertex_matrix(f.dim, False), *_gradient_rows(f, x, norm),
-                       _fallback_samples(f.dim, norm, budget, seed)])
+    n = f.dim
+    x = as_vector(x, n)
+    cands = _fallback_candidates(n, norm, budget, seed)
+    grad = _gradient_rows(f, x, norm)
+    if grad:
+        cands = np.vstack([cands[:2 * n], *grad, cands[2 * n:]])
     vals = _batch_values(f, x, cands)
     vals = np.where(np.isnan(vals), np.inf, vals)
     i = int(np.argmin(vals))

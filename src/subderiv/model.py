@@ -76,6 +76,16 @@ def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
     return arr
 
 
+def l1_vertices(n: int) -> np.ndarray:
+    """Extreme points of the l1 ball as the rows of a (2n, n) matrix, in
+    tie-break order e1, -e1, e2, -e2, ..."""
+    verts = np.zeros((2 * n, n))
+    idx = np.arange(n)
+    verts[2 * idx, idx] = 1.0
+    verts[2 * idx + 1, idx] = -1.0
+    return verts
+
+
 class FunctionModel(abc.ABC):
     """Contract every objective oracle implements.
 
@@ -102,9 +112,17 @@ class FunctionModel(abc.ABC):
       * A model that overrides a public batched query still answers it when
         called directly, but a combinator asks it through its kernel, and so
         do the direction searches and ``brute_force_direction``, which score
-        their candidates with one ``_subderivatives(x, W)`` call and read
-        the winner back with ``_subderivatives(x, w[None])``: for a model
-        that defines only the scalar queries, the per-row loop.
+        their candidates with one ``_subderivatives(x, W)`` call (the full
+        l1 vertex search with one ``_vertex_values(x)`` call) and read the
+        winner back with ``_subderivatives(x, w[None])``: for a model that
+        defines only the scalar queries, the per-row loop.
+      * ``_vertex_values(x)`` gives the 2n values d f(x)(w) at the rows of
+        ``l1_vertices(n)`` (e1, -e1, e2, ...) for a checked x. Its default
+        asks ``_subderivatives`` about a freshly built ``l1_vertices(n)``; an
+        override answers in O(n) from the structure at x and must return
+        exactly the default's floats, signed zeros included: a zero slope is
+        +0.0, as the dot kernel's sum makes it, never -0.0. The smooth,
+        l1-norm, sum, scaling and pointwise-extremum kernels override it.
     """
 
     semi_differentiable: bool = False
@@ -144,6 +162,11 @@ class FunctionModel(abc.ABC):
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         """The row kernel on checked input; this default asks ``subderivative``."""
         return np.array([self.subderivative(x, w).v for w in W], dtype=float)
+
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        """d f(x)(w) at the rows of ``l1_vertices(n)``; this default asks
+        ``_subderivatives`` about the dense matrix."""
+        return self._subderivatives(x, l1_vertices(self.dim))
 
     def values(self, X) -> np.ndarray:
         """f(x) for every row x of the k x n matrix X, as k floats.

@@ -16,6 +16,14 @@ from .errors import DimensionMismatch, ProxUnavailable
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector
 
 
+def _interleaved(even: Vector, odd: Vector) -> np.ndarray:
+    """even[0], odd[0], even[1], odd[1], ...: values at e1, -e1, e2, ..."""
+    out = np.empty((even.shape[0], 2))
+    out[:, 0] = even
+    out[:, 1] = odd
+    return out.ravel()
+
+
 class L1Norm(RowSubderivatives):
     """lam * ||x||_1 with the sign-split directional derivative.
 
@@ -50,6 +58,9 @@ class L1Norm(RowSubderivatives):
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
         return self._c * S.sum(axis=1)
+
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        return _interleaved(*self.separable_parts(x)[1])
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         x = np.asarray(x, dtype=float)
@@ -142,6 +153,14 @@ class SmoothModel(RowSubderivatives):
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot runs the same dot kernel per row as np.dot; W @ g need not.
         return np.vecdot(W, self.gradient(x))
+
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        # 0.0 - g, not -g: a zero slope is +0.0, as the dot kernel's sum gives
+        # it. A non-finite gradient is refused as a gradient row is.
+        g = self.gradient(x)
+        if not np.isfinite(g).all():
+            raise ValueError("W must have finite entries")
+        return _interleaved(g + 0.0, 0.0 - g)
 
     def gradient(self, x: Vector) -> Vector:
         return np.asarray(self._grad(x), dtype=float)

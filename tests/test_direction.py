@@ -336,31 +336,27 @@ def _bad_gradient(entry):
 @pytest.mark.parametrize("norm", list(sd.NormChoice))
 def test_an_infinite_gradient_raises_and_never_reads_as_descent(norm):
     # The vertex -e1 scores -inf against [inf, 0]; the gradient is refused
-    # before it is divided, so no candidate wins and no warning is raised.
+    # before it is divided or paired with a vertex, so no candidate wins and
+    # no warning is raised.
     f, x = _bad_gradient(np.inf), np.zeros(2)
-    with pytest.raises(ValueError, match="^W must have finite entries"):
-        sd.solve_l2_smooth(f, x)
-    with pytest.raises(ValueError, match="^W must have finite entries"):
-        sd.solve_sampling_fallback(f, x, norm, 8, 0)
-    with pytest.raises(ValueError, match="^W must have finite entries"):
-        sd.brute_force_direction(f, x, norm, 0.5)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="^ExtReal payload must not be NaN"):
-            sd.solve_l1_extreme(f, x)
+    for search in (lambda: sd.solve_l2_smooth(f, x),
+                   lambda: sd.solve_sampling_fallback(f, x, norm, 8, 0),
+                   lambda: sd.brute_force_direction(f, x, norm, 0.5),
+                   lambda: sd.solve_l1_extreme(f, x)):
+        with pytest.raises(ValueError, match="^W must have finite entries"):
+            search()
 
 
 @pytest.mark.parametrize("norm", list(sd.NormChoice))
 def test_a_nan_gradient_raises_or_finds_no_direction(norm):
-    # every search that takes the gradient as a candidate refuses it; the
-    # vertex search reads the NaN it scores
+    # every search that reads the gradient refuses it
     f, x = _bad_gradient(np.nan), np.zeros(2)
     for search in (lambda: sd.solve_l2_smooth(f, x),
                    lambda: sd.solve_sampling_fallback(f, x, norm, 8, 0),
-                   lambda: sd.brute_force_direction(f, x, norm, 0.5)):
+                   lambda: sd.brute_force_direction(f, x, norm, 0.5),
+                   lambda: sd.solve_l1_extreme(f, x)):
         with pytest.raises(ValueError, match="^W must have finite entries"):
             search()
-    with pytest.raises(ValueError, match="^ExtReal payload must not be NaN"):
-        sd.solve_l1_extreme(f, x)
 
 
 @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
@@ -389,15 +385,17 @@ def test_fallback_samples_are_read_only_and_results_own_their_direction():
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_vertex_matrices_are_read_only_and_the_builders_matrices(n):
-    for reduced, build in ((False, sd.direction.l1_vertices),
-                           (True, sd.direction.reduced_vertices)):
-        V = sd.direction._vertex_matrix(n, reduced)
-        assert not V.flags.writeable
-        with pytest.raises(ValueError):
-            V[0, 0] = 2.0
-        assert V.dtype == np.float64 and V.tobytes() == build(n).tobytes()
-        assert sd.direction._vertex_matrix(n, reduced) is V
-        # the public builders still hand out a fresh, writable matrix
+    # the only cached vertex rows head the fallback's candidate matrix
+    C = sd.direction._fallback_candidates(n, sd.NormChoice.L1, 8, 4)
+    assert not C.flags.writeable
+    with pytest.raises(ValueError):
+        C[0, 0] = 2.0
+    assert C.dtype == np.float64 and C.shape == (2 * n + 8, n)
+    assert C[:2 * n].tobytes() == sd.direction.l1_vertices(n).tobytes()
+    assert C[2 * n:].tobytes() == sd.direction._fallback_samples(n, sd.NormChoice.L1, 8, 4).tobytes()
+    assert sd.direction._fallback_candidates(n, sd.NormChoice.L1, 8, 4) is C
+    # the public builders still hand out a fresh, writable matrix
+    for build in (sd.direction.l1_vertices, sd.direction.reduced_vertices):
         assert build(n).flags.writeable and build(n) is not build(n)
 
 
@@ -409,7 +407,7 @@ def test_vertex_searches_are_the_same_cold_and_warm_and_own_their_direction():
                 # over the l1 ball a linear d f(x)(.) is least at a vertex
                 lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L1, 8, 4)]
     for search in searches:
-        sd.direction._vertex_matrix.cache_clear()
+        sd.direction._fallback_candidates.cache_clear()
         cold = search()
         kept = (cold.w.tobytes(), cold.value, cold.exact, cold.evaluations)
         assert any(cold.w.tobytes() == v.tobytes() for v in
@@ -433,4 +431,18 @@ def test_fallback_run_matches_the_per_call_draws(monkeypatch):
     def per_call(n, norm, budget, seed):
         return np.array(_drawn_per_call(n, norm, budget, seed)).reshape(budget, n)
     monkeypatch.setattr(sd.direction, "_fallback_samples", per_call)
+    assert _trace_bytes(sd.run(bp.model, bp.x0, bp.defaults)) == _trace_bytes(cached)
+
+
+def test_fallback_run_matches_per_call_candidates(monkeypatch):
+    # The cached candidates are built once per key, so the run above, with a
+    # warm cache, no longer reaches the patched sampler; this one replaces
+    # the cache itself with a per-call build.
+    bp = build_problem("relu_net", {})
+    cached = sd.run(bp.model, bp.x0, bp.defaults)
+
+    def per_call(n, norm, budget, seed):
+        return np.vstack([sd.direction.l1_vertices(n),
+                          np.array(_drawn_per_call(n, norm, budget, seed)).reshape(budget, n)])
+    monkeypatch.setattr(sd.direction, "_fallback_candidates", per_call)
     assert _trace_bytes(sd.run(bp.model, bp.x0, bp.defaults)) == _trace_bytes(cached)
