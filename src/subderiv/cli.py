@@ -209,8 +209,7 @@ def _run_single(settings: dict) -> int:
         # The descent inequality is Euclidean; a non-Euclidean search ball
         # rescales the effective constant by its worst ||w||_2^2.
         strategy = resolve_strategy(built.model, cfg.strategy)
-        L_eff = L * ball_radius_sq(strategy, built.model.dim, cfg.norm,
-                                   cfg.reduced_l1)
+        L_eff = L * ball_radius_sq(strategy, built.model.dim, cfg.norm)
         res = rate_audit(trace, built.f_star, L_eff, mu, N)
         audit = {"lhs": res.lhs, "rhs": res.rhs, "rate_holds": res.rate_holds,
                  "decrease_holds": res.decrease_holds, "holds": res.holds,

@@ -14,15 +14,16 @@ Each search checks its point x once, on entry, and then asks the model's
 kernels (see ``FunctionModel``). The l1 vertex search asks
 ``f._vertex_values(x)`` for the 2n values at e1, -e1, e2, ...: O(n) for the
 bundled oracles and their sums, scalings and extrema, the dense (2n, n)
-matrix through ``f._subderivatives`` otherwise. The reduced vertex search
-and the fallback score all their candidates with one ``f._subderivatives``
-call, so a model does the work that depends only on x once per search, and
-every search reads the chosen direction's value back through the one-row
-kernel call ``f._subderivatives(x, w[None])``. Matrices the library builds
-from finite data (the vertices, the samples, a {-1, 0, 1} direction) are not
-checked again; a row built from the model's gradient is checked as the
-public batch checks W, and so is the gradient behind a smooth model's
-vertex values, so a non-finite gradient raises ValueError.
+matrix through ``f._subderivatives`` otherwise. The fallback and
+``verify.brute_force_direction`` score all their candidates with one
+``f._subderivatives`` call (``_best_candidate``), so a model does the work
+that depends only on x once per search, and every search reads the chosen
+direction's value back through the one-row kernel call
+``f._subderivatives(x, w[None])``. Matrices the library builds from finite
+data (the vertices, the samples, a {-1, 0, 1} direction) are not checked
+again; a row built from the model's gradient is checked as the public batch
+checks W, and so is the gradient behind a smooth model's vertex values, so a
+non-finite gradient raises ValueError.
 
 Tie-breaking is deterministic everywhere: candidates are scanned in a fixed
 enumeration order and only a strictly smaller value displaces the incumbent
@@ -56,9 +57,8 @@ class DirectionResult:
     ``value`` always equals f.subderivative(x, w), read back through the
     model's one-row kernel. ``exact`` is True for every closed-form solver:
     the l2 search, the sup-norm separable search (two numbers per
-    coordinate, so exact for every separable model) and the l1 vertex search
-    (for the reduced variant, exact relative to the induced polytope norm).
-    Only the sampling fallback is inexact.
+    coordinate, so exact for every separable model) and the l1 vertex
+    search. Only the sampling fallback is inexact.
     ``evaluations`` counts subderivative evaluations, one per row of a
     batched query.
     """
@@ -108,20 +108,6 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     return DirectionResult(w, _value_at(model, as_vector(x, n), w), True, 1)
 
 
-def reduced_vertices(n: int) -> np.ndarray:
-    """The n+1 point set {e_i} plus the all-minus-ones vector, as rows.
-
-    Its convex hull is a polytope with the origin interior, hence the unit
-    ball of an induced norm; minimizing a concave subderivative over that
-    ball needs only these n+1 evaluations. The reduced search builds it at
-    every call, so it is written in place, with no temporary.
-    """
-    verts = np.zeros((n + 1, n))
-    verts[np.arange(n), np.arange(n)] = 1.0
-    verts[n] = -1.0
-    return verts
-
-
 def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
     """d f(x)(w) for every row of W through one row-kernel call.
 
@@ -159,22 +145,37 @@ def _gradient_rows(f: FunctionModel, x: Vector, norm: NormChoice) -> list[np.nda
     return [-(g / nrm)] if nrm > 0 else []
 
 
-def solve_l1_extreme(f: FunctionModel, x: Vector, reduced: bool = False) -> DirectionResult:
+def _best_candidate(f: FunctionModel, x: Vector, cands: np.ndarray,
+                    norm: NormChoice) -> tuple[Vector, float, int]:
+    """The first least candidate, its batch value and the number of rows
+    scored, through one ``_subderivatives`` call.
+
+    ``cands`` is a cached read-only matrix headed by the 2n signed coordinate
+    vectors; the ``_gradient_rows`` row, if any, is stacked after that head,
+    and otherwise the matrix is scored as it is. A NaN counts as +inf, so if
+    nothing is finite or -inf the first row comes back with value +inf, and
+    the caller says what that means.
+    """
+    grad = _gradient_rows(f, x, norm)
+    if grad:
+        n = f.dim
+        cands = np.vstack([cands[:2 * n], *grad, cands[2 * n:]])
+    vals = _batch_values(f, x, cands)
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    i = int(np.argmin(vals))
+    return cands[i].copy(), float(vals[i]), len(cands)
+
+
+def solve_l1_extreme(f: FunctionModel, x: Vector) -> DirectionResult:
     """Vertex enumeration for a concave d f(x)(.) over the l1 ball.
 
     The caller declares concavity; a concave function attains its minimum
-    over the polytope at an extreme point. With ``reduced`` the n+1 point set
-    {e_i} union {-e} is used instead; that is exact for the norm whose unit
-    ball is the convex hull of those points, and the result's direction may
-    exceed the l1 ball (||-e||_1 = n). If every vertex is +inf, the first
-    one is returned. The full search asks the model's ``_vertex_values(x)``.
+    over the polytope at one of the 2n vertices +-e_i, whose values the
+    model's ``_vertex_values(x)`` gives. The first least vertex wins; if
+    every vertex is +inf, that is the first one, e1.
     """
     n = f.dim
     x = as_vector(x, n)
-    if reduced:
-        verts = reduced_vertices(n)
-        best_w = verts[int(np.argmin(_batch_values(f, x, verts)))].copy()
-        return DirectionResult(best_w, _value_at(f, x, best_w), True, n + 2)
     i = int(np.argmin(_checked_values(f, "_vertex_values", f._vertex_values(x), 2 * n)))
     best_w = np.zeros(n)
     best_w[i // 2] = -1.0 if i % 2 else 1.0
@@ -243,14 +244,7 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
         raise ValueError("budget must be nonnegative")
     n = f.dim
     x = as_vector(x, n)
-    cands = _fallback_candidates(n, norm, budget, seed)
-    grad = _gradient_rows(f, x, norm)
-    if grad:
-        cands = np.vstack([cands[:2 * n], *grad, cands[2 * n:]])
-    vals = _batch_values(f, x, cands)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    i = int(np.argmin(vals))
-    if vals[i] == np.inf:
-        return DirectionResult(np.zeros(f.dim), ExtReal(0.0), False, len(cands))
-    best_w = cands[i].copy()
-    return DirectionResult(best_w, _value_at(f, x, best_w), False, len(cands) + 1)
+    best_w, best, k = _best_candidate(f, x, _fallback_candidates(n, norm, budget, seed), norm)
+    if best == np.inf:
+        return DirectionResult(np.zeros(n), ExtReal(0.0), False, k)
+    return DirectionResult(best_w, _value_at(f, x, best_w), False, k + 1)

@@ -112,8 +112,8 @@ class FunctionModel(abc.ABC):
       * A model that overrides a public batched query still answers it when
         called directly, but a combinator asks it through its kernel, and so
         do the direction searches and ``brute_force_direction``, which score
-        their candidates with one ``_subderivatives(x, W)`` call (the full
-        l1 vertex search with one ``_vertex_values(x)`` call) and read the
+        their candidates with one ``_subderivatives(x, W)`` call (the l1
+        vertex search with one ``_vertex_values(x)`` call) and read the
         winner back with ``_subderivatives(x, w[None])``: for a model that
         defines only the scalar queries, the per-row loop.
       * ``_vertex_values(x)`` gives the 2n values d f(x)(w) at the rows of

@@ -82,36 +82,32 @@ class ZeroNormComposite(RowSubderivatives):
     """||A x + b||_0, the nonzero count of the affine image.
 
     The subderivative is combinatorial: 0 when the support of A w is contained
-    in the support of A x + b, +inf otherwise. Support membership compares
-    |y_i| against ``support_tol``; the default 0 honors the exact formula, the
-    override serves noisy data (any nonzero tolerance changes the answer
-    discontinuously). Directionally lower regular but not semi-differentiable.
+    in the support of A x + b, +inf otherwise. Supports are compared exactly
+    (an entry is in the support iff it is nonzero), which keeps the
+    subderivative positively homogeneous. Directionally lower regular but not
+    semi-differentiable.
     """
 
     semi_differentiable = False
     directionally_lower_regular = True
     lower_bound = 0.0
 
-    def __init__(self, A, b, support_tol: float = 0.0):
+    def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = as_vector(b, self.A.shape[0], "b")
-        self.support_tol = float(support_tol)
 
     @property
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def _support(self, y: Vector) -> np.ndarray:
-        return np.abs(y) > self.support_tol
-
     def _value(self, x: Vector) -> float:
-        return float(np.count_nonzero(self._support(self.A @ x + self.b)))
+        return float(np.count_nonzero(self.A @ x + self.b))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # vecdot forms each row's A w from its own dot products; W @ A.T
         # need not round a row alike at every row count.
         AW = np.vecdot(W[:, None, :], self.A)
-        new = self._support(AW) & ~self._support(self.A @ x + self.b)
+        new = (AW != 0) & (self.A @ x + self.b == 0)
         return np.where(new.any(axis=1), np.inf, 0.0)
 
 
@@ -561,6 +557,6 @@ def neg_l1_norm(n: int, lam: float = 1.0) -> NegL1Norm:
     return NegL1Norm(n, lam)
 
 
-def zero_norm_composite(A, b, support_tol: float = 0.0) -> ZeroNormComposite:
+def zero_norm_composite(A, b) -> ZeroNormComposite:
     """Nonzero count of A x + b with its combinatorial subderivative."""
-    return ZeroNormComposite(A, b, support_tol)
+    return ZeroNormComposite(A, b)

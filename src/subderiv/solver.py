@@ -44,9 +44,8 @@ class SolverConfig:
 
     ``floor`` is the operational stand-in for an f(x_k) -> -inf outcome:
     dropping below it terminates with status Unbounded. ``budget`` and
-    ``seed`` only matter for the sampling fallback; ``reduced_l1`` switches
-    the l1 strategy to the n+1-point vertex set (and with it the induced
-    polytope norm). ``max_iter`` and ``budget`` are integers.
+    ``seed`` only matter for the sampling fallback. ``max_iter`` and
+    ``budget`` are integers.
     """
 
     epsilon: float = 1e-6
@@ -57,7 +56,6 @@ class SolverConfig:
     budget: int = 64
     seed: int = 0
     floor: float = -1e12
-    reduced_l1: bool = False
 
     def __post_init__(self):
         if not self.epsilon >= 0:
@@ -128,7 +126,7 @@ def search_direction(f: FunctionModel, x: Vector, cfg: SolverConfig) -> Directio
         grad, parts = f.separable_parts(x)
         return solve_linf_separable(parts, grad, x, model=f)
     if strategy == "l1-ext":
-        return solve_l1_extreme(f, x, reduced=cfg.reduced_l1)
+        return solve_l1_extreme(f, x)
     return solve_sampling_fallback(f, x, cfg.norm, cfg.budget, cfg.seed)
 
 
@@ -223,22 +221,23 @@ def rate_constant(mu: float, L: float) -> float:
     return min(0.5, mu / (2.0 * L))
 
 
-def ball_radius_sq(strategy: str, dim: int, norm: NormChoice = NormChoice.L2,
-                   reduced_l1: bool = False) -> float:
+def ball_radius_sq(strategy: str, dim: int, norm: NormChoice = NormChoice.L2) -> float:
     """Worst squared Euclidean length of a direction from the search ball.
 
     The descent inequality is Euclidean, so switching the ball only rescales
     the backtracking bound: the effective constant is L * max ||w||_2^2 over
-    the ball searched. Sup-norm boxes and the reduced l1 polytope reach
-    sqrt(dim); l2 balls and l1 vertex sets stay at 1.
+    the ball searched. Sup-norm boxes reach sqrt(dim); l2 balls and l1
+    vertex sets stay at 1. ``strategy`` must be resolved (see
+    ``resolve_strategy``): "auto" names no ball, so it raises ValueError, as
+    an unknown name does.
     """
     if strategy == "linf-sep":
         return float(dim)
-    if strategy == "l1-ext":
-        return float(dim) if reduced_l1 else 1.0
     if strategy == "fallback":
         return float(dim) if norm is NormChoice.LINF else 1.0
-    return 1.0
+    if strategy in ("l2", "l1-ext"):
+        return 1.0
+    raise ValueError(f"ball_radius_sq needs a resolved strategy, not {strategy!r}")
 
 
 @dataclass(frozen=True)

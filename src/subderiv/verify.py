@@ -30,8 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import SemiDiffMap
-from .direction import (DirectionResult, NormChoice, _batch_values, _gradient_rows,
-                        _value_at)
+from .direction import DirectionResult, NormChoice, _best_candidate, _value_at
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector, check_count
@@ -293,7 +292,8 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     between them on each call. x is checked once, on entry, and the gradient
     row as the public batch checks W; the library's own candidates are not
     checked again. All of them are scored by one call of the row kernel
-    ``f._subderivatives(x, W)``; a NaN counts as +inf, the first minimum
+    ``f._subderivatives(x, W)`` (``direction._best_candidate``, which the
+    sampling fallback shares); a NaN counts as +inf, the first minimum
     wins, and if every value is +inf the first candidate is returned. The
     winner's value is read back through the one-row kernel call
     ``f._subderivatives(x, w[None])``. Dimension is capped at 4; this is an
@@ -305,13 +305,8 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
         raise DimensionTooLarge(f"brute force capped at dimension {_BRUTE_DIM_CAP}")
     if not resolution > 0:
         raise ValueError("resolution must be positive")
-    W = _brute_candidates(norm, n, resolution)
-    grad = _gradient_rows(f, x, norm)
-    if grad:
-        W = np.vstack([W[:2 * n], *grad, W[2 * n:]])
-    vals = _batch_values(f, x, W)
-    best_w = W[int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))].copy()
-    return DirectionResult(best_w, _value_at(f, x, best_w), False, len(W) + 1)
+    best_w, _, k = _best_candidate(f, x, _brute_candidates(norm, n, resolution), norm)
+    return DirectionResult(best_w, _value_at(f, x, best_w), False, k + 1)
 
 
 @dataclass

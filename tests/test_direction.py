@@ -183,15 +183,6 @@ def test_l1_extreme_one_dimensional_symmetry(dc1):
     assert res.value == ExtReal(-1.0)
 
 
-def test_l1_extreme_reduced_vertex_set():
-    m2 = sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.NegL1Norm(2)])
-    res = sd.solve_l1_extreme(m2, np.zeros(2), reduced=True)
-    # Candidates e1, e2, -(1,1): values -1, -1, -2; the bundle vertex wins.
-    assert res.w == pytest.approx(np.array([-1.0, -1.0]))
-    assert res.value == ExtReal(-2.0)
-    assert res.evaluations == 4
-
-
 def test_fallback_budget_zero_coordinates_only(l1):
     res = sd.solve_sampling_fallback(l1, np.zeros(3), sd.NormChoice.L2, 0, seed=1)
     # No gradient, no samples: min over +-e_i of d||.||_1(0) = 1 > 0.
@@ -394,24 +385,22 @@ def test_vertex_matrices_are_read_only_and_the_builders_matrices(n):
     assert C[:2 * n].tobytes() == sd.direction.l1_vertices(n).tobytes()
     assert C[2 * n:].tobytes() == sd.direction._fallback_samples(n, sd.NormChoice.L1, 8, 4).tobytes()
     assert sd.direction._fallback_candidates(n, sd.NormChoice.L1, 8, 4) is C
-    # the public builders still hand out a fresh, writable matrix
-    for build in (sd.direction.l1_vertices, sd.direction.reduced_vertices):
-        assert build(n).flags.writeable and build(n) is not build(n)
+    # the public builder still hands out a fresh, writable matrix
+    V = sd.direction.l1_vertices(n)
+    assert V.flags.writeable and sd.direction.l1_vertices(n) is not V
 
 
 def test_vertex_searches_are_the_same_cold_and_warm_and_own_their_direction():
     f = sd.sum_models([sd.quadratic_model(np.zeros(3)), sd.NegL1Norm(3)])
     x = np.array([0.5, -1.0, 2.0])
     searches = [lambda: sd.solve_l1_extreme(f, x),
-                lambda: sd.solve_l1_extreme(f, x, reduced=True),
                 # over the l1 ball a linear d f(x)(.) is least at a vertex
                 lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L1, 8, 4)]
     for search in searches:
         sd.direction._fallback_candidates.cache_clear()
         cold = search()
         kept = (cold.w.tobytes(), cold.value, cold.exact, cold.evaluations)
-        assert any(cold.w.tobytes() == v.tobytes() for v in
-                   np.vstack([sd.direction.l1_vertices(3), sd.direction.reduced_vertices(3)]))
+        assert any(cold.w.tobytes() == v.tobytes() for v in sd.direction.l1_vertices(3))
         cold.w[:] = 7.0
         warm = search()
         assert (warm.w.tobytes(), warm.value, warm.exact, warm.evaluations) == kept

@@ -67,12 +67,6 @@ def test_zero_norm_quotient_is_exactly_card_over_t():
         assert q == pytest.approx(card / t)
 
 
-def test_zero_norm_support_cutoff_override():
-    zn = sd.ZeroNormComposite(np.eye(1), np.zeros(1), support_tol=0.1)
-    assert zn.value(np.array([0.05])) == ExtReal(0.0)
-    assert zn.value(np.array([0.5])) == ExtReal(1.0)
-
-
 def _moreau_grid_oracle(cost, x, r, lo=-6.0, hi=6.0, n=2_000_001):
     ys = np.linspace(lo, hi, n)
     return float(np.min((x - ys) ** 2 / (2 * r) + np.array([cost(y) for y in ys])))

@@ -386,23 +386,23 @@ def test_solver_config_counts_are_integers(field, value):
     assert getattr(sd.SolverConfig(**{field: np.int64(3)}), field) == 3
 
 
-def test_reduced_l1_strategy_through_run():
-    m = sd.sum_models([sd.quadratic_model(np.zeros(2)), sd.NegL1Norm(2)])
-    cfg = sd.SolverConfig(epsilon=1e-3, norm=sd.NormChoice.L1, strategy="l1-ext",
-                          max_iter=500, reduced_l1=True)
-    tr = sd.run(m, np.array([3.0, 3.0]), cfg)
-    # The induced-polytope search still descends to a d-stationary point.
-    assert tr.status is sd.TerminalStatus.EPS_STATIONARY
-    assert tr.f_final <= -0.99
-
-
 def test_ball_radius_sq_per_strategy():
     assert sd.ball_radius_sq("l2", 5) == 1.0
     assert sd.ball_radius_sq("l1-ext", 5) == 1.0
-    assert sd.ball_radius_sq("l1-ext", 5, reduced_l1=True) == 5.0
     assert sd.ball_radius_sq("linf-sep", 5) == 5.0
     assert sd.ball_radius_sq("fallback", 5, sd.NormChoice.LINF) == 5.0
     assert sd.ball_radius_sq("fallback", 5, sd.NormChoice.L1) == 1.0
+
+
+@pytest.mark.parametrize("strategy", ["auto", "l1", "linf", ""])
+def test_ball_radius_sq_refuses_an_unresolved_or_unknown_strategy(strategy):
+    # "auto" read 1.0, though on this model it resolves to linf-sep, whose
+    # squared radius is the dimension: L_eff came out 5x too small
+    m = sd.sum_models([sd.quadratic_model(np.zeros(5)), sd.L1Norm(5)])
+    assert sd.solver.resolve_strategy(m, "auto") == "linf-sep"
+    assert sd.ball_radius_sq(sd.solver.resolve_strategy(m, "auto"), m.dim) == 5.0
+    with pytest.raises(ValueError, match="resolved strategy"):
+        sd.ball_radius_sq(strategy, m.dim)
 
 
 def test_sparse_moreau_audit_uses_norm_adjusted_constant():
