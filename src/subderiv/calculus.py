@@ -126,20 +126,30 @@ def relu_map(n: int) -> SemiDiffMap:
 
 
 class _Sum(RowSubderivatives):
-    def __init__(self, models: Sequence[FunctionModel]):
+    """lam * (f_1 + ... + f_k) for lam > 0; ``scale`` is the one-member sum.
+
+    Each kernel folds the members left to right, then multiplies the folded
+    result by lam. At lam = 1.0 it returns the fold as it is: 1.0 * v is v
+    bit for bit, so the product would only copy it.
+    """
+
+    def __init__(self, models: Sequence[FunctionModel], lam: float = 1.0):
         if not models:
             raise EmptyList("sum of zero models")
         self._dim = check_same_dim(models)
         self.models = list(models)
+        self.lam = float(lam)
         self.semi_differentiable = all(m.semi_differentiable for m in self.models)
         self.extended_valued = any(m.extended_valued for m in self.models)
         self.subderivative_concave = all(m.subderivative_concave for m in self.models)
         self.has_gradient = all(m.has_gradient for m in self.models)
         self.is_separable = all(m.has_gradient or m.is_separable for m in self.models)
         Ls = [m.descent_constant for m in self.models]
-        self.descent_constant = float(sum(Ls)) if all(L is not None for L in Ls) else None
+        self.descent_constant = (self.lam * float(sum(Ls))
+                                 if all(L is not None for L in Ls) else None)
         lbs = [m.lower_bound for m in self.models]
-        self.lower_bound = float(sum(lbs)) if all(b is not None for b in lbs) else None
+        self.lower_bound = (self.lam * float(sum(lbs))
+                            if all(b is not None for b in lbs) else None)
 
     @property
     def dim(self) -> int:
@@ -153,31 +163,31 @@ class _Sum(RowSubderivatives):
             acc += m._value(x)
             if acc != acc:
                 raise IndeterminateSum("(+inf) + (-inf) is undefined")
-        return acc
+        return acc if self.lam == 1.0 else self.lam * acc
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         acc = self.models[0]._values(X)
         for m in self.models[1:]:
             acc = ext_add_arrays(acc, m._values(X))
-        return acc
+        return acc if self.lam == 1.0 else self.lam * acc
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         acc = self.models[0]._subderivatives(x, W)
         for m in self.models[1:]:
             acc = ext_add_arrays(acc, m._subderivatives(x, W))
-        return acc
+        return acc if self.lam == 1.0 else self.lam * acc
 
     def _vertex_values(self, x: Vector) -> np.ndarray:
         acc = self.models[0]._vertex_values(x)
         for m in self.models[1:]:
             acc = ext_add_arrays(acc, m._vertex_values(x))
-        return acc
+        return acc if self.lam == 1.0 else self.lam * acc
 
     def gradient(self, x: Vector) -> Vector:
         g = self.models[0].gradient(x).copy()
         for m in self.models[1:]:
             g += m.gradient(x)
-        return g
+        return g if self.lam == 1.0 else self.lam * g
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         grad = np.zeros(self.dim)
@@ -191,6 +201,8 @@ class _Sum(RowSubderivatives):
                 grad = grad + g2
                 up = up + up2
                 down = down + down2
+        if self.lam != 1.0:
+            grad, up, down = self.lam * grad, self.lam * up, self.lam * down
         return grad, (up, down)
 
 
@@ -204,48 +216,12 @@ def sum_models(models: Sequence[FunctionModel]) -> FunctionModel:
     return _Sum(models)
 
 
-class _Scaled(RowSubderivatives):
-    def __init__(self, inner: FunctionModel, lam: float):
-        self.inner = inner
-        self.lam = float(lam)
-        self.semi_differentiable = inner.semi_differentiable
-        self.extended_valued = inner.extended_valued
-        self.subderivative_concave = inner.subderivative_concave
-        self.has_gradient = inner.has_gradient
-        self.is_separable = inner.is_separable
-        self.descent_constant = (None if inner.descent_constant is None
-                                 else lam * inner.descent_constant)
-        self.lower_bound = None if inner.lower_bound is None else lam * inner.lower_bound
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def _value(self, x: Vector) -> float:
-        return self.lam * self.inner._value(x)
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        return self.lam * self.inner._values(X)
-
-    def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return self.lam * self.inner._subderivatives(x, W)
-
-    def _vertex_values(self, x: Vector) -> np.ndarray:
-        return self.lam * self.inner._vertex_values(x)
-
-    def gradient(self, x: Vector) -> Vector:
-        return self.lam * self.inner.gradient(x)
-
-    def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        g, (up, down) = self.inner.separable_parts(x)
-        return self.lam * g, (self.lam * up, self.lam * down)
-
-
 def scale(model: FunctionModel, lam: float) -> FunctionModel:
-    """lam * f for lam > 0; value, subderivative and descent constant scale."""
+    """lam * f for lam > 0, the one-member sum; value, subderivative and
+    descent constant scale."""
     if not lam > 0:
         raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-    return _Scaled(model, lam)
+    return _Sum([model], lam)
 
 
 class _Composite(RowSubderivatives):

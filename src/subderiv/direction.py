@@ -13,13 +13,13 @@ matrix is built once per process and reused, read-only, at every iterate.
 Each search checks its point x once, on entry, and then asks the model's
 kernels (see ``FunctionModel``). The l1 vertex search asks
 ``f._vertex_values(x)`` for the 2n values at e1, -e1, e2, ...: O(n) for the
-bundled oracles and their sums, scalings and extrema, the dense (2n, n)
-matrix through ``f._subderivatives`` otherwise. The fallback and
-``verify.brute_force_direction`` score all their candidates with one
-``f._subderivatives`` call (``_best_candidate``), so a model does the work
-that depends only on x once per search, and every search reads the chosen
-direction's value back through the one-row kernel call
-``f._subderivatives(x, w[None])``. Matrices the library builds from finite
+bundled oracles, the separable envelope, sums (scalings included) and
+extrema, the dense (2n, n) matrix through ``f._subderivatives`` otherwise.
+The fallback and ``verify.brute_force_direction`` score all their
+candidates with one ``f._subderivatives`` call (``_best_candidate``), so a
+model does the work that depends only on x once per search, and every
+search reads the chosen direction's value back through the one-row kernel
+call ``f._subderivatives(x, w[None])``. Matrices the library builds from finite
 data (the vertices, the samples, a {-1, 0, 1} direction) are not checked
 again; a row built from the model's gradient is checked as the public batch
 checks W, and so is the gradient behind a smooth model's vertex values, so a

@@ -122,7 +122,8 @@ class FunctionModel(abc.ABC):
         override answers in O(n) from the structure at x and must return
         exactly the default's floats, signed zeros included: a zero slope is
         +0.0, as the dot kernel's sum makes it, never -0.0. The smooth,
-        l1-norm, sum, scaling and pointwise-extremum kernels override it.
+        l1-norm, separable-envelope, sum (scalings included) and
+        pointwise-extremum kernels override it.
     """
 
     semi_differentiable: bool = False

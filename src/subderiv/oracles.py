@@ -350,6 +350,11 @@ class SeparableMoreau(RowSubderivatives):
         _, (up, down) = self.separable_parts(x)
         return np.where(W > 0, up * W, -down * W).sum(axis=1)
 
+    def _vertex_values(self, x: Vector) -> np.ndarray:
+        # + 0.0: a zero slope is +0.0, as the dense default's row sum gives it.
+        _, (up, down) = self.separable_parts(x)
+        return _interleaved(up + 0.0, down + 0.0)
+
     def gradient(self, x: Vector) -> Vector:
         if not self.inner.unique_prox:
             return super().gradient(x)
@@ -375,7 +380,7 @@ class QuadraticInner:
 class QuadraticMoreau(SmoothModel):
     """Moreau envelope of a convex quadratic; the prox is a linear solve.
 
-    ``_value`` is the one-row case of ``values``, which takes every prox in
+    ``_value`` is the one-row case of ``_values``, which takes every prox in
     one stacked solve (LAPACK gesv per matrix, as the scalar solve runs) and
     each row's dot products with ``np.vecdot``, so a row's value does not
     depend on the row count.
@@ -391,7 +396,7 @@ class QuadraticMoreau(SmoothModel):
         super().__init__(n, None, None, smoothness_constant=1.0 / self.r)
 
     def _value(self, x: Vector) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+        return float(self._values(x[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         K, Q, c = self._K, self.inner.Q, self.inner.c
@@ -528,7 +533,7 @@ class ReLUNetworkLoss(RowSubderivatives):
         return [[A[:, j] for A in pre] for j in range(self.X.shape[1])]
 
     def _value(self, x: Vector) -> float:
-        _, out, _ = self._pass(as_vector(x, self._p, "theta"))
+        _, out, _ = self._pass(x)
         return float(((out - self.Y) ** 2).sum()) / self.X.shape[1]
 
     def _values(self, X: np.ndarray) -> np.ndarray:

@@ -542,7 +542,7 @@ class DistanceToSet(RowSubderivatives):
         return self.X.dim
 
     def _value(self, x: Vector) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+        return float(self._values(x[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.

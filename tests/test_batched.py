@@ -694,7 +694,7 @@ def test_bundled_models_state_each_subderivative_once():
     bundled = {c for c in subclasses(sd.FunctionModel)
                if c.__module__.startswith("subderiv.") and c is not sd.RowSubderivatives}
     batched = {c for c in bundled if "_subderivatives" in vars(c)}
-    assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum", "_Scaled",
+    assert {c.__name__ for c in batched} >= {"L1Norm", "SeparableMoreau", "_Sum",
                                              "_Composite", "ZeroNormComposite", "DistanceToSet"}
     for c in batched:
         assert issubclass(c, sd.RowSubderivatives), c
@@ -706,7 +706,7 @@ def test_bundled_models_state_each_subderivative_once():
     assert "value" in vars(sd.RowSubderivatives)
     assert {c.__name__ for c in bundled if "_value" in vars(c)} >= {
         "L1Norm", "ZeroNormComposite", "SmoothModel", "SeparableMoreau", "QuadraticMoreau",
-        "ReLUNetworkLoss", "DistanceToSet", "_Sum", "_Scaled", "_Composite",
+        "ReLUNetworkLoss", "DistanceToSet", "_Sum", "_Composite",
         "_PointwiseExtremum", "_QuadraticBranch"}
     for c in bundled:
         if not inspect.isabstract(c):

@@ -125,6 +125,38 @@ def test_scale_descent_constant():
     assert m.descent_constant == pytest.approx(3.0)
 
 
+_FLAGS = ("semi_differentiable", "extended_valued", "subderivative_concave",
+          "has_gradient", "is_separable")
+
+
+@pytest.mark.parametrize("name", ["smooth", "l1", "min"])
+def test_scale_is_the_one_member_sum(name):
+    lam, n = 3.0, 4
+    f = {"smooth": sd.smooth_model(n, lambda x: float(np.dot(x, x)) - 1.0, lambda x: 2.0 * x,
+                                   smoothness_constant=2.0, lower_bound=-1.0),
+         "l1": sd.L1Norm(n, 0.75),
+         "min": sd.pointwise_min([sd.quadratic_model(np.zeros(n)),
+                                  sd.linear_model(np.arange(n) - 1.5)])}[name]
+    scaled, single = sd.scale(f, lam), sd.sum_models([f])
+    assert type(scaled) is type(single)
+    assert [getattr(scaled, a) for a in _FLAGS] == [getattr(single, a) for a in _FLAGS]
+    for a in ("descent_constant", "lower_bound"):
+        want = getattr(single, a)
+        assert getattr(scaled, a) == (None if want is None else lam * want)
+    rng = np.random.default_rng(7)
+    W = rng.uniform(-1.0, 1.0, (5, n))
+    for x in (np.zeros(n), np.array([0.0, -0.0, 1.0, -2.0]), rng.uniform(-2.0, 2.0, n)):
+        queries = [lambda m: m._value(x), lambda m: m._values(np.stack([x, x + 1.0, -x])),
+                   lambda m: m._subderivatives(x, W), lambda m: m._vertex_values(x)]
+        if f.has_gradient:
+            queries.append(lambda m: m.gradient(x))
+        for q in queries:
+            assert np.asarray(q(scaled)).tobytes() == np.asarray(lam * q(f)).tobytes()
+        if not f.has_gradient:
+            with pytest.raises(sd.NoGradient):
+                scaled.gradient(x)
+
+
 def _square_map():
     # F(x) = (x_1^2, x_2), smooth with dF(x)w = (2 x_1 w_1, w_2).
     return sd.SmoothMap(2, 2,

@@ -2,6 +2,7 @@
 vertex search built on it against the search that takes the default."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def _models(n):
     dc = sd.sum_models([sd.quadratic_model(np.zeros(n)), sd.NegL1Norm(n, LAM)])
     grad = np.where(np.arange(n) % 3 == 0, -0.0, np.where(np.arange(n) % 3 == 1, 0.0, -2.0))
     Q = np.diag(np.arange(1.0, n + 1.0))
+    soft = sd.moreau_envelope(sd.L1Inner(LAM), 0.5, n=n)
     return {
         "smooth_model": sd.smooth_model(n, lambda x: 0.0, lambda x: grad.copy()),
         "quadratic": sd.quadratic_model(c),
@@ -42,6 +44,12 @@ def _models(n):
         "scaled_dc": sd.scale(dc, 3.0),
         "nested_sum": sd.sum_models([sd.scale(dc, 0.5), sd.sum_models(
             [sd.L1Norm(n, 2.0), sd.linear_model(grad)]), sd.quadratic_model(c)]),
+        "soft_envelope": soft,
+        "hard_envelope": sd.moreau_envelope(sd.ZeroNormInner(), LAM * LAM / 2.0, n=n),
+        "user_envelope": sd.moreau_envelope(sd.UserScalarInner(
+            lambda y: LAM * abs(y), lambda t, r: (math.copysign(max(abs(t) - LAM * r, 0.0), t),)),
+            0.5, n=n),
+        "quadratic_envelope": sd.sum_models([sd.quadratic_model(c), soft]),
         "stack_min": _stack_min(n),
         "stack_max": _stack_min(n, take_max=True),
         "member_min": sd.pointwise_min([sd.quadratic_model(np.zeros(n)), sd.linear_model(grad),
@@ -81,7 +89,6 @@ def test_models_without_a_closed_form_keep_the_default():
     default = sd.FunctionModel._vertex_values
     net = sd.relu_network_loss([2, 2, 1], [(np.ones(2), np.ones(1))])
     for m in (net, sd.zero_norm_composite(np.eye(2), np.zeros(2)),
-              sd.moreau_envelope(sd.L1Inner(), 0.5, n=2),
               sd.precompose_smooth(sd.NegL1Norm(2), sd.affine_map(np.eye(2)))):
         assert type(m)._vertex_values is default
 
