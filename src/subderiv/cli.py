@@ -28,6 +28,7 @@ from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
 
 CSV_HEADER = "iter,f,dir_value,alpha,backtracks,step_norm,wall_ns"
 FORMATS = ("csv", "json")
+SCHEDULES = ("armijo", "diminishing")
 
 # SolverConfig fields a setting overrides directly, with their converters.
 _CONFIG_KEYS = (("epsilon", float), ("norm", NormChoice), ("max_iter", int),
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="Armijo reduction multiple in (0,1)")
     p.add_argument("--alpha0", type=float,
                    help="initial Armijo step / diminishing numerator")
-    p.add_argument("--schedule", choices=["armijo", "diminishing"])
+    p.add_argument("--schedule", choices=SCHEDULES)
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--seed", type=int, help="seed for the sampling fallback")
     p.add_argument("--strategy", choices=STRATEGIES)
@@ -190,10 +191,12 @@ def _run_single(settings: dict) -> int:
         return 2
     params = {"param." + p for p in REGISTRY[name].params.replace(",", " ").split()}
     unknown = [k for k in settings if k not in _SETTING_KEYS and k not in params]
-    fmt = settings.get("format", "csv")
-    if unknown or fmt not in FORMATS:
-        print(f"error: {name} reads no setting {unknown[0]!r}" if unknown
-              else f"error: unknown format {fmt!r}", file=sys.stderr)
+    fmt, schedule = settings.get("format", "csv"), settings.get("schedule", "armijo")
+    refusal = (f"{name} reads no setting {unknown[0]!r}" if unknown
+               else f"unknown format {fmt!r}" if fmt not in FORMATS
+               else f"unknown schedule {schedule!r}" if schedule not in SCHEDULES else "")
+    if refusal:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
     no_timing = _parse_no_timing(settings.get("no_timing", False))
     built = build_problem(name, {k.split(".", 1)[1]: v for k, v in settings.items()

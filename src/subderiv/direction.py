@@ -108,27 +108,20 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     return DirectionResult(w, _value_at(model, as_vector(x, n), w), True, 1)
 
 
-def _batch_values(f: FunctionModel, x: Vector, W: np.ndarray) -> np.ndarray:
-    """d f(x)(w) for every row of W through one row-kernel call.
-
-    x must be a checked vector and W a C-contiguous float64 (k, n) matrix
-    with finite entries, as ``FunctionModel.subderivatives`` hands them on.
-    """
-    return _checked_values(f, "_subderivatives", f._subderivatives(x, W), W.shape[0])
-
-
 def _checked_values(f: FunctionModel, kernel: str, vals, k: int) -> np.ndarray:
+    """A batch kernel's answer as a float array, refused unless it holds
+    one value for each of the k rows asked about."""
     vals = np.asarray(vals, dtype=float)
     if vals.shape != (k,):
         raise ValueError(f"{type(f).__name__}.{kernel} returned shape "
-                         f"{vals.shape} for {k} directions")
+                         f"{vals.shape} for {k} rows")
     return vals
 
 
 def _value_at(f: FunctionModel, x: Vector, w: Vector) -> ExtReal:
     """d f(x)(w) for a checked x and a contiguous finite w, through the
     one-row kernel call; a NaN answer raises as ``ExtReal`` does."""
-    return ExtReal(_batch_values(f, x, w[None])[0])
+    return ExtReal(_checked_values(f, "_subderivatives", f._subderivatives(x, w[None]), 1)[0])
 
 
 def _gradient_rows(f: FunctionModel, x: Vector, norm: NormChoice) -> list[np.ndarray]:
@@ -160,7 +153,7 @@ def _best_candidate(f: FunctionModel, x: Vector, cands: np.ndarray,
     if grad:
         n = f.dim
         cands = np.vstack([cands[:2 * n], *grad, cands[2 * n:]])
-    vals = _batch_values(f, x, cands)
+    vals = _checked_values(f, "_subderivatives", f._subderivatives(x, cands), len(cands))
     vals = np.where(np.isnan(vals), np.inf, vals)
     i = int(np.argmin(vals))
     return cands[i].copy(), float(vals[i]), len(cands)
@@ -217,12 +210,11 @@ def _fallback_candidates(n: int, norm: NormChoice, budget: int, seed: int) -> np
     return cands
 
 
+_NORM_ORDS = {NormChoice.L2: None, NormChoice.L1: 1, NormChoice.LINF: np.inf}
+
+
 def norm_of(w: Vector, norm: NormChoice) -> float:
-    if norm is NormChoice.L2:
-        return float(np.linalg.norm(w))
-    if norm is NormChoice.L1:
-        return float(np.sum(np.abs(w)))
-    return float(np.max(np.abs(w)))
+    return float(np.linalg.norm(w, _NORM_ORDS[norm]))
 
 
 def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,

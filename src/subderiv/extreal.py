@@ -17,7 +17,7 @@ import numpy as np
 from .errors import IndeterminateSum
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)   # ordered by the payload: IEEE, so -0.0 == 0.0
 class ExtReal:
     """An extended-real value. The payload is a float that is never NaN."""
 
@@ -27,11 +27,6 @@ class ExtReal:
         object.__setattr__(self, "v", float(self.v))
         if math.isnan(self.v):
             raise ValueError("ExtReal payload must not be NaN")
-
-    @staticmethod
-    def of(v: float) -> "ExtReal":
-        """Wrap any non-NaN float, infinities included."""
-        return ExtReal(v)
 
     @staticmethod
     def finite(v: float) -> "ExtReal":
@@ -59,19 +54,6 @@ class ExtReal:
     def __add__(self, other: "ExtReal") -> "ExtReal":
         return ext_add(self, other)
 
-    # Total order via the float payload; IEEE handles +-inf, NaN is banned.
-    def __lt__(self, other: "ExtReal") -> bool:
-        return self.v < other.v
-
-    def __le__(self, other: "ExtReal") -> bool:
-        return self.v <= other.v
-
-    def __gt__(self, other: "ExtReal") -> bool:
-        return self.v > other.v
-
-    def __ge__(self, other: "ExtReal") -> bool:
-        return self.v >= other.v
-
     def __repr__(self) -> str:
         return f"ExtReal({self.v!r})"
 
@@ -81,12 +63,14 @@ NEG_INF = ExtReal(-math.inf)
 
 
 def ulp_tied(a: float, b: float) -> bool:
-    """Do a and b agree within 8 ulps of the larger magnitude of the two?
+    """Are a and b both finite and within 8 ulps of the larger magnitude?
 
     Exact float ties would drop genuine ties that arithmetic noise splits,
     and an absolute tolerance finds them at one scale of the inputs only.
+    A tie needs two finite values: no finite value ties an infinite one.
     """
-    return abs(a - b) <= 8 * math.ulp(max(abs(a), abs(b)))
+    m = max(abs(a), abs(b))
+    return m < math.inf and abs(a - b) <= 8 * math.ulp(m)
 
 
 def ulp_tied_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,11 +88,11 @@ def ulp_tied_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _ulp_tied_filled(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``ulp_tied_arrays`` at any magnitudes m = max(|a|, |b|): at the largest
-    float and at infinity the values ``math.ulp`` takes are filled in, so the
-    rule agrees with ``ulp_tied`` on every non-NaN input."""
+    float and beyond, ``math.ulp`` of the largest float is filled in. That
+    gap is finite, so an infinite value ties nothing, and the rule agrees
+    with ``ulp_tied`` on every non-NaN input."""
     below = m < sys.float_info.max
     ulp = np.where(below, np.spacing(np.where(below, m, 1.0)), math.ulp(sys.float_info.max))
-    ulp = np.where(np.isinf(m), math.inf, ulp)
     with np.errstate(invalid="ignore", over="ignore"):   # inf - inf is not tied
         return np.abs(a - b) <= 8 * ulp
 

@@ -9,6 +9,7 @@ comma-separated literals.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,20 +24,14 @@ from .solver import SolverConfig
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a whitespace-separated numeric file; always 2-D."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    if not rows:
+    """Read a whitespace-separated numeric file with ``#`` comments; always
+    2-D. An empty file and ragged rows raise ValueError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        M = np.loadtxt(path, ndmin=2)
+    if not M.size:
         raise ValueError(f"{path}: no numeric rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.array(rows, dtype=float)
+    return M
 
 
 def load_vector(path: str) -> Vector:

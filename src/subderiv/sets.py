@@ -289,7 +289,7 @@ class _Polyhedral(_RowTangents):
         found = [p._nearest(X) for p in self.pieces]
         d = np.stack([dist for dist, _ in found], axis=1)
         Y = np.stack([y for _, y in found], axis=1)
-        return Y, np.isfinite(d) & ulp_tied_arrays(d, d.min(axis=1, keepdims=True))
+        return Y, ulp_tied_arrays(d, d.min(axis=1, keepdims=True))
 
     def project(self, x: Vector) -> list[Vector]:
         x = as_vector(x, self.dim)

@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .calculus import SemiDiffMap
-from .direction import DirectionResult, NormChoice, _best_candidate, _value_at
+from .direction import (DirectionResult, NormChoice, _best_candidate, _checked_values,
+                        _value_at)
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
 from .model import FunctionModel, Vector, as_vector, check_count
@@ -125,10 +126,7 @@ def _fd_perturbations(seed: int, levels: int, perturbations: int,
 
 def _values_at(f: FunctionModel, X: np.ndarray) -> np.ndarray:
     """f at every row of X through one batched query, checked as ``value`` is."""
-    vals = np.asarray(f.values(X), dtype=float)
-    if vals.shape != (X.shape[0],):
-        raise ValueError(f"{type(f).__name__}.values returned shape "
-                         f"{vals.shape} for {X.shape[0]} points")
+    vals = _checked_values(f, "values", f.values(X), X.shape[0])
     if np.isnan(vals).any():
         raise ValueError(f"{type(f).__name__}.values returned NaN")
     return vals

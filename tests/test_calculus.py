@@ -465,6 +465,38 @@ def test_member_loop_cases_straddle_the_tie_rule_and_reach_the_filled_rule():
     assert sum(max(map(abs, vals)) >= _BIG / 2 for vals in _LOOP_CASES) >= 8
 
 
+class _HalfPlaneRamp(sd.RowSubderivatives):
+    """x[0] on the half-plane x[0] >= 0 and +inf off it; its kernel refuses
+    a point where the value is +inf, as the oracle contract allows."""
+
+    semi_differentiable = True
+    extended_valued = True
+
+    @property
+    def dim(self):
+        return 2
+
+    def _value(self, x):
+        return float(x[0]) if x[0] >= 0 else math.inf
+
+    def _subderivatives(self, x, W):
+        if x[0] < 0:
+            raise sd.DomainViolation("subderivative queried off the domain")
+        return np.where((x[0] > 0) | (W[:, 0] >= 0), W[:, 0], math.inf)
+
+
+def test_a_member_at_infinity_never_joins_the_active_set():
+    # 8 ulps of inf are inf, so the bare tie rule put the +inf member beside
+    # the finite minimum and its kernel then refused the point
+    quad = sd.quadratic_model(np.zeros(2))
+    f = sd.pointwise_min([quad, _HalfPlaneRamp()])
+    x = np.array([-1.0, 0.5])
+    assert f.value(x) == ExtReal(0.625)
+    assert f._active(x) == [quad]
+    e1 = np.array([1.0, 0.0])
+    assert f.subderivative(x, e1) == quad.subderivative(x, e1) == ExtReal(-1.0)
+
+
 def test_penalize_distance_examples():
     zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
     origin = sd.Singleton(np.zeros(2))

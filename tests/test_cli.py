@@ -188,6 +188,26 @@ def test_fixture_file_loading(tmp_path):
         load_matrix(str(bad))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n# another\n"])
+def test_fixture_without_rows_raises_without_a_warning(text, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="no numeric rows"):
+        load_matrix(str(path))
+
+
+def test_fixture_shapes_and_refusals(tmp_path):
+    one = tmp_path / "one.txt"
+    one.write_text("7  # a scalar\n")
+    assert load_matrix(str(one)).shape == (1, 1) and load_matrix(str(one))[0, 0] == 7.0
+    for text in ["1 2 3\n4 5\n", "1\n2 3\n", "1 x\n"]:
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            load_matrix(str(bad))
+
+
 def test_problem_vector_param_from_file(tmp_path):
     x0file = tmp_path / "x0.txt"
     x0file.write_text("2 2\n")
@@ -256,6 +276,38 @@ def test_unknown_format_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and "'xml'" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "sweep"])
+def test_unknown_schedule_exits_2_before_anything_is_built(source, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the run went on past an unknown schedule")
+
+    monkeypatch.setattr(cli, "build_problem", no_solve)
+    monkeypatch.setattr(cli, "run", no_solve)
+    out = tmp_path / "x.out"
+    path = tmp_path / "settings.txt"
+    if source == "config":
+        path.write_text(f"problem=quadratic\nschedule=constant\nout={out}\n")
+    else:
+        path.write_text(f"problem=quadratic schedule=constant out={out}\n")
+    assert main([f"--{source}", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and "'constant'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_diminishing_schedule_runs_alpha0_over_k(tmp_path):
+    out = tmp_path / "d.json"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"problem=quadratic\nschedule=diminishing\nalpha0=0.5\nmax_iter=5\n"
+                       f"format=json\nout={out}\n")
+    assert main(["--config", str(cfgfile), "--no-timing"]) == 0
+    rep = read_report(str(out))
+    assert rep["status"] == "MaxIter"
+    assert [it["alpha"] for it in rep["iterations"]] == [0.5, 0.25, 0.5 / 3, 0.125, 0.1]
+    assert [it["backtracks"] for it in rep["iterations"]] == [0] * 5
+    assert rep["rate_audit"] is None     # the rate audit reads Armijo runs only
 
 
 def test_unknown_setting_exits_2_and_names_the_key(tmp_path, capsys):

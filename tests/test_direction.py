@@ -1,5 +1,7 @@
 """Direction-search solvers against per-coordinate grids and dense sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,58 @@ def test_a_nan_gradient_raises_or_finds_no_direction(norm):
                    lambda: sd.solve_l1_extreme(f, x)):
         with pytest.raises(ValueError, match="^W must have finite entries"):
             search()
+
+
+class _OneRowTooMany(sd.RowSubderivatives):
+    """A quadratic whose row kernels answer one value more than they are asked."""
+
+    semi_differentiable = True
+
+    def __init__(self):
+        self.inner = sd.quadratic_model(np.zeros(2))
+
+    @property
+    def dim(self):
+        return 2
+
+    def _value(self, x):
+        return self.inner._value(x)
+
+    def _values(self, X):
+        return np.append(self.inner._values(X), 0.0)
+
+    def _subderivatives(self, x, W):
+        return np.append(self.inner._subderivatives(x, W), 0.0)
+
+    def _vertex_values(self, x):
+        return self.inner._vertex_values(x)
+
+
+def test_a_wrong_shaped_batch_answer_names_the_kernel_and_the_rows():
+    f, x, w = _OneRowTooMany(), np.array([1.0, -2.0]), np.array([1.0, 0.0])
+    rows = 2 * f.dim + 8          # the fallback scores the vertices and 8 samples
+    for search, kernel, k in [
+            (lambda: sd.solve_l1_extreme(f, x), "_subderivatives", 1),        # the read-back
+            (lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L2, 8, 0),
+             "_subderivatives", rows),
+            (lambda: sd.fd_subderivative(f, x, w), "values", None)]:      # one query per estimate
+        with pytest.raises(ValueError) as exc:
+            search()
+        got = re.fullmatch(rf"_OneRowTooMany\.{kernel} returned shape \((\d+),\) "
+                           r"for (\d+) rows", str(exc.value))
+        assert got and int(got[1]) == int(got[2]) + 1 and (k is None or int(got[2]) == k)
+
+
+@pytest.mark.parametrize("norm", list(sd.NormChoice))
+def test_norm_of_is_the_hand_written_formula_bit_for_bit(norm, rng):
+    formula = {sd.NormChoice.L2: lambda w: np.sqrt(np.dot(w, w)),
+               sd.NormChoice.L1: lambda w: np.sum(np.abs(w)),
+               sd.NormChoice.LINF: lambda w: np.max(np.abs(w))}[norm]
+    for n in [1, 2, 3, 7, 64, 1000]:
+        for w in rng.standard_normal((50, n)) * 10.0 ** rng.integers(-5, 6, (50, 1)):
+            got = sd.direction.norm_of(w, norm)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(formula(w)).tobytes()
 
 
 @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])

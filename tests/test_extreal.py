@@ -33,8 +33,6 @@ def test_nan_rejected_everywhere():
     with pytest.raises(ValueError):
         ExtReal(math.nan)
     with pytest.raises(ValueError):
-        ExtReal.of(float("nan"))
-    with pytest.raises(ValueError):
         ExtReal.finite(math.inf)
 
 
@@ -42,6 +40,13 @@ def test_total_order():
     vals = [NEG_INF, ExtReal(-3.0), ExtReal(0.0), ExtReal(4.5), POS_INF]
     for a, b in zip(vals, vals[1:]):
         assert a < b and b > a and a <= b and not b <= a
+    # the dataclass order compares payloads: signed zeros and each infinity
+    # equal themselves, so <= and >= hold and < and > do not
+    assert ExtReal(0.0) == ExtReal(-0.0)
+    for a, b in [(ExtReal(0.0), ExtReal(-0.0)), (ExtReal(4.5), ExtReal(4.5)),
+                 (POS_INF, ExtReal(math.inf)), (NEG_INF, ExtReal(-math.inf))]:
+        assert a <= b and b <= a and a >= b and not a < b and not a > b
+    assert sorted(reversed(vals)) == vals and min(vals) is NEG_INF and max(vals) is POS_INF
 
 
 def test_positive_scaling_keeps_infinities():
@@ -68,6 +73,15 @@ def test_ulp_tied_arrays_is_ulp_tied_elementwise():
     with np.errstate(over="ignore", invalid="ignore"):
         want = [ulp_tied(u, v) for u, v in zip(a.tolist(), b.tolist())]
     assert ulp_tied_arrays(a, b).tolist() == want
+
+
+def test_no_finite_value_ties_an_infinite_one():
+    # math.ulp(inf) is inf, so the bare 8-ulp rule would tie inf with 5.0
+    for a, b in [(math.inf, 5.0), (5.0, math.inf), (-math.inf, 5.0),
+                 (math.inf, sys.float_info.max), (math.inf, math.inf), (-math.inf, -math.inf)]:
+        assert not ulp_tied(a, b)
+        assert ulp_tied_arrays(np.array([a]), b).tolist() == [False]
+    assert ulp_tied_arrays(np.array([math.inf, 5.0, -math.inf]), 5.0).tolist() == [False, True, False]
 
 
 _BIG = sys.float_info.max

@@ -184,6 +184,46 @@ def test_complementarity_projection_count_is_scale_free(x):
     assert len(set(counts.values())) == 1, counts
 
 
+_TIED_PAIRS = [(-0.3, -0.3), (-(0.1 + 0.2), -0.3), (-0.3, -(0.1 + 0.2)),
+               (-1e5 * (0.1 + 0.2), -1e5 * 0.3), (-1e5 * 0.3, -1e5 * (0.1 + 0.2))]
+
+
+def test_complementarity_support_kernel_is_the_walk_within_its_summation_rounding():
+    # The O(k) kernel scores one nearest point per row, where the default
+    # walk takes the least of 2^t rounded vecdots; at a tied pair whose two
+    # terms tie exactly off the integer lattice those round apart by at most
+    # a few ulps of sum |w_i||x_i|. Normal directions and lattice points agree
+    # bit for bit, and so does the distance.
+    rng = np.random.default_rng(0)
+    differ = 0
+    for k in range(1, 9):
+        X = sd.ComplementaritySet(k)
+        for p in range(24):
+            lattice = p % 4 == 3
+            tie = rng.random(k) < 0.7
+            if lattice:
+                a, b = np.round(3 * rng.standard_normal((2, k)))
+                c = -rng.integers(1, 4, k).astype(float)
+                a, b = np.where(tie, c, a), np.where(tie, c, b)
+            else:
+                a, b = rng.standard_normal((2, k))
+                pairs = np.array(_TIED_PAIRS)[rng.integers(len(_TIED_PAIRS), size=k)]
+                a, b = np.where(tie, pairs[:, 0], a), np.where(tie, pairs[:, 1], b)
+            x = np.concatenate([a, b])
+            for normal in (False, True):
+                W = (rng.standard_normal((100, 2 * k)) if normal
+                     else rng.integers(-1, 2, (100, 2 * k)).astype(float))
+                d, got = X._nearest_support(x, W)
+                d_walk, want = sd.SetModel._nearest_support(X, x, W)
+                assert d == d_walk
+                if normal or lattice:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert (np.abs(got - want) <= 8 * np.spacing(np.abs(W) @ np.abs(x))).all()
+                    differ += int((got != want).sum())
+    assert differ > 0      # the sweep reaches rows the kernel rounds apart
+
+
 def test_complementarity_tangent_at_corner():
     X = sd.ComplementaritySet(1)
     origin = np.zeros(2)
