@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyList, IndeterminateSum, NonpositiveScale
+from .errors import (DimensionMismatch, DomainViolation, EmptyList, IndeterminateSum,
+                     NonpositiveScale)
 from .extreal import ext_add_arrays, ulp_tied_arrays
 from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
 from .oracles import SmoothModel, _not_nan, relu_direction
@@ -348,6 +349,7 @@ class _PointwiseExtremum(RowSubderivatives):
         self.models = list(models)
         self.take_max = take_max
         self.semi_differentiable = True
+        self.extended_valued = any(m.extended_valued for m in self.models)
         if not take_max:
             self.subderivative_concave = all(m.subderivative_concave for m in self.models)
         first = self.models[0]
@@ -371,6 +373,8 @@ class _PointwiseExtremum(RowSubderivatives):
 
     def _reduce(self, arrays) -> np.ndarray:
         """A later array replaces the incumbent only where strictly larger (smaller)."""
+        if not arrays:
+            raise DomainViolation("no member is active: the extremum is not finite at x")
         out, *rest = arrays
         for v in rest:
             out = np.where(v > out if self.take_max else v < out, v, out)
@@ -398,10 +402,11 @@ class _PointwiseExtremum(RowSubderivatives):
 
 
 def pointwise_max(models: Sequence[FunctionModel]) -> FunctionModel:
-    """max_i f_i of finite-valued semi-differentiable models.
+    """max_i f_i of semi-differentiable models, extended-valued ones included.
 
     The subderivative takes the max of the member subderivatives over the
-    active set {i : f_i(x) = f(x)}.
+    active set {i : f_i(x) = f(x)}; where f(x) is +-inf no member is active,
+    and the query raises DomainViolation.
     """
     return _PointwiseExtremum(models, take_max=True)
 

@@ -21,6 +21,11 @@ on one row, so the two round alike; its ``tangent_distance`` raises
 NotFeasible off the set. The kernels form matrix products with
 ``_dot_first`` and norms row by row, never through BLAS, whose rounding can
 depend on the number of rows.
+
+Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 (a
+polyhedron and a union of them test their rows). The distance's
+subderivative takes the inside branch exactly where the d it computes is
+0.0, and a tangent kernel marks a face active only where x lies on it.
 """
 
 from __future__ import annotations
@@ -67,9 +72,12 @@ class SetModel(abc.ABC):
     def dim(self) -> int:
         ...
 
-    @abc.abstractmethod
     def contains(self, x: Vector) -> bool:
-        ...
+        """Is dist(x; X) <= 1e-9? The distance is the one ``distance_to_set``
+        values x at: to the first nearest point, summed by one vecdot."""
+        x = as_vector(x, self.dim)
+        d = x - self._nearest_points(x[None, :])[0]
+        return bool(np.sqrt(np.vecdot(d, d)) <= _MEMBERSHIP_TOL)
 
     @abc.abstractmethod
     def project(self, x: Vector) -> list[Vector]:
@@ -122,7 +130,9 @@ class SetModel(abc.ABC):
 class _RowTangents(SetModel):
     """A set that states its tangent-cone distance once, as the row kernel.
     ``tangent_distance`` is the one-row case; it raises NotFeasible off the
-    set, DimensionMismatch on a wrong length and ValueError on a non-finite entry."""
+    set, DimensionMismatch on a wrong length and ValueError on a non-finite entry.
+    It takes x as given: a point that ``contains`` admits only through its
+    tolerance has no face active unless it lies on that face."""
 
     @abc.abstractmethod
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
@@ -160,17 +170,11 @@ class Box(_UniqueProjection):
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.all(x >= self.lo - _MEMBERSHIP_TOL)
-                    and np.all(x <= self.hi + _MEMBERSHIP_TOL))
-
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.lo, self.hi)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        at_lo = np.abs(x - self.lo) <= _MEMBERSHIP_TOL
-        at_hi = np.abs(x - self.hi) <= _MEMBERSHIP_TOL
+        at_lo, at_hi = x == self.lo, x == self.hi
         # Tangent cone: w_i >= 0 on active lower faces, w_i <= 0 on upper; on
         # both faces (lo == hi) one term is zero and all of w_i is kept.
         V = np.where(at_lo, np.minimum(W, 0.0), 0.0) + np.where(at_hi, np.maximum(W, 0.0), 0.0)
@@ -196,10 +200,6 @@ class Ball(_UniqueProjection):
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.linalg.norm(x - self.center) <= self.radius + _MEMBERSHIP_TOL)
-
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
         nrm = np.sqrt(np.vecdot(D, D))
@@ -210,7 +210,7 @@ class Ball(_UniqueProjection):
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         d = x - self.center
         nrm = np.linalg.norm(d)
-        if nrm < self.radius - _MEMBERSHIP_TOL:
+        if nrm < self.radius:
             return np.zeros(W.shape[0])
         # Boundary: tangent cone is the halfspace <x - c, w> <= 0.
         return np.maximum(0.0, np.vecdot(W, d) / nrm)
@@ -231,10 +231,6 @@ class AffineSubspace(_UniqueProjection):
     @property
     def dim(self) -> int:
         return self.A.shape[1]
-
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.linalg.norm(self.A @ x - self.b) <= _MEMBERSHIP_TOL)
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
@@ -259,10 +255,6 @@ class Singleton(_UniqueProjection):
     @property
     def dim(self) -> int:
         return self.p.shape[0]
-
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(np.linalg.norm(x - self.p) <= _MEMBERSHIP_TOL)
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.p, X.shape).copy()
@@ -311,22 +303,24 @@ class ConvexPolyhedron(_Polyhedral):
     """{x : A x <= b}. Exact projections by enumerating facet subsets.
 
     The per-subset correction matrices are stacked once at construction,
-    each zero-padded to m rows, so the candidates x - pinv_S (A_S x - b_S)
-    of every facet subset S, their feasibility and their distances come from
-    a few broadcast array operations over all points and subsets at once.
-    The empty subset comes first; its candidate is x itself, feasible
-    exactly when x lies in the set. The nearest point is the first feasible
-    candidate of least distance, so a point of the set is its own. The
-    tangent-cone distance walks the same table, restricted to the subsets
-    of the rows active at x. Row counts are capped; the fixtures this backs
-    are small.
+    each zero-padded to m rows. One enumeration, ``_nearest``, forms the
+    candidates x - pinv_S (A_S x - c_S) of the given facet subsets S for a
+    right-hand side c, tests them and measures them in a few broadcast
+    array operations over all points and subsets at once. The projection
+    walks every subset with c = b and keeps the first feasible candidate of
+    least distance; the empty subset comes first, and its candidate is x
+    itself, so a point of the set is its own. The tangent-cone distance
+    walks the subsets of the rows active at x with c = 0 and keeps the
+    candidates v with A_act v <= 1e-9 (|A_act| |v|), a bound that scales
+    with v. Row counts are capped; the fixtures this backs are small.
 
     Row i of A y <= b is tested with the tolerance
     1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
     round in A y - b, so that scaling the set and the point together scales
     which rows count as satisfied or active along with them. On rows whose
-    magnitude (|A| |y|)_i + |b_i| is at most 1 it is the absolute 1e-9 the
-    other sets use; beyond that it grows with the magnitude.
+    magnitude (|A| |y|)_i + |b_i| is at most 1 it is the absolute 1e-9 that
+    ``SetModel.contains`` allows the distance; beyond that it grows with the
+    magnitude.
     """
 
     def __init__(self, A, b):
@@ -360,35 +354,43 @@ class ConvexPolyhedron(_Polyhedral):
     def pieces(self) -> list["ConvexPolyhedron"]:
         return [self]
 
-    def _row_tol(self, y: Vector) -> np.ndarray:
-        """Per-row membership tolerance at y (see the class docstring)."""
-        return _MEMBERSHIP_TOL * np.maximum(1.0, self._abs_A @ np.abs(y) + self._abs_b)
-
-    def _feasible(self, Y: np.ndarray) -> np.ndarray:
-        """Does each point y = Y[:, ...] (coordinates on the leading axis)
-        satisfy A y <= b within the row tolerance?"""
+    def _rows(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A y, b (shaped to broadcast) and the row tolerance, rows leading, for
+        each point y = Y[:, ...] (coordinates leading); see the class docstring."""
         rows = (slice(None), slice(None)) + (None,) * (Y.ndim - 1)
         Ay = _dot_first(self.A.T[rows], Y[:, None])
         scale = _dot_first(self._abs_A.T[rows], np.abs(Y)[:, None]) + self._abs_b[rows[1:]]
-        return np.all(Ay <= self.b[rows[1:]] + _MEMBERSHIP_TOL * np.maximum(1.0, scale), axis=0)
+        return Ay, self.b[rows[1:]], _MEMBERSHIP_TOL * np.maximum(1.0, scale)
+
+    def _feasible(self, Y: np.ndarray) -> np.ndarray:
+        """Does each point y = Y[:, ...] satisfy A y <= b within the row tolerance?"""
+        Ay, b, tol = self._rows(Y)
+        return np.all(Ay <= b + tol, axis=0)
 
     def contains(self, x: Vector) -> bool:
         return bool(self._feasible(as_vector(x, self.dim)))
 
-    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For every row of the (k, n) matrix X, the distance to its nearest
-        candidate (+inf when no candidate is feasible) and that candidate."""
+    def _nearest(self, X: np.ndarray, c: np.ndarray | None = None, subsets=slice(None),
+                 accept=None) -> tuple[np.ndarray, np.ndarray]:
+        """For every row x of the (k, n) matrix X, the least ||x - y|| over the
+        candidates y = x - pinv_S (A_S x - c_S) of the ``subsets`` (indices
+        into the table) that ``accept`` admits, +inf when it admits none, and
+        the first candidate at that distance. By default c = b, every subset
+        is walked and a candidate must be feasible: the projection."""
+        c = self.b if c is None else c
+        accept = self._feasible if accept is None else accept
+        rows, used = self._subset_rows[:, subsets], self._subset_used[:, subsets]
+        pinvs = self._subset_pinvs[:, :, subsets]
         dist = np.empty(X.shape[0])
         Y = np.empty_like(X)
-        chunk = max(1, _KERNEL_ELEMENTS // self._subset_pinvs.size)
+        chunk = max(1, _KERNEL_ELEMENTS // pinvs.size)
         for lo in range(0, X.shape[0], chunk):
             Xt = X[lo:lo + chunk].T                                          # (n, k)
-            residual = _dot_first(self.A.T[:, :, None], Xt[:, None, :]) - self.b[:, None]
-            residual = np.where(self._subset_used, residual[self._subset_rows], 0.0)
-            # candidates x - pinv_S (A_S x - b_S), shape (n, subsets, k)
-            C = Xt[:, None, :] - _dot_first(self._subset_pinvs, residual[:, None])
+            residual = _dot_first(self.A.T[:, :, None], Xt[:, None, :]) - c[:, None]
+            residual = np.where(used, residual[rows], 0.0)
+            C = Xt[:, None, :] - _dot_first(pinvs, residual[:, None])       # (n, subsets, k)
             D = Xt[:, None, :] - C
-            d = np.where(self._feasible(C), np.sqrt(_dot_first(D, D)), np.inf)
+            d = np.where(accept(C), np.sqrt(_dot_first(D, D)), np.inf)
             first = np.argmin(d, axis=0)
             points = np.arange(Xt.shape[1])
             dist[lo:lo + chunk] = d[first, points]
@@ -396,26 +398,20 @@ class ConvexPolyhedron(_Polyhedral):
         return dist, Y
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        """Least ||w - v|| over v = 0 and v = w - pinv_S A_S w with A_act v <= 1e-9,
-        for each subset S of the active rows; the empty S gives v = w."""
-        act = self.A @ x >= self.b - self._row_tol(x)
+        """Least ||w - v|| over v = 0 and the candidates v = w - pinv_S A_S w of
+        the subsets S of the active rows that lie in the cone (see the class
+        docstring); the empty S gives v = w."""
+        Ax, b, tol = self._rows(x)
+        act = Ax >= b - tol
         if not act.any():   # an interior point, whose tangent cone is the whole space
             return np.zeros(W.shape[0])
-        sel = np.flatnonzero(np.all(act[self._subset_rows] | ~self._subset_used[:, :, 0], axis=0))
-        rows, used = self._subset_rows[:, sel], self._subset_used[:, sel]
-        pinvs = self._subset_pinvs[:, :, sel]
+        subsets = np.flatnonzero((act[self._subset_rows] | ~self._subset_used[:, :, 0]).all(0))
         A_act = self.A[act].T[:, :, None, None]
-        best = np.sqrt(np.vecdot(W, W))   # v = 0 is always in the cone
-        chunk = max(1, _KERNEL_ELEMENTS // pinvs.size)
-        for lo in range(0, W.shape[0], chunk):
-            Wt = W[lo:lo + chunk].T                                          # (n, k)
-            AW = np.where(used, _dot_first(self.A.T[:, :, None], Wt[:, None, :])[rows], 0.0)
-            V = Wt[:, None, :] - _dot_first(pinvs, AW[:, None])             # (n, subsets, k)
-            ok = np.all(_dot_first(A_act, V[:, None]) <= _MEMBERSHIP_TOL, axis=0)
-            D = Wt[:, None, :] - V
-            d = np.where(ok, np.sqrt(_dot_first(D, D)), np.inf).min(axis=0)
-            best[lo:lo + chunk] = np.minimum(best[lo:lo + chunk], d)
-        return best
+        def in_cone(V):
+            bound = _MEMBERSHIP_TOL * _dot_first(np.abs(A_act), np.abs(V)[:, None])
+            return np.all(_dot_first(A_act, V[:, None]) <= bound, axis=0)
+        dist, _ = self._nearest(W, np.zeros_like(self.b), subsets, in_cone)
+        return np.minimum(np.sqrt(np.vecdot(W, W)), dist)   # v = 0 is always in the cone
 
 
 class FiniteUnion(_Polyhedral):
@@ -467,13 +463,6 @@ class ComplementaritySet(_RowTangents):
     def dim(self) -> int:
         return 2 * self.k
 
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        y, z = x[:self.k], x[self.k:]
-        if np.any(y > _MEMBERSHIP_TOL) or np.any(z > _MEMBERSHIP_TOL):
-            return False
-        return bool(np.all(np.abs(y * z) <= _MEMBERSHIP_TOL))
-
     def _corner_projections(self, X: np.ndarray):
         """Nearest points of each pair (a, b) of every row of X on the corner
         {a <= 0, b <= 0, ab = 0}: a on the ray b = 0, b on the ray a = 0,
@@ -519,7 +508,7 @@ class ComplementaritySet(_RowTangents):
         U, V = W[:, :self.k], W[:, self.k:]
         # Inside the ray b = 0 only v must vanish, inside a = 0 only u; a corner is its own cone.
         corner = np.minimum(V * V + np.maximum(U, 0.0) ** 2, U * U + np.maximum(V, 0.0) ** 2)
-        sq = np.where(a < -_MEMBERSHIP_TOL, V * V, np.where(b < -_MEMBERSHIP_TOL, U * U, corner))
+        sq = np.where(a < 0.0, V * V, np.where(b < 0.0, U * U, corner))
         return np.sqrt(np.sum(sq, axis=1))
 
 
@@ -528,7 +517,9 @@ class DistanceToSet(RowSubderivatives):
 
     The value is globally 1-Lipschitz, so |d f(x)(w)| <= ||w||. The model is
     semi-differentiable exactly when the set is geometrically derivable.
-    Off the set the subderivative is the set's ``_nearest_support`` over d,
+    The set's ``_nearest_support`` is asked once per point; where the d it
+    gives is 0.0 the subderivative is the tangent-cone distance, and
+    elsewhere the support over d,
     exact only when it reaches every nearest point; a user set whose
     ``project`` returns a strict subset yields an upper bound (not checked).
     """
@@ -550,9 +541,9 @@ class DistanceToSet(RowSubderivatives):
         return np.sqrt(np.vecdot(D, D))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        if self.X.contains(x):
-            return self.X._tangent_distances(x, W)
         d, support = self.X._nearest_support(x, W)
+        if d == 0.0:
+            return self.X._tangent_distances(x, W)
         return support / d
 
 

@@ -821,15 +821,16 @@ def test_batched_query_works_out_the_point_once():
     sd.precompose_semidiff(sd.L1Norm(2), F).subderivatives(x, W)
     assert F.evals == 1
     box = CountingBox(np.zeros(2), np.ones(2))
+    # the distance never asks membership: one projection gives d, and off the set the support
     sd.distance_to_set(box).subderivatives(x, W)
-    assert (box.contains_calls, box.project_calls) == (1, 1)
-    # inside the set only membership is asked, then the tangent kernel once
+    assert (box.contains_calls, box.project_calls) == (0, 1)
+    # inside the set d is 0.0, so the tangent kernel is asked once after the projection
     sd.distance_to_set(box).subderivatives(np.array([0.5, 0.0]), W)
-    assert (box.contains_calls, box.project_calls, box.tangent_calls) == (2, 1, 1)
+    assert (box.contains_calls, box.project_calls, box.tangent_calls) == (0, 2, 1)
     F, box = CountingMap(2), CountingBox(np.zeros(2), np.ones(2))
     zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
     sd.penalize(zero, F, box, 1.5).subderivatives(x, W)
-    assert (F.evals, box.contains_calls, box.project_calls) == (1, 1, 1)
+    assert (F.evals, box.contains_calls, box.project_calls) == (1, 0, 1)
 
 
 def test_user_map_sees_each_row_once_as_a_point():

@@ -497,6 +497,74 @@ def test_a_member_at_infinity_never_joins_the_active_set():
     assert f.subderivative(x, e1) == quad.subderivative(x, e1) == ExtReal(-1.0)
 
 
+_QUADRATIC = sd.quadratic_model(np.zeros(2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda E: sd.pointwise_max([_QUADRATIC, E]),
+    lambda E: sd.pointwise_min([E, E]),
+    lambda E: sd.pointwise_max([sd.l1_norm(2), E]),
+    lambda E: sd.sum_models([sd.l1_norm(2), sd.pointwise_max([_QUADRATIC, E])]),
+], ids=["max_q_E", "min_E_E", "max_l1_E", "sum_l1_max_q_E"])
+def test_an_infinite_extremum_refuses_its_point(make):
+    # no member ties an infinite extremum, so the reduction over the empty
+    # active set raised ValueError: not enough values to unpack
+    f = make(_HalfPlaneRamp())
+    x = np.array([-1.0, 0.5])
+    assert f.value(x) == sd.POS_INF and f.extended_valued
+    for query in (lambda: f.subderivative(x, [1.0, 0.0]),
+                  lambda: sd.solve_l1_extreme(f, x),
+                  lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L2, 16, 0)):
+        with pytest.raises(sd.DomainViolation):
+            query()
+    assert sd.pointwise_min([_QUADRATIC, _HalfPlaneRamp()]).subderivative(
+        x, [1.0, 0.0]) == ExtReal(-1.0)
+
+
+def _tree_over(leaf, rng, depth):
+    """A random combinator tree with ``leaf`` once among finite-valued members."""
+    if depth == 0:
+        return leaf
+    inner = _tree_over(leaf, rng, depth - 1)
+    other = [_QUADRATIC, sd.l1_norm(2), sd.linear_model([0.5, -1.0])][rng.integers(3)]
+    pair = [inner, other] if rng.random() < 0.5 else [other, inner]
+    affine = sd.affine_map(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2))
+    return [lambda: sd.sum_models(pair), lambda: sd.scale(inner, 2.5),
+            lambda: sd.pointwise_min(pair), lambda: sd.pointwise_max(pair),
+            lambda: sd.precompose_smooth(inner, affine),
+            lambda: sd.precompose_semidiff(inner, affine)][rng.integers(6)]()
+
+
+def test_combinator_trees_over_an_extended_valued_member():
+    # where a tree is +inf every query refuses the point by name; where it is
+    # finite the subderivative agrees with finite differences, and the brute
+    # force reads its winner back as the subderivative there
+    rng = np.random.default_rng(17)
+    infinite = finite = 0
+    for _ in range(40):
+        f = _tree_over(_HalfPlaneRamp(), rng, int(rng.integers(1, 4)))
+        for _ in range(5):
+            x = rng.uniform(-2, 2, 2)
+            if f.value(x) == sd.POS_INF:
+                infinite += 1
+                for query in (lambda: f.subderivatives(x, np.eye(2)),
+                              lambda: sd.solve_l1_extreme(f, x),
+                              lambda: sd.solve_sampling_fallback(f, x, sd.NormChoice.L1, 8, 0),
+                              lambda: sd.brute_force_direction(f, x, sd.NormChoice.L1, 0.25),
+                              lambda: sd.fd_subderivative(f, x, np.ones(2))):
+                    with pytest.raises(sd.DomainViolation):
+                        query()
+                continue
+            best = sd.brute_force_direction(f, x, sd.NormChoice.L1, 0.25)
+            assert best.value == f.subderivative(x, best.w)
+            for w in (best.w, rng.uniform(-1, 1, 2)):
+                fd = sd.fd_subderivative(f, x, w)
+                if fd.converged:
+                    finite += 1
+                    assert fd.estimate.v == pytest.approx(f.subderivative(x, w).v, abs=1e-4)
+    assert infinite >= 20 and finite >= 100, (infinite, finite)
+
+
 def test_penalize_distance_examples():
     zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
     origin = sd.Singleton(np.zeros(2))

@@ -1,0 +1,210 @@
+"""Refusals and small accessors that no other test reaches: each input the
+toolkit rejects raises its named error, and each factory or accessor
+answers as documented."""
+
+import numpy as np
+import pytest
+
+import subderiv as sd
+from subderiv import verify
+from subderiv.cli import emit_trace, main, read_trace_csv
+from subderiv.extreal import ExtReal
+from subderiv.problems import build_problem
+
+
+class _PlusInf(sd.FunctionModel):
+    """+inf everywhere, with a +inf subderivative."""
+
+    extended_valued = True
+
+    @property
+    def dim(self):
+        return 1
+
+    def value(self, x):
+        return sd.POS_INF
+
+    def subderivative(self, x, w):
+        return sd.POS_INF
+
+
+def _trace():
+    recs = [sd.IterationRecord(k, 1.0 - k, -1.0, 1.0, 0, 1.0, 0) for k in range(3)]
+    return sd.Trace(records=recs, status=sd.TerminalStatus.MAX_ITER,
+                    x_final=np.zeros(1), f_final=-2.0, certified=True)
+
+
+def test_check_d_stationary_refuses_an_infinite_value():
+    with pytest.raises(sd.DomainViolation, match="finite"):
+        sd.check_d_stationary(_PlusInf(), [0.0], 1e-3)
+
+
+def test_rate_constant_at_zero_L_and_rate_audit_refuses_a_negative_N():
+    assert sd.rate_constant(0.3, 0.0) == 0.5
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        sd.rate_audit(_trace(), -2.0, 1.0, 0.5, N=-1)
+
+
+def test_armijo_refuses_an_infinite_start_and_schedule_step_an_unknown_kind():
+    with pytest.raises(ValueError, match="f\\(x\\) finite"):
+        sd.armijo(_PlusInf(), np.zeros(1), np.ones(1), -1.0)
+    f = sd.quadratic_model(np.zeros(1))
+    with pytest.raises(ValueError, match="unknown schedule kind 'constant'"):
+        sd.schedule_step(sd.Schedule(kind="constant"), 0, f, np.ones(1), -np.ones(1), -1.0)
+
+
+def test_sampling_fallback_refuses_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        sd.solve_sampling_fallback(sd.L1Norm(2), np.zeros(2), sd.NormChoice.L2, -1, 0)
+
+
+def test_as_vector_makes_a_scalar_a_one_vector():
+    got = sd.as_vector(2.5)
+    assert got.shape == (1,) and got.dtype == np.float64 and got[0] == 2.5
+
+
+def test_extreal_finite_sum_and_repr():
+    assert ExtReal.finite(1.5) == ExtReal(1.5)
+    assert ExtReal(1.0) + ExtReal(2.0) == ExtReal(3.0)
+    assert ExtReal(1.0) + sd.NEG_INF == sd.NEG_INF
+    with pytest.raises(sd.IndeterminateSum):
+        sd.POS_INF + sd.NEG_INF
+    assert repr(ExtReal(1.5)) == "ExtReal(1.5)" and repr(sd.POS_INF) == "ExtReal(inf)"
+
+
+def test_quadratic_inner_refuses_a_non_square_matrix():
+    with pytest.raises(sd.DimensionMismatch, match="square"):
+        sd.QuadraticInner(np.ones((2, 3)), np.zeros(2))
+
+
+def test_scalar_prox_inner_states_no_cost_of_its_own():
+    inner = sd.ScalarProxInner()
+    with pytest.raises(NotImplementedError):
+        inner.cost(np.zeros(1))
+    with pytest.raises(NotImplementedError):
+        inner.prox_range(np.zeros(1), 1.0)
+
+
+@pytest.mark.parametrize("widths", [[2], [2, 0, 1], []])
+def test_relu_network_refuses_bad_widths(widths):
+    with pytest.raises(sd.DimensionMismatch, match="widths"):
+        sd.relu_network_loss(widths, [(np.zeros(2), np.zeros(1))])
+
+
+def test_relu_network_refuses_no_data():
+    with pytest.raises(ValueError, match="training pair"):
+        sd.relu_network_loss([2, 1], [])
+
+
+def test_l1_factories():
+    f, g = sd.l1_norm(3, 2.0), sd.neg_l1_norm(2, 0.5)
+    assert type(f) is sd.L1Norm and (f.dim, f.lam) == (3, 2.0)
+    assert type(g) is sd.NegL1Norm and (g.dim, g.lam) == (2, 0.5)
+    assert f.value([1.0, -1.0, 0.5]) == ExtReal(5.0)
+    assert g.value([1.0, -3.0]) == ExtReal(-2.0)
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: sd.Box([0.0, 0.0], [1.0]), sd.DimensionMismatch),
+    (lambda: sd.Box([[0.0]], [[1.0]]), sd.DimensionMismatch),
+    (lambda: sd.Box([1.0], [0.0]), ValueError),
+    (lambda: sd.AffineSubspace([[1.0, 0.0]], [0.0, 1.0]), sd.DimensionMismatch),
+    (lambda: sd.ConvexPolyhedron(np.eye(2), [1.0, 1.0, 1.0]), sd.DimensionMismatch),
+    (lambda: sd.ConvexPolyhedron(np.ones((17, 2)), np.ones(17)), ValueError),
+    (lambda: sd.FiniteUnion([]), ValueError),
+    (lambda: sd.FiniteUnion([sd.ConvexPolyhedron([[1.0]], [1.0]),
+                             sd.ConvexPolyhedron([[1.0, 0.0]], [1.0])]), sd.DimensionMismatch),
+    (lambda: sd.ComplementaritySet(0), ValueError),
+], ids=["box_lengths", "box_matrix", "box_order", "affine_rows", "polyhedron_rows",
+        "polyhedron_cap", "union_empty", "union_dims", "complementarity_k"])
+def test_set_constructors_refuse_bad_input(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_distance_to_a_set_that_projects_nowhere_refuses_every_query():
+    class NoProjection(sd.SetModel):
+        dim = 1
+
+        def project(self, x):
+            return []
+
+        def tangent_distance(self, x, w):
+            return 0.0
+
+    f = sd.distance_to_set(NoProjection())
+    for query in (lambda: f.value([0.0]), lambda: f.subderivative([0.0], [1.0]),
+                  lambda: NoProjection().contains([0.0])):
+        with pytest.raises(sd.EmptyProjection):
+            query()
+
+
+def test_precompose_and_penalize_refuse_what_is_not_a_model_or_map():
+    with pytest.raises(TypeError, match="cannot precompose"):
+        sd.precompose_semidiff(lambda x: x, sd.identity_map(2))
+    zero = sd.smooth_model(2, lambda x: 0.0, lambda x: np.zeros(2))
+    with pytest.raises(TypeError, match="SmoothMap or SemiDiffMap"):
+        sd.penalize(zero, lambda x: x, sd.Box(np.zeros(2), np.ones(2)), 1.0)
+
+
+def test_build_problem_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="nope"):
+        build_problem("nope")
+
+
+def test_values_at_refuses_a_nan_value():
+    class NaNRows(sd.RowSubderivatives):
+        dim = 1
+
+        def _value(self, x):
+            return 0.0
+
+        def _values(self, X):
+            return np.full(X.shape[0], np.nan)
+
+        def _subderivatives(self, x, W):
+            return np.zeros(W.shape[0])
+
+    with pytest.raises(ValueError, match="NaNRows.values returned NaN"):
+        verify._values_at(NaNRows(), np.zeros((2, 1)))
+
+
+def test_descent_sample_skips_an_inf_minus_inf_gap():
+    report = sd.descent_property_sample(_PlusInf(), 1.0, ([-1.0], [1.0]), 5, 0)
+    assert report.clean and report.pairs == 5 and report.max_gap == -np.inf
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sweep"])
+def test_cli_refuses_a_line_without_an_equals_sign(flag, tmp_path, capsys):
+    path = tmp_path / "settings.txt"
+    path.write_text("problem quadratic\n")
+    args = [flag, str(path)] + (["--problem", "quadratic"] if flag == "--sweep" else [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}:") and "without '='" in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--sweep"])
+def test_cli_refuses_an_unreadable_file(flag, tmp_path, capsys):
+    args = [flag, str(tmp_path / "missing.txt"), "--problem", "quadratic"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}:")
+
+
+def test_cli_exit_codes_of_the_argument_parser(capsys):
+    assert main(["--no-such-flag"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+
+
+def test_trace_files_refuse_a_bad_header_and_an_unknown_format(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("iter,f\n0,1.0\n")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_trace_csv(str(path))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_trace(_trace(), str(tmp_path / "t.xml"), "xml")
+    emit_trace(_trace(), str(path), "csv")
+    path.write_text(path.read_text().replace("\n", "\n\n", 1))   # a blank line is skipped
+    rows, status = read_trace_csv(str(path))
+    assert len(rows) == 3 and status == "MaxIter"

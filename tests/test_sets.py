@@ -359,21 +359,25 @@ def _left_to_right(M, v):
 def _per_call_tangent_distance(P, x, w):
     """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset,
     products and norms summed left to right, and the v = 0 candidate as
-    sqrt(w . w)."""
+    sqrt(w . w). A candidate v is in the cone when A_act v <= 1e-9 |A_act| |v|."""
     tol = sd.sets._MEMBERSHIP_TOL
     row_tol = tol * np.maximum(1.0, np.abs(P.A) @ np.abs(x) + np.abs(P.b))
     active = np.flatnonzero(P.A @ x >= P.b - row_tol)
     if active.size == 0:
         return 0.0
     Aact = P.A[active, :]
-    if np.all(_left_to_right(Aact, w) <= tol):
+
+    def in_cone(v):
+        return np.all(_left_to_right(Aact, v) <= tol * _left_to_right(np.abs(Aact), np.abs(v)))
+
+    if in_cone(w):
         return 0.0
     best = float(np.sqrt(np.dot(w, w)))
     for r in range(1, active.size + 1):
         for S in itertools.combinations(range(active.size), r):
             rows = Aact[list(S), :]
             v = w - _left_to_right(np.linalg.pinv(rows), _left_to_right(rows, w))
-            if np.all(_left_to_right(Aact, v) <= tol):
+            if in_cone(v):
                 best = min(best, float(np.sqrt(_left_to_right(w - v, w - v))))
     return best
 
@@ -389,13 +393,18 @@ def _random_polyhedron_cases(rng):
                 yield sd.ConvexPolyhedron(A, b), x
 
 
-def _union_cases(rng):
-    pieces = [
+def _union_pieces():
+    """The pieces of the union that the benchmark's FD checks use."""
+    return [
         sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                             np.array([1.0, 0.0, 1.0, 1.0])),
         sd.ConvexPolyhedron(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
                             np.array([-1.0, 3.0, 3.0])),
     ]
+
+
+def _union_cases(rng):
+    pieces = _union_pieces()
     corners = [np.array([1.0, 1.0]), np.array([0.0, -1.0]), np.array([-3.0, 2.0]),
                np.array([2.0, -3.0]), np.array([-3.0, -3.0])]
     for P in pieces:
@@ -466,3 +475,101 @@ def test_polyhedron_union_distance_and_ties_scale_with_the_set():
                 assert np.linalg.norm(lam * x - got[0]) == pytest.approx(lam * d, rel=1e-9)
                 assert X.tangent_distance(lam * pts[0], w) == pytest.approx(cone, rel=1e-6,
                                                                            abs=1e-9)
+    # d dist_{lam X}(lam x)(w) = d dist_X(x)(w) at points 5e-10 lam off the set
+    # and on it, at every scale: an absolute 1e-9 in membership and in the face
+    # tests took the inside formula off the set and marked far faces active.
+    # lam (1 + 5e-10) - lam keeps about 7 digits of the offset's direction.
+    off, W = 5e-10, rng.normal(size=(6, 2))
+    cases = [(lambda lam: sd.Box(lam * np.array([-1.0, 0.0]), lam * np.array([1.0, 2.0])),
+              [[1.0 + off, 1.0], [1.0 + off, 2.0 + off], [-1.0 - off, -off], [1.0, 2.0],
+               [1.0, 0.5]]),
+             (lambda lam: sd.Ball(lam * np.array([0.5, -0.5]), lam * 1.5),
+              [[0.5 + 1.5 + off, -0.5], [0.5, -0.5 - 1.5 - off], [0.5, 1.0 + off]]),
+             (lambda lam: sd.ComplementaritySet(1),
+              [[-1.0, off], [off, -2.0], [off, off], [-off, -3.0], [-1.0, 0.0], [0.0, 0.0]])]
+    for make, points in cases:
+        for x in map(np.array, points):
+            want = sd.distance_to_set(make(1.0)).subderivatives(x, W)
+            for lam in (1e-10, 1e-5, 1.0, 1e5, 1e10):
+                got = sd.distance_to_set(make(lam)).subderivatives(lam * x, W)
+                assert got == pytest.approx(want, rel=1e-5, abs=1e-12), (make(lam), x, lam)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
+def test_distance_takes_the_outside_formula_wherever_its_value_is_positive(s):
+    # Box([0], [s]).contains(s + 5e-10) was True, so the oracle returned the
+    # tangent formula, 0.0 (and +1.0 at s = 1e-10, both faces within 1e-9),
+    # where the value is 5e-10 and the slope along -1 is -1
+    f = sd.distance_to_set(sd.Box([0.0], [s]))
+    x = np.array([s + 5e-10])
+    assert f.value(x).v > 0.0
+    assert f.subderivative(x, [-1.0]) == ExtReal(-1.0)
+
+
+def test_penalty_certifies_no_stationarity_beside_a_tiny_box():
+    # penalize(0.5 x, id, Box([0], [1e-10]), 1) at 6e-10 and, inside the box,
+    # at 5e-11: both faces counted as active, the fallback read +0.0014 and
+    # certified stationarity where the slope along -1 is -1.5 and -0.5
+    pen = sd.penalize(sd.linear_model([0.5]), sd.identity_map(1), sd.Box([0.0], [1e-10]), 1.0)
+    for x, slope in ((6e-10, -1.5), (5e-11, -0.5)):
+        stationary, res = sd.check_d_stationary(pen, [x], 1e-6)
+        assert not stationary
+        assert res.w.tolist() == [-1.0] and res.value.v == pytest.approx(slope)
+
+
+def test_complementarity_point_just_off_a_ray_takes_the_outside_formula():
+    f = sd.distance_to_set(sd.ComplementaritySet(1))
+    x = np.array([-1e-10, -3.0])
+    assert f.value(x) == ExtReal(1e-10)
+    assert f.subderivative(x, [1.0, 0.0]) == ExtReal(-1.0)
+
+
+def test_membership_is_the_distance_within_1e_9():
+    # a set's equations no longer set the scale of membership: the corner
+    # test |y z| <= 1e-9 compared a product with a length, and A x = b was
+    # tested on the residual, which scales with A
+    box = sd.Box(np.zeros(2), np.ones(2))
+    assert not box.contains([1.0 + 8e-10, 1.0 + 8e-10])        # 1.13e-9 off the corner
+    assert box.contains([1.0 + 7e-10, 1.0 + 7e-10])
+    assert sd.ComplementaritySet(1).contains([-5e-10, -3.0])
+    for a in (1.0, 1e6):
+        assert sd.AffineSubspace([[a, 0.0]], [0.0]).contains([5e-10, 2.0])
+    for X in (sd.Singleton([1.0, -1.0]), sd.Ball([0.0, 0.0], 1.0), box):
+        x = X.project(np.array([3.0, 3.0]))[0]
+        assert X.contains(x) and not X.contains(x + np.array([0.0, 2e-9]))
+
+
+def test_tangent_kernels_activate_only_the_faces_the_point_lies_on():
+    # points that contains admits only through its tolerance: the ball's
+    # interior began 1e-9 inside its radius, so a tiny ball had no interior
+    for X, x in ((sd.Ball([0.0], 1.0), 1.0 - 5e-10), (sd.Ball([0.0], 1e-10), 5e-11),
+                 (sd.Box([0.0], [1.0]), 1.0 - 5e-10), (sd.Box([0.0], [1e-10]), 5e-11)):
+        assert sd.distance_to_set(X).subderivative([x], [1.0]) == ExtReal(0.0)
+        assert X.tangent_distance([x], [1.0]) == 0.0
+    X = sd.ComplementaritySet(1)
+    assert X.contains([1e-10, -1.0]) and X.tangent_distance([1e-10, -1.0], [0.0, 1.0]) == 0.0
+
+
+def test_polyhedron_tangent_distance_is_positively_homogeneous():
+    # a cone candidate v was accepted when A_act v <= 1e-9, so on the unit
+    # square at (1, 0.5) d dist(x)(t e1) / t read 1 at t = 1 and 0 at t <= 1e-9
+    square = sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                                 np.array([1.0, 0.0, 1.0, 0.0]))
+    ts = (1e-100, 1e-12, 1e-9, 1e-6, 1e6, 1e100)
+    f = sd.distance_to_set(square)
+    for t in ts:
+        assert f.subderivative([1.0, 0.5], [t, 0.0]).v / t == 1.0
+    rng = np.random.default_rng(26)
+    union = sd.FiniteUnion(_union_pieces())
+    checked = 0
+    for X in (square, union):
+        f = sd.distance_to_set(X)
+        for _ in range(40):
+            x = X.project(rng.uniform(-4, 4, 2))[0]
+            W = rng.normal(size=(5, 2))
+            base = f.subderivatives(x, W)
+            for t in ts:
+                err = np.abs(f.subderivatives(x, t * W) - t * base)
+                assert np.all(err <= 1e-12 * t * np.linalg.norm(W, axis=1)), (X, x, t)
+                checked += W.shape[0]
+    assert checked == 2400

@@ -597,6 +597,15 @@ def test_tangent_membership_requires_feasibility():
                               np.array([-1.0, 0.0]), np.zeros(2))
 
 
+def test_tangent_membership_takes_the_cone_at_the_nearest_point():
+    # 1 + 5e-10 is admitted by the 1e-9 of contains but lies on no face, so
+    # the tangent cone there would be the whole line; the face it is off counts
+    G, X = sd.identity_map(1), sd.Box([0.0], [1.0])
+    assert not sd.tangent_membership(G, X, [1.0 + 5e-10], [1.0])
+    assert sd.tangent_membership(G, X, [1.0 + 5e-10], [-1.0])
+    assert sd.tangent_membership(G, X, [1.0 - 5e-10], [1.0])
+
+
 def test_tangent_membership_agrees_with_sampled_feasibility(rng):
     # Polyhedral fixture: membership in the derived cone must match the
     # sampled feasibility of x + t w (projected distance <= o(t)).
