@@ -10,22 +10,21 @@ function semi-differentiable. Polyhedral projections and tangent-cone
 distances are computed exactly by active-set enumeration over facets; the
 bundled sets are low-dimensional test fixtures, not production geometry.
 
-Three row kernels answer many queries at once, and a user set that states
-only the scalar queries gets each as a loop over them. ``nearest_points(X)``
-gives ``project(x)[0]`` for every row x of a matrix, which is all the
-distance value needs; it checks X and asks ``_nearest_points``. For all
-rows w at once, ``_nearest_support(x, W)`` answers the distance's outside
-branch and ``_tangent_distances(x, W)`` its inside one. A bundled set
-states the kernels, and its ``project`` and ``tangent_distance`` run them
-on one row, so the two round alike; its ``tangent_distance`` raises
-NotFeasible off the set. The kernels form matrix products with
-``_dot_first`` and norms row by row, never through BLAS, whose rounding can
-depend on the number of rows.
+Three row kernels answer many queries at once; a user set that states
+only the scalar queries gets each as a loop over them. ``_nearest_points``
+gives ``project(x)[0]`` for every row x (``nearest_points`` checks X
+first), which is all the distance value needs; ``_nearest_support(x, W)``
+answers the distance's outside branch for all rows w and
+``_tangent_distances(x, W)`` its inside one. A bundled set states the
+kernels, and its ``project`` and ``tangent_distance`` run them on one row,
+so the two round alike. Products go through ``_dot_first`` and norms row
+by row, never through BLAS, whose rounding can depend on the row count.
 
 Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 (a
 polyhedron and a union of them test their rows). The distance's
 subderivative takes the inside branch exactly where the d it computes is
-0.0, and a tangent kernel marks a face active only where x lies on it.
+0.0, where x is its own nearest point, as it is within the rounding of a
+ball's or subspace's projection. Tangent kernels take faces exactly.
 """
 
 from __future__ import annotations
@@ -88,12 +87,9 @@ class SetModel(abc.ABC):
         """dist(w; T_X(x)) for a point x of the set."""
 
     def nearest_points(self, X) -> np.ndarray:
-        """``project(x)[0]`` for every row x of the k x n matrix X, as a k x n matrix.
-
-        X is first made a C-contiguous float64 matrix with finite entries by
-        ``as_directions``. A row without a nearest point raises
-        EmptyProjection.
-        """
+        """``project(x)[0]`` for every row x of the k x n matrix X, as a k x n
+        matrix; X is checked by ``as_directions`` (C-contiguous float64, finite
+        entries), and a row without a nearest point raises EmptyProjection."""
         return self._nearest_points(as_directions(X, self.dim, "X"))
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
@@ -129,10 +125,10 @@ class SetModel(abc.ABC):
 
 class _RowTangents(SetModel):
     """A set that states its tangent-cone distance once, as the row kernel.
-    ``tangent_distance`` is the one-row case; it raises NotFeasible off the
-    set, DimensionMismatch on a wrong length and ValueError on a non-finite entry.
-    It takes x as given: a point that ``contains`` admits only through its
-    tolerance has no face active unless it lies on that face."""
+    ``tangent_distance`` is the one-row case at the nearest point of x, so a
+    point that ``contains`` admits from just outside a face has it active;
+    it raises NotFeasible off the set, DimensionMismatch on a wrong length
+    and ValueError on a non-finite entry."""
 
     @abc.abstractmethod
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
@@ -143,7 +139,7 @@ class _RowTangents(SetModel):
         if not self.contains(x):
             raise NotFeasible("tangent_distance requires x in the set")
         W = as_directions(np.asarray(w, dtype=float)[None], self.dim, "w")
-        return float(self._tangent_distances(x, W)[0])
+        return float(self._tangent_distances(self._nearest_points(x[None, :])[0], W)[0])
 
 
 class _UniqueProjection(_RowTangents):
@@ -186,7 +182,8 @@ def nonnegative_orthant(n: int) -> Box:
 
 
 class Ball(_UniqueProjection):
-    """Euclidean ball of radius r around a center."""
+    """Euclidean ball of radius r around a center. A norm ||x - c|| within
+    8 ulps of max(|x|, |c|, r) of r, the rounding of ``project``, is on the sphere."""
 
     geometrically_derivable = True
 
@@ -195,29 +192,35 @@ class Ball(_UniqueProjection):
         if not radius > 0:
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
+        self._magnitude = max(np.abs(self.center).max(initial=0.0), self.radius)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
+
+    def _band(self, X: np.ndarray) -> np.ndarray:
+        return 8 * np.spacing(np.maximum(np.abs(X).max(axis=-1, initial=0.0), self._magnitude))
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
         nrm = np.sqrt(np.vecdot(D, D))
         # r / max(nrm, r) is r / nrm on every row it scales, and never r / 0
         scale = self.radius / np.maximum(nrm, self.radius)
-        return np.where((nrm <= self.radius)[:, None], X, self.center + scale[:, None] * D)
+        on = nrm <= self.radius + self._band(X)
+        return np.where(on[:, None], X, self.center + scale[:, None] * D)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         d = x - self.center
         nrm = np.linalg.norm(d)
-        if nrm < self.radius:
+        if nrm < self.radius - self._band(x):
             return np.zeros(W.shape[0])
         # Boundary: tangent cone is the halfspace <x - c, w> <= 0.
         return np.maximum(0.0, np.vecdot(W, d) / nrm)
 
 
 class AffineSubspace(_UniqueProjection):
-    """{x : A x = b}; projection and tangent distance via the pseudo-inverse."""
+    """{x : A x = b}; projection and tangent distance via the pseudo-inverse.
+    A point is on it when every (A x - b)_i is within 8 n ulps of (|A| |x|)_i + |b_i|."""
 
     geometrically_derivable = True
 
@@ -234,6 +237,10 @@ class AffineSubspace(_UniqueProjection):
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
+        scale = _dot_first(np.abs(self.A).T[:, :, None], np.abs(X).T[:, None, :])
+        band = 8 * self.dim * np.spacing(scale + np.abs(self.b)[:, None])
+        # a point within rounding of the subspace is its own nearest point
+        residual = np.where(np.all(np.abs(residual) <= band, axis=0), 0.0, residual)
         return X - _dot_first(self._pinv.T[:, :, None], residual[:, None, :]).T
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
@@ -302,25 +309,21 @@ class _Polyhedral(_RowTangents):
 class ConvexPolyhedron(_Polyhedral):
     """{x : A x <= b}. Exact projections by enumerating facet subsets.
 
-    The per-subset correction matrices are stacked once at construction,
-    each zero-padded to m rows. One enumeration, ``_nearest``, forms the
-    candidates x - pinv_S (A_S x - c_S) of the given facet subsets S for a
-    right-hand side c, tests them and measures them in a few broadcast
-    array operations over all points and subsets at once. The projection
-    walks every subset with c = b and keeps the first feasible candidate of
-    least distance; the empty subset comes first, and its candidate is x
-    itself, so a point of the set is its own. The tangent-cone distance
-    walks the subsets of the rows active at x with c = 0 and keeps the
-    candidates v with A_act v <= 1e-9 (|A_act| |v|), a bound that scales
-    with v. Row counts are capped; the fixtures this backs are small.
+    One enumeration, ``_nearest``, forms the candidates x - pinv_S (A_S x - c_S)
+    of the given facet subsets S (pinvs stacked once, zero-padded to m rows)
+    for a right-hand side c, and tests and measures them over all points and
+    subsets at once. The projection walks every subset with c = b and keeps
+    the first feasible candidate of least distance; the empty subset comes
+    first, so a point of the set is its own. The tangent-cone distance walks
+    the subsets of the rows active at x with c = 0 and keeps the candidates
+    v with A_act v <= 1e-9 |A_act| |v|, a bound that scales with v. Row
+    counts are capped; the fixtures this backs are small.
 
-    Row i of A y <= b is tested with the tolerance
-    1e-9 * max(1, (|A| |y|)_i + |b_i|), relative to the magnitudes that
-    round in A y - b, so that scaling the set and the point together scales
-    which rows count as satisfied or active along with them. On rows whose
-    magnitude (|A| |y|)_i + |b_i| is at most 1 it is the absolute 1e-9 that
-    ``SetModel.contains`` allows the distance; beyond that it grows with the
-    magnitude.
+    Row i of A y <= b holds within 1e-9 max(1, (|A| |y|)_i + |b_i|), relative
+    to the magnitudes that round in A y - b, so scaling the set and the point
+    together scales which rows count as satisfied or active. On rows of
+    magnitude at most 1 it is the absolute 1e-9 that ``contains`` allows the
+    distance.
     """
 
     def __init__(self, A, b):

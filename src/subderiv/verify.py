@@ -362,9 +362,7 @@ def tangent_membership(G: SemiDiffMap, X: SetModel, x: Vector, w: Vector,
     """Is w tangent to {x : G(x) in X} at x, via dG(x)(w) in T_X(G(x))?
 
     Requires G(x) in X; the membership test compares the tangent-cone
-    distance of the propagated direction against ``tol`` at the nearest point
-    of G(x), G(x) itself on the set: ``tangent_distance`` takes its point as
-    given, and a G(x) within the tolerance of ``contains`` keeps its face.
+    distance of the propagated direction against ``tol``.
     """
     x = as_vector(x, G.dim_in)
     w = as_vector(w, G.dim_in)
@@ -372,4 +370,4 @@ def tangent_membership(G: SemiDiffMap, X: SetModel, x: Vector, w: Vector,
     if not X.contains(gx):
         raise NotFeasible("tangent_membership requires G(x) in X")
     dgw = G.semiderivative(x, w)
-    return X.tangent_distance(X.nearest_points(gx[None])[0], dgw) <= tol
+    return X.tangent_distance(gx, dgw) <= tol

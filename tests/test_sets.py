@@ -550,6 +550,37 @@ def test_tangent_kernels_activate_only_the_faces_the_point_lies_on():
     assert X.contains([1e-10, -1.0]) and X.tangent_distance([1e-10, -1.0], [0.0, 1.0]) == 0.0
 
 
+def test_tangent_distance_measures_the_cone_at_the_nearest_point():
+    # a point that contains admits from just outside has the face it is off
+    # active, as tangent_membership needs; one just inside has none
+    for X, x, w, want in ((sd.Box([0.0], [1.0]), [1.0 + 5e-10], [1.0], 1.0),
+                          (sd.Box([0.0], [1.0]), [1.0 - 5e-10], [1.0], 0.0),
+                          (sd.Ball([0.0], 1.0), [1.0 + 5e-10], [1.0], 1.0),
+                          (sd.ComplementaritySet(1), [-5e-10, -3.0], [1.0, 0.0], 1.0)):
+        assert X.tangent_distance(x, w) == want
+
+
+@pytest.mark.parametrize("name,X", bundled_sets())
+def test_distance_takes_the_tangent_formula_at_the_sets_own_projections(name, X, rng):
+    # a projection that rounds off the set gave d ~ 1e-16 and the outside
+    # formula, rounding over rounding; one that rounded into the ball's
+    # interior read 0 along the outward normal
+    f = sd.distance_to_set(X)
+    sides = set()
+    for _ in range(60):
+        x = rng.uniform(-3, 3, X.dim)
+        y = X.project(x)[0]
+        W = rng.normal(size=(5, X.dim))
+        assert np.array_equal(f.subderivatives(y, W), X._tangent_distances(y, W)), (x, y)
+        if name == "ball" and np.linalg.norm(x - X.center) > X.radius + 0.1:
+            u = (y - X.center) / X.radius
+            sides.add(np.sign(np.linalg.norm(y - X.center) - X.radius))
+            assert f.subderivative(y, u).v == pytest.approx(1.0, rel=1e-12)
+            assert f.subderivative(y, -u) == ExtReal(0.0)
+    if name == "ball":
+        assert sides == {-1.0, 0.0, 1.0}
+
+
 def test_polyhedron_tangent_distance_is_positively_homogeneous():
     # a cone candidate v was accepted when A_act v <= 1e-9, so on the unit
     # square at (1, 0.5) d dist(x)(t e1) / t read 1 at t = 1 and 0 at t <= 1e-9

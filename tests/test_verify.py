@@ -602,8 +602,18 @@ def test_tangent_membership_takes_the_cone_at_the_nearest_point():
     # the tangent cone there would be the whole line; the face it is off counts
     G, X = sd.identity_map(1), sd.Box([0.0], [1.0])
     assert not sd.tangent_membership(G, X, [1.0 + 5e-10], [1.0])
-    assert sd.tangent_membership(G, X, [1.0 + 5e-10], [-1.0])
     assert sd.tangent_membership(G, X, [1.0 - 5e-10], [1.0])
+    # the ball's projections round to either side of the sphere; at every one
+    # the outward normal is not tangent and the inward one is
+    G, X = sd.identity_map(2), sd.Ball([0.5, -0.5], 1.5)
+    inward = 0
+    for a in np.linspace(0.0, 2 * np.pi, 60, endpoint=False):
+        y = X.project(X.center + 3.0 * np.array([np.cos(a), np.sin(a)]))[0]
+        u = y - X.center
+        inward += np.linalg.norm(u) < X.radius
+        assert not sd.tangent_membership(G, X, y, u)
+        assert sd.tangent_membership(G, X, y, -u)
+    assert inward > 0
 
 
 def test_tangent_membership_agrees_with_sampled_feasibility(rng):
