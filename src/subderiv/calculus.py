@@ -29,41 +29,40 @@ class SemiDiffMap:
     ``semiderivative(x, .)`` is continuous and positively homogeneous of
     degree 1 in the direction. The row kernels ``eval_rows(X)`` and
     ``semiderivative_rows(x, W)`` take a checked (k, dim_in) float64 matrix;
-    row i must equal ``eval(X[i])``, resp. ``semiderivative(x, W[i])``, bit
-    for bit. The defaults loop over the scalar queries and raise
-    DimensionMismatch when an answer does not have shape (dim_out,).
+    a point query is their one-row case. The defaults loop the callables over
+    the rows and raise DimensionMismatch when an answer does not have shape
+    (dim_out,); a map that overrides both kernels passes None for both.
     """
 
     def __init__(self, dim_in: int, dim_out: int,
-                 eval_fn: Callable[[Vector], Vector],
-                 semiderivative_fn: Callable[[Vector, Vector], Vector]):
+                 eval_fn: Optional[Callable[[Vector], Vector]],
+                 semiderivative_fn: Optional[Callable[[Vector, Vector], Vector]]):
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
         self._eval = eval_fn
         self._dir = semiderivative_fn
 
     def eval(self, x: Vector) -> Vector:
-        return np.asarray(self._eval(x), dtype=float)
-
-    def eval_rows(self, X: np.ndarray) -> np.ndarray:
-        Y = np.empty((X.shape[0], self.dim_out))
-        for i, x in enumerate(X):
-            Y[i] = self._checked(self.eval(x))
-        return Y
-
-    def _checked(self, y: Vector) -> Vector:
-        if y.shape != (self.dim_out,):
-            raise DimensionMismatch(f"map output has shape {y.shape}, expected ({self.dim_out},)")
-        return y
+        return self.eval_rows(np.asarray(x, dtype=float)[None])[0]
 
     def semiderivative(self, x: Vector, w: Vector) -> Vector:
-        return np.asarray(self._dir(x, w), dtype=float)
+        return self.semiderivative_rows(np.asarray(x, dtype=float),
+                                        np.asarray(w, dtype=float)[None])[0]
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        return self._rows(self._eval, X)
 
     def semiderivative_rows(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        U = np.empty((W.shape[0], self.dim_out))
-        for i, w in enumerate(W):
-            U[i] = self._checked(self.semiderivative(x, w))
-        return U
+        return self._rows(lambda w: self._dir(x, w), W)
+
+    def _rows(self, fn: Callable[[Vector], Vector], X: np.ndarray) -> np.ndarray:
+        Y = np.empty((X.shape[0], self.dim_out))
+        for i, row in enumerate(X):
+            y = np.asarray(fn(row), dtype=float)
+            if y.shape != (self.dim_out,):
+                raise DimensionMismatch(f"map output has shape {y.shape}, expected ({self.dim_out},)")
+            Y[i] = y
+        return Y
 
 
 class SmoothMap(SemiDiffMap):
@@ -73,22 +72,19 @@ class SmoothMap(SemiDiffMap):
     """
 
     def __init__(self, dim_in: int, dim_out: int,
-                 eval_fn: Callable[[Vector], Vector],
-                 jacobian_apply_fn: Callable[[Vector, Vector], Vector],
+                 eval_fn: Optional[Callable[[Vector], Vector]],
+                 jacobian_apply_fn: Optional[Callable[[Vector, Vector], Vector]],
                  smoothness_constant: Optional[float] = None):
         super().__init__(dim_in, dim_out, eval_fn, jacobian_apply_fn)
         self.smoothness_constant = smoothness_constant
 
 
 class _AffineMap(SmoothMap):
-    """x -> A x + b with one ``np.vecdot`` per output for a point and a row
-    alike; ``A @ x`` is a gemv call and need not round as a row does. The
-    derivative is that gemv, ``A @ w``, and its rows one stacked matmul."""
+    """x -> A x + b, one ``np.vecdot`` per output of a row; the derivative's rows one matmul."""
 
     def __init__(self, A: np.ndarray, b: Vector):
         self.A, self.b = A, b
-        super().__init__(A.shape[1], A.shape[0], lambda x: np.vecdot(A, x) + b,
-                         lambda x, w: A @ w, smoothness_constant=0.0)
+        super().__init__(A.shape[1], A.shape[0], None, None, smoothness_constant=0.0)
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         return np.vecdot(X[:, None, :], self.A) + self.b
@@ -99,8 +95,7 @@ class _AffineMap(SmoothMap):
 
 class _IdentityMap(SmoothMap):
     def __init__(self, n: int):
-        super().__init__(n, n, lambda x: np.asarray(x, dtype=float),
-                         lambda x, w: np.asarray(w, dtype=float), smoothness_constant=0.0)
+        super().__init__(n, n, None, None, smoothness_constant=0.0)
 
     def eval_rows(self, X: np.ndarray) -> np.ndarray:
         return X
@@ -121,16 +116,16 @@ def identity_map(n: int) -> SmoothMap:
 
 def relu_map(n: int) -> SemiDiffMap:
     """Componentwise max{0, x} with its exact semi-derivative."""
-    return SemiDiffMap(n, n, lambda x: np.maximum(x, 0.0),
-                       lambda x, w: relu_direction(np.asarray(x, dtype=float),
-                                                   np.asarray(w, dtype=float)))
+    return SemiDiffMap(n, n, lambda x: np.maximum(x, 0.0), relu_direction)
 
 
 class _Sum(RowSubderivatives):
     """lam * (f_1 + ... + f_k) for lam > 0; ``scale`` is the one-member sum.
 
-    Each kernel folds the members left to right, then multiplies the folded
-    result by lam. At lam = 1.0 it returns the fold as it is: 1.0 * v is v
+    Every kernel adds the members' answers left to right, the documented
+    floating-point contract, then multiplies the sum by lam: ``_fold`` for
+    the array kernels and the gradient, a float loop for ``_value``, the line
+    search's query. At lam = 1.0 the sum is returned as it is: 1.0 * v is v
     bit for bit, so the product would only copy it.
     """
 
@@ -145,20 +140,18 @@ class _Sum(RowSubderivatives):
         self.subderivative_concave = all(m.subderivative_concave for m in self.models)
         self.has_gradient = all(m.has_gradient for m in self.models)
         self.is_separable = all(m.has_gradient or m.is_separable for m in self.models)
-        Ls = [m.descent_constant for m in self.models]
-        self.descent_constant = (self.lam * float(sum(Ls))
-                                 if all(L is not None for L in Ls) else None)
-        lbs = [m.lower_bound for m in self.models]
-        self.lower_bound = (self.lam * float(sum(lbs))
-                            if all(b is not None for b in lbs) else None)
+        self.descent_constant = self._total([m.descent_constant for m in self.models])
+        self.lower_bound = self._total([m.lower_bound for m in self.models])
+
+    def _total(self, constants: list) -> Optional[float]:
+        return None if None in constants else self.lam * float(sum(constants))
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def _value(self, x: Vector) -> float:
-        # Left to right over the members, the documented floating-point
-        # contract; no member is NaN, so a NaN sum is (+inf) + (-inf).
+        # no member is NaN, so a NaN sum is (+inf) + (-inf)
         acc = self.models[0]._value(x)
         for m in self.models[1:]:
             acc += m._value(x)
@@ -166,29 +159,24 @@ class _Sum(RowSubderivatives):
                 raise IndeterminateSum("(+inf) + (-inf) is undefined")
         return acc if self.lam == 1.0 else self.lam * acc
 
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        acc = self.models[0]._values(X)
-        for m in self.models[1:]:
-            acc = ext_add_arrays(acc, m._values(X))
+    def _fold(self, parts) -> np.ndarray:
+        """The member arrays ``parts`` added left to right, times lam."""
+        acc = next(parts)
+        for part in parts:
+            acc = ext_add_arrays(acc, part)
         return acc if self.lam == 1.0 else self.lam * acc
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self._fold(m._values(X) for m in self.models)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        acc = self.models[0]._subderivatives(x, W)
-        for m in self.models[1:]:
-            acc = ext_add_arrays(acc, m._subderivatives(x, W))
-        return acc if self.lam == 1.0 else self.lam * acc
+        return self._fold(m._subderivatives(x, W) for m in self.models)
 
     def _vertex_values(self, x: Vector) -> np.ndarray:
-        acc = self.models[0]._vertex_values(x)
-        for m in self.models[1:]:
-            acc = ext_add_arrays(acc, m._vertex_values(x))
-        return acc if self.lam == 1.0 else self.lam * acc
+        return self._fold(m._vertex_values(x) for m in self.models)
 
     def gradient(self, x: Vector) -> Vector:
-        g = self.models[0].gradient(x).copy()
-        for m in self.models[1:]:
-            g += m.gradient(x)
-        return g if self.lam == 1.0 else self.lam * g
+        return self._fold(m.gradient(x) for m in self.models)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         grad = np.zeros(self.dim)
@@ -240,8 +228,7 @@ class _Composite(RowSubderivatives):
     def __init__(self, g: FunctionModel, F: SemiDiffMap, smooth: bool,
                  concave_modulus: Optional[float] = None):
         if g.dim != F.dim_out:
-            raise DimensionMismatch(
-                f"g expects dimension {g.dim}, F produces {F.dim_out}")
+            raise DimensionMismatch(f"g expects dimension {g.dim}, F produces {F.dim_out}")
         self.g = g
         self.F = F
         self.semi_differentiable = g.semi_differentiable
@@ -256,7 +243,7 @@ class _Composite(RowSubderivatives):
         return self.F.dim_in
 
     def _value(self, x: Vector) -> float:
-        return self.g._value(self.F._checked(self.F.eval(x)))
+        return float(self._values(x[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         # F may be a user map, so g checks the batch of its values.
@@ -296,13 +283,9 @@ def precompose_semidiff(g, F: SemiDiffMap):
         return _Composite(g, F, smooth=False)
     if isinstance(g, SemiDiffMap):
         if g.dim_in != F.dim_out:
-            raise DimensionMismatch(
-                f"G expects dimension {g.dim_in}, F produces {F.dim_out}")
-        return SemiDiffMap(
-            F.dim_in, g.dim_out,
-            lambda x: g.eval(F._checked(F.eval(x))),
-            lambda x, w: g.semiderivative(F._checked(F.eval(x)),
-                                          F._checked(F.semiderivative(x, w))))
+            raise DimensionMismatch(f"G expects dimension {g.dim_in}, F produces {F.dim_out}")
+        return SemiDiffMap(F.dim_in, g.dim_out, lambda x: g.eval(F.eval(x)),
+                           lambda x, w: g.semiderivative(F.eval(x), F.semiderivative(x, w)))
     raise TypeError(f"cannot precompose {type(g).__name__}")
 
 

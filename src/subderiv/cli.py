@@ -6,8 +6,9 @@ errors. Identical flags plus seed give byte-identical traces; wall-clock
 timing is the one nondeterministic column and ``--no-timing`` zeroes it.
 
 Each run reads one settings dict: the ``--config`` file, then the flags that
-were given, then a ``--sweep`` line's overrides, later sources winning; a
-setting the run does not read is a usage error, found before any solve.
+were given, then a ``--sweep`` line's overrides, later sources winning. A
+setting the run does not read, or a value that the setting's flag would
+refuse, is a usage error, found before anything is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .direction import NormChoice
-from .linesearch import ArmijoParams, armijo_schedule, diminishing_schedule
+from .linesearch import SCHEDULES, ArmijoParams, armijo_schedule, diminishing_schedule
 from .problems import REGISTRY, BuiltProblem, build_problem
 from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
                      ball_radius_sq, rate_audit, rate_constant, resolve_strategy,
@@ -28,14 +29,11 @@ from .solver import (STRATEGIES, SolverConfig, TerminalStatus, Trace,
 
 CSV_HEADER = "iter,f,dir_value,alpha,backtracks,step_norm,wall_ns"
 FORMATS = ("csv", "json")
-SCHEDULES = ("armijo", "diminishing")
 
-# SolverConfig fields a setting overrides directly, with their converters.
-_CONFIG_KEYS = (("epsilon", float), ("norm", NormChoice), ("max_iter", int),
-                ("seed", int), ("strategy", str), ("budget", int))
+# SolverConfig fields a setting overrides directly.
+_CONFIG_KEYS = ("epsilon", "norm", "max_iter", "seed", "strategy", "budget")
 # Every setting a run reads, besides the problem's ``param.<name>`` keys.
-_SETTING_KEYS = {"problem", "out", "format", "no_timing", "mu", "alpha0", "schedule",
-                 *(key for key, _ in _CONFIG_KEYS)}
+_SETTING_KEYS = {"problem", "out", "format", "no_timing", "mu", "alpha0", "schedule", *_CONFIG_KEYS}
 
 
 def emit_trace(trace: Trace, path: str, fmt: str = "csv",
@@ -157,51 +155,58 @@ def _flag_settings(args: argparse.Namespace) -> dict:
 
 def _parse_no_timing(value) -> bool:
     text = str(value).lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ValueError(f"no_timing must be true or false, got {value!r}")
+    if text not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"no_timing must be true or false, got {value!r}")
+    return text in ("true", "1", "yes")
 
 
-def _apply_settings(built: BuiltProblem, settings: dict) -> SolverConfig:
-    cfg = built.defaults
-    for key, convert in _CONFIG_KEYS:
-        if key in settings:
-            cfg = replace(cfg, **{key: convert(settings[key])})
-    mu = float(settings.get("mu", 0.5))
-    alpha0 = float(settings.get("alpha0", 1.0))
-    kind = settings.get("schedule")
-    if kind == "diminishing":
+def _typed_settings(settings: dict) -> dict:
+    """Each setting that has a flag, read by that flag's ``type`` and
+    ``choices`` (``no_timing``, a switch, by ``_parse_no_timing``); a
+    refused value raises ValueError naming the key and the value."""
+    typed = {}
+    for action in build_parser()._actions:
+        key, raw = action.dest, settings.get(action.dest)
+        if raw is None:
+            continue
+        try:
+            typed[key] = (_parse_no_timing if key == "no_timing" else action.type or str)(raw)
+            if action.choices is not None and typed[key] not in action.choices:
+                raise ValueError(f"choose from {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise ValueError(f"setting {key}={raw!r}: {exc}") from None
+    return typed
+
+
+def _apply_settings(built: BuiltProblem, typed: dict) -> SolverConfig:
+    cfg = replace(built.defaults, **{k: NormChoice(v) if k == "norm" else v
+                                     for k, v in typed.items() if k in _CONFIG_KEYS})
+    alpha0 = typed.get("alpha0", 1.0)
+    if typed.get("schedule") == "diminishing":
         cfg = replace(cfg, schedule=diminishing_schedule(alpha0))
-    elif kind == "armijo" or "mu" in settings or "alpha0" in settings:
-        cfg = replace(cfg, schedule=armijo_schedule(
-            ArmijoParams(mu=mu, alpha_init=alpha0)))
+    elif {"schedule", "mu", "alpha0"} & typed.keys():
+        cfg = replace(cfg, schedule=armijo_schedule(ArmijoParams(typed.get("mu", 0.5), alpha0)))
     return cfg
 
 
 def _run_single(settings: dict) -> int:
     name = settings.get("problem")
-    if not name:
-        print("error: --problem is required (or use --list)", file=sys.stderr)
+    try:   # every usage error is found here, before anything is built
+        if not name:
+            raise ValueError("--problem is required (or use --list)")
+        if name not in REGISTRY:
+            raise ValueError(f"--problem got unknown name {name!r}; see --list")
+        params = {"param." + p for p in REGISTRY[name].params.replace(",", " ").split()}
+        unknown = [k for k in settings if k not in _SETTING_KEYS and k not in params]
+        if unknown:
+            raise ValueError(f"{name} reads no setting {unknown[0]!r}")
+        typed = _typed_settings(settings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if name not in REGISTRY:
-        print(f"error: --problem got unknown name {name!r}; see --list",
-              file=sys.stderr)
-        return 2
-    params = {"param." + p for p in REGISTRY[name].params.replace(",", " ").split()}
-    unknown = [k for k in settings if k not in _SETTING_KEYS and k not in params]
-    fmt, schedule = settings.get("format", "csv"), settings.get("schedule", "armijo")
-    refusal = (f"{name} reads no setting {unknown[0]!r}" if unknown
-               else f"unknown format {fmt!r}" if fmt not in FORMATS
-               else f"unknown schedule {schedule!r}" if schedule not in SCHEDULES else "")
-    if refusal:
-        print(f"error: {refusal}", file=sys.stderr)
-        return 2
-    no_timing = _parse_no_timing(settings.get("no_timing", False))
     built = build_problem(name, {k.split(".", 1)[1]: v for k, v in settings.items()
                                  if k.startswith("param.")})
-    cfg = _apply_settings(built, settings)
+    cfg = _apply_settings(built, typed)
     trace = run(built.model, built.x0, cfg)
     audit = None
     L = built.model.descent_constant
@@ -221,8 +226,8 @@ def _run_single(settings: dict) -> int:
     out = settings.get("out")
     if out:
         echo = {k: v for k, v in settings.items() if k != "out"}
-        emit_trace(trace, out, fmt, config_echo=echo,
-                   audit=audit, no_timing=no_timing)
+        emit_trace(trace, out, typed.get("format", "csv"), config_echo=echo,
+                   audit=audit, no_timing=typed.get("no_timing", False))
     summary = (f"{name}: status={trace.status.value} iters={len(trace.records)} "
                f"f_final={trace.f_final!r}")
     if trace.detail:

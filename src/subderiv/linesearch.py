@@ -21,6 +21,8 @@ from typing import Optional
 from .errors import BacktrackExhausted
 from .model import FunctionModel, Vector, check_count
 
+SCHEDULES = ("armijo", "diminishing")
+
 
 @dataclass(frozen=True)
 class ArmijoParams:
@@ -51,20 +53,31 @@ class Schedule:
     """Either Armijo backtracking or the diminishing steps a_k = a0 / (k+1).
 
     The diminishing sequence satisfies sum a_k = inf and sum a_k^2 < inf.
+    A schedule refuses an unknown kind and the other kind's field; Armijo
+    fills in ``ArmijoParams()``, and diminishing needs a positive ``alpha0``.
     """
 
     kind: str
     armijo_params: Optional[ArmijoParams] = field(default=None)
     alpha0: Optional[float] = field(default=None)
 
+    def __post_init__(self):
+        if self.kind not in SCHEDULES:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        other = "alpha0" if self.kind == "armijo" else "armijo_params"
+        if getattr(self, other) is not None:
+            raise ValueError(f"a {self.kind} schedule takes no {other}")
+        if self.kind == "armijo" and self.armijo_params is None:
+            object.__setattr__(self, "armijo_params", ArmijoParams())
+        if self.kind == "diminishing" and not (self.alpha0 is not None and self.alpha0 > 0):
+            raise ValueError("alpha0 must be positive")
+
 
 def armijo_schedule(params: Optional[ArmijoParams] = None) -> Schedule:
-    return Schedule(kind="armijo", armijo_params=params or ArmijoParams())
+    return Schedule(kind="armijo", armijo_params=params)
 
 
 def diminishing_schedule(alpha0: float = 1.0) -> Schedule:
-    if not alpha0 > 0:
-        raise ValueError("alpha0 must be positive")
     return Schedule(kind="diminishing", alpha0=float(alpha0))
 
 
@@ -107,6 +120,4 @@ def schedule_step(schedule: Schedule, k: int, f: FunctionModel, x: Vector,
         raise ValueError("iteration index must be nonnegative")
     if schedule.kind == "diminishing":
         return schedule.alpha0 / (k + 1), 0
-    if schedule.kind == "armijo":
-        return armijo(f, x, w, d, schedule.armijo_params)
-    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    return armijo(f, x, w, d, schedule.armijo_params)

@@ -784,14 +784,14 @@ class CountingMap(sd.SemiDiffMap):
     """x -> x * x with its semi-derivative, counting evaluations of F."""
 
     def __init__(self, n):
-        super().__init__(n, n, lambda x: x * x, lambda x, w: 2.0 * x * w)
+        super().__init__(n, n, self._square, lambda x, w: 2.0 * x * w)
         self.evals = 0
         self.shapes = set()
 
-    def eval(self, x):
+    def _square(self, x):
         self.evals += 1
         self.shapes.add(np.shape(x))
-        return super().eval(x)
+        return x * x
 
 
 class CountingBox(sd.Box):
@@ -834,7 +834,7 @@ def test_batched_query_works_out_the_point_once():
 
 
 def test_user_map_sees_each_row_once_as_a_point():
-    # a map built from callables keeps the default eval_rows, a loop over eval
+    # a map built from callables keeps the default eval_rows, a loop over its callable
     assert CountingMap.eval_rows is sd.SemiDiffMap.eval_rows
     X = np.random.default_rng(6).normal(size=(5, 2))
     F = CountingMap(2)
@@ -896,6 +896,33 @@ def _maps():
             ("affine_4x3", sd.affine_map(rng.uniform(-1, 1, (4, 3)))),
             ("affine_3x3", sd.affine_map(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3))),
             ("identity", sd.identity_map(3))]
+
+
+def test_a_map_point_query_checks_its_answer_as_its_row_kernel_does():
+    # eval returned the short answer as it was, while eval_rows refused it
+    short = sd.SemiDiffMap(2, 2, lambda x: x[:1], lambda x, w: w[:1])
+    for query in (lambda: short.eval(np.ones(2)),
+                  lambda: short.semiderivative(np.ones(2), np.ones(2))):
+        with pytest.raises(sd.DimensionMismatch):
+            query()
+
+
+def test_a_map_point_query_takes_lists():
+    # on the bundled map and through a map-over-map composite
+    relu = sd.relu_map(2)
+    for F in (relu, sd.precompose_semidiff(relu, sd.affine_map(np.eye(2)))):
+        assert F.semiderivative([0.0, 1.0], [1.0, -1.0]).tolist() == [1.0, -1.0]
+        assert F.eval([-1.0, 2.0]).tolist() == [0.0, 2.0]
+
+
+def test_composite_refuses_an_overflowing_image_at_every_query():
+    # F(10) = 1e309 overflows; value read +inf while values refused the image
+    comp = sd.precompose_smooth(sd.L1Norm(1), sd.affine_map([[1e308]]))
+    x = np.array([10.0])
+    for query in (lambda: comp.value(x), lambda: comp.values(x[None]),
+                  lambda: comp.subderivative(x, np.ones(1))):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            query()
 
 
 @pytest.mark.parametrize("name, F", _maps(), ids=[c[0] for c in _maps()])

@@ -28,6 +28,13 @@ def test_sum_single_model_is_identity(l1, rng):
         assert s.subderivative(x, w) == l1.subderivative(x, w)
 
 
+def test_one_member_sum_has_the_member_gradient(rng):
+    q = sd.quadratic_model(np.array([1.0, -2.0, 0.5]))
+    for _ in range(5):
+        x = rng.uniform(-2, 2, 3)
+        assert sd.sum_models([q]).gradient(x).tobytes() == q.gradient(x).tobytes()
+
+
 def test_sum_l1_l1_matches_difference_quotient():
     # Oracle: the quotient of 2|x| at x=1, w=1 is exactly 2 for small t.
     m = sd.sum_models([sd.L1Norm(1), sd.L1Norm(1)])

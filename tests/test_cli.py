@@ -245,7 +245,7 @@ def test_config_no_timing_false_keeps_wall_times(tmp_path, capsys):
     rows, _ = read_trace_csv(str(out))
     assert any(r["wall_ns"] > 0 for r in rows)
     cfgfile.write_text("problem=quadratic\nno_timing=maybe\n")
-    assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+    assert main(["--config", str(cfgfile), "--out", str(out)]) == 2
     assert "no_timing" in capsys.readouterr().err
 
 
@@ -295,6 +295,29 @@ def test_unknown_schedule_exits_2_before_anything_is_built(source, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and "'constant'" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "sweep"])
+@pytest.mark.parametrize("setting", [
+    "norm=l3", "strategy=foo", "max_iter=abc", "epsilon=abc", "seed=1.5", "budget=x",
+    "mu=abc", "alpha0=abc", "param.r=abc", "no_timing=maybe"])
+def test_a_value_its_flag_refuses_exits_2_before_anything_is_built(
+        source, setting, tmp_path, capsys, monkeypatch):
+    # the same value given to the flag is a usage error; from a file or a
+    # sweep line it exited 1 once the problem was built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the run went on past a refused value")
+
+    monkeypatch.setattr(cli, "build_problem", no_build)
+    key, value = setting.split("=")
+    path = tmp_path / "settings.txt"
+    sep = "\n" if source == "config" else " "
+    path.write_text(sep.join(["problem=sparse_moreau", setting]) + "\n")
+    assert main([f"--{source}", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert key in captured.err and repr(value) in captured.err
+    assert captured.out == ""
 
 
 def test_diminishing_schedule_runs_alpha0_over_k(tmp_path):

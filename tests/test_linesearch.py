@@ -181,3 +181,24 @@ def test_schedule_armijo_delegates(quad2):
 def test_diminishing_schedule_validation():
     with pytest.raises(ValueError):
         sd.diminishing_schedule(0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="constant"), "unknown schedule kind 'constant'"),
+    (dict(kind="armijo", alpha0=0.25), "takes no alpha0"),
+    (dict(kind="diminishing", alpha0=1.0, armijo_params=sd.ArmijoParams()),
+     "takes no armijo_params"),
+    (dict(kind="diminishing"), "alpha0 must be positive"),
+    (dict(kind="diminishing", alpha0=-1.0), "alpha0 must be positive"),
+], ids=["unknown_kind", "armijo_alpha0", "diminishing_params", "diminishing_no_alpha0",
+        "diminishing_negative"])
+def test_schedule_refuses_a_state_it_cannot_run(kwargs, message):
+    # refused when made: inside a run these raised a TypeError, waited for
+    # the first step, or were ignored (an armijo alpha0)
+    with pytest.raises(ValueError, match=message):
+        sd.Schedule(**kwargs)
+
+
+def test_armijo_schedule_fills_in_default_params():
+    assert sd.Schedule("armijo").armijo_params == sd.ArmijoParams()
+    assert sd.Schedule("armijo") == sd.armijo_schedule()
