@@ -18,7 +18,8 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainViolation, EmptyList, IndeterminateSum,
                      NonpositiveScale)
 from .extreal import ext_add_arrays, ulp_tied_arrays
-from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_same_dim
+from .model import (FunctionModel, RowSubderivatives, Vector, as_vector, check_count,
+                    check_real, check_same_dim)
 from .oracles import SmoothModel, _not_nan, relu_direction
 from .sets import SetModel, distance_to_set
 
@@ -37,8 +38,8 @@ class SemiDiffMap:
     def __init__(self, dim_in: int, dim_out: int,
                  eval_fn: Optional[Callable[[Vector], Vector]],
                  semiderivative_fn: Optional[Callable[[Vector, Vector], Vector]]):
-        self.dim_in = int(dim_in)
-        self.dim_out = int(dim_out)
+        self.dim_in = check_count(dim_in, "dim_in")
+        self.dim_out = check_count(dim_out, "dim_out")
         self._eval = eval_fn
         self._dir = semiderivative_fn
 
@@ -206,11 +207,9 @@ def sum_models(models: Sequence[FunctionModel]) -> FunctionModel:
 
 
 def scale(model: FunctionModel, lam: float) -> FunctionModel:
-    """lam * f for lam > 0, the one-member sum; value, subderivative and
-    descent constant scale."""
-    if not lam > 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-    return _Sum([model], lam)
+    """lam * f for a finite lam > 0, the one-member sum; value, subderivative
+    and descent constant scale."""
+    return _Sum([model], check_real(lam, "scale factor", error=NonpositiveScale))
 
 
 class _Composite(RowSubderivatives):
@@ -257,6 +256,8 @@ def precompose_smooth(g: FunctionModel, F: SmoothMap,
                       concave_modulus: Optional[float] = None) -> FunctionModel:
     """g o F for smooth F: d(g o F)(x)(w) = d g(F(x))(dF(x) w).
 
+    Raises TypeError unless F is a SmoothMap, since only a smooth F keeps g's
+    concave subderivative (``precompose_semidiff`` takes any SemiDiffMap).
     Contract: g is Lipschitz continuous relative to its domain and the
     directional qualification condition holds along queried directions (both
     automatic for the bundled finite-valued g). When g is concave with a known
@@ -265,6 +266,8 @@ def precompose_smooth(g: FunctionModel, F: SmoothMap,
     modulus must be supplied by the caller since it is not computable from an
     oracle.
     """
+    if not isinstance(F, SmoothMap):
+        raise TypeError(f"F must be a SmoothMap, got {type(F).__name__}")
     return _Composite(g, F, smooth=True, concave_modulus=concave_modulus)
 
 
@@ -406,8 +409,7 @@ def penalize(phi: FunctionModel, G, X: SetModel, rho: float) -> FunctionModel:
     G may be a SmoothMap or a SemiDiffMap. The result is semi-differentiable
     when phi and G are and X is geometrically derivable.
     """
-    if not rho > 0:
-        raise NonpositiveScale(f"penalty constant must be positive, got {rho}")
+    rho = check_real(rho, "penalty constant", error=NonpositiveScale)
     dist = distance_to_set(X)
     if not isinstance(G, SemiDiffMap):
         raise TypeError(f"G must be a SmoothMap or SemiDiffMap, got {type(G).__name__}")
@@ -419,14 +421,11 @@ def penalize(phi: FunctionModel, G, X: SetModel, rho: float) -> FunctionModel:
 
 def envelope_composite_descent_constant(L: float, r: float) -> float:
     """Descent constant L/r for a Moreau-smoothed convex outer over an L-smooth map."""
-    if not r > 0:
-        raise ValueError("r must be positive")
-    return L / r
+    return L / check_real(r, "r")
 
 
 def dc_envelope_descent_constant(L: float, r: float) -> float:
     """Descent constant L(1+r)/r for [e_r g1] o F1 - g2 o F2 with convex g_i
     and L-smooth F_i (the envelope-smoothed difference of composites)."""
-    if not r > 0:
-        raise ValueError("r must be positive")
+    r = check_real(r, "r")
     return L * (1.0 + r) / r

@@ -231,9 +231,7 @@ def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,
     Never exact: a fallback result can fail to refute stationarity but cannot
     certify it.
     """
-    check_count(budget, "budget")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    budget = check_count(budget, "budget")
     n = f.dim
     x = as_vector(x, n)
     best_w, best, k = _best_candidate(f, x, _fallback_candidates(n, norm, budget, seed), norm)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BacktrackExhausted
-from .model import FunctionModel, Vector, check_count
+from .model import FunctionModel, Vector, check_count, check_real
 
 SCHEDULES = ("armijo", "diminishing")
 
@@ -30,8 +30,7 @@ class ArmijoParams:
 
     The default cap of 60 brings the step near 1e-18 at mu = 0.5; beyond
     that, failure is diagnostic (the model is neither semi-differentiable
-    nor descent-property at x), not something to retry. The cap is an
-    integer.
+    nor descent-property at x), not something to retry.
     """
 
     mu: float = 0.5
@@ -41,11 +40,9 @@ class ArmijoParams:
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie in (0, 1)")
-        if not self.alpha_init > 0:
-            raise ValueError("alpha_init must be positive")
-        check_count(self.max_backtracks, "max_backtracks")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
+        object.__setattr__(self, "alpha_init", check_real(self.alpha_init, "alpha_init"))
+        object.__setattr__(self, "max_backtracks",
+                           check_count(self.max_backtracks, "max_backtracks", least=1))
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class Schedule:
 
     The diminishing sequence satisfies sum a_k = inf and sum a_k^2 < inf.
     A schedule refuses an unknown kind and the other kind's field; Armijo
-    fills in ``ArmijoParams()``, and diminishing needs a positive ``alpha0``.
+    fills in ``ArmijoParams()``, and diminishing needs a finite ``alpha0`` > 0.
     """
 
     kind: str
@@ -69,8 +66,8 @@ class Schedule:
             raise ValueError(f"a {self.kind} schedule takes no {other}")
         if self.kind == "armijo" and self.armijo_params is None:
             object.__setattr__(self, "armijo_params", ArmijoParams())
-        if self.kind == "diminishing" and not (self.alpha0 is not None and self.alpha0 > 0):
-            raise ValueError("alpha0 must be positive")
+        if self.kind == "diminishing":
+            object.__setattr__(self, "alpha0", check_real(self.alpha0, "alpha0"))
 
 
 def armijo_schedule(params: Optional[ArmijoParams] = None) -> Schedule:
@@ -78,7 +75,7 @@ def armijo_schedule(params: Optional[ArmijoParams] = None) -> Schedule:
 
 
 def diminishing_schedule(alpha0: float = 1.0) -> Schedule:
-    return Schedule(kind="diminishing", alpha0=float(alpha0))
+    return Schedule(kind="diminishing", alpha0=alpha0)
 
 
 def armijo(f: FunctionModel, x: Vector, w: Vector, d: float,
@@ -116,8 +113,7 @@ def schedule_step(schedule: Schedule, k: int, f: FunctionModel, x: Vector,
 
     Diminishing returns alpha0 / (k+1) with zero backtracks; Armijo delegates.
     """
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
+    check_count(k, "iteration index")
     if schedule.kind == "diminishing":
         return schedule.alpha0 / (k + 1), 0
     return armijo(f, x, w, d, schedule.armijo_params)

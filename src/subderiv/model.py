@@ -31,6 +31,7 @@ for any number of concurrent readers.
 from __future__ import annotations
 
 import abc
+import numbers
 import operator
 from typing import Optional, Sequence
 
@@ -57,13 +58,31 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
     return arr
 
 
-def check_count(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is an integer (an ``int`` or a NumPy
-    integer; a float, even NaN or 2.0, is not), as ``range`` needs."""
+def check_count(value, name: str, least: int = 0) -> int:
+    """The rule for every size, count and index: ``value`` as an ``int``, or
+    ValueError unless ``operator.index`` reads it as one (a float, even NaN or
+    2.0, is not) and it is at least ``least``."""
     try:
-        operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0
+                         else f"{name} must be at least {least}")
+    return count
+
+
+def check_real(value, name: str, positive: bool = True, error=ValueError) -> float:
+    """The rule for every real constant (step, radius, penalty, descent
+    constant, tolerance): ``value`` as a float, or ``error`` unless it is a
+    finite number > 0 (>= 0 when not ``positive``); NaN, +-inf and None fail."""
+    real = float(value) if isinstance(value, numbers.Real) else np.nan
+    if not (real > 0 if positive else real >= 0):
+        raise error(f"{name} must be positive, got {value!r}" if positive
+                    else f"{name} must be nonnegative")
+    if real == np.inf:
+        raise error(f"{name} must be finite, got {real!r}")
+    return real
 
 
 def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
@@ -237,8 +256,7 @@ def homogeneity_check(m: FunctionModel, x: Vector, w: Vector, t: float,
     Returns True when both sides are finite and agree within ``tol``, or when
     both are the same infinity. Mismatches return False rather than raising.
     """
-    if not t > 0:
-        raise ValueError("homogeneity_check requires t > 0")
+    t = check_real(t, "t")
     x = as_vector(x, m.dim, "x")
     w = as_vector(w, m.dim, "w")
     lhs = m.subderivative(x, t * w)

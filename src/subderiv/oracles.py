@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ProxUnavailable
-from .model import FunctionModel, RowSubderivatives, Vector, as_vector
+from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_count, check_real
 
 
 def _interleaved(even: Vector, odd: Vector) -> np.ndarray:
@@ -37,12 +37,8 @@ class L1Norm(RowSubderivatives):
     _sign = 1.0
 
     def __init__(self, n: int, lam: float = 1.0):
-        if not lam > 0:
-            raise ValueError("lam must be positive")
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        self._n = int(n)
-        self.lam = float(lam)
+        self._n = check_count(n, "n")
+        self.lam = check_real(lam, "lam")
         self._c = self._sign * self.lam
 
     @property
@@ -133,7 +129,7 @@ class SmoothModel(RowSubderivatives):
                  grad: Callable[[Vector], Vector],
                  smoothness_constant: Optional[float] = None,
                  lower_bound: Optional[float] = None):
-        self._n = int(n)
+        self._n = check_count(n, "n")
         self._f = f
         self._grad = grad
         self.descent_constant = smoothness_constant
@@ -242,9 +238,7 @@ class L1Inner(ScalarProxInner):
     min_cost = 0.0
 
     def __init__(self, lam: float = 1.0):
-        if not lam > 0:
-            raise ValueError("lam must be positive")
-        self.lam = float(lam)
+        self.lam = check_real(lam, "lam")
 
     def cost(self, y: np.ndarray) -> np.ndarray:
         return self.lam * np.abs(y)
@@ -322,13 +316,9 @@ class SeparableMoreau(RowSubderivatives):
     is_separable = True
 
     def __init__(self, n: int, inner: ScalarProxInner, r: float):
-        if not r > 0:
-            raise ValueError("r must be positive")
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        self._n = int(n)
+        self._n = check_count(n, "n")
         self.inner = inner
-        self.r = float(r)
+        self.r = check_real(r, "r")
         self.descent_constant = 1.0 / self.r
         self.has_gradient = inner.unique_prox
         # The envelope is bounded below by the infimum of the inner cost.
@@ -387,10 +377,8 @@ class QuadraticMoreau(SmoothModel):
     """
 
     def __init__(self, inner: QuadraticInner, r: float):
-        if not r > 0:
-            raise ValueError("r must be positive")
         self.inner = inner
-        self.r = float(r)
+        self.r = check_real(r, "r")
         n = inner.Q.shape[0]
         self._K = inner.Q + np.eye(n) / self.r
         super().__init__(n, None, None, smoothness_constant=1.0 / self.r)
@@ -454,9 +442,9 @@ class ReLUNetworkLoss(RowSubderivatives):
     semi_differentiable = True
 
     def __init__(self, widths: Sequence[int], data: Sequence[tuple], final_relu: bool = True):
-        self.widths = [int(w) for w in widths]
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
+        if len(widths) < 2 or any(w < 1 for w in widths):
             raise DimensionMismatch("widths must list at least two positive layer sizes")
+        self.widths = [check_count(w, "widths") for w in widths]
         self.final_relu = bool(final_relu)
         pairs = [(as_vector(x, self.widths[0], "x"), as_vector(y, self.widths[-1], "y"))
                  for x, y in data]

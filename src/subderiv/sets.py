@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
 from .extreal import ulp_tied_arrays
-from .model import RowSubderivatives, Vector, as_directions, as_vector
+from .model import RowSubderivatives, Vector, as_directions, as_vector, check_count, check_real
 
 _MEMBERSHIP_TOL = 1e-9
 _MAX_ENUM_ROWS = 16
@@ -189,9 +189,7 @@ class Ball(_UniqueProjection):
 
     def __init__(self, center, radius: float):
         self.center = as_vector(center, name="center")
-        if not radius > 0:
-            raise ValueError("ball radius must be positive")
-        self.radius = float(radius)
+        self.radius = check_real(radius, "ball radius")
         self._magnitude = max(np.abs(self.center).max(initial=0.0), self.radius)
 
     @property
@@ -220,7 +218,8 @@ class Ball(_UniqueProjection):
 
 class AffineSubspace(_UniqueProjection):
     """{x : A x = b}; projection and tangent distance via the pseudo-inverse.
-    A point is on it when every (A x - b)_i is within 8 n ulps of (|A| |x|)_i + |b_i|."""
+    A point is on it when every (A x - b)_i is within 8 n ulps of (|A| |x|)_i + |b_i|,
+    where two pseudo-inverse steps put even a far point."""
 
     geometrically_derivable = True
 
@@ -235,13 +234,19 @@ class AffineSubspace(_UniqueProjection):
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
+    def _residual(self, X: np.ndarray) -> np.ndarray:
+        """A x - b for every row x of X as the columns of an (m, k) matrix, zeroed
+        for a point within rounding of the subspace: its own nearest point."""
         residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
         scale = _dot_first(np.abs(self.A).T[:, :, None], np.abs(X).T[:, None, :])
         band = 8 * self.dim * np.spacing(scale + np.abs(self.b)[:, None])
-        # a point within rounding of the subspace is its own nearest point
-        residual = np.where(np.all(np.abs(residual) <= band, axis=0), 0.0, residual)
-        return X - _dot_first(self._pinv.T[:, :, None], residual[:, None, :]).T
+        return np.where(np.all(np.abs(residual) <= band, axis=0), 0.0, residual)
+
+    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
+        # a row the first step put on the subspace, the second leaves as it is
+        for _ in range(2):
+            X = X - _dot_first(self._pinv.T[:, :, None], self._residual(X)[:, None, :]).T
+        return X
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         # Tangent space is null(A) at every point of the set; the rows of the
@@ -458,9 +463,7 @@ class ComplementaritySet(_RowTangents):
     geometrically_derivable = True
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = int(k)
+        self.k = check_count(k, "k", least=1)
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,7 @@ from .direction import (DirectionResult, NormChoice, solve_l1_extreme,
                         solve_sampling_fallback)
 from .errors import BacktrackExhausted, DomainViolation, InsufficientTrace
 from .linesearch import Schedule, armijo_schedule, schedule_step
-from .model import FunctionModel, Vector, as_vector, check_count
+from .model import FunctionModel, Vector, as_vector, check_count, check_real
 
 STRATEGIES = ("auto", "l2", "linf-sep", "l1-ext", "fallback")
 
@@ -44,8 +44,7 @@ class SolverConfig:
 
     ``floor`` is the operational stand-in for an f(x_k) -> -inf outcome:
     dropping below it terminates with status Unbounded. ``budget`` and
-    ``seed`` only matter for the sampling fallback. ``max_iter`` and
-    ``budget`` are integers.
+    ``seed`` only matter for the sampling fallback.
     """
 
     epsilon: float = 1e-6
@@ -58,14 +57,9 @@ class SolverConfig:
     floor: float = -1e12
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        check_count(self.budget, "budget")
-        check_count(self.max_iter, "max_iter")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", positive=False))
+        object.__setattr__(self, "budget", check_count(self.budget, "budget"))
+        object.__setattr__(self, "max_iter", check_count(self.max_iter, "max_iter", least=1))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
 
@@ -214,11 +208,8 @@ def check_d_stationary(f: FunctionModel, x: Vector, epsilon: float,
 
 def rate_constant(mu: float, L: float) -> float:
     """The per-step constant M = min{1/2, mu / (2L)} of the rate bound."""
-    if not L >= 0:
-        raise ValueError("L must be nonnegative")
-    if L == 0.0:
-        return 0.5
-    return min(0.5, mu / (2.0 * L))
+    L = check_real(L, "L", positive=False)
+    return 0.5 if L == 0.0 else min(0.5, mu / (2.0 * L))
 
 
 def ball_radius_sq(strategy: str, dim: int, norm: NormChoice = NormChoice.L2) -> float:
@@ -279,8 +270,7 @@ def rate_audit(trace: Trace, f_star: float, L: float, mu: float, N: int) -> Rate
     M = min{1/2, mu/(2L)}, plus ``sufficient_decrease_audit`` on rows 0
     through N. ``L`` and ``f_star`` must be valid for the traced objective.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    N = check_count(N, "N")
     if N + 1 > len(trace.records):
         raise InsufficientTrace(
             f"audit through N={N} needs {N + 1} records, trace has {len(trace.records)}")

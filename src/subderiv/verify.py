@@ -34,7 +34,7 @@ from .direction import (DirectionResult, NormChoice, _best_candidate, _checked_v
                         _value_at)
 from .errors import DimensionTooLarge, DomainViolation, NotFeasible
 from .extreal import ExtReal, POS_INF
-from .model import FunctionModel, Vector, as_vector, check_count
+from .model import FunctionModel, Vector, as_vector, check_count, check_real
 from .sets import SetModel
 from .solver import sufficient_decrease_audit  # noqa: F401 (re-exported)
 
@@ -70,16 +70,13 @@ class FDConfig:
     seed: int = 20240817
 
     def __post_init__(self):
-        if not self.t0 > 0 or not (0.0 < self.rho < 1.0):
-            raise ValueError("need t0 > 0 and rho in (0, 1)")
-        if not self.divergence_threshold > 0 or not self.agreement_tol >= 0:
-            raise ValueError("need divergence_threshold > 0 and agreement_tol >= 0")
-        check_count(self.levels, "levels")
-        check_count(self.perturbations, "perturbations")
-        if self.levels < 2:
-            raise ValueError("need at least two grid levels")
-        if self.perturbations < 0:
-            raise ValueError("perturbations must be nonnegative")
+        for name, least in (("levels", 2), ("perturbations", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
+        for name, positive in (("t0", True), ("divergence_threshold", True),
+                               ("agreement_tol", False)):
+            object.__setattr__(self, name, check_real(getattr(self, name), name, positive))
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
         if not self.t0 * self.rho ** self.levels > 0:
             raise ValueError("the finest step t0 * rho**levels underflows to 0")
         T = np.array([self.t0 * self.rho ** j for j in range(self.levels + 1)])[:, None]
@@ -301,8 +298,7 @@ def brute_force_direction(f: FunctionModel, x: Vector, norm: NormChoice,
     n = f.dim
     if n > _BRUTE_DIM_CAP:
         raise DimensionTooLarge(f"brute force capped at dimension {_BRUTE_DIM_CAP}")
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
+    resolution = check_real(resolution, "resolution")
     best_w, _, k = _best_candidate(f, x, _brute_candidates(norm, n, resolution), norm)
     return DirectionResult(best_w, _value_at(f, x, best_w), False, k + 1)
 
@@ -328,13 +324,9 @@ def descent_property_sample(f: FunctionModel, L: float,
     each; gaps beyond ``tol`` are recorded as violations, and the worst
     signed gap is reported either way. ``pairs`` is an integer.
     """
-    if not L >= 0:
-        raise ValueError("L must be nonnegative")
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
-    check_count(pairs, "pairs")
-    if pairs < 0:
-        raise ValueError("pairs must be nonnegative")
+    L = check_real(L, "L", positive=False)
+    tol = check_real(tol, "tol", positive=False)
+    pairs = check_count(pairs, "pairs")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)

@@ -780,7 +780,7 @@ def test_a_model_without_a_value_formula_stays_abstract():
             cls()
 
 
-class CountingMap(sd.SemiDiffMap):
+class CountingMap(sd.SmoothMap):
     """x -> x * x with its semi-derivative, counting evaluations of F."""
 
     def __init__(self, n):

@@ -209,6 +209,22 @@ def test_precompose_dimension_mismatch():
         sd.precompose_smooth(sd.L1Norm(3), _square_map())
 
 
+def test_precompose_smooth_refuses_a_map_that_is_not_smooth():
+    # relu(A x) passed the concavity of the linear outer through, so auto
+    # took l1-ext and certified 0 as stationary, yet f(1e-3, 1e-3) = -0.001:
+    # d f(0)(w) = sum max((A w)_j, 0) - 0.5 (w1 + w2) is convex, not concave
+    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    F = sd.precompose_semidiff(sd.relu_map(2), sd.affine_map(A))
+    with pytest.raises(TypeError, match="F must be a SmoothMap, got SemiDiffMap"):
+        sd.precompose_smooth(sd.linear_model([1.0, 1.0]), F)
+    f = sd.sum_models([sd.precompose_semidiff(sd.linear_model([1.0, 1.0]), F),
+                       sd.linear_model([-0.5, -0.5])])
+    assert not f.subderivative_concave
+    assert f.subderivative(np.zeros(2), [0.5, 0.5]) == ExtReal(-0.5)
+    tr = sd.run(f, np.zeros(2), sd.SolverConfig(norm=sd.NormChoice.L1, max_iter=1))
+    assert tr.status is sd.TerminalStatus.MAX_ITER and tr.records[0].dir_value < 0
+
+
 def test_precompose_semidiff_checks_the_inner_map_outputs():
     # F claims dim_out 2 but returns one entry; the composite map used to
     # pass it on and return shape (1,)

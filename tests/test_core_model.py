@@ -74,6 +74,7 @@ def test_homogeneity_requires_positive_t(l1):
 
 
 _NAN = float("nan")
+_INF = float("inf")
 
 
 @pytest.mark.parametrize("build, error, match", [
@@ -96,10 +97,37 @@ _NAN = float("nan")
                                         pairs=5, seed=0), ValueError, "L must"),
     (lambda: sd.L1Norm(-1), ValueError, "n must"),
     (lambda: sd.moreau_envelope(sd.L1Inner(), 0.5, n=-1), ValueError, "n must"),
+    # +inf: the oracles valued NaN, the penalty summed (+inf) + (-inf), the
+    # ball projected to NaN, the sample read clean, and an infinite step made
+    # run raise from inside an oracle or the loop, or end LeftDomain
+    (lambda: sd.moreau_envelope(sd.ZeroNormInner(), _INF, n=2), ValueError, "r must be finite"),
+    (lambda: sd.moreau_envelope(sd.QuadraticInner(np.zeros((2, 2)), np.zeros(2)), _INF),
+     ValueError, "r must be finite"),
+    (lambda: sd.L1Inner(_INF), ValueError, "lam must be finite"),
+    (lambda: sd.L1Norm(2, _INF), ValueError, "lam must be finite"),
+    (lambda: sd.scale(sd.quadratic_model(np.zeros(2)), _INF), sd.NonpositiveScale,
+     "scale factor must be finite"),
+    (lambda: sd.penalize(sd.quadratic_model(np.zeros(2)), sd.identity_map(2),
+                         sd.nonnegative_orthant(2), _INF),
+     sd.NonpositiveScale, "penalty constant must be finite"),
+    (lambda: sd.ArmijoParams(alpha_init=_INF), ValueError, "alpha_init must be finite"),
+    (lambda: sd.diminishing_schedule(_INF), ValueError, "alpha0 must be finite"),
+    (lambda: sd.Ball(np.zeros(1), _INF), ValueError, "ball radius must be finite"),
+    (lambda: sd.envelope_composite_descent_constant(1.0, _INF), ValueError, "r must be finite"),
+    (lambda: sd.dc_envelope_descent_constant(1.0, _INF), ValueError, "r must be finite"),
+    (lambda: sd.rate_constant(0.5, _INF), ValueError, "L must be finite"),
+    (lambda: sd.descent_property_sample(sd.L1Norm(2), _INF, (-np.ones(2), np.ones(2)),
+                                        pairs=5, seed=0), ValueError, "L must be finite"),
+    (lambda: sd.L1Norm(_INF), ValueError, "n must be an integer"),
+    (lambda: sd.moreau_envelope(sd.L1Inner(), 0.5, n=_INF), ValueError, "n must be an integer"),
 ], ids=["moreau_r", "quadratic_moreau_r", "l1_inner_lam", "l1_norm_lam", "scale_lam",
         "penalize_rho", "armijo_alpha_init", "diminishing_alpha0", "ball_radius",
         "envelope_composite_r", "dc_envelope_r", "rate_constant_L", "descent_sample_L",
-        "l1_norm_n", "moreau_n"])
+        "l1_norm_n", "moreau_n",
+        "moreau_r_inf", "quadratic_moreau_r_inf", "l1_inner_lam_inf", "l1_norm_lam_inf",
+        "scale_lam_inf", "penalize_rho_inf", "armijo_alpha_init_inf", "diminishing_alpha0_inf",
+        "ball_radius_inf", "envelope_composite_r_inf", "dc_envelope_r_inf", "rate_constant_L_inf",
+        "descent_sample_L_inf", "l1_norm_n_inf", "moreau_n_inf"])
 def test_parameters_reject_nan_and_dimensions_reject_negatives(build, error, match):
     with pytest.raises(error, match=match):
         build()

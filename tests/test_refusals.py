@@ -45,6 +45,33 @@ def test_rate_constant_at_zero_L_and_rate_audit_refuses_a_negative_N():
         sd.rate_audit(_trace(), -2.0, 1.0, 0.5, N=-1)
 
 
+def test_rate_audit_refuses_an_infinite_L():
+    # M = min{1/2, mu / (2L)} read 0 and the bound divided by it
+    with pytest.raises(ValueError, match="^L must be finite, got inf$"):
+        sd.rate_audit(_trace(), 0.0, float("inf"), 0.5, 1)
+
+
+_DATA = [(np.zeros(1), np.zeros(1))]
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: sd.L1Norm(v), "n"),
+    (lambda v: sd.moreau_envelope(sd.L1Inner(), 0.5, n=v), "n"),
+    (lambda v: sd.smooth_model(v, lambda x: 0.0, lambda x: np.zeros(2)), "n"),
+    (lambda v: sd.ComplementaritySet(v), "k"),
+    (lambda v: sd.relu_network_loss([1, v, 1], _DATA), "widths"),
+    (lambda v: sd.rate_audit(_trace(), -2.0, 1.0, 0.5, N=v), "N"),
+], ids=["l1_norm_n", "moreau_n", "smooth_model_n", "complementarity_k", "relu_width",
+        "rate_audit_N"])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 2.0], ids=["nan", "fraction", "float"])
+def test_sizes_are_integers(build, name, value):
+    # a size was read as its integer part (dimension 2, a width-2 layer), and
+    # N = 1.5 raised TypeError from a slice
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build(value)
+    assert build(np.int64(2)) is not None
+
+
 def test_armijo_refuses_an_infinite_start_and_schedule_step_an_unknown_kind():
     with pytest.raises(ValueError, match="f\\(x\\) finite"):
         sd.armijo(_PlusInf(), np.zeros(1), np.ones(1), -1.0)

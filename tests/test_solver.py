@@ -377,6 +377,15 @@ def test_solver_config_rejects_nan_epsilon_and_negative_budget(call, match):
         call()
 
 
+def test_an_infinite_tolerance_certifies_nothing():
+    # the linear function is unbounded below, yet the run ended EpsStationary
+    # and certified at its start
+    with pytest.raises(ValueError, match="^epsilon must be finite, got inf$"):
+        sd.run(sd.linear_model([1.0, 0.0]), [0.0, 0.0], sd.SolverConfig(epsilon=float("inf")))
+    with pytest.raises(ValueError, match="^epsilon must be finite, got inf$"):
+        sd.check_d_stationary(sd.linear_model([1.0, 0.0]), [0.0, 0.0], float("inf"))
+
+
 @pytest.mark.parametrize("field", ["max_iter", "budget"])
 @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0], ids=["nan", "fraction", "float"])
 def test_solver_config_counts_are_integers(field, value):

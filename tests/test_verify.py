@@ -88,6 +88,7 @@ def test_fd_config_refuses_negative_perturbations():
 
 
 _NAN = float("nan")
+_INF = float("inf")
 
 
 def _fd_zero_norm_at_support_change(cfg):
@@ -97,7 +98,7 @@ def _fd_zero_norm_at_support_change(cfg):
 
 @pytest.mark.parametrize("call, match", [
     # "the finest step t0 * rho**levels underflows to 0"
-    (lambda: sd.FDConfig(t0=_NAN), "t0 > 0"),
+    (lambda: sd.FDConfig(t0=_NAN), "t0 must"),
     # converged=False at every point
     (lambda: sd.FDConfig(agreement_tol=_NAN), "agreement_tol"),
     # never diverged: a finite estimate where d f(x)(w) = +inf
@@ -107,13 +108,29 @@ def _fd_zero_norm_at_support_change(cfg):
     (lambda: sd.brute_force_direction(sd.L1Norm(2), np.zeros(2), sd.NormChoice.L2,
                                       resolution=_NAN), "resolution must"),
     # "W must have finite entries" from the scaled direction
-    (lambda: sd.homogeneity_check(sd.L1Norm(2), np.zeros(2), np.ones(2), _NAN), "requires t > 0"),
+    (lambda: sd.homogeneity_check(sd.L1Norm(2), np.zeros(2), np.ones(2), _NAN), "t must be positive"),
     # clean on a quadratic whose descent constant 0 is violated
     (lambda: sd.descent_property_sample(sd.quadratic_model(np.zeros(2)), 0.0,
                                         (-np.ones(2), np.ones(2)), pairs=5, seed=0, tol=_NAN),
      "tol must"),
+    (lambda: sd.FDConfig(t0=_INF), "t0 must be finite"),
+    (lambda: sd.FDConfig(agreement_tol=_INF), "agreement_tol must be finite"),
+    # the estimate read 104857600.0 where d f(x)(w) = +inf
+    (lambda: _fd_zero_norm_at_support_change(sd.FDConfig(divergence_threshold=_INF)),
+     "divergence_threshold must be finite"),
+    (lambda: sd.brute_force_direction(sd.L1Norm(2), np.zeros(2), sd.NormChoice.L2,
+                                      resolution=_INF), "resolution must be finite"),
+    # "W must have finite entries" from the scaled direction
+    (lambda: sd.homogeneity_check(sd.L1Norm(2), np.zeros(2), np.ones(2), _INF),
+     "t must be finite"),
+    # clean on a quadratic where tol = 0 finds violations
+    (lambda: sd.descent_property_sample(sd.quadratic_model(np.zeros(2)), 0.0,
+                                        (-np.ones(2), np.ones(2)), pairs=5, seed=0, tol=_INF),
+     "tol must be finite"),
 ], ids=["fd_t0", "fd_agreement_tol", "fd_divergence_threshold", "brute_resolution",
-        "homogeneity_t", "descent_sample_tol"])
+        "homogeneity_t", "descent_sample_tol",
+        "fd_t0_inf", "fd_agreement_tol_inf", "fd_divergence_threshold_inf",
+        "brute_resolution_inf", "homogeneity_t_inf", "descent_sample_tol_inf"])
 def test_verifier_parameters_reject_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()
