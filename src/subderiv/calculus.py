@@ -115,9 +115,22 @@ def identity_map(n: int) -> SmoothMap:
     return _IdentityMap(n)
 
 
+class _ReLUMap(SemiDiffMap):
+    """Componentwise max{0, x}; each row kernel is one array operation."""
+
+    def __init__(self, n: int):
+        super().__init__(n, n, None, None)
+
+    def eval_rows(self, X: np.ndarray) -> np.ndarray:
+        return np.maximum(X, 0.0)
+
+    def semiderivative_rows(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        return relu_direction(x, W)
+
+
 def relu_map(n: int) -> SemiDiffMap:
     """Componentwise max{0, x} with its exact semi-derivative."""
-    return SemiDiffMap(n, n, lambda x: np.maximum(x, 0.0), relu_direction)
+    return _ReLUMap(n)
 
 
 class _Sum(RowSubderivatives):

@@ -417,10 +417,15 @@ def moreau_envelope(inner, r: float, n: Optional[int] = None) -> FunctionModel:
 def relu_direction(a: Vector, da: Vector) -> Vector:
     """Directional derivative of componentwise max{0, .} at pre-activation a.
 
-    At a zero pre-activation the limit forces max{0, da}; this is what makes
-    the toolkit reject points that coarser stationarity notions accept.
+    It is da where a > 0 and 0.0 where a < 0, picked by one select. At a zero
+    pre-activation the limit forces max{0, da}; this is what makes the
+    toolkit reject points that coarser stationarity notions accept. That
+    second select runs only when some entry of a is exactly 0.
     """
-    return np.where(a > 0, da, np.where(a < 0, 0.0, np.maximum(da, 0.0)))
+    out = np.where(a > 0, da, 0.0)
+    if (a == 0).any():
+        out = np.where(a == 0, np.maximum(da, 0.0), out)
+    return out
 
 
 class ReLUNetworkLoss(RowSubderivatives):
@@ -490,13 +495,14 @@ class ReLUNetworkLoss(RowSubderivatives):
         datum), the output and its directional derivatives along the k rows
         of the (k, p) matrix ``dtheta``, stacked on a leading axis of length
         k; without ``dtheta`` no direction is propagated and the last is None.
+        The data carry no tangent, so layer 1's is dA = dW Z - db; from
+        layer 2 on it is dA = (dW Z + W dZ) - db.
         Without ``dtheta``, ``theta`` may also be a (k, p) stack of parameter
         vectors; every array then gains that leading axis, and each row's
         layer products are the BLAS calls its own pass makes.
         """
         n_layers = len(self.widths) - 1
-        Z = self.X
-        dZ = None if dtheta is None else np.zeros((dtheta.shape[0],) + Z.shape)
+        Z, dZ = self.X, None
         pre = []
         for i in range(n_layers):
             act = self.final_relu or i < n_layers - 1
@@ -504,7 +510,10 @@ class ReLUNetworkLoss(RowSubderivatives):
             A = W @ Z - b[..., None]
             if dtheta is not None:
                 dW, db = self._unpack(dtheta, i)
-                dA = dW @ Z + W @ dZ - db[:, :, None]
+                dA = dW @ Z
+                if dZ is not None:
+                    dA += W @ dZ
+                dA -= db[:, :, None]
                 dZ = relu_direction(A, dA) if act else dA
             Z = np.maximum(A, 0.0) if act else A
             pre.append(A)

@@ -150,7 +150,7 @@ class _UniqueProjection(_RowTangents):
 
 
 class Box(_UniqueProjection):
-    """Axis-aligned box [lo, hi]; infinite bounds are allowed."""
+    """Axis-aligned box [lo, hi]; infinite bounds are allowed, NaN bounds are not."""
 
     geometrically_derivable = True
 
@@ -159,6 +159,8 @@ class Box(_UniqueProjection):
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise DimensionMismatch("box bounds must be vectors of equal length")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi")
 

@@ -60,6 +60,7 @@ class SolverConfig:
         object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", positive=False))
         object.__setattr__(self, "budget", check_count(self.budget, "budget"))
         object.__setattr__(self, "max_iter", check_count(self.max_iter, "max_iter", least=1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed"))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
 
@@ -207,7 +208,12 @@ def check_d_stationary(f: FunctionModel, x: Vector, epsilon: float,
 
 
 def rate_constant(mu: float, L: float) -> float:
-    """The per-step constant M = min{1/2, mu / (2L)} of the rate bound."""
+    """The per-step constant M = min{1/2, mu / (2L)} of the rate bound.
+
+    mu must lie in (0, 1), as ``ArmijoParams`` requires of it.
+    """
+    if not 0.0 < mu < 1.0:
+        raise ValueError("mu must lie in (0, 1)")
     L = check_real(L, "L", positive=False)
     return 0.5 if L == 0.0 else min(0.5, mu / (2.0 * L))
 

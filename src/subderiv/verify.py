@@ -70,7 +70,7 @@ class FDConfig:
     seed: int = 20240817
 
     def __post_init__(self):
-        for name, least in (("levels", 2), ("perturbations", 0)):
+        for name, least in (("levels", 2), ("perturbations", 0), ("seed", 0)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, least))
         for name, positive in (("t0", True), ("divergence_threshold", True),
                                ("agreement_tol", False)):
@@ -327,6 +327,7 @@ def descent_property_sample(f: FunctionModel, L: float,
     L = check_real(L, "L", positive=False)
     tol = check_real(tol, "tol", positive=False)
     pairs = check_count(pairs, "pairs")
+    seed = check_count(seed, "seed")
     lo = as_vector(region[0], f.dim, "region lo")
     hi = as_vector(region[1], f.dim, "region hi")
     rng = np.random.default_rng(seed)

@@ -846,11 +846,12 @@ def test_bundled_maps_and_quadratics_state_their_row_kernels():
     assert "_values" in vars(sd.oracles.QuadraticMoreau)
     assert "_values" in vars(type(sd.quadratic_model(np.zeros(2))))
     assert "_values" in vars(sd.calculus._Composite)
+    for F in (sd.affine_map(np.ones((2, 3))), sd.identity_map(3), sd.relu_map(2)):
+        assert type(F).eval_rows is not sd.SemiDiffMap.eval_rows, F
+        assert type(F).semiderivative_rows is not sd.SemiDiffMap.semiderivative_rows, F
     for F in (sd.affine_map(np.ones((2, 3))), sd.identity_map(3)):
-        assert "eval_rows" in vars(type(F)) and "semiderivative_rows" in vars(type(F)), F
         assert isinstance(F, sd.SmoothMap) and F.smoothness_constant == 0.0
-    assert type(sd.relu_map(2)).eval_rows is sd.SemiDiffMap.eval_rows
-    assert type(sd.relu_map(2)).semiderivative_rows is sd.SemiDiffMap.semiderivative_rows
+    assert not isinstance(sd.relu_map(2), sd.SmoothMap)
 
 
 def test_composite_rejects_a_map_output_of_the_wrong_length():

@@ -463,6 +463,67 @@ def test_relu_loss_matches_per_datum_forward_chain(widths, final_relu):
     assert kinked  # the ties are reached: d f(theta) is not linear there
 
 
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _nested_relu_direction(a, da):
+    return np.where(a > 0, da, np.where(a < 0, 0.0, np.maximum(da, 0.0)))
+
+
+def test_relu_direction_matches_the_three_case_select_bit_for_bit():
+    a_cases = np.array([1.0, -1.0, 0.0, -0.0])
+    da_cases = np.array([1.5, -1.5, 0.0, -0.0])
+    a, da = (g.ravel() for g in np.meshgrid(a_cases, da_cases))
+    assert _same_bits(relu_direction(a, da), _nested_relu_direction(a, da))
+    assert _same_bits(relu_direction(a, da), np.array(
+        [1.5, 0.0, 1.5, 1.5, -1.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0]))
+    for ai in a_cases:  # one case at a time: without a zero, the tie select is skipped
+        for dai in da_cases:
+            assert _same_bits(relu_direction(np.array([ai]), np.array([dai])),
+                              _nested_relu_direction(np.array([ai]), np.array([dai])))
+    # a point against a stack of directions, as relu_map asks it
+    assert _same_bits(relu_direction(a_cases, da[:, None] * np.ones(4)),
+                      _nested_relu_direction(a_cases, da[:, None] * np.ones(4)))
+
+
+def _three_select_subderivatives(net, theta, dtheta):
+    """The forward pass with an explicit zero tangent for the data and the
+    three-case activation select, one stack of tangents."""
+    Z = net.X
+    dZ = np.zeros((dtheta.shape[0],) + Z.shape)
+    n_layers = len(net.widths) - 1
+    for i in range(n_layers):
+        act = net.final_relu or i < n_layers - 1
+        (W, b), (dW, db) = net._unpack(theta, i), net._unpack(dtheta, i)
+        A = W @ Z - b[..., None]
+        dA = dW @ Z + W @ dZ - db[:, :, None]
+        dZ = _nested_relu_direction(A, dA) if act else dA
+        Z = np.maximum(A, 0.0) if act else A
+    slopes = ((Z - net.Y) * dZ).reshape(dtheta.shape[0], -1)
+    return 2.0 * slopes.sum(axis=1) / net.X.shape[1]
+
+
+@pytest.mark.parametrize("widths, final_relu", [([2, 8, 1], True), ([3, 5, 4, 2], False),
+                                                ([1, 1, 1], True)])
+def test_relu_loss_rows_match_the_zero_tangent_pass_bit_for_bit(widths, final_relu):
+    rng = np.random.default_rng([7, len(widths), widths[1]])
+    data = [(rng.normal(size=widths[0]), rng.normal(size=widths[-1])) for _ in range(16)]
+    net = sd.relu_network_loss(widths, data, final_relu=final_relu)
+    eye = np.eye(net.dim)
+    pool = np.vstack([np.zeros((1, net.dim)), eye, -eye,
+                      rng.normal(size=(129 - 2 * net.dim, net.dim))])  # 130 rows
+    tied = tied_theta(net, rng)
+    assert any((a == 0).any() for a in net._pass(tied)[0])
+    for theta in (rng.normal(size=net.dim), tied, np.zeros(net.dim)):
+        singles = [pool[:1], pool[1:2], pool[-1:]]  # the zero row, a vertex, a Gaussian row
+        stacks = [pool[rng.choice(130, size=7, replace=False)], pool[rng.permutation(130)]]
+        for W in singles + stacks:
+            assert _same_bits(net._subderivatives(theta, W),
+                              _three_select_subderivatives(net, theta, W))
+
+
 def test_linear_model():
     m = sd.linear_model(np.array([1.0, 0.0]))
     res = sd.solve_l2_smooth(m, np.zeros(2))

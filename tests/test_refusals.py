@@ -51,6 +51,33 @@ def test_rate_audit_refuses_an_infinite_L():
         sd.rate_audit(_trace(), 0.0, float("inf"), 0.5, 1)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 5.0, 0.0, -1.0],
+                         ids=["nan", "inf", "above_one", "zero", "negative"])
+def test_rate_constant_and_rate_audit_refuse_mu_outside_the_unit_interval(mu):
+    # NaN, inf and 5.0 read M = 1/2, and mu = 0 divided by M = 0 in the audit
+    with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1\)$"):
+        sd.rate_constant(mu, 1.0)
+    with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1\)$"):
+        sd.rate_audit(_trace(), -2.0, 1.0, mu, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: sd.run(sd.l1_norm(2), np.ones(2),
+                        sd.SolverConfig(strategy="fallback", seed=seed, max_iter=3)),
+    lambda seed: sd.FDConfig(seed=seed),
+    lambda seed: sd.descent_property_sample(sd.L1Norm(1), 0.0, ([-1.0], [1.0]), 3, seed),
+], ids=["solver_run", "fd_config", "descent_sample"])
+def test_seeds_are_counts(build):
+    # SolverConfig's 1.5 raised TypeError from inside the run; FDConfig took it
+    for seed in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            build(seed)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        build(-1)
+    for seed in (0, 20240817, np.int64(3)):
+        assert build(seed) is not None
+
+
 _DATA = [(np.zeros(1), np.zeros(1))]
 
 
@@ -135,6 +162,8 @@ def test_l1_factories():
     (lambda: sd.Box([0.0, 0.0], [1.0]), sd.DimensionMismatch),
     (lambda: sd.Box([[0.0]], [[1.0]]), sd.DimensionMismatch),
     (lambda: sd.Box([1.0], [0.0]), ValueError),
+    (lambda: sd.Box([np.nan], [1.0]), ValueError),
+    (lambda: sd.Box([0.0], [np.nan]), ValueError),
     (lambda: sd.AffineSubspace([[1.0, 0.0]], [0.0, 1.0]), sd.DimensionMismatch),
     (lambda: sd.ConvexPolyhedron(np.eye(2), [1.0, 1.0, 1.0]), sd.DimensionMismatch),
     (lambda: sd.ConvexPolyhedron(np.ones((17, 2)), np.ones(17)), ValueError),
@@ -142,11 +171,23 @@ def test_l1_factories():
     (lambda: sd.FiniteUnion([sd.ConvexPolyhedron([[1.0]], [1.0]),
                              sd.ConvexPolyhedron([[1.0, 0.0]], [1.0])]), sd.DimensionMismatch),
     (lambda: sd.ComplementaritySet(0), ValueError),
-], ids=["box_lengths", "box_matrix", "box_order", "affine_rows", "polyhedron_rows",
+], ids=["box_lengths", "box_matrix", "box_order", "box_nan_lo", "box_nan_hi",
+        "affine_rows", "polyhedron_rows",
         "polyhedron_cap", "union_empty", "union_dims", "complementarity_k"])
 def test_set_constructors_refuse_bad_input(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_a_box_with_an_infinite_bound_still_works():
+    # a NaN bound was accepted and raised "ExtReal payload must not be NaN"
+    # only when the distance was asked
+    box = sd.Box([-np.inf, 0.0], [1.0, np.inf])
+    f = sd.distance_to_set(box)
+    assert f.value([4.0, -4.0]).v == 5.0
+    assert box.contains([-1e300, 1e300])
+    with pytest.raises(ValueError, match="^box bounds must not be NaN$"):
+        sd.Box([np.nan], [1.0])
 
 
 def test_distance_to_a_set_that_projects_nowhere_refuses_every_query():
