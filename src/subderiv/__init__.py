@@ -24,8 +24,8 @@ from .errors import (BacktrackExhausted, DimensionMismatch, DimensionTooLarge,
 from .extreal import NEG_INF, POS_INF, ExtReal, ext_add
 from .linesearch import (ArmijoParams, Schedule, armijo, armijo_schedule,
                          diminishing_schedule, schedule_step)
-from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_vector,
-                    homogeneity_check)
+from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_matrix,
+                    as_vector, homogeneity_check)
 from .oracles import (L1Inner, L1Norm, NegL1Norm, QuadraticInner, ReLUNetworkLoss,
                       ScalarProxInner, UserScalarInner, ZeroNormComposite,
                       ZeroNormInner, l1_norm, linear_model, moreau_envelope,

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainViolation, EmptyList, IndeterminateSum,
                      NonpositiveScale)
 from .extreal import ext_add_arrays, ulp_tied_arrays
-from .model import (FunctionModel, RowSubderivatives, Vector, as_vector, check_count,
-                    check_real, check_same_dim)
+from .model import (FunctionModel, RowSubderivatives, Vector, as_matrix, as_vector,
+                    check_count, check_real, check_same_dim)
 from .oracles import SmoothModel, _not_nan, relu_direction
 from .sets import SetModel, distance_to_set
 
@@ -107,7 +107,7 @@ class _IdentityMap(SmoothMap):
 
 def affine_map(A, b=None) -> SmoothMap:
     """x -> A x + b. The derivative is constant, so the smoothness modulus is 0."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = as_matrix(A)
     return _AffineMap(A, np.zeros(A.shape[0]) if b is None else as_vector(b, A.shape[0], "b"))
 
 
@@ -193,17 +193,13 @@ class _Sum(RowSubderivatives):
         return self._fold(m.gradient(x) for m in self.models)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        grad = np.zeros(self.dim)
-        up = np.zeros(self.dim)
-        down = np.zeros(self.dim)
+        grad, up, down = np.zeros((3, self.dim))
         for m in self.models:
             if m.has_gradient:
                 grad = grad + m.gradient(x)
             else:
                 g2, (up2, down2) = m.separable_parts(x)
-                grad = grad + g2
-                up = up + up2
-                down = down + down2
+                grad, up, down = grad + g2, up + up2, down + down2
         if self.lam != 1.0:
             grad, up, down = self.lam * grad, self.lam * up, self.lam * down
         return grad, (up, down)
@@ -311,7 +307,8 @@ class _QuadraticBranches:
     the dot kernel of ``np.dot(a_i, x)`` on each row."""
 
     def __init__(self, A: np.ndarray, c: Vector):
-        self.A, self.c = np.ascontiguousarray(A, dtype=float), np.asarray(c, dtype=float)
+        self.A = as_matrix(A)
+        self.c = as_vector(c, self.A.shape[0], "c")
 
     def values_at(self, x: Vector) -> np.ndarray:
         return 0.5 * float(np.dot(x, x)) - np.vecdot(self.A, x) - self.c

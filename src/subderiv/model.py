@@ -58,6 +58,26 @@ def as_vector(x, dim: Optional[int] = None, name: str = "x") -> Vector:
     return arr
 
 
+def as_matrix(A, cols: Optional[int] = None, name: str = "A",
+              rows: Optional[int] = None) -> np.ndarray:
+    """The rule for every coefficient matrix and batch: a C-contiguous 2-D
+    float64 array with finite entries, ``rows`` x ``cols`` where given. Any
+    other shape raises DimensionMismatch, a NaN or +-inf entry ValueError."""
+    arr = np.ascontiguousarray(A, dtype=float)
+    if (arr.ndim != 2 or (cols is not None and arr.shape[1] != cols)
+            or (rows is not None and arr.shape[0] != rows)):
+        raise DimensionMismatch(f"{name} must have shape ({'k' if rows is None else rows}, "
+                                f"{'n' if cols is None else cols}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must have finite entries")
+    return arr
+
+
+def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
+    """A batch of k points or directions in R^dim, by ``as_matrix``."""
+    return as_matrix(W, dim, name)
+
+
 def check_count(value, name: str, least: int = 0) -> int:
     """The rule for every size, count and index: ``value`` as an ``int``, or
     ValueError unless ``operator.index`` reads it as one (a float, even NaN or
@@ -83,16 +103,6 @@ def check_real(value, name: str, positive: bool = True, error=ValueError) -> flo
     if real == np.inf:
         raise error(f"{name} must be finite, got {real!r}")
     return real
-
-
-def as_directions(W, dim: int, name: str = "W") -> np.ndarray:
-    """Coerce to a C-contiguous (k, dim) float64 matrix with finite entries."""
-    arr = np.ascontiguousarray(W, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatch(f"{name} must have shape (k, {dim}), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must have finite entries")
-    return arr
 
 
 def l1_vertices(n: int) -> np.ndarray:
@@ -242,10 +252,10 @@ class RowSubderivatives(FunctionModel):
         return ExtReal(self.subderivatives(x, np.asarray(w, dtype=float)[None])[0])
 
 
-def check_same_dim(models: Sequence[FunctionModel]) -> int:
-    dims = {m.dim for m in models}
+def check_same_dim(members: Sequence) -> int:
+    dims = {m.dim for m in members}
     if len(dims) != 1:
-        raise DimensionMismatch(f"models disagree on dimension: {sorted(dims)}")
+        raise DimensionMismatch(f"members disagree on dimension: {sorted(dims)}")
     return dims.pop()
 
 

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ProxUnavailable
-from .model import FunctionModel, RowSubderivatives, Vector, as_vector, check_count, check_real
+from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_matrix,
+                    as_vector, check_count, check_real)
 
 
 def _interleaved(even: Vector, odd: Vector) -> np.ndarray:
@@ -89,7 +90,7 @@ class ZeroNormComposite(RowSubderivatives):
     lower_bound = 0.0
 
     def __init__(self, A, b):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A = as_matrix(A)
         self.b = as_vector(b, self.A.shape[0], "b")
 
     @property
@@ -149,9 +150,7 @@ class SmoothModel(RowSubderivatives):
     def _vertex_values(self, x: Vector) -> np.ndarray:
         # 0.0 - g, not -g: a zero slope is +0.0, as the dot kernel's sum gives
         # it. A non-finite gradient is refused as a gradient row is.
-        g = self.gradient(x)
-        if not np.isfinite(g).all():
-            raise ValueError("W must have finite entries")
+        g = as_directions(self.gradient(x)[None], self.dim)[0]
         return _interleaved(g + 0.0, 0.0 - g)
 
     def gradient(self, x: Vector) -> Vector:
@@ -361,10 +360,8 @@ class QuadraticInner:
     """Convex quadratic (1/2) y' Q y + c' y with Q positive semidefinite."""
 
     def __init__(self, Q, c):
-        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        self.c = as_vector(c, self.Q.shape[0], "c")
-        if self.Q.shape[0] != self.Q.shape[1]:
-            raise DimensionMismatch("Q must be square")
+        self.c = as_vector(c, name="c")
+        self.Q = as_matrix(Q, len(self.c), "Q", len(self.c))
 
 
 class QuadraticMoreau(SmoothModel):
@@ -457,10 +454,8 @@ class ReLUNetworkLoss(RowSubderivatives):
             raise ValueError("at least one training pair is required")
         self.X = np.column_stack([x for x, _ in pairs])
         self.Y = np.column_stack([y for _, y in pairs])
-        self._offsets = []
-        off = 0
-        for i in range(1, len(self.widths)):
-            n_out, n_in = self.widths[i], self.widths[i - 1]
+        self._offsets, off = [], 0
+        for n_in, n_out in zip(self.widths, self.widths[1:]):
             self._offsets.append((off, off + n_out * n_in, off + n_out * n_in + n_out))
             off = self._offsets[-1][2]
         self._p = off
@@ -477,16 +472,16 @@ class ReLUNetworkLoss(RowSubderivatives):
                 theta[..., w1:w2])
 
     def pack(self, weights: Sequence[np.ndarray], biases: Sequence[Vector]) -> Vector:
-        """Flatten per-layer weights and biases into a parameter vector."""
-        chunks = []
-        for W, b in zip(weights, biases):
-            chunks.append(np.asarray(W, dtype=float).ravel())
-            chunks.append(np.asarray(b, dtype=float).ravel())
-        theta = np.concatenate(chunks)
-        if theta.shape[0] != self._p:
-            raise DimensionMismatch(
-                f"packed {theta.shape[0]} parameters, expected {self._p}")
-        return theta
+        """Flatten the ``len(widths) - 1`` layers into a parameter vector:
+        ``weights[i]`` a (widths[i+1], widths[i]) matrix read by ``as_matrix``,
+        ``biases[i]`` a widths[i+1] vector read by ``as_vector``."""
+        n, widths = len(self.widths) - 1, self.widths
+        if len(weights) != n or len(biases) != n:
+            raise DimensionMismatch(f"pack takes {n} weights and biases, got "
+                                    f"{len(weights)} and {len(biases)}")
+        return np.concatenate([a for i in range(n) for a in (
+            as_matrix(weights[i], widths[i], f"weights[{i}]", widths[i + 1]).ravel(),
+            as_vector(biases[i], widths[i + 1], f"biases[{i}]"))])
 
     def _pass(self, theta: np.ndarray, dtheta: Optional[np.ndarray] = None):
         """Forward pass over every datum at once.

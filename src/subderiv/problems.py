@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import _QuadraticBranch, _QuadraticBranches, pointwise_min, sum_models
 from .direction import NormChoice
-from .model import FunctionModel, Vector
+from .model import FunctionModel, Vector, check_count
 from .oracles import (L1Norm, NegL1Norm, ZeroNormInner, linear_model,
                       moreau_envelope, quadratic_model, relu_network_loss)
 from .solver import SolverConfig
@@ -65,8 +65,10 @@ class ProblemSpec:
     params: str = ""
 
 
-def _get_int(params: dict, key: str, default: int) -> int:
-    return int(params.get(key, default))
+def _get_int(params: dict, key: str, default: int, least: int = 1) -> int:
+    """A size, or with ``least`` 0 a seed, by ``check_count``; a string is read by int() first."""
+    value = params.get(key, default)
+    return check_count(int(value) if isinstance(value, str) else value, key, least)
 
 
 def _get_float(params: dict, key: str, default: float) -> float:
@@ -129,7 +131,7 @@ def _build_sparse_moreau(params: dict) -> BuiltProblem:
 
 def _build_diff_max(params: dict) -> BuiltProblem:
     n = _get_int(params, "n", 2)
-    rng = np.random.default_rng(_get_int(params, "gen_seed", 11))
+    rng = np.random.default_rng(_get_int(params, "gen_seed", 11, least=0))
     m = _get_int(params, "m", 3)
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     c = rng.uniform(-0.5, 0.5, size=m)
@@ -143,7 +145,7 @@ def _build_diff_max(params: dict) -> BuiltProblem:
 
 def _build_relu_net(params: dict) -> BuiltProblem:
     widths = [int(t) for t in str(params.get("widths", "1,2,1")).split(",")]
-    rng = np.random.default_rng(_get_int(params, "gen_seed", 5))
+    rng = np.random.default_rng(_get_int(params, "gen_seed", 5, least=0))
     m = _get_int(params, "m", 4)
     data = [(rng.uniform(-1, 1, widths[0]), rng.uniform(-1, 1, widths[-1]))
             for _ in range(m)]

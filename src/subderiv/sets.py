@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyProjection, NotFeasible
 from .extreal import ulp_tied_arrays
-from .model import RowSubderivatives, Vector, as_directions, as_vector, check_count, check_real
+from .model import (RowSubderivatives, Vector, as_directions, as_matrix, as_vector, check_count,
+                    check_real, check_same_dim)
 
 _MEMBERSHIP_TOL = 1e-9
 _MAX_ENUM_ROWS = 16
@@ -226,10 +227,8 @@ class AffineSubspace(_UniqueProjection):
     geometrically_derivable = True
 
     def __init__(self, A, b):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = as_vector(b, name="b")
-        if self.A.shape[0] != self.b.shape[0]:
-            raise DimensionMismatch("A rows must match b length")
+        self.A = as_matrix(A)
+        self.b = as_vector(b, self.A.shape[0], "b")
         self._pinv = np.linalg.pinv(self.A)
 
     @property
@@ -334,10 +333,8 @@ class ConvexPolyhedron(_Polyhedral):
     """
 
     def __init__(self, A, b):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = as_vector(b, name="b")
-        if self.A.shape[0] != self.b.shape[0]:
-            raise DimensionMismatch("A rows must match b length")
+        self.A = as_matrix(A)
+        self.b = as_vector(b, self.A.shape[0], "b")
         self._abs_A = np.abs(self.A)
         self._abs_b = np.abs(self.b)
         m, n = self.A.shape
@@ -435,11 +432,8 @@ class FiniteUnion(_Polyhedral):
     def __init__(self, pieces: Sequence[ConvexPolyhedron]):
         if not pieces:
             raise ValueError("union needs at least one piece")
-        dims = {p.dim for p in pieces}
-        if len(dims) != 1:
-            raise DimensionMismatch("union pieces disagree on dimension")
+        self._dim = check_same_dim(pieces)
         self.pieces = list(pieces)
-        self._dim = dims.pop()
 
     @property
     def dim(self) -> int:

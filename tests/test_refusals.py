@@ -127,7 +127,8 @@ def test_extreal_finite_sum_and_repr():
 
 
 def test_quadratic_inner_refuses_a_non_square_matrix():
-    with pytest.raises(sd.DimensionMismatch, match="square"):
+    # Q is n x n with n = len(c), read by the one matrix rule
+    with pytest.raises(sd.DimensionMismatch, match=r"^Q must have shape \(2, 2\), got \(2, 3\)$"):
         sd.QuadraticInner(np.ones((2, 3)), np.zeros(2))
 
 
@@ -171,9 +172,16 @@ def test_l1_factories():
     (lambda: sd.FiniteUnion([sd.ConvexPolyhedron([[1.0]], [1.0]),
                              sd.ConvexPolyhedron([[1.0, 0.0]], [1.0])]), sd.DimensionMismatch),
     (lambda: sd.ComplementaritySet(0), ValueError),
+    # a 3-D A was accepted and a 1-D A read as one row (a NaN A: see the
+    # matrix test below)
+    (lambda: sd.AffineSubspace(np.zeros((1, 1, 2)), [1.0]), sd.DimensionMismatch),
+    (lambda: sd.ConvexPolyhedron(np.zeros((1, 1, 2)), [1.0]), sd.DimensionMismatch),
+    (lambda: sd.AffineSubspace(np.zeros(2), [1.0]), sd.DimensionMismatch),
+    (lambda: sd.ConvexPolyhedron(np.zeros(2), [1.0]), sd.DimensionMismatch),
 ], ids=["box_lengths", "box_matrix", "box_order", "box_nan_lo", "box_nan_hi",
         "affine_rows", "polyhedron_rows",
-        "polyhedron_cap", "union_empty", "union_dims", "complementarity_k"])
+        "polyhedron_cap", "union_empty", "union_dims", "complementarity_k",
+        "affine_3d_A", "polyhedron_3d_A", "affine_1d_A", "polyhedron_1d_A"])
 def test_set_constructors_refuse_bad_input(make, error):
     with pytest.raises(error):
         make()
@@ -218,6 +226,66 @@ def test_precompose_and_penalize_refuse_what_is_not_a_model_or_map():
 def test_build_problem_refuses_an_unknown_name():
     with pytest.raises(KeyError, match="nope"):
         build_problem("nope")
+
+
+def _pack_2_3_1(weights, biases):
+    net = sd.relu_network_loss([2, 3, 1], [(np.zeros(2), np.zeros(1))])
+    return net.pack(weights, biases)
+
+
+_W1, _W2, _B1, _B2 = np.ones((3, 2)), np.ones((1, 3)), np.zeros(3), np.zeros(1)
+
+
+@pytest.mark.parametrize("make,error,match", [
+    (lambda: sd.affine_map([[np.nan, 1.0]]), ValueError, "^A must have finite entries$"),
+    (lambda: sd.affine_map([[np.inf, 1.0]]), ValueError, "^A must have finite entries$"),
+    (lambda: sd.zero_norm_composite([[np.nan, 1.0]], [0.0]), ValueError,
+     "^A must have finite entries$"),
+    # these two raised LinAlgError, a ValueError, from the pseudo-inverse
+    (lambda: sd.AffineSubspace([[np.nan, 0.0]], [1.0]), ValueError, "^A must have finite entries$"),
+    (lambda: sd.ConvexPolyhedron([[np.nan]], [1.0]), ValueError, "^A must have finite entries$"),
+    (lambda: sd.QuadraticInner([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]), ValueError,
+     "^Q must have finite entries$"),
+    (lambda: sd.QuadraticInner([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]), ValueError,
+     "^Q must have finite entries$"),
+    (lambda: _pack_2_3_1([_W1.T, _W2], [_B1, _B2]), sd.DimensionMismatch,
+     r"^weights\[0\] must have shape \(3, 2\), got \(2, 3\)$"),
+    (lambda: _pack_2_3_1([np.zeros(9)], [np.zeros(4)]), sd.DimensionMismatch, "weights"),
+    (lambda: _pack_2_3_1([np.full((3, 2), np.nan), _W2], [_B1, _B2]), ValueError,
+     r"^weights\[0\] must have finite entries$"),
+    (lambda: _pack_2_3_1([_W1, _W2, np.zeros((0, 0))], [_B1, _B2, np.zeros(0)]),
+     sd.DimensionMismatch, "weights"),
+], ids=["affine_map_nan", "affine_map_inf", "zero_norm_nan", "affine_subspace_nan",
+        "polyhedron_nan", "quadratic_inner_nan",
+        "quadratic_inner_inf", "pack_transposed", "pack_fused_layer", "pack_nan_weight",
+        "pack_extra_layer"])
+def test_matrices_are_refused_when_the_object_is_built(make, error, match):
+    # Without the matrix rule these were accepted or failed inside numpy: a NaN
+    # in A was counted as a nonzero or failed the SVD, a NaN in Q reached the
+    # envelope's value as a NaN payload, and a transposed, fused or extra
+    # layer packed a parameter vector of the right length
+    with pytest.raises(error, match=match):
+        make()
+
+
+@pytest.mark.parametrize("name,params,match", [
+    ("quadratic", {"n": 2.5}, "^n must be an integer"),
+    ("quadratic", {"n": "0"}, "^n must be at least 1$"),
+    ("diff_max", {"gen_seed": "-1"}, "^gen_seed must be nonnegative$"),
+], ids=["fractional_n", "zero_n", "negative_seed"])
+def test_build_problem_reads_sizes_as_counts(name, params, match):
+    # n = 2.5 was truncated to 2 and n = "0" built a 0-dim problem
+    with pytest.raises(ValueError, match=match):
+        build_problem(name, params)
+
+
+def test_cli_refuses_a_zero_size_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "n0.cfg"
+    cfg.write_text("problem=quadratic\nparam.n=0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "n0.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "n must be at least 1" in err
+    assert not (tmp_path / "n0.csv").exists()
 
 
 def test_values_at_refuses_a_nan_value():
