@@ -86,7 +86,6 @@ class ZeroNormComposite(RowSubderivatives):
     """
 
     semi_differentiable = False
-    directionally_lower_regular = True
     lower_bound = 0.0
 
     def __init__(self, A, b):

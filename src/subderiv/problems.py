@@ -65,10 +65,19 @@ class ProblemSpec:
     params: str = ""
 
 
+def _read_int(value, name: str):
+    """``value``, or int(value) for a string from a config file or sweep line."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _get_int(params: dict, key: str, default: int, least: int = 1) -> int:
-    """A size, or with ``least`` 0 a seed, by ``check_count``; a string is read by int() first."""
-    value = params.get(key, default)
-    return check_count(int(value) if isinstance(value, str) else value, key, least)
+    """A size, or with ``least`` 0 a seed, by ``check_count``."""
+    return check_count(_read_int(params.get(key, default), key), key, least)
 
 
 def _get_float(params: dict, key: str, default: float) -> float:
@@ -144,7 +153,7 @@ def _build_diff_max(params: dict) -> BuiltProblem:
 
 
 def _build_relu_net(params: dict) -> BuiltProblem:
-    widths = [int(t) for t in str(params.get("widths", "1,2,1")).split(",")]
+    widths = [_read_int(t, "widths entry") for t in str(params.get("widths", "1,2,1")).split(",")]
     rng = np.random.default_rng(_get_int(params, "gen_seed", 5, least=0))
     m = _get_int(params, "m", 4)
     data = [(rng.uniform(-1, 1, widths[0]), rng.uniform(-1, 1, widths[-1]))

@@ -6,9 +6,8 @@ The distance function's subderivative is
                          min_{y in proj_X(x)} <x - y, w> / dist(x; X)  else.
 
 Every bundled set is geometrically derivable, which makes its distance
-function semi-differentiable. Polyhedral projections and tangent-cone
-distances are computed exactly by active-set enumeration over facets; the
-bundled sets are low-dimensional test fixtures, not production geometry.
+function semi-differentiable; a polyhedron of any row count projects by one
+least-distance solve per point, and its tangent cone by the same solve.
 
 Three row kernels answer many queries at once; a user set that states
 only the scalar queries gets each as a loop over them. ``_nearest_points``
@@ -20,17 +19,16 @@ kernels, and its ``project`` and ``tangent_distance`` run them on one row,
 so the two round alike. Products go through ``_dot_first`` and norms row
 by row, never through BLAS, whose rounding can depend on the row count.
 
-Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 (a
-polyhedron and a union of them test their rows). The distance's
-subderivative takes the inside branch exactly where the d it computes is
-0.0, where x is its own nearest point, as it is within the rounding of a
-ball's or subspace's projection. Tangent kernels take faces exactly.
+Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 for
+every set. The distance's subderivative takes the inside branch exactly
+where the d it computes is 0.0, where x is its own nearest point, as it is
+within the rounding of a ball's, subspace's or polyhedron's projection.
+Tangent kernels take faces exactly.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +39,6 @@ from .model import (RowSubderivatives, Vector, as_directions, as_matrix, as_vect
                     check_real, check_same_dim)
 
 _MEMBERSHIP_TOL = 1e-9
-_MAX_ENUM_ROWS = 16
-_KERNEL_ELEMENTS = 1 << 18   # cap on a polyhedron kernel's (points, subsets, m, n) block
 
 
 def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -54,6 +50,23 @@ def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     for j in range(1, M.shape[0]):
         acc = acc + M[j] * V[j]
     return acc
+
+
+def _residual_band(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A x - b per row x of X, as (m, k) columns, and its band: 8 n ulps of (|A| |x|)_i + |b_i|."""
+    residual = _dot_first(A.T[:, :, None], X.T[:, None, :]) - b[:, None]
+    scale = _dot_first(np.abs(A).T[:, :, None], np.abs(X).T[:, None, :])
+    return residual, 8 * A.shape[1] * np.spacing(scale + np.abs(b)[:, None])
+
+
+def _solve(M: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z with M z = r per stacked M and row r of R, and whether M is nonsingular
+    (a singular M, with an LU pivot of 0, is solved as I)."""
+    try:
+        return np.linalg.solve(M, R[:, :, None])[:, :, 0], np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        solved = np.linalg.slogdet(M)[0] != 0.0
+        return _solve(np.where(solved[:, None, None], M, np.eye(M.shape[1])), R)[0], solved
 
 
 class SetModel(abc.ABC):
@@ -221,7 +234,7 @@ class Ball(_UniqueProjection):
 
 class AffineSubspace(_UniqueProjection):
     """{x : A x = b}; projection and tangent distance via the pseudo-inverse.
-    A point is on it when every (A x - b)_i is within 8 n ulps of (|A| |x|)_i + |b_i|,
+    A point is on it when every (A x - b)_i is within its ``_residual_band``,
     where two pseudo-inverse steps put even a far point."""
 
     geometrically_derivable = True
@@ -238,9 +251,7 @@ class AffineSubspace(_UniqueProjection):
     def _residual(self, X: np.ndarray) -> np.ndarray:
         """A x - b for every row x of X as the columns of an (m, k) matrix, zeroed
         for a point within rounding of the subspace: its own nearest point."""
-        residual = _dot_first(self.A.T[:, :, None], X.T[:, None, :]) - self.b[:, None]
-        scale = _dot_first(np.abs(self.A).T[:, :, None], np.abs(X).T[:, None, :])
-        band = 8 * self.dim * np.spacing(scale + np.abs(self.b)[:, None])
+        residual, band = _residual_band(self.A, self.b, X)
         return np.where(np.all(np.abs(residual) <= band, axis=0), 0.0, residual)
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
@@ -278,19 +289,21 @@ class Singleton(_UniqueProjection):
 
 class _Polyhedral(_RowTangents):
     """Projection onto a finite union of convex polyhedra, ``self.pieces``.
-
-    Each piece gives, for every row, its first nearest candidate and the
-    distance to it; the nearest points of the union are those of the pieces
-    whose distance ties the least one by ``ulp_tied``, in piece order,
-    repeats dropped.
-    """
+    Each piece gives, for every row, its nearest point and the distance to
+    it; the nearest points of the union are those of the pieces whose
+    distance ties the least one by ``ulp_tied``, in piece order, repeats
+    dropped."""
 
     geometrically_derivable = True
     pieces: Sequence["ConvexPolyhedron"]
 
+    @property
+    def dim(self) -> int:
+        return self.pieces[0].A.shape[1]
+
     def _nearest_pieces(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of X, each piece's nearest candidate, shape (k, pieces, n),
-        and whether that piece ties the least distance, shape (k, pieces)."""
+        """Per row of X, each piece's nearest point, shape (k, pieces, n), and
+        whether that piece ties the least distance, shape (k, pieces)."""
         found = [p._nearest(X) for p in self.pieces]
         d = np.stack([dist for dist, _ in found], axis=1)
         Y = np.stack([y for _, y in found], axis=1)
@@ -313,139 +326,126 @@ class _Polyhedral(_RowTangents):
 
 
 class ConvexPolyhedron(_Polyhedral):
-    """{x : A x <= b}. Exact projections by enumerating facet subsets.
-
-    One enumeration, ``_nearest``, forms the candidates x - pinv_S (A_S x - c_S)
-    of the given facet subsets S (pinvs stacked once, zero-padded to m rows)
-    for a right-hand side c, and tests and measures them over all points and
-    subsets at once. The projection walks every subset with c = b and keeps
-    the first feasible candidate of least distance; the empty subset comes
-    first, so a point of the set is its own. The tangent-cone distance walks
-    the subsets of the rows active at x with c = 0 and keeps the candidates
-    v with A_act v <= 1e-9 |A_act| |v|, a bound that scales with v. Row
-    counts are capped; the fixtures this backs are small.
-
-    Row i of A y <= b holds within 1e-9 max(1, (|A| |y|)_i + |b_i|), relative
-    to the magnitudes that round in A y - b, so scaling the set and the point
-    together scales which rows count as satisfied or active. On rows of
-    magnitude at most 1 it is the absolute 1e-9 that ``contains`` allows the
-    distance.
-    """
+    """{x : A x <= b}, of any row count. Row i holds at y within its ``_residual_band``
+    and is active where |A y - b|_i is within it. A point that holds every row is its
+    own nearest point; any other takes a least-distance solve (``_ldp``), one more from
+    where it lands if that misses the band, and has none after a second miss. The
+    tangent cone's distance projects w the same way, onto {v : A_act v <= 0}."""
 
     def __init__(self, A, b):
         self.A = as_matrix(A)
         self.b = as_vector(b, self.A.shape[0], "b")
-        self._abs_A = np.abs(self.A)
-        self._abs_b = np.abs(self.b)
-        m, n = self.A.shape
-        if m > _MAX_ENUM_ROWS:
-            raise ValueError(f"polyhedron has {m} rows; enumeration capped at {_MAX_ENUM_ROWS}")
-        # Every facet subset, the empty one first, by size and then
-        # lexicographic, padded to m rows: row l of subset i is row
-        # _subset_rows[l, i] of A, a padding row where _subset_used[l, i] is
-        # False, and pinv column l is _subset_pinvs[l, :, i] (zero on padding).
-        subsets = [S for r in range(m + 1) for S in itertools.combinations(range(m), r)]
-        self._subset_rows = np.zeros((m, len(subsets)), dtype=int)
-        self._subset_used = np.zeros((m, len(subsets), 1), dtype=bool)
-        self._subset_pinvs = np.zeros((m, n, len(subsets), 1))
-        for i, S in enumerate(subsets):
-            self._subset_rows[:len(S), i] = S
-            self._subset_used[:len(S), i] = True
-            self._subset_pinvs[:len(S), :, i, 0] = np.linalg.pinv(self.A[list(S), :]).T
+        self.pieces = [self]
+        norms = np.sqrt(np.vecdot(self.A, self.A))
+        norms[norms == 0.0] = 1.0   # unit rows, with a zero row m for empty LDP slots
+        self._U = np.vstack([self.A / norms[:, None], np.zeros(self.dim)])
+        self._c = np.append(self.b / norms, 0.0)
+        self._K = self._U @ self._U.T
 
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
+    def _outside(self, X: np.ndarray) -> np.ndarray:
+        """Does each row x of X miss a band? So does ``_nearest`` compute d > 0."""
+        residual, band = _residual_band(self.A, self.b, X)
+        return ~np.all(residual <= band, axis=0)
 
-    @property
-    def pieces(self) -> list["ConvexPolyhedron"]:
-        return [self]
+    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """||x - y|| and the nearest point y per row x of X; +inf where there is none."""
+        Y = X.copy()
+        for step in range(3):
+            out = self._outside(Y)
+            if step == 2 or not out.any():
+                break
+            Y[out] = self._ldp(Y[out])
+        D = X - Y
+        return np.where(out, np.inf, np.sqrt(np.vecdot(D, D))), Y
 
-    def _rows(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A y, b (shaped to broadcast) and the row tolerance, rows leading, for
-        each point y = Y[:, ...] (coordinates leading); see the class docstring."""
-        rows = (slice(None), slice(None)) + (None,) * (Y.ndim - 1)
-        Ay = _dot_first(self.A.T[rows], Y[:, None])
-        scale = _dot_first(self._abs_A.T[rows], np.abs(Y)[:, None]) + self._abs_b[rows[1:]]
-        return Ay, self.b[rows[1:]], _MEMBERSHIP_TOL * np.maximum(1.0, scale)
-
-    def _feasible(self, Y: np.ndarray) -> np.ndarray:
-        """Does each point y = Y[:, ...] satisfy A y <= b within the row tolerance?"""
-        Ay, b, tol = self._rows(Y)
-        return np.all(Ay <= b + tol, axis=0)
-
-    def contains(self, x: Vector) -> bool:
-        return bool(self._feasible(as_vector(x, self.dim)))
-
-    def _nearest(self, X: np.ndarray, c: np.ndarray | None = None, subsets=slice(None),
-                 accept=None) -> tuple[np.ndarray, np.ndarray]:
-        """For every row x of the (k, n) matrix X, the least ||x - y|| over the
-        candidates y = x - pinv_S (A_S x - c_S) of the ``subsets`` (indices
-        into the table) that ``accept`` admits, +inf when it admits none, and
-        the first candidate at that distance. By default c = b, every subset
-        is walked and a candidate must be feasible: the projection."""
-        c = self.b if c is None else c
-        accept = self._feasible if accept is None else accept
-        rows, used = self._subset_rows[:, subsets], self._subset_used[:, subsets]
-        pinvs = self._subset_pinvs[:, :, subsets]
-        dist = np.empty(X.shape[0])
-        Y = np.empty_like(X)
-        chunk = max(1, _KERNEL_ELEMENTS // pinvs.size)
-        for lo in range(0, X.shape[0], chunk):
-            Xt = X[lo:lo + chunk].T                                          # (n, k)
-            residual = _dot_first(self.A.T[:, :, None], Xt[:, None, :]) - c[:, None]
-            residual = np.where(used, residual[rows], 0.0)
-            C = Xt[:, None, :] - _dot_first(pinvs, residual[:, None])       # (n, subsets, k)
-            D = Xt[:, None, :] - C
-            d = np.where(accept(C), np.sqrt(_dot_first(D, D)), np.inf)
-            first = np.argmin(d, axis=0)
-            points = np.arange(Xt.shape[1])
-            dist[lo:lo + chunk] = d[first, points]
-            Y[lo:lo + chunk] = C[:, first, points].T
-        return dist, Y
+    def _ldp(self, X: np.ndarray) -> np.ndarray:
+        """The nearest point of each row x of X, outside some row (x if none), by
+        least-distance programming (Lawson and Hanson, Solving Least Squares
+        Problems, ch. 23): NNLS min ||E u - f||, u >= 0, E = [-U^T; h^T], f = e_{n+1},
+        h = U x - c over its largest entry, all rows in lockstep. The free column of
+        largest w = E^T (f - E u) enters while w exceeds its rounding."""
+        U, c, K = self._U, self._c, self._K
+        k, (m, n) = X.shape[0], self.A.shape
+        p, tol = min(m, n + 1), 10 * max(m, n + 1) * np.finfo(float).eps   # rank(E) <= n + 1
+        H = np.vecdot(X[:, None, :], U) - c
+        H /= H.max(axis=1, keepdims=True)
+        rows, eye = np.arange(k)[:, None], np.eye(p)
+        idx, u = np.full((k, p), m), np.zeros((k, m + 1))
+        idx[:, 0] = t = np.argmax(H, axis=1)   # at u = 0, w = h and h_t = 1
+        u[rows[:, 0], t] = 1.0 / (K[t, t] + 1.0)   # the one-column least squares
+        step, done = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        for _ in range(3 * m + 3):
+            w = H * (1.0 - np.vecdot(H, u))[:, None] - np.vecdot(u[:, None, :], K)
+            w[u > 0.0] = -np.inf
+            empty = idx == m
+            t, slot = np.argmax(w, axis=1), np.argmax(empty, axis=1)
+            go = ~(step | done) & empty.any(axis=1) & (w.max(axis=1) > tol * (1.0 + u.sum(axis=1)))
+            done |= ~step & ~go
+            idx[go, slot[go]] = t[go]
+            if done.all():
+                break
+            hP = H[rows, idx]
+            M = K[idx[:, :, None], idx[:, None, :]] + hP[:, :, None] * hP[:, None, :]
+            s, solved = _solve(M + eye * (idx == m)[:, None, :], hP)
+            idx[go & ~solved, slot[go & ~solved]] = m   # t lies in span(E_P)
+            done |= ~solved
+            uP = u[rows, idx]
+            s = np.where(done[:, None], uP, s)   # a finished row keeps its u
+            bad = (s <= 0.0) & (idx < m)
+            step = bad.any(axis=1)
+            alpha = np.min(np.where(bad, uP / np.where(uP > s, uP - s, 1.0), np.inf), axis=1)
+            s = np.where(step[:, None], uP + np.where(step, alpha, 0.0)[:, None] * (s - uP), s)
+            drop = step[:, None] & (idx < m) & (s <= tol)
+            s[drop] = 0.0
+            u[rows, idx] = s
+            idx[drop] = m
+        # r = E u - f is 0 (to the normal equations' resolution) where no point holds the
+        # rows; else solve for a vertex (exact on axes and through 0), then Gram-Schmidt.
+        idx = idx[rows, np.argsort(idx == m, axis=1, kind="stable")]
+        UP, cP, uP, count = U[idx], c[idx], u[rows, idx], (idx < m).sum(axis=1)
+        r = np.vecdot(UP.transpose(0, 2, 1), uP[:, None, :])
+        r2 = np.vecdot(r, r) + (np.vecdot(H[rows, idx], uP) - 1.0) ** 2
+        found = r2 > tol * (1.0 + uP.sum(axis=1)) ** 2
+        vertex = found & (count == n)
+        Y = X
+        if vertex.any():
+            F = np.where(vertex[:, None, None], UP[:, :n], np.eye(n))
+            V, solved = _solve(F, np.where(vertex[:, None], cP[:, :n], 0.0))
+            found &= solved
+            Y = np.where(vertex[:, None], V, X)
+        res, basis = np.vecdot(UP, Y[:, None, :]) - cP, []
+        for j in range(count.max()):   # y - sum_j z_j q_j, q orthonormal, has U_P y = c_P
+            v, z = UP[:, j], res[:, j]
+            for q, zq in basis:
+                a = np.vecdot(q, v)
+                v, z = v - a[:, None] * q, z - a * zq
+            norm = np.sqrt(np.vecdot(v, v))
+            norm = np.where(norm > np.sqrt(tol), norm, np.inf)   # a row in the others' span
+            basis.append((v / norm[:, None], z / norm))
+            Y = Y - basis[-1][1][:, None] * basis[-1][0]
+        return np.where(found[:, None], Y, X)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        """Least ||w - v|| over v = 0 and the candidates v = w - pinv_S A_S w of
-        the subsets S of the active rows that lie in the cone (see the class
-        docstring); the empty S gives v = w."""
-        Ax, b, tol = self._rows(x)
-        act = Ax >= b - tol
-        if not act.any():   # an interior point, whose tangent cone is the whole space
-            return np.zeros(W.shape[0])
-        subsets = np.flatnonzero((act[self._subset_rows] | ~self._subset_used[:, :, 0]).all(0))
-        A_act = self.A[act].T[:, :, None, None]
-        def in_cone(V):
-            bound = _MEMBERSHIP_TOL * _dot_first(np.abs(A_act), np.abs(V)[:, None])
-            return np.all(_dot_first(A_act, V[:, None]) <= bound, axis=0)
-        dist, _ = self._nearest(W, np.zeros_like(self.b), subsets, in_cone)
-        return np.minimum(np.sqrt(np.vecdot(W, W)), dist)   # v = 0 is always in the cone
+        residual, band = _residual_band(self.A, self.b, x[None, :])
+        active = residual[:, 0] >= -band[:, 0]   # none inside, where the cone is the whole space
+        return ConvexPolyhedron(self.A[active], np.zeros(active.sum()))._nearest(W)[0]
 
 
 class FiniteUnion(_Polyhedral):
-    """Finite union of convex polyhedra.
-
-    Unions preserve derivability, and the tangent cone at x is the union of
-    the member cones over the pieces containing x; projections are gathered
-    per piece and filtered to the global minimizers.
-    """
+    """Finite union of convex polyhedra; unions preserve derivability. The
+    tangent cone at x is the union of the cones of the pieces whose computed
+    distance to x is 0.0; projections are gathered per piece and filtered to
+    the global minimizers."""
 
     def __init__(self, pieces: Sequence[ConvexPolyhedron]):
         if not pieces:
             raise ValueError("union needs at least one piece")
-        self._dim = check_same_dim(pieces)
+        check_same_dim(pieces)
         self.pieces = list(pieces)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def contains(self, x: Vector) -> bool:
-        x = as_vector(x, self.dim)
-        return any(p.contains(x) for p in self.pieces)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return np.minimum.reduce([p._tangent_distances(x, W) for p in self.pieces
-                                  if p.contains(x)])
+                                  if not p._outside(x[None, :])[0]])
 
 
 class ComplementaritySet(_RowTangents):
@@ -521,9 +521,9 @@ class DistanceToSet(RowSubderivatives):
     semi-differentiable exactly when the set is geometrically derivable.
     The set's ``_nearest_support`` is asked once per point; where the d it
     gives is 0.0 the subderivative is the tangent-cone distance, and
-    elsewhere the support over d,
-    exact only when it reaches every nearest point; a user set whose
-    ``project`` returns a strict subset yields an upper bound (not checked).
+    elsewhere the support over d, exact only when it reaches every nearest
+    point; a user set whose ``project`` returns a strict subset yields an
+    upper bound (not checked).
     """
 
     def __init__(self, X: SetModel):

@@ -393,6 +393,22 @@ def test_set_row_kernel_matches_project_at_any_row_count(name, X, special):
     assert X.nearest_points(np.asfortranarray(rows)).tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("m, n", [(40, 6), (200, 20)])
+def test_polyhedra_of_many_rows_project_within_the_band_at_any_row_count(m, n):
+    # rows were capped at 16, the enumeration's 2^m facet subsets
+    rng = np.random.default_rng(m)
+    P = sd.ConvexPolyhedron(rng.normal(size=(m, n)), rng.uniform(1.0, 2.0, m))
+    rows = _rows(n, [np.zeros(n)], rng, k=189)
+    got = P.nearest_points(rows)
+    residual, band = sd.sets._residual_band(P.A, P.b, got)
+    assert np.all(residual <= band) and not np.array_equal(got, rows)
+    for k in ROW_COUNTS:
+        chunks = np.concatenate([P.nearest_points(rows[i:i + k]) for i in range(0, len(rows), k)])
+        assert chunks.tobytes() == got.tobytes(), k
+    for i, x in enumerate(rows):
+        assert P.project(x)[0].tobytes() == got[i].tobytes(), i
+
+
 def _pyramid():
     """{z >= -1, |x| <= -z, |y| <= -z}: 4 rows active at the apex 0, 3 at a
     base corner, 2 on a base edge."""
@@ -459,7 +475,6 @@ def test_set_fixtures_reach_inside_points_and_ties():
     assert len(sets["complementarity"].project(np.array([-2.0, -1.0, -2.0, -1.0]))) == 4
     for name, X, special in SETS:
         assert any(X.contains(np.array(p)) for p in special), name
-    assert 190 * sets["decagon"]._subset_pinvs.size > 2 * sd.sets._KERNEL_ELEMENTS
 
 
 def _catalogue():

@@ -49,7 +49,7 @@ def test_zero_norm_support_rule():
     assert zn.subderivative(x, np.array([0.0, 1.0])) == sd.POS_INF
     assert zn.subderivative(x, np.zeros(2)) == ExtReal(0.0)
     assert zn.value(x) == ExtReal(1.0)
-    assert not zn.semi_differentiable and zn.directionally_lower_regular
+    assert not zn.semi_differentiable
 
 
 def test_zero_norm_quotient_is_exactly_card_over_t():

@@ -167,7 +167,6 @@ def test_l1_factories():
     (lambda: sd.Box([0.0], [np.nan]), ValueError),
     (lambda: sd.AffineSubspace([[1.0, 0.0]], [0.0, 1.0]), sd.DimensionMismatch),
     (lambda: sd.ConvexPolyhedron(np.eye(2), [1.0, 1.0, 1.0]), sd.DimensionMismatch),
-    (lambda: sd.ConvexPolyhedron(np.ones((17, 2)), np.ones(17)), ValueError),
     (lambda: sd.FiniteUnion([]), ValueError),
     (lambda: sd.FiniteUnion([sd.ConvexPolyhedron([[1.0]], [1.0]),
                              sd.ConvexPolyhedron([[1.0, 0.0]], [1.0])]), sd.DimensionMismatch),
@@ -180,11 +179,19 @@ def test_l1_factories():
     (lambda: sd.ConvexPolyhedron(np.zeros(2), [1.0]), sd.DimensionMismatch),
 ], ids=["box_lengths", "box_matrix", "box_order", "box_nan_lo", "box_nan_hi",
         "affine_rows", "polyhedron_rows",
-        "polyhedron_cap", "union_empty", "union_dims", "complementarity_k",
+        "union_empty", "union_dims", "complementarity_k",
         "affine_3d_A", "polyhedron_3d_A", "affine_1d_A", "polyhedron_1d_A"])
 def test_set_constructors_refuse_bad_input(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_a_polyhedron_of_many_rows_projects():
+    # 17 rows were refused: the polyhedron enumerated its 2^m facet subsets
+    rng = np.random.default_rng(40)
+    P = sd.ConvexPolyhedron(rng.normal(size=(40, 6)), rng.uniform(1.0, 2.0, 40))
+    y = P.project(3.0 * rng.normal(size=6))[0]
+    assert P.contains(y) and sd.distance_to_set(P).value(y).v == 0.0
 
 
 def test_a_box_with_an_infinite_bound_still_works():
@@ -272,9 +279,13 @@ def test_matrices_are_refused_when_the_object_is_built(make, error, match):
     ("quadratic", {"n": 2.5}, "^n must be an integer"),
     ("quadratic", {"n": "0"}, "^n must be at least 1$"),
     ("diff_max", {"gen_seed": "-1"}, "^gen_seed must be nonnegative$"),
-], ids=["fractional_n", "zero_n", "negative_seed"])
+    ("quadratic", {"n": "2.5"}, "^n must be an integer, got '2.5'$"),
+    ("relu_net", {"widths": "2,8.5,1"}, "^widths entry must be an integer, got '8.5'$"),
+], ids=["fractional_n", "zero_n", "negative_seed", "fractional_n_string", "fractional_width"])
 def test_build_problem_reads_sizes_as_counts(name, params, match):
-    # n = 2.5 was truncated to 2 and n = "0" built a 0-dim problem
+    # n = 2.5 was truncated to 2 and n = "0" built a 0-dim problem; the strings
+    # "2.5" and "2,8.5,1" failed inside int(), naming neither the parameter nor
+    # the problem
     with pytest.raises(ValueError, match=match):
         build_problem(name, params)
 

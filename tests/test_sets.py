@@ -416,14 +416,132 @@ def _union_cases(rng):
 
 
 def test_polyhedron_tangent_distance_matches_per_call_pinv(rng):
+    # the least-distance solve on the active rows rounds otherwise than the
+    # enumeration's pinv per subset: within 1e-12 relative, and 0 where it is 0
     moved = 0
     for P, x in list(_union_cases(rng)) + list(_random_polyhedron_cases(rng)):
         for _ in range(8):
             w = rng.normal(size=P.dim)
             want = _per_call_tangent_distance(P, x, w)
-            assert P.tangent_distance(x, w) == want
+            assert P.tangent_distance(x, w) == pytest.approx(want, rel=1e-12, abs=0.0)
             moved += want > 0
     assert moved > 100
+
+
+def _enumerated_projection(P, x):
+    """The least ||x - y|| over the candidates y = x - pinv(A_S) (A_S x - b_S)
+    of every subset S of rows (m <= 8) that hold every row within the 8 n ulp
+    band, +inf where none does: the projection by enumeration."""
+    best = np.inf
+    for r in range(P.A.shape[0] + 1):
+        for S in map(list, itertools.combinations(range(P.A.shape[0]), r)):
+            y = x - np.linalg.pinv(P.A[S]) @ (P.A[S] @ x - P.b[S]) if S else x
+            residual, band = sd.sets._residual_band(P.A, P.b, y[None, :])
+            if np.all(residual <= band):
+                best = min(best, float(np.linalg.norm(x - y)))
+    return best
+
+
+def test_polyhedron_projection_is_never_farther_than_the_enumeration():
+    # The enumeration's row floor, 1e-9 max(1, (|A| |y|)_i + |b_i|), took points
+    # that were not nearest at |x| ~ 1e6 (4e-8 to 6e-7 relative) and outside a
+    # row by 5.7e-10 at |x| ~ 1e-6. The least-distance point holds every row
+    # within its band and is at most 1e-12 relative farther than any
+    # enumerated candidate that does.
+    rng = np.random.default_rng(16)
+    compared = 0
+    for _ in range(60):
+        m, n = rng.integers(3, 9), rng.integers(2, 4)
+        A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        for scale in (1e-6, 1.0, 1e6):
+            P = sd.ConvexPolyhedron(A, scale * b)
+            for x in scale * rng.normal(scale=3.0, size=(3, n)):
+                want = _enumerated_projection(P, x)
+                if np.isfinite(want):
+                    got = P.project(x)[0]
+                    residual, band = sd.sets._residual_band(P.A, P.b, got[None, :])
+                    assert np.all(residual <= band)
+                    assert np.linalg.norm(x - got) <= want * (1 + 1e-12), (A, b, scale, x)
+                    compared += 1
+    assert compared > 150
+
+
+def test_polyhedron_points_project_to_read_zero_and_take_the_tangent_branch():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        m, n = rng.integers(3, 9), rng.integers(2, 4)
+        P = sd.ConvexPolyhedron(rng.normal(size=(m, n)), rng.uniform(0.1, 1.0, m))
+        f = sd.distance_to_set(P)
+        for x in 10.0 ** rng.integers(-6, 7) * rng.normal(size=(4, n)):
+            y = P.project(x)[0]
+            W = rng.normal(size=(3, n))
+            assert f.value(y).v == 0.0
+            assert np.array_equal(f.subderivatives(y, W), P._tangent_distances(y, W))
+
+
+def test_a_tiny_square_is_not_taken_for_the_point_beside_it():
+    # The row floor counted x = (6e-10, 5e-11), 5e-10 off [0, 1e-10]^2, as on
+    # it: the distance read 0.0 and +1.0 along -e1, and the fallback
+    # certified the penalty stationary with value +0.029.
+    P = sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                            np.array([1e-10, 0.0, 1e-10, 0.0]))
+    x = np.array([6e-10, 5e-11])
+    f = sd.distance_to_set(P)
+    assert f.value(x).v == pytest.approx(5e-10, rel=1e-15)
+    assert f.subderivative(x, [-1.0, 0.0]) == ExtReal(-1.0)
+    pen = sd.penalize(sd.linear_model([0.5, 0.0]), sd.identity_map(2), P, 1.0)
+    stationary, res = sd.check_d_stationary(pen, x, 1e-6)
+    assert not stationary and res.value.v < 0.0
+
+
+def test_a_pointed_cone_projects_far_points_onto_its_apex():
+    # {0} as three rows through 0: x - pinv (A_S x) missed the row tolerance
+    # by rounding that grows with |x|, so the far point raised EmptyProjection
+    A = np.array([[0.24978537155866684, 1.0314530848694723],
+                  [0.16100957671534466, -0.5855288241233366],
+                  [-1.341219714076669, -1.401520214917428]])
+    P = sd.ConvexPolyhedron(A, np.zeros(3))
+    f = sd.distance_to_set(P)
+    for x in np.array([[3862119.1633136133, 5332072.236982621],
+                       [3862.1191633136133, 5332.072236982621], [-1e-6, 3e-7]]):
+        assert P.project(x)[0].tolist() == [0.0, 0.0]
+        assert f.value(x).v == np.linalg.norm(x)
+
+
+def test_repeated_and_zero_rows_project_as_without_them():
+    rng = np.random.default_rng(8)
+    A, b = rng.normal(size=(4, 3)), rng.uniform(0.5, 1.0, 4)
+    plain = sd.ConvexPolyhedron(A, b)
+    for extra_A, extra_b in ((A[:2], b[:2]), (-A[:1], b[:1] + 5.0), (np.zeros((1, 3)), [1.0])):
+        P = sd.ConvexPolyhedron(np.vstack([A, extra_A]), np.concatenate([b, extra_b]))
+        for x in rng.normal(scale=3.0, size=(6, 3)):
+            assert P.project(x)[0] == pytest.approx(plain.project(x)[0], rel=1e-12, abs=1e-15)
+    zero_row = sd.ConvexPolyhedron(np.vstack([A, np.zeros((1, 3))]), np.append(b, -1.0))
+    assert zero_row.project(np.ones(3)) == []   # 0 <= -1 holds nowhere
+
+
+def test_a_singular_system_in_a_stack_is_reported_and_the_rest_solved_alone():
+    M = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    R = np.array([[2.0, 2.0], [1.0, 1.0], [5.0, 6.0]])
+    z, solved = sd.sets._solve(M, R)
+    assert solved.tolist() == [True, False, True]
+    for i in (0, 2):
+        assert z[i].tobytes() == np.linalg.solve(M[i], R[i]).tobytes()
+
+
+def test_an_empty_polyhedron_has_no_nearest_point():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        a = rng.normal(size=n)
+        A = np.vstack([a, -a, rng.normal(size=(2, n))])   # a y <= -1 and a y >= 1
+        P = sd.ConvexPolyhedron(A, np.array([-1.0, -1.0, 1.0, 1.0]))
+        for x in rng.normal(scale=3.0, size=(5, n)):
+            assert P.project(x) == []
+            with pytest.raises(sd.EmptyProjection):
+                sd.distance_to_set(P).value(x)
+        # a union skips the empty piece
+        box = sd.ConvexPolyhedron(np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n))
+        assert sd.FiniteUnion([P, box]).project(np.full(n, 3.0))[0].tolist() == [1.0] * n
 
 
 def _mirror_pairs(seed, trials):
@@ -480,13 +598,18 @@ def test_polyhedron_union_distance_and_ties_scale_with_the_set():
     # tests took the inside formula off the set and marked far faces active.
     # lam (1 + 5e-10) - lam keeps about 7 digits of the offset's direction.
     off, W = 5e-10, rng.normal(size=(6, 2))
+    triangle, pieces = _triangle_and_square()[0], _union_pieces()
     cases = [(lambda lam: sd.Box(lam * np.array([-1.0, 0.0]), lam * np.array([1.0, 2.0])),
               [[1.0 + off, 1.0], [1.0 + off, 2.0 + off], [-1.0 - off, -off], [1.0, 2.0],
                [1.0, 0.5]]),
              (lambda lam: sd.Ball(lam * np.array([0.5, -0.5]), lam * 1.5),
               [[0.5 + 1.5 + off, -0.5], [0.5, -0.5 - 1.5 - off], [0.5, 1.0 + off]]),
              (lambda lam: sd.ComplementaritySet(1),
-              [[-1.0, off], [off, -2.0], [off, off], [-off, -3.0], [-1.0, 0.0], [0.0, 0.0]])]
+              [[-1.0, off], [off, -2.0], [off, off], [-off, -3.0], [-1.0, 0.0], [0.0, 0.0]]),
+             (lambda lam: sd.ConvexPolyhedron(triangle.A, lam * triangle.b),
+              [[0.5 + off, 0.5 + off], [-off, 0.5], [-off, -off], [0.5, 0.5], [0.0, 0.25]]),
+             (lambda lam: sd.FiniteUnion([sd.ConvexPolyhedron(P.A, lam * P.b) for P in pieces]),
+              [[1.0 + off, 0.5], [-1.0 - off, -1.0], [0.5, 1.0], [-2.0, 1.0 + off], [1.0, 1.0]])]
     for make, points in cases:
         for x in map(np.array, points):
             want = sd.distance_to_set(make(1.0)).subderivatives(x, W)
