@@ -16,8 +16,8 @@ first), which is all the distance value needs; ``_nearest_support(x, W)``
 answers the distance's outside branch for all rows w and
 ``_tangent_distances(x, W)`` its inside one. A bundled set states the
 kernels, and its ``project`` and ``tangent_distance`` run them on one row,
-so the two round alike. Products go through ``_dot_first`` and norms row
-by row, never through BLAS, whose rounding can depend on the row count.
+so the two round alike. Products over the rows go through ``_dot_first`` or
+``np.vecdot`` row by row, never through BLAS, whose rounding can depend on the row count.
 
 Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 for
 every set. The distance's subderivative takes the inside branch exactly
