@@ -413,7 +413,7 @@ class ConvexPolyhedron(_Polyhedral):
             V, solved = _solve(F, np.where(vertex[:, None], cP[:, :n], 0.0))
             found &= solved
             Y = np.where(vertex[:, None], V, X)
-        res, basis = np.vecdot(UP, Y[:, None, :]) - cP, []
+        res, basis, shift = np.vecdot(UP, Y[:, None, :]) - cP, [], np.zeros_like(Y)
         for j in range(count.max()):   # y - sum_j z_j q_j, q orthonormal, has U_P y = c_P
             v, z = UP[:, j], res[:, j]
             for q, zq in basis:
@@ -422,8 +422,8 @@ class ConvexPolyhedron(_Polyhedral):
             norm = np.sqrt(np.vecdot(v, v))
             norm = np.where(norm > np.sqrt(tol), norm, np.inf)   # a row in the others' span
             basis.append((v / norm[:, None], z / norm))
-            Y = Y - basis[-1][1][:, None] * basis[-1][0]
-        return np.where(found[:, None], Y, X)
+            shift += basis[-1][1][:, None] * basis[-1][0]   # +0.0 where a row has no slot j
+        return np.where(found[:, None], Y - shift, X)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         residual, band = _residual_band(self.A, self.b, x[None, :])
