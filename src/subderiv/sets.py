@@ -345,7 +345,7 @@ class ConvexPolyhedron(_Polyhedral):
     def _outside(self, X: np.ndarray) -> np.ndarray:
         """Does each row x of X miss a band? So does ``_nearest`` compute d > 0."""
         residual, band = _residual_band(self.A, self.b, X)
-        return ~np.all(residual <= band, axis=0)
+        return (residual > band).any(axis=0)
 
     def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """||x - y|| and the nearest point y per row x of X; +inf where there is none."""
