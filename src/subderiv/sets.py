@@ -7,7 +7,9 @@ The distance function's subderivative is
 
 Every bundled set is geometrically derivable, which makes its distance
 function semi-differentiable; a polyhedron of any row count projects by one
-least-distance solve per point, and its tangent cone by the same solve.
+least-distance solve per point, and its tangent cone by the same solve; a
+union skips a piece on a point where a lower bound on the piece's distance
+exceeds the least distance found, and the piece reads d = +inf there.
 
 Three row kernels answer many queries at once; a user set that states
 only the scalar queries gets each as a loop over them. ``_nearest_points``
@@ -17,7 +19,8 @@ answers the distance's outside branch for all rows w and
 ``_tangent_distances(x, W)`` its inside one. A bundled set states the
 kernels, and its ``project`` and ``tangent_distance`` run them on one row,
 so the two round alike. Products over the rows go through ``_dot_first`` or
-``np.vecdot`` row by row, never through BLAS, whose rounding can depend on the row count.
+``np.vecdot`` row by row, never through BLAS, whose rounding can depend on the row count;
+only a union's lower bounds use it, as they decide no bit of an answer.
 
 Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 for
 every set. The distance's subderivative takes the inside branch exactly
@@ -50,6 +53,16 @@ def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     for j in range(1, M.shape[0]):
         acc = acc + M[j] * V[j]
     return acc
+
+
+def _norm(D: np.ndarray) -> np.ndarray:
+    """sqrt(vecdot(d, d)) per row d of D; a row whose sum of squares underflows
+    (||d|| < 1.5e-154) is scaled by 2^600 first, so it does not read 0.0."""
+    sq = np.vecdot(D, D)
+    if sq.min(initial=np.inf) >= 2.0 ** -1022 or not D.any():   # 2^-1022: the least normal
+        return np.sqrt(sq)
+    s = np.where(sq < 2.0 ** -1022, 2.0 ** 600, 1.0)   # other rows keep their bits
+    return np.sqrt(np.vecdot(D * s[..., None], D * s[..., None])) / s
 
 
 def _residual_band(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +102,7 @@ class SetModel(abc.ABC):
         """Is dist(x; X) <= 1e-9? The distance is the one ``distance_to_set``
         values x at: to the first nearest point, summed by one vecdot."""
         x = as_vector(x, self.dim)
-        d = x - self._nearest_points(x[None, :])[0]
-        return bool(np.sqrt(np.vecdot(d, d)) <= _MEMBERSHIP_TOL)
+        return bool(_norm(x - self._nearest_points(x[None, :])[0]) <= _MEMBERSHIP_TOL)
 
     @abc.abstractmethod
     def project(self, x: Vector) -> list[Vector]:
@@ -117,19 +129,20 @@ class SetModel(abc.ABC):
             out[i] = pts[0]
         return out
 
-    def _nearest_support(self, x: Vector, W: np.ndarray) -> tuple[float, np.ndarray]:
+    def _nearest_support(self, x: Vector, W: np.ndarray, pts=None) -> tuple[float, np.ndarray]:
         """dist(x; X) and, per row w of the checked matrix W, the least
         <w, x - y> over *all* nearest points y of x off the set, because the
         distance's subderivative there is a minimum over the whole projection
-        set. This default walks ``project(x)``, d from its first point, first minimum kept."""
-        pts = self.project(x)
-        if not pts:
+        set. This default walks ``pts`` (by default ``project(x)``), d from its
+        first point, first minimum kept."""
+        pts = self.project(x) if pts is None else pts
+        if not len(pts):
             raise EmptyProjection("set model returned no nearest point")
         support = np.vecdot(W, x - pts[0])
         for y in pts[1:]:
             v = np.vecdot(W, x - y)
             support = np.where(v < support, v, support)
-        return float(np.linalg.norm(x - pts[0])), support
+        return float(_norm(x - pts[0])), support
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         """dist(w; T_X(x)) for every row w of the checked k x n matrix W, at
@@ -162,6 +175,9 @@ class _UniqueProjection(_RowTangents):
     def project(self, x: Vector) -> list[Vector]:
         return [self._nearest_points(as_vector(x, self.dim)[None, :])[0]]
 
+    def _nearest_support(self, x: Vector, W: np.ndarray) -> tuple[float, np.ndarray]:
+        return super()._nearest_support(x, W, self._nearest_points(x[None, :]))
+
 
 class Box(_UniqueProjection):
     """Axis-aligned box [lo, hi]; infinite bounds are allowed, NaN bounds are not."""
@@ -190,7 +206,7 @@ class Box(_UniqueProjection):
         # Tangent cone: w_i >= 0 on active lower faces, w_i <= 0 on upper; on
         # both faces (lo == hi) one term is zero and all of w_i is kept.
         V = np.where(at_lo, np.minimum(W, 0.0), 0.0) + np.where(at_hi, np.maximum(W, 0.0), 0.0)
-        return np.sqrt(np.vecdot(V, V))
+        return _norm(V)
 
 
 def nonnegative_orthant(n: int) -> Box:
@@ -217,7 +233,7 @@ class Ball(_UniqueProjection):
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
-        nrm = np.sqrt(np.vecdot(D, D))
+        nrm = _norm(D)
         # r / max(nrm, r) is r / nrm on every row it scales, and never r / 0
         scale = self.radius / np.maximum(nrm, self.radius)
         on = nrm <= self.radius + self._band(X)
@@ -225,7 +241,7 @@ class Ball(_UniqueProjection):
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         d = x - self.center
-        nrm = np.linalg.norm(d)
+        nrm = _norm(d)
         if nrm < self.radius - self._band(x):
             return np.zeros(W.shape[0])
         # Boundary: tangent cone is the halfspace <x - c, w> <= 0.
@@ -264,8 +280,7 @@ class AffineSubspace(_UniqueProjection):
         # Tangent space is null(A) at every point of the set; the rows of the
         # normal part are made contiguous for vecdot's per-row dot kernel.
         AW = _dot_first(self.A.T[:, :, None], W.T[:, None, :])
-        P = np.ascontiguousarray(_dot_first(self._pinv.T[:, :, None], AW[:, None, :]).T)
-        return np.sqrt(np.vecdot(P, P))
+        return _norm(np.ascontiguousarray(_dot_first(self._pinv.T[:, :, None], AW[:, None, :]).T))
 
 
 class Singleton(_UniqueProjection):
@@ -284,7 +299,7 @@ class Singleton(_UniqueProjection):
         return np.broadcast_to(self.p, X.shape).copy()
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.vecdot(W, W))
+        return _norm(W)
 
 
 class _Polyhedral(_RowTangents):
@@ -292,7 +307,10 @@ class _Polyhedral(_RowTangents):
     Each piece gives, for every row, its nearest point and the distance to
     it; the nearest points of the union are those of the pieces whose
     distance ties the least one by ``ulp_tied``, in piece order, repeats
-    dropped."""
+    dropped. A piece is at least max_i u_i x - c_i - sqrt(eps) (||x||_1 + |c_i|) away,
+    u_i its unit rows (the slack passes the rounding of any point in the rows' bands
+    and the tie window): pieces run by their least bound over the rows, each on the
+    rows where its bound is within the least distance found; one skipped reads +inf."""
 
     geometrically_derivable = True
     pieces: Sequence["ConvexPolyhedron"]
@@ -304,10 +322,17 @@ class _Polyhedral(_RowTangents):
     def _nearest_pieces(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of X, each piece's nearest point, shape (k, pieces, n), and
         whether that piece ties the least distance, shape (k, pieces)."""
-        found = [p._nearest(X) for p in self.pieces]
-        d = np.stack([dist for dist, _ in found], axis=1)
-        Y = np.stack([y for _, y in found], axis=1)
-        return Y, ulp_tied_arrays(d, d.min(axis=1, keepdims=True))
+        slack = 2.0 ** -26   # sqrt(eps); a bound's own rounding, in BLAS too, is far inside it
+        low = np.stack([(p._U @ X.T - (p._c + slack * np.abs(p._c))[:, None]).max(axis=0)
+                        for p in self.pieces]) - slack * np.abs(X).sum(axis=1)   # (pieces, k)
+        d, Y = np.full(low.shape, np.inf), np.zeros((len(X), len(low), X.shape[1]))
+        order = np.argsort(low.min(axis=1, initial=np.inf))
+        d[order[0]], Y[:, order[0]] = self.pieces[order[0]]._nearest(X)   # none found yet
+        for j in order[1:]:
+            rows = np.flatnonzero(~(low[j] > d.min(axis=0)))
+            if rows.size:
+                d[j, rows], Y[rows, j] = self.pieces[j]._nearest(X[rows])
+        return Y, ulp_tied_arrays(d, d.min(axis=0)).T
 
     def project(self, x: Vector) -> list[Vector]:
         x = as_vector(x, self.dim)
@@ -323,6 +348,11 @@ class _Polyhedral(_RowTangents):
         if not tied.any(axis=1).all():
             raise EmptyProjection("set model returned no nearest point")
         return Y[np.arange(X.shape[0]), np.argmax(tied, axis=1)]
+
+    def _nearest_support(self, x: Vector, W: np.ndarray) -> tuple[float, np.ndarray]:
+        # the walk over every tied piece's point, repeats kept
+        Y, tied = self._nearest_pieces(x[None, :])
+        return super()._nearest_support(x, W, Y[0][tied[0]])
 
 
 class ConvexPolyhedron(_Polyhedral):
@@ -342,30 +372,31 @@ class ConvexPolyhedron(_Polyhedral):
         self._c = np.append(self.b / norms, 0.0)
         self._K = self._U @ self._U.T
 
-    def _outside(self, X: np.ndarray) -> np.ndarray:
-        """Does each row x of X miss a band? So does ``_nearest`` compute d > 0."""
-        residual, band = _residual_band(self.A, self.b, X)
-        return (residual > band).any(axis=0)
-
-    def _nearest(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """||x - y|| and the nearest point y per row x of X; +inf where there is none."""
+    def _nearest(self, X: np.ndarray, act=None) -> tuple[np.ndarray, np.ndarray]:
+        """||x - y|| and the nearest point y per row x of X, +inf where there is none;
+        given a mask ``act`` of rows, onto the cone {v : A_act v <= 0}, U and K cut to it."""
+        A, b, U, c, K = self.A, self.b, self._U, self._c, self._K
+        if act is not None:
+            slots = np.append(act, True)   # the active unit rows and the zero row
+            A, U, K = A[act], U[slots], K[slots][:, slots]
+            b, c = np.zeros(len(A)), np.zeros(len(U))
         Y = X.copy()
         for step in range(3):
-            out = self._outside(Y)
+            residual, band = _residual_band(A, b, Y)
+            out = (residual > band).any(axis=0)   # so d > 0
             if step == 2 or not out.any():
                 break
-            Y[out] = self._ldp(Y[out])
-        D = X - Y
-        return np.where(out, np.inf, np.sqrt(np.vecdot(D, D))), Y
+            Y[out] = self._ldp(Y[out], U, c, K)
+        return np.where(out, np.inf, _norm(X - Y)), Y
 
-    def _ldp(self, X: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _ldp(X: np.ndarray, U: np.ndarray, c: np.ndarray, K: np.ndarray) -> np.ndarray:
         """The nearest point of each row x of X, outside some row (x if none), by
         least-distance programming (Lawson and Hanson, Solving Least Squares
         Problems, ch. 23): NNLS min ||E u - f||, u >= 0, E = [-U^T; h^T], f = e_{n+1},
         h = U x - c over its largest entry, all rows in lockstep. The free column of
         largest w = E^T (f - E u) enters while w exceeds its rounding."""
-        U, c, K = self._U, self._c, self._K
-        k, (m, n) = X.shape[0], self.A.shape
+        (k, n), m = X.shape, len(U) - 1
         p, tol = min(m, n + 1), 10 * max(m, n + 1) * np.finfo(float).eps   # rank(E) <= n + 1
         H = np.vecdot(X[:, None, :], U) - c
         H /= H.max(axis=1, keepdims=True)
@@ -428,7 +459,7 @@ class ConvexPolyhedron(_Polyhedral):
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         residual, band = _residual_band(self.A, self.b, x[None, :])
         active = residual[:, 0] >= -band[:, 0]   # none inside, where the cone is the whole space
-        return ConvexPolyhedron(self.A[active], np.zeros(active.sum()))._nearest(W)[0]
+        return self._nearest(W, active)[0]
 
 
 class FiniteUnion(_Polyhedral):
@@ -444,8 +475,9 @@ class FiniteUnion(_Polyhedral):
         self.pieces = list(pieces)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce([p._tangent_distances(x, W) for p in self.pieces
-                                  if not p._outside(x[None, :])[0]])
+        tied = self._nearest_pieces(x[None, :])[1][0]   # the pieces at d = 0.0
+        return np.minimum.reduce([p._tangent_distances(x, W)
+                                  for p, on in zip(self.pieces, tied) if on])
 
 
 class ComplementaritySet(_RowTangents):
@@ -503,7 +535,7 @@ class ComplementaritySet(_RowTangents):
         U, V = W[:, :self.k], W[:, self.k:]
         smaller_a = U * (a - on_a) + V * b <= U * a + V * (b - on_b)
         Y = self._points(on_a, on_b, np.where(tied, smaller_a, first))
-        return float(np.linalg.norm(x - self._points(on_a, on_b, first))), np.vecdot(W, x - Y)
+        return float(_norm(x - self._points(on_a, on_b, first))), np.vecdot(W, x - Y)
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         a, b = x[:self.k], x[self.k:]
@@ -538,9 +570,7 @@ class DistanceToSet(RowSubderivatives):
         return float(self._values(x[None])[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        # vecdot runs np.linalg.norm's dot kernel per row; a row sum need not.
-        D = X - self.X._nearest_points(X)
-        return np.sqrt(np.vecdot(D, D))
+        return _norm(X - self.X._nearest_points(X))
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         d, support = self.X._nearest_support(x, W)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,41 @@ def tied_theta(net, rng):
         a = W @ z - b
         z = np.maximum(a, 0.0) if net.final_relu or i < n_layers - 1 else a
     return net.pack(weights, biases)
+
+
+def _left_to_right(M, v):
+    """M v with each entry summed left to right, as the set kernels sum."""
+    out = M[..., 0] * v[0]
+    for j in range(1, len(v)):
+        out = out + M[..., j] * v[j]
+    return out
+
+
+def per_call_tangent_distance(P, x, w):
+    """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset,
+    products and norms summed left to right, and the v = 0 candidate as
+    sqrt(w . w). w is in the cone when A_act w <= 1e-9 |A_act| |w|, and a candidate
+    v when A_act v <= 1e-9 ||a_i|| ||w|| per row: the rounding left in every entry
+    of v is of the order of ||w||, far more than |v_j| where v_j should be 0, as on
+    an edge of the pyramid's cones."""
+    tol = sd.sets._MEMBERSHIP_TOL
+    row_tol = tol * np.maximum(1.0, np.abs(P.A) @ np.abs(x) + np.abs(P.b))
+    active = np.flatnonzero(P.A @ x >= P.b - row_tol)
+    if active.size == 0:
+        return 0.0
+    Aact = P.A[active, :]
+    row_norms = np.sqrt(np.sum(Aact * Aact, axis=1))
+
+    def in_cone(v, scale):
+        return np.all(_left_to_right(Aact, v) <= tol * scale)
+
+    if in_cone(w, _left_to_right(np.abs(Aact), np.abs(w))):
+        return 0.0
+    best = float(np.sqrt(np.dot(w, w)))
+    for r in range(1, active.size + 1):
+        for S in itertools.combinations(range(active.size), r):
+            rows = Aact[list(S), :]
+            v = w - _left_to_right(np.linalg.pinv(rows), _left_to_right(rows, w))
+            if in_cone(v, row_norms * np.sqrt(np.dot(w, w))):
+                best = min(best, float(np.sqrt(_left_to_right(w - v, w - v))))
+    return best

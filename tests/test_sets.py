@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import subderiv as sd
-from subderiv.extreal import ExtReal
+from subderiv.extreal import ExtReal, ulp_tied_arrays
+
+from conftest import per_call_tangent_distance
 
 
 def bundled_sets():
@@ -224,6 +226,40 @@ def test_complementarity_support_kernel_is_the_walk_within_its_summation_roundin
     assert differ > 0      # the sweep reaches rows the kernel rounds apart
 
 
+def _unique_projection_cases():
+    """(name, set, points inside, on the boundary and outside)."""
+    return [
+        ("box", sd.Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0])),
+         [[0.5, 1.0], [1.0, 2.0], [-1.0, 0.5], [3.0, -0.5], [-0.0, 5.0]]),
+        ("ball", sd.Ball(np.array([0.5, -0.5]), 1.5),
+         [[0.5, -0.5], [2.0, -0.5], [0.5, 1.0], [3.0, 3.0], [-4.0, 0.1]]),
+        ("affine", sd.AffineSubspace(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]),
+                                     np.array([1.0, 0.5])),
+         [[1.0, 0.0, -0.5], [0.0, 0.0, 0.0], [3.0, -2.0, 7.0]]),
+        ("singleton", sd.Singleton(np.array([1.0, -1.0])), [[1.0, -1.0], [-0.0, 0.0], [4.0, 2.5]]),
+        ("orthant", sd.nonnegative_orthant(3),
+         [[1.0, 2.0, 3.0], [0.0, 1.0, -0.0], [-1.0, 2.0, -3.0], [-2.0, -0.5, -1.0]]),
+    ]
+
+
+UNIQUE_PROJECTION_CASES = _unique_projection_cases()
+
+
+@pytest.mark.parametrize("name, X, points", UNIQUE_PROJECTION_CASES,
+                         ids=[c[0] for c in UNIQUE_PROJECTION_CASES])
+def test_unique_projection_support_kernel_is_the_walk(name, X, points):
+    # one nearest point, one row of the projection kernel and one vecdot: the
+    # default walk over project(x), bit for bit, distance included
+    rng = np.random.default_rng(len(name))
+    for x in map(np.array, points):
+        for k in (1, 2, 7):
+            W = rng.normal(size=(k, X.dim))
+            d, got = X._nearest_support(x, W)
+            d_walk, want = sd.SetModel._nearest_support(X, x, W)
+            assert np.float64(d).tobytes() == np.float64(d_walk).tobytes(), (name, x)
+            assert got.tobytes() == want.tobytes(), (name, x, k)
+
+
 def test_complementarity_tangent_at_corner():
     X = sd.ComplementaritySet(1)
     origin = np.zeros(2)
@@ -348,40 +384,6 @@ def test_distance_oracle_empty_projection():
         f.value(np.zeros(1))
 
 
-def _left_to_right(M, v):
-    """M v with each entry summed left to right, as the set kernels sum."""
-    out = M[..., 0] * v[0]
-    for j in range(1, len(v)):
-        out = out + M[..., j] * v[j]
-    return out
-
-
-def _per_call_tangent_distance(P, x, w):
-    """ConvexPolyhedron.tangent_distance with a fresh pinv per active subset,
-    products and norms summed left to right, and the v = 0 candidate as
-    sqrt(w . w). A candidate v is in the cone when A_act v <= 1e-9 |A_act| |v|."""
-    tol = sd.sets._MEMBERSHIP_TOL
-    row_tol = tol * np.maximum(1.0, np.abs(P.A) @ np.abs(x) + np.abs(P.b))
-    active = np.flatnonzero(P.A @ x >= P.b - row_tol)
-    if active.size == 0:
-        return 0.0
-    Aact = P.A[active, :]
-
-    def in_cone(v):
-        return np.all(_left_to_right(Aact, v) <= tol * _left_to_right(np.abs(Aact), np.abs(v)))
-
-    if in_cone(w):
-        return 0.0
-    best = float(np.sqrt(np.dot(w, w)))
-    for r in range(1, active.size + 1):
-        for S in itertools.combinations(range(active.size), r):
-            rows = Aact[list(S), :]
-            v = w - _left_to_right(np.linalg.pinv(rows), _left_to_right(rows, w))
-            if in_cone(v):
-                best = min(best, float(np.sqrt(_left_to_right(w - v, w - v))))
-    return best
-
-
 def _random_polyhedron_cases(rng):
     for active in (2, 3, 4):
         for dim in (2, 3, 4):
@@ -422,7 +424,7 @@ def test_polyhedron_tangent_distance_matches_per_call_pinv(rng):
     for P, x in list(_union_cases(rng)) + list(_random_polyhedron_cases(rng)):
         for _ in range(8):
             w = rng.normal(size=P.dim)
-            want = _per_call_tangent_distance(P, x, w)
+            want = per_call_tangent_distance(P, x, w)
             assert P.tangent_distance(x, w) == pytest.approx(want, rel=1e-12, abs=0.0)
             moved += want > 0
     assert moved > 100
@@ -618,6 +620,117 @@ def test_polyhedron_union_distance_and_ties_scale_with_the_set():
                 assert got == pytest.approx(want, rel=1e-5, abs=1e-12), (make(lam), x, lam)
 
 
+ROW_COUNTS = (1, 2, 3, 64, 189)
+
+
+def _every_piece(union, X):
+    """The union's pieces with none skipped: every piece's ``_nearest`` on every
+    row, shapes (k, pieces, n) and (k, pieces), the ties by ``ulp_tied``."""
+    found = [p._nearest(X) for p in union.pieces]
+    d = np.stack([dist for dist, _ in found], axis=1)
+    return np.stack([y for _, y in found], axis=1), ulp_tied_arrays(d, d.min(axis=1, keepdims=True))
+
+
+def _every_piece_project(union, x):
+    Y, tied = _every_piece(union, x[None, :])
+    out = []
+    for y in Y[0][tied[0]]:
+        if not any(ulp_tied_arrays(y, z).all() for z in out):
+            out.append(y)
+    return out
+
+
+def _every_piece_subderivatives(union, x, W):
+    """The distance's subderivatives from ``_every_piece``, by the walk over its
+    nearest points off the union and the pieces at d = 0.0 on it."""
+    pts = _every_piece_project(union, x)
+    d = np.sqrt(np.vecdot(x - pts[0], x - pts[0]))
+    if d == 0.0:
+        on = [p for p in union.pieces if p._nearest(x[None, :])[0][0] == 0.0]
+        return np.minimum.reduce([p._tangent_distances(x, W) for p in on])
+    support = np.vecdot(W, x - pts[0])
+    for y in pts[1:]:
+        v = np.vecdot(W, x - y)
+        support = np.where(v < support, v, support)
+    return support / d
+
+
+def _pruning_unions(rng, scale):
+    """Unions of 2-5 polyhedra at ``scale``: random pieces with an empty one, with a
+    duplicated one (exact ties) and with a mirror pair tied at x = 0."""
+    def piece(n):
+        A = rng.normal(size=(rng.integers(2, 6), n))
+        return sd.ConvexPolyhedron(A, A @ rng.normal(scale=2 * scale, size=n)
+                                   + rng.uniform(0.2, 1.0, len(A)) * scale)
+
+    a = rng.normal(size=3)
+    empty = sd.ConvexPolyhedron(np.vstack([a, -a]), np.array([-scale, -scale]))
+    yield [piece(3), empty] + [piece(3) for _ in range(rng.integers(0, 3))]
+    dup = piece(2)
+    copy = sd.ConvexPolyhedron(dup.A.copy(), dup.b.copy())
+    yield [dup, copy] + [piece(2) for _ in range(rng.integers(0, 2))]
+    for A, b, dim in _mirror_pairs(7, 4):
+        mirror = list(_mirror_union(A, b, scale).pieces)
+        yield mirror + [piece(dim) for _ in range(rng.integers(0, 4))]
+
+
+def test_pruned_pieces_change_no_projection_tie_or_distance(monkeypatch):
+    # a piece is skipped on a row only where its lower bound exceeds a distance
+    # already found, so every answer equals the every-piece reference bit for
+    # bit, at any chunking of the rows
+    solved = []
+    nearest = sd.ConvexPolyhedron._nearest
+    monkeypatch.setattr(sd.ConvexPolyhedron, "_nearest",
+                        lambda self, X, *act: solved.append(len(X)) or nearest(self, X, *act))
+    rng = np.random.default_rng(33)
+    skipped, cross_ties = 0, {}
+    for scale in (1e-6, 1.0, 1e6):
+        for pieces in _pruning_unions(rng, scale):
+            union = sd.FiniteUnion(pieces)
+            n = union.dim
+            X = scale * rng.normal(scale=3.0, size=(32, n))
+            X[0] = 0.0
+            Y, tied = _every_piece(union, X)
+            if not tied.any(axis=1).all():
+                continue
+            X[1:6] = Y[np.arange(1, 6), np.argmax(tied[1:6], axis=1)]   # on the union
+            Y, tied = _every_piece(union, X)
+            solved.clear()
+            union._nearest_pieces(X)
+            skipped += tied.size - sum(solved)   # (row, piece) pairs no solve was run on
+            cross_ties[scale] = cross_ties.get(scale, 0) + int((tied.sum(axis=1) > 1).sum())
+            f = sd.distance_to_set(union)
+            want = Y[np.arange(len(X)), np.argmax(tied, axis=1)]
+            values = np.sqrt(np.vecdot(X - want, X - want))
+            for k in ROW_COUNTS:
+                parts = [union._nearest_pieces(X[i:i + k]) for i in range(0, len(X), k)]
+                chunk_tied = np.concatenate([t for _, t in parts])
+                assert np.array_equal(chunk_tied, tied), (scale, k)
+                assert np.concatenate([y for y, _ in parts])[tied].tobytes() == Y[tied].tobytes()
+                chunks = [X[i:i + k] for i in range(0, len(X), k)]
+                assert np.concatenate([union.nearest_points(c) for c in chunks]).tobytes() \
+                    == want.tobytes()
+                assert np.concatenate([f.values(c) for c in chunks]).tobytes() == values.tobytes()
+            W = rng.normal(size=(7, n))
+            for x in X[:12]:
+                got, ref = union.project(x), _every_piece_project(union, x)
+                assert [y.tobytes() for y in got] == [y.tobytes() for y in ref], (scale, x)
+                assert f.subderivatives(x, W).tobytes() == \
+                    _every_piece_subderivatives(union, x, W).tobytes(), (scale, x)
+    assert skipped > 0 and min(cross_ties.values()) > 0 and len(cross_ties) == 3
+
+
+def test_union_bounds_take_points_beyond_1e154_without_overflow():
+    # the bounds' slack read sqrt(x . x), which overflows past 1.3e154 (an
+    # error under this suite's warning filter); the point is inside a piece
+    union = sd.FiniteUnion([sd.ConvexPolyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                                                np.array([1e200, 1e200])),
+                            sd.ConvexPolyhedron(np.array([[0.0, 1.0]]), np.array([-1e200]))])
+    x = np.array([1e160, -1e200])
+    assert [y.tolist() for y in union.project(x)] == [x.tolist()]
+    assert sd.distance_to_set(union).value(x) == ExtReal(0.0)
+
+
 @pytest.mark.parametrize("s", [1.0, 1e-6, 1e-10])
 def test_distance_takes_the_outside_formula_wherever_its_value_is_positive(s):
     # Box([0], [s]).contains(s + 5e-10) was True, so the oracle returned the
@@ -627,6 +740,25 @@ def test_distance_takes_the_outside_formula_wherever_its_value_is_positive(s):
     x = np.array([s + 5e-10])
     assert f.value(x).v > 0.0
     assert f.subderivative(x, [-1.0]) == ExtReal(-1.0)
+
+
+def test_a_distance_below_1e_154_does_not_underflow_to_zero():
+    # the sum of squares of a 1e-300 offset is 0.0: the distance read 0.0, took
+    # the tangent branch and gave 0.0 along -1 (the union raised, as no piece
+    # held the point); the norm now scales such a row first
+    x = np.array([2e-300])
+    tiny = sd.ConvexPolyhedron(np.array([[1.0], [-1.0]]), np.array([1e-300, 0.0]))
+    far = sd.ConvexPolyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 2.0]))
+    for X in (sd.Box([0.0], [1e-300]), tiny, sd.FiniteUnion([tiny, far]), sd.Ball([0.0], 1e-300)):
+        f = sd.distance_to_set(X)
+        assert f.value(x).v == 1e-300 and f.values(x[None]).tolist() == [1e-300], X
+        assert f.subderivative(x, [-1.0]) == ExtReal(-1.0), X
+        assert X.contains(x)
+    f = sd.distance_to_set(sd.Singleton([0.0, 0.0]))
+    assert f.value([3e-310, -4e-310]).v == pytest.approx(5e-310, rel=1e-9)
+    # a row whose squares do not underflow keeps the bits of sqrt(vecdot)
+    D = np.random.default_rng(1).normal(size=(50, 3)) * 10.0 ** np.arange(-150, 150, 6)[:, None]
+    assert sd.sets._norm(D).tobytes() == np.sqrt(np.vecdot(D, D)).tobytes()
 
 
 def test_penalty_certifies_no_stationarity_beside_a_tiny_box():
