@@ -18,9 +18,9 @@ first), which is all the distance value needs; ``_nearest_support(x, W)``
 answers the distance's outside branch for all rows w and
 ``_tangent_distances(x, W)`` its inside one. A bundled set states the
 kernels, and its ``project`` and ``tangent_distance`` run them on one row,
-so the two round alike. Products over the rows go through ``_dot_first`` or
-``np.vecdot`` row by row, never through BLAS, whose rounding can depend on the row count;
-only a union's lower bounds use it, as they decide no bit of an answer.
+so the two round alike. Every product over the rows is an ``np.vecdot`` of contiguous
+rows, rounded alike at any row count; only a union's lower bounds use BLAS, whose rounding
+can depend on the row count, as they decide no bit of an answer.
 
 Membership is the distance's: ``contains`` asks dist(x; X) <= 1e-9 for
 every set. The distance's subderivative takes the inside branch exactly
@@ -44,17 +44,6 @@ from .model import (RowSubderivatives, Vector, as_directions, as_matrix, as_vect
 _MEMBERSHIP_TOL = 1e-9
 
 
-def _dot_first(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_j M[j] * V[j] over the leading axis, broadcast, added left to
-    right in j, so each entry rounds the same way however many points are
-    stacked. The kernels keep the points on the last axis, where each
-    elementwise step runs over all of them at once."""
-    acc = M[0] * V[0]
-    for j in range(1, M.shape[0]):
-        acc = acc + M[j] * V[j]
-    return acc
-
-
 def _norm(D: np.ndarray) -> np.ndarray:
     """sqrt(vecdot(d, d)) per row d of D; a row whose sum of squares underflows
     (||d|| < 1.5e-154) is scaled by 2^600 first, so it does not read 0.0."""
@@ -66,10 +55,11 @@ def _norm(D: np.ndarray) -> np.ndarray:
 
 
 def _residual_band(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A x - b per row x of X, as (m, k) columns, and its band: 8 n ulps of (|A| |x|)_i + |b_i|."""
-    residual = _dot_first(A.T[:, :, None], X.T[:, None, :]) - b[:, None]
-    scale = _dot_first(np.abs(A).T[:, :, None], np.abs(X).T[:, None, :])
-    return residual, 8 * A.shape[1] * np.spacing(scale + np.abs(b)[:, None])
+    """A x - b per row x of X, as (k, m) rows, and its band: 8 n ulps of (|A| |x|)_i + |b_i|."""
+    X = np.ascontiguousarray(X)   # a point may be a strided view, as_vector keeps it
+    residual = np.vecdot(X[:, None, :], A) - b
+    scale = np.vecdot(np.abs(X)[:, None, :], np.abs(A))
+    return residual, 8 * A.shape[1] * np.spacing(scale + np.abs(b))
 
 
 def _solve(M: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +153,11 @@ class _RowTangents(SetModel):
 
     def tangent_distance(self, x: Vector, w: Vector) -> float:
         x = as_vector(x, self.dim)
-        if not self.contains(x):
+        y = self._nearest_points(x[None, :])[0]
+        if not _norm(x - y) <= _MEMBERSHIP_TOL:   # not ``contains(x)``, on the same y
             raise NotFeasible("tangent_distance requires x in the set")
         W = as_directions(np.asarray(w, dtype=float)[None], self.dim, "w")
-        return float(self._tangent_distances(self._nearest_points(x[None, :])[0], W)[0])
+        return float(self._tangent_distances(y, W)[0])
 
 
 class _UniqueProjection(_RowTangents):
@@ -259,47 +250,37 @@ class AffineSubspace(_UniqueProjection):
         self.A = as_matrix(A)
         self.b = as_vector(b, self.A.shape[0], "b")
         self._pinv = np.linalg.pinv(self.A)
+        if self._residual(self._nearest_points(np.zeros((1, self.dim)))).any():
+            raise ValueError("A x = b has no solution")
 
     @property
     def dim(self) -> int:
         return self.A.shape[1]
 
     def _residual(self, X: np.ndarray) -> np.ndarray:
-        """A x - b for every row x of X as the columns of an (m, k) matrix, zeroed
+        """A x - b for every row x of X as the rows of a (k, m) matrix, zeroed
         for a point within rounding of the subspace: its own nearest point."""
         residual, band = _residual_band(self.A, self.b, X)
-        return np.where(np.all(np.abs(residual) <= band, axis=0), 0.0, residual)
+        return np.where(np.all(np.abs(residual) <= band, axis=1, keepdims=True), 0.0, residual)
 
     def _nearest_points(self, X: np.ndarray) -> np.ndarray:
         # a row the first step put on the subspace, the second leaves as it is
         for _ in range(2):
-            X = X - _dot_first(self._pinv.T[:, :, None], self._residual(X)[:, None, :]).T
+            X = X - np.vecdot(self._residual(X)[:, None, :], self._pinv)
         return X
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        # Tangent space is null(A) at every point of the set; the rows of the
-        # normal part are made contiguous for vecdot's per-row dot kernel.
-        AW = _dot_first(self.A.T[:, :, None], W.T[:, None, :])
-        return _norm(np.ascontiguousarray(_dot_first(self._pinv.T[:, :, None], AW[:, None, :]).T))
+        # Tangent space is null(A) at every point of the set; w's normal part is pinv(A) A w.
+        return _norm(np.vecdot(np.vecdot(W[:, None, :], self.A)[:, None, :], self._pinv))
 
 
-class Singleton(_UniqueProjection):
-    """The one-point set {p}."""
-
-    geometrically_derivable = True
+class Singleton(Box):
+    """The one-point set {p}, the box [p, p]: its projection clips every x to p,
+    and its tangent cone at p, where both faces of every axis are active, is {0}."""
 
     def __init__(self, p):
         self.p = as_vector(p, name="p")
-
-    @property
-    def dim(self) -> int:
-        return self.p.shape[0]
-
-    def _nearest_points(self, X: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.p, X.shape).copy()
-
-    def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        return _norm(W)
+        super().__init__(self.p, self.p)
 
 
 class _Polyhedral(_RowTangents):
@@ -383,7 +364,7 @@ class ConvexPolyhedron(_Polyhedral):
         Y = X.copy()
         for step in range(3):
             residual, band = _residual_band(A, b, Y)
-            out = (residual > band).any(axis=0)   # so d > 0
+            out = (residual > band).any(axis=1)   # so d > 0
             if step == 2 or not out.any():
                 break
             Y[out] = self._ldp(Y[out], U, c, K)
@@ -458,7 +439,7 @@ class ConvexPolyhedron(_Polyhedral):
 
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         residual, band = _residual_band(self.A, self.b, x[None, :])
-        active = residual[:, 0] >= -band[:, 0]   # none inside, where the cone is the whole space
+        active = residual[0] >= -band[0]   # none inside, where the cone is the whole space
         return self._nearest(W, active)[0]
 
 
@@ -540,10 +521,12 @@ class ComplementaritySet(_RowTangents):
     def _tangent_distances(self, x: Vector, W: np.ndarray) -> np.ndarray:
         a, b = x[:self.k], x[self.k:]
         U, V = W[:, :self.k], W[:, self.k:]
-        # Inside the ray b = 0 only v must vanish, inside a = 0 only u; a corner is its own cone.
-        corner = np.minimum(V * V + np.maximum(U, 0.0) ** 2, U * U + np.maximum(V, 0.0) ** 2)
-        sq = np.where(a < 0.0, V * V, np.where(b < 0.0, U * U, corner))
-        return np.sqrt(np.sum(sq, axis=1))
+        # Inside the ray b = 0 only v must vanish, inside a = 0 only u; a corner takes the ray b = 0
+        # where min(v, 0) >= min(u, 0): the squared distances differ by min(v, 0)^2 - min(u, 0)^2.
+        first = (a < 0.0) | ((b == 0.0) & (np.minimum(V, 0.0) >= np.minimum(U, 0.0)))
+        out_u = np.where(first, np.where(a < 0.0, 0.0, np.maximum(U, 0.0)), U)
+        out_v = np.where(first, V, np.where(b < 0.0, 0.0, np.maximum(V, 0.0)))
+        return _norm(np.hstack([out_u, out_v]))
 
 
 class DistanceToSet(RowSubderivatives):

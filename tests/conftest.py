@@ -95,7 +95,7 @@ def tied_theta(net, rng):
 
 
 def _left_to_right(M, v):
-    """M v with each entry summed left to right, as the set kernels sum."""
+    """M v with each entry summed left to right."""
     out = M[..., 0] * v[0]
     for j in range(1, len(v)):
         out = out + M[..., j] * v[j]

@@ -757,14 +757,17 @@ def test_bundled_models_state_each_subderivative_once():
             assert c._value is not sd.FunctionModel._value, c
     sets = {c for c in subclasses(sd.SetModel) if c.__module__.startswith("subderiv.")}
     assert {c.__name__ for c in sets if "_nearest_points" in vars(c)} >= {
-        "Box", "Ball", "AffineSubspace", "Singleton", "ComplementaritySet"}
+        "Box", "Ball", "AffineSubspace", "ComplementaritySet"}
+    # Singleton is the box [p, p], with no kernel of its own
+    assert issubclass(sd.Singleton, sd.Box)
+    assert not {"_nearest_points", "_tangent_distances"} & set(vars(sd.Singleton))
     assert {c for c in sets if "nearest_points" in vars(c)} == set()
     # each bundled set states its tangent-cone distance once, as the kernel
     concrete = {c for c in sets if not inspect.isabstract(c)}
     assert {c.__name__ for c in concrete} == {
         "Box", "Ball", "AffineSubspace", "Singleton", "ConvexPolyhedron", "FiniteUnion",
         "ComplementaritySet"}
-    for c in concrete:
+    for c in concrete - {sd.Singleton}:
         assert "_tangent_distances" in vars(c), c
     assert {c for c in sets if "tangent_distance" in vars(c)} == {sd.sets._RowTangents}
     assert not hasattr(_square(), "_subsets")

@@ -177,13 +177,31 @@ def test_l1_factories():
     (lambda: sd.ConvexPolyhedron(np.zeros((1, 1, 2)), [1.0]), sd.DimensionMismatch),
     (lambda: sd.AffineSubspace(np.zeros(2), [1.0]), sd.DimensionMismatch),
     (lambda: sd.ConvexPolyhedron(np.zeros(2), [1.0]), sd.DimensionMismatch),
+    # an empty subspace projected 0.5 onto itself and held it
+    (lambda: sd.AffineSubspace([[1.0], [1.0]], [0.0, 1.0]), ValueError),
 ], ids=["box_lengths", "box_matrix", "box_order", "box_nan_lo", "box_nan_hi",
         "affine_rows", "polyhedron_rows",
         "union_empty", "union_dims", "complementarity_k",
-        "affine_3d_A", "polyhedron_3d_A", "affine_1d_A", "polyhedron_1d_A"])
+        "affine_3d_A", "polyhedron_3d_A", "affine_1d_A", "polyhedron_1d_A",
+        "affine_inconsistent"])
 def test_set_constructors_refuse_bad_input(make, error):
     with pytest.raises(error):
         make()
+
+
+def test_a_consistent_system_with_a_dependent_row_is_accepted():
+    # b = A x0 rounds, and the dependent row's entry of it rounds apart from
+    # the rows it combines: the consistency check must pass that rounding
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        m, n = rng.integers(1, 6), rng.integers(1, 9)
+        A = rng.normal(size=(m, n))
+        A = np.vstack([A, rng.normal(size=m) @ A])
+        x0 = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        X = sd.AffineSubspace(A, A @ x0)
+        assert X.contains(X.project(x0)[0])
+    with pytest.raises(ValueError, match="^A x = b has no solution$"):
+        sd.AffineSubspace([[1.0], [1.0]], [0.0, 1.0])
 
 
 def test_a_polyhedron_of_many_rows_projects():

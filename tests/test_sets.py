@@ -875,3 +875,99 @@ def test_polyhedron_tangent_distance_is_positively_homogeneous():
                 assert np.all(err <= 1e-12 * t * np.linalg.norm(W, axis=1)), (X, x, t)
                 checked += W.shape[0]
     assert checked == 2400
+
+
+def _per_pair_tangent_distance(x, w):
+    """dist(w; T(x)) summed pair by pair: the ray's free axis costs nothing, the
+    other its whole entry, and a corner takes the nearer of its two rays."""
+    k = len(x) // 2
+    sq = 0.0
+    for a, b, u, v in zip(x[:k], x[k:], w[:k], w[k:]):
+        if a < 0.0:
+            sq += v * v
+        elif b < 0.0:
+            sq += u * u
+        else:
+            sq += min(max(u, 0.0) ** 2 + v * v, u * u + max(v, 0.0) ** 2)
+    return np.sqrt(sq)
+
+
+def test_complementarity_tangent_kernel_is_the_norm_of_the_part_outside_the_cone():
+    # the kernel summed its squares with np.sum, which underflows below about
+    # 1.5e-154: the first two read 0.0, the third 1.4142056902605667e-160
+    X = sd.ComplementaritySet(1)
+    for x, w, want in (((-1.0, 0.0), (0.0, 1e-170), 1e-170),
+                       ((0.0, 0.0), (1e-170, -1e-170), 1e-170),
+                       ((0.0, 0.0), (1e-160, 1e-160), 1.414213562373095e-160)):
+        assert X.tangent_distance(x, w) == want, (x, w)
+    rng = np.random.default_rng(34)
+    for k in (1, 2, 7):
+        X = sd.ComplementaritySet(k)
+        for _ in range(30):
+            # each pair on its ray b = 0, its ray a = 0 or at its corner
+            kind = rng.integers(0, 3, k)
+            a = np.where(kind == 0, -rng.uniform(0.1, 3.0, k), 0.0)
+            b = np.where(kind == 1, -rng.uniform(0.1, 3.0, k), 0.0)
+            x = np.concatenate([a, b])
+            W = rng.normal(size=(6, 2 * k))
+            W[0] = np.abs(W[0])
+            W[1] = -np.abs(W[1])
+            got = X._tangent_distances(x, W)
+            want = np.array([_per_pair_tangent_distance(x, w) for w in W])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name,X", bundled_sets())
+def test_tangent_distance_projects_its_point_once(name, X, monkeypatch):
+    # it asked contains, which projects x, and then projected x again
+    x = X.project(np.full(X.dim, 3.0))[0]
+    calls = []
+    kernel = type(X)._nearest_points
+
+    def counted(self, Y):
+        calls.append(len(Y))
+        return kernel(self, Y)
+
+    monkeypatch.setattr(type(X), "_nearest_points", counted)
+    X.tangent_distance(x, np.ones(X.dim))
+    assert calls == [1]
+
+
+def test_singleton_is_the_box_p_p_bit_for_bit():
+    # Singleton stated its own kernels: p broadcast to every row, and _norm(W)
+    p = np.array([0.0, -0.0, 1.5, -2.5e-300, 3e100, -7.0])
+    S = sd.Singleton(p)
+    f = sd.distance_to_set(S)
+    rng = np.random.default_rng(34)
+    for k in (1, 2, 7):
+        X = rng.normal(size=(k, p.size)) * 10.0 ** rng.integers(-300, 100, (k, 1))
+        X[0] = p * np.where(p == 0.0, -1.0, 1.0)   # on the set, its zeros' signs flipped
+        want = np.broadcast_to(p, X.shape).copy()
+        assert S.nearest_points(X).tobytes() == want.tobytes(), k
+        assert f.values(X).tobytes() == sd.sets._norm(X - want).tobytes(), k
+        for x in X:
+            assert S.project(x)[0].tobytes() == p.tobytes()
+        W = rng.normal(size=(k, p.size))
+        W[0, :2] = -0.0
+        assert S._tangent_distances(p, W).tobytes() == sd.sets._norm(W).tobytes(), k
+        assert f.subderivatives(p, W).tobytes() == sd.sets._norm(W).tobytes(), k
+        assert np.float64(S.tangent_distance(X[0], W[0])).tobytes() == \
+            sd.sets._norm(W[0]).tobytes()
+
+
+def test_a_wide_subspace_rounds_each_row_alike_at_any_row_count():
+    # products over residual rows that were not contiguous rounded a row of
+    # a 30 x 60 subspace one way alone and another way among 190 rows, and a
+    # point given as a strided view one way and as a copy another
+    rng = np.random.default_rng(30)
+    X = sd.AffineSubspace(rng.normal(size=(30, 60)), rng.normal(size=30))
+    P, W = rng.normal(size=(190, 60)), rng.normal(size=(190, 60))
+    got = X.nearest_points(P)
+    tangent = X._tangent_distances(got[0], W)
+    for i, x in enumerate(np.asfortranarray(P)[::37]):
+        assert X.project(x)[0].tobytes() == got[37 * i].tobytes(), i
+    for k in (1, 7):
+        chunks = [X.nearest_points(P[i:i + k]) for i in range(0, len(P), k)]
+        assert np.concatenate(chunks).tobytes() == got.tobytes(), k
+        chunks = [X._tangent_distances(got[0], W[i:i + k]) for i in range(0, len(W), k)]
+        assert np.concatenate(chunks).tobytes() == tangent.tobytes(), k
