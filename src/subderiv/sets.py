@@ -32,6 +32,7 @@ Tangent kernels take faces exactly.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +47,18 @@ _MEMBERSHIP_TOL = 1e-9
 
 def _norm(D: np.ndarray) -> np.ndarray:
     """sqrt(vecdot(d, d)) per row d of D; a row whose sum of squares underflows
-    (||d|| < 1.5e-154) is scaled by 2^600 first, so it does not read 0.0."""
-    sq = np.vecdot(D, D)
-    if sq.min(initial=np.inf) >= 2.0 ** -1022 or not D.any():   # 2^-1022: the least normal
-        return np.sqrt(sq)
-    s = np.where(sq < 2.0 ** -1022, 2.0 ** 600, 1.0)   # other rows keep their bits
-    return np.sqrt(np.vecdot(D * s[..., None], D * s[..., None])) / s
+    (||d|| < 1.5e-154) is scaled by 2^600 first, so it does not read 0.0, and
+    one whose sum overflows (||d|| > 1.3e154) by 2^-600, so it does not read inf."""
+    # with every |d_i| below 2^511 / sqrt(n) no sum of squares passes 2^1022: vecdot cannot overflow
+    if np.abs(D).max(initial=0.0) < 2.0 ** 511 / math.sqrt(max(D.shape[-1], 1)):
+        sq = np.vecdot(D, D)
+        if sq.min(initial=np.inf) >= 2.0 ** -1022 or not D.any():   # 2^-1022: the least normal
+            return np.sqrt(sq)
+    else:
+        with np.errstate(over="ignore"):
+            sq = np.vecdot(D, D)
+    s = np.where(sq < 2.0 ** -1022, 2.0 ** 600, np.where(sq < np.inf, 1.0, 2.0 ** -600))
+    return np.sqrt(np.vecdot(D * s[..., None], D * s[..., None])) / s   # other rows keep their bits
 
 
 def _residual_band(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ values query, is the one the per-point loop gave.
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -1248,3 +1249,68 @@ def test_descent_sample_matches_the_per_pair_loop(name):
         assert len(rep.violations) == len(violations)
         for (x, y, gap), (x0, y0, gap0) in zip(rep.violations, violations):
             assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes() and gap == gap0
+
+
+def row_major_l1(c, x, W):
+    """The l1 row kernel as one sign-split matrix summed along each row, the
+    formula the column-by-column sum of rows shorter than 8 must equal."""
+    return c * np.where(x > 0, W, np.where(x < 0, -W, np.abs(W))).sum(axis=1)
+
+
+class _RowMajor:
+    def _subderivatives(self, x, W):
+        return row_major_l1(self._c, x, W)
+
+
+class RowMajorL1(_RowMajor, sd.L1Norm):
+    pass
+
+
+class RowMajorNegL1(_RowMajor, sd.NegL1Norm):
+    pass
+
+
+def _signed_entries(rng, k, n, decades):
+    """Magnitudes over ``decades`` powers of ten around 1 of either sign, 30%
+    +0.0 and 30% -0.0, and every fifth row all -0.0."""
+    W = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-decades, decades, (k, n))
+    u = rng.uniform(size=(k, n))
+    W[u < 0.3] = 0.0
+    W[(u >= 0.3) & (u < 0.6)] = -0.0
+    W[::5] = -0.0
+    return W
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_l1_kernels_equal_the_row_major_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    # entries from 1e-300 to 1e300, and within one decade, where the order of the sum shows
+    for k, decades in itertools.product((1, 2, 7, 190, 10092), (300, 1)):
+        W = _signed_entries(rng, k, n, decades)
+        for x in (rng.choice([1.5, -2.0, 0.0, -0.0], n), np.full(n, -0.0), rng.normal(size=n)):
+            for l1, lam in itertools.product((sd.L1Norm, sd.NegL1Norm), (0.7, 1.0, 1.3)):
+                model = l1(n, lam)
+                assert model.subderivatives(x, W).tobytes() == row_major_l1(model._c, x, W).tobytes()
+
+
+def test_l1_kernels_on_the_dim_4_sup_norm_grid_equal_the_row_major_sum():
+    G = sd.verify._brute_candidates(sd.NormChoice.LINF, 4, 0.05)
+    for x in ([0.5, 0.0, -1.0, -0.0], [-0.0, -0.0, -0.0, -0.0], [3.0, -1e-300, 2.0, 1e300]):
+        x = np.array(x)
+        for model in (sd.L1Norm(4, 1.3), sd.NegL1Norm(4, 0.7)):
+            assert model.subderivatives(x, G).tobytes() == row_major_l1(model._c, x, G).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_l1_sums_search_as_on_the_row_major_kernel(n):
+    c = np.array([0.3, -0.2, 0.1, 0.7])[:n]
+    x = np.array([0.5, 0.0, -1.0, -0.0])[:n]
+    for l1, row_major in ((sd.L1Norm, RowMajorL1), (sd.NegL1Norm, RowMajorNegL1)):
+        f = sd.sum_models([sd.quadratic_model(c), l1(n, 1.3)])
+        f0 = sd.sum_models([sd.quadratic_model(c), row_major(n, 1.3)])
+        for norm in sd.NormChoice:
+            for search in (lambda g: sd.brute_force_direction(g, x, norm, 0.05),
+                           lambda g: sd.solve_sampling_fallback(g, x, norm, 500, 3)):
+                got, want = search(f), search(f0)
+                assert got.w.tobytes() == want.w.tobytes() and got.value == want.value
+                assert got.evaluations == want.evaluations

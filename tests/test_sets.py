@@ -761,6 +761,25 @@ def test_a_distance_below_1e_154_does_not_underflow_to_zero():
     assert sd.sets._norm(D).tobytes() == np.sqrt(np.vecdot(D, D)).tobytes()
 
 
+def test_a_distance_past_1e_154_does_not_overflow_to_inf():
+    # the sum of squares of a 3e200 offset overflowed: vecdot warned and the
+    # distance read inf; the norm now scales such a row down first
+    x = np.array([0.0])
+    for X in (sd.Singleton([3e200]), sd.Box([3e200], [4e200]), sd.Ball([3e200], 1.0),
+              sd.AffineSubspace([[1.0]], [3e200])):
+        f = sd.distance_to_set(X)
+        assert f.value(x).v == 3e200 and f.values(x[None]).tolist() == [3e200], X
+        assert f.subderivative(x, [1.0]) == ExtReal(-1.0), X
+        assert not X.contains(x)
+    box = sd.distance_to_set(sd.Box([0.0, 0.0], [1.0, 1.0]))
+    assert box.value([1e300, 1e300]).v == 1.4142135623730952e300
+    assert box.value([1.7e308, 0.0]).v == 1.7e308
+    # rows whose sums do not overflow keep the bits of sqrt(vecdot), beside one that does
+    D = np.random.default_rng(2).normal(size=(50, 3)) * 10.0 ** np.arange(-150, 150, 6)[:, None]
+    got = sd.sets._norm(np.vstack([D, [[0.0, -1e300, 0.0]]]))
+    assert got[:-1].tobytes() == np.sqrt(np.vecdot(D, D)).tobytes() and got[-1] == 1e300
+
+
 def test_penalty_certifies_no_stationarity_beside_a_tiny_box():
     # penalize(0.5 x, id, Box([0], [1e-10]), 1) at 6e-10 and, inside the box,
     # at 5e-11: both faces counted as active, the fallback read +0.0014 and
