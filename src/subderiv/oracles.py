@@ -440,13 +440,16 @@ class ReLUNetworkLoss(RowSubderivatives):
     """Mean squared loss of a fully connected ReLU network over its parameters.
 
     The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
-    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets), and one
-    forward pass over all of them carries the directions next to the values
-    (k directions as a stack of k tangents; ``subderivative`` is the case
-    k = 1): through each affine layer by the product rule,
-    dA = dW Z + W dZ - db, through the activation by its semi-derivative
-    (max{0, dA} at a zero pre-activation), then through the smooth
-    squared-loss outer derivative.
+    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets). Where no
+    activated pre-activation is exactly 0, every unit is locally affine, so
+    f is differentiable at theta and each row is <grad f(theta), w>, with the
+    gradient from one reverse pass (``_backprop``) and one row product.
+    Elsewhere, or where that pass overflows, one forward pass over all the
+    data carries the directions next to the values (k directions as a stack
+    of k tangents; ``subderivative`` is the case k = 1): through each affine
+    layer by the product rule, dA = dW Z + W dZ - db, through the activation
+    by its semi-derivative (max{0, dA} at a zero pre-activation), then
+    through the smooth squared-loss outer derivative.
 
     ``final_relu`` controls whether the last layer is passed through the
     activation as well; the bundled fixtures use True.
@@ -543,7 +546,50 @@ class ReLUNetworkLoss(RowSubderivatives):
         _, out, _ = self._pass(X)
         return ((out - self.Y) ** 2).sum(axis=(1, 2)) / self.X.shape[1]
 
+    def _backprop(self, theta: Vector) -> Optional[Vector]:
+        """grad f(theta) by one forward and one reverse pass over the data,
+        or None where the forward tangent pass must answer: where a
+        pre-activation of an activated layer is exactly 0 (a tie, where
+        d f(theta) need not be linear), NaN or infinite (an overflow that a
+        dead unit would hide), or where the gradient is not finite. An
+        overflow here warns as numpy warns (or raises, under an error
+        filter) before the forward pass answers.
+
+        From G = 2 (out - Y) / m and the last layer down: dA = G [A > 0]
+        (dA = G in an affine layer), the weights' part dA Z^T, the bias's
+        -sum of dA over the data, and G = W^T dA for the layer below. Each
+        A = W Z - b is formed as ``_pass`` forms it, so both see the same ties.
+        """
+        n_layers = len(self.widths) - 1
+        Z, tape = self.X, []
+        for i, (w0, w1, w2) in enumerate(self._offsets):
+            W = theta[w0:w1].reshape(self.widths[i + 1], self.widths[i])
+            A = W @ Z - theta[w1:w2, None]
+            on = None
+            if self.final_relu or i < n_layers - 1:
+                if (np.count_nonzero(A) < A.size
+                        or np.count_nonzero(np.isfinite(A)) < A.size):
+                    return None
+                on = A > 0
+            tape.append((Z, W, on))
+            Z = A if on is None else np.maximum(A, 0.0)
+        G = (Z - self.Y) * (2.0 / self.X.shape[1])
+        grad = np.empty(self._p)
+        for i in reversed(range(n_layers)):
+            Z, W, on = tape[i]
+            dA = G if on is None else np.where(on, G, 0.0)
+            w0, w1, w2 = self._offsets[i]
+            grad[w0:w1] = (dA @ Z.T).ravel()
+            grad[w1:w2] = -dA.sum(axis=1)
+            if i:
+                G = W.T @ dA
+        return grad if np.count_nonzero(np.isfinite(grad)) == self._p else None
+
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
+        # vecdot runs the same dot kernel on each row, as at one row.
+        grad = self._backprop(x)
+        if grad is not None:
+            return np.vecdot(W, grad)
         _, out, dout = self._pass(x, W)
         slopes = ((out - self.Y) * dout).reshape(W.shape[0], -1)
         return 2.0 * slopes.sum(axis=1) / self.X.shape[1]

@@ -1,6 +1,7 @@
 """Closed-form oracles against hand values and independent grid/FD oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -505,23 +506,146 @@ def _three_select_subderivatives(net, theta, dtheta):
     return 2.0 * slopes.sum(axis=1) / net.X.shape[1]
 
 
-@pytest.mark.parametrize("widths, final_relu", [([2, 8, 1], True), ([3, 5, 4, 2], False),
-                                                ([1, 1, 1], True)])
-def test_relu_loss_rows_match_the_zero_tangent_pass_bit_for_bit(widths, final_relu):
-    rng = np.random.default_rng([7, len(widths), widths[1]])
+def _reverse_gradient(net, theta, absolute=False):
+    """The gradient by the reverse pass, as ``ReLUNetworkLoss._backprop``
+    forms it: G = 2 (out - Y) / m, then from the last layer dA = G [A > 0],
+    dA Z^T, -sum dA and G = W^T dA. With ``absolute``, the same pass on |G|,
+    |Z| and |W| gives each entry's sum of absolute terms, the scale of its
+    rounding."""
+    n_layers = len(net.widths) - 1
+    Z, tape = net.X, []
+    for i in range(n_layers):
+        act = net.final_relu or i < n_layers - 1
+        W, b = net._unpack(theta, i)
+        A = W @ Z - b[:, None]
+        tape.append((Z, W, A, act))
+        Z = np.maximum(A, 0.0) if act else A
+    G = (Z - net.Y) * (2.0 / net.X.shape[1])
+    parts = []
+    for Z, W, A, act in reversed(tape):
+        if absolute:
+            G, Z, W = np.abs(G), np.abs(Z), np.abs(W)
+        dA = np.where(A > 0, G, 0.0) if act else G
+        parts[:0] = [(dA @ Z.T).ravel(), -dA.sum(axis=1)]
+        G = W.T @ dA
+    grad = np.concatenate(parts)
+    return np.abs(grad) if absolute else grad
+
+
+def _within_ulps(got, want, scale):
+    """Within 8 ulps of the sum of absolute terms (observed: at most 2.1)."""
+    return np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+
+
+RELU_SHAPES = [([2, 8, 1], True), ([3, 5, 4, 2], False), ([1, 1, 1], True)]
+
+
+def _relu_net(widths, final_relu, seed):
+    rng = np.random.default_rng(seed)
     data = [(rng.normal(size=widths[0]), rng.normal(size=widths[-1])) for _ in range(16)]
-    net = sd.relu_network_loss(widths, data, final_relu=final_relu)
+    return sd.relu_network_loss(widths, data, final_relu=final_relu), rng
+
+
+@pytest.mark.parametrize("widths, final_relu", RELU_SHAPES)
+def test_relu_loss_rows_match_the_zero_tangent_pass_bit_for_bit(widths, final_relu):
+    # At a tie and at theta = 0 the rows come from the forward tangent pass,
+    # bit for bit. At an untied theta f is differentiable and the rows are
+    # <grad, w> from the reverse pass: the same linear form, rounded in
+    # another order, so they meet the forward pass within a few ulps.
+    net, rng = _relu_net(widths, final_relu, [7, len(widths), widths[1]])
     eye = np.eye(net.dim)
     pool = np.vstack([np.zeros((1, net.dim)), eye, -eye,
                       rng.normal(size=(129 - 2 * net.dim, net.dim))])  # 130 rows
     tied = tied_theta(net, rng)
     assert any((a == 0).any() for a in net._pass(tied)[0])
-    for theta in (rng.normal(size=net.dim), tied, np.zeros(net.dim)):
+    untied = rng.normal(size=net.dim)
+    for theta in (untied, tied, np.zeros(net.dim)):
+        grad = net._backprop(theta)
+        assert (grad is None) == (theta is not untied)
         singles = [pool[:1], pool[1:2], pool[-1:]]  # the zero row, a vertex, a Gaussian row
         stacks = [pool[rng.choice(130, size=7, replace=False)], pool[rng.permutation(130)]]
         for W in singles + stacks:
-            assert _same_bits(net._subderivatives(theta, W),
-                              _three_select_subderivatives(net, theta, W))
+            got, forward = net._subderivatives(theta, W), _three_select_subderivatives(net, theta, W)
+            if grad is None:
+                assert _same_bits(got, forward)
+            else:
+                assert _same_bits(got, np.vecdot(W, _reverse_gradient(net, theta)))
+                scale = np.abs(W) @ _reverse_gradient(net, theta, absolute=True)
+                assert _within_ulps(got, forward, scale)
+
+
+@pytest.mark.parametrize("widths, final_relu", RELU_SHAPES)
+def test_relu_reverse_gradient_matches_the_forward_tangents(widths, final_relu):
+    net, rng = _relu_net(widths, final_relu, [11, len(widths), widths[1]])
+    for _ in range(10):
+        theta = rng.normal(size=net.dim)
+        grad = net._backprop(theta)
+        assert grad.tobytes() == _reverse_gradient(net, theta).tobytes()
+        # the forward tangent along every unit vector is one partial derivative
+        forward = _three_select_subderivatives(net, theta, np.eye(net.dim))
+        assert _within_ulps(grad, forward, _reverse_gradient(net, theta, absolute=True))
+
+
+@pytest.mark.parametrize("widths, final_relu", RELU_SHAPES)
+def test_relu_tie_takes_the_forward_tangent_pass(widths, final_relu):
+    rng = np.random.default_rng([13, len(widths)])
+    data = [(dyadic(rng, widths[0]), dyadic(rng, widths[-1])) for _ in range(5)]
+    net = sd.relu_network_loss(widths, data, final_relu=final_relu)
+    theta = tied_theta(net, rng)
+    assert net._backprop(theta) is None
+    tie_bias = np.zeros(net.dim)
+    tie_bias[widths[0] * widths[1]] = 1.0  # the first bias of layer 1, whose unit is tied
+    D = np.vstack([tie_bias, dyadic(rng, (5, net.dim))])
+    W = np.vstack([D, -D])
+    got = net._subderivatives(theta, W)
+    assert _same_bits(got, _three_select_subderivatives(net, theta, W))
+    assert np.any(got[:6] != -got[6:])  # d f(theta) is not linear at the tie
+
+
+def test_relu_zero_in_an_affine_last_layer_is_no_tie():
+    # Without the output activation the last layer is affine, so a zero
+    # output pre-activation is no kink: the reverse pass still answers.
+    rng = np.random.default_rng(17)
+    data = [(dyadic(rng, 2), dyadic(rng, 1)) for _ in range(4)]
+    net = sd.relu_network_loss([2, 3, 1], data, final_relu=False)
+    W1, b1, W2 = dyadic(rng, (3, 2)), dyadic(rng, 3), dyadic(rng, (1, 3))
+    hidden = np.maximum(W1 @ net.X - b1[:, None], 0.0)
+    theta = net.pack([W1, W2], [b1, W2 @ hidden[:, 0]])
+    hidden_pre, out_pre = net._pass(theta)[0]
+    assert out_pre[0, 0] == 0.0 and np.count_nonzero(hidden_pre) == hidden_pre.size
+    grad = net._backprop(theta)
+    assert grad is not None
+    W = np.vstack([np.eye(net.dim), rng.normal(size=(5, net.dim))])
+    got = net._subderivatives(theta, W)
+    assert _same_bits(got, np.vecdot(W, _reverse_gradient(net, theta)))
+    scale = np.abs(W) @ _reverse_gradient(net, theta, absolute=True)
+    assert _within_ulps(got, _three_select_subderivatives(net, theta, W), scale)
+    assert _within_ulps(got[:net.dim], -_three_select_subderivatives(net, theta, -np.eye(net.dim)),
+                        scale[:net.dim])
+
+
+@pytest.mark.parametrize("widths, final_relu, scale, last_scale", [
+    ([2, 8, 1], True, 1e200, 1.0), ([3, 5, 4, 2], False, 1.0, 1e306)])
+def test_relu_overflow_answers_as_the_forward_tangent_pass(widths, final_relu, scale,
+                                                           last_scale):
+    # [2, 8, 1] at 1e200 scale: the output pre-activations overflow, one to
+    # -inf, which its dead unit would hide from the gradient. [3, 5, 4, 2]
+    # with its affine last layer at 1e306: only the products past the
+    # output overflow, W^T dA in the reverse pass. Both passes raise under
+    # this suite's filter; with warnings ignored, the forward pass's values
+    # come back, bit for bit.
+    net, rng = _relu_net(widths, final_relu, [19, len(widths)])
+    theta = scale * rng.normal(size=net.dim)
+    theta[net._offsets[-1][0]:] *= last_scale
+    W = rng.normal(size=(5, net.dim))
+    for rows in (net._subderivatives, lambda t, W: _three_select_subderivatives(net, t, W)):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            rows(theta, W)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert net._backprop(theta) is None
+        assert (net._subderivatives(theta, W).tobytes()
+                == _three_select_subderivatives(net, theta, W).tobytes())
 
 
 def test_linear_model():
