@@ -24,8 +24,11 @@ Capability flags (semi-differentiability, a descent constant, a lower
 bound, gradient access, separable structure) let the direction-search and
 line-search layers pick the right specialized path.
 
-All models are immutable values; implementations must be stateless and safe
-for any number of concurrent readers.
+All models are immutable values; implementations must answer as if
+stateless and be safe for any number of concurrent readers. A model may keep
+what it worked out at its last point (``ReLUNetworkLoss`` keeps its forward
+tape) only as one object replaced whole, keyed by the point's bytes, so that
+every answer has the bits a fresh model gives.
 """
 
 from __future__ import annotations

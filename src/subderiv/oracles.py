@@ -436,26 +436,59 @@ def relu_direction(a: Vector, da: Vector) -> Vector:
     return out
 
 
+_PENDING = object()  # a tape entry not yet asked for
+
+
+class _Tape:
+    """One forward pass of a ``ReLUNetworkLoss`` at one theta.
+
+    ``key`` is theta.tobytes(); ``layers`` holds each layer's input Z,
+    weights W and pre-activation A = W Z - b, with W a view of a read-only
+    copy of theta, so a caller that changes its theta changes no tape;
+    ``residual`` is out - Y. The loss and the gradient join it when first
+    asked for; a gradient that does not exist is stored as None. A forward
+    pass that raises (an overflow under an error filter) leaves no tape, and
+    a loss or a gradient that raises is left unasked.
+    """
+
+    __slots__ = ("key", "layers", "residual", "loss", "grad")
+
+    def __init__(self, key: bytes, layers: list, residual: np.ndarray):
+        self.key, self.layers, self.residual = key, layers, residual
+        self.loss = self.grad = _PENDING
+
+
 class ReLUNetworkLoss(RowSubderivatives):
     """Mean squared loss of a fully connected ReLU network over its parameters.
 
     The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
-    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets). Where no
-    activated pre-activation is exactly 0, every unit is locally affine, so
-    f is differentiable at theta and each row is <grad f(theta), w>, with the
-    gradient from one reverse pass (``_backprop``) and one row product.
-    Elsewhere, or where that pass overflows, one forward pass over all the
-    data carries the directions next to the values (k directions as a stack
-    of k tangents; ``subderivative`` is the case k = 1): through each affine
-    layer by the product rule, dA = dW Z + W dZ - db, through the activation
-    by its semi-derivative (max{0, dA} at a zero pre-activation), then
-    through the smooth squared-loss outer derivative.
+    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets). The model
+    keeps the forward tape of the last single theta it was asked about (one
+    forward pass over all the data, ``_tape``), and the value, the gradient
+    and the subderivative rows at that theta all read it, so a search, its
+    read-back and the line search's f(x) share one pass. The tape is
+    replaced whole and answers only the bytes of the theta it was built
+    from, so every answer has the bits a fresh model gives.
+
+    Where no activated pre-activation is exactly 0, every unit is locally
+    affine, so f is differentiable at theta and each row is
+    <grad f(theta), w>, with the gradient from one reverse pass over the
+    tape (``_backprop``) and one row product. Elsewhere, or where that pass
+    overflows, the directions are carried through the tape as a stack of
+    tangents, a fixed number of floats at a time (``subderivative`` is the
+    case of one direction): through each affine layer by the product rule,
+    dA = dW Z + W dZ - db, through the activation by its semi-derivative
+    (max{0, dA} at a zero pre-activation), then through the smooth
+    squared-loss outer derivative.
 
     ``final_relu`` controls whether the last layer is passed through the
     activation as well; the bundled fixtures use True.
     """
 
     semi_differentiable = True
+    # floats in one tangent block (rows x width x data); about 8 MB, which
+    # bounds the tangent route's memory at any row count
+    _TANGENT_ELEMENTS = 1 << 20
 
     def __init__(self, widths: Sequence[int], data: Sequence[tuple], final_relu: bool = True):
         if len(widths) < 2 or any(w < 1 for w in widths):
@@ -473,10 +506,14 @@ class ReLUNetworkLoss(RowSubderivatives):
             self._offsets.append((off, off + n_out * n_in, off + n_out * n_in + n_out))
             off = self._offsets[-1][2]
         self._p = off
+        self._last: Optional[_Tape] = None
 
     @property
     def dim(self) -> int:
         return self._p
+
+    def _activated(self, i: int) -> bool:
+        return self.final_relu or i < len(self.widths) - 2
 
     def _unpack(self, theta: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Layer i's weights and bias from the last axis of ``theta``."""
@@ -497,36 +534,42 @@ class ReLUNetworkLoss(RowSubderivatives):
             as_matrix(weights[i], widths[i], f"weights[{i}]", widths[i + 1]).ravel(),
             as_vector(biases[i], widths[i + 1], f"biases[{i}]"))])
 
-    def _pass(self, theta: np.ndarray, dtheta: Optional[np.ndarray] = None):
-        """Forward pass over every datum at once.
+    def _tape(self, theta: Vector) -> _Tape:
+        """The forward tape at theta: the kept one when its key is
+        theta.tobytes(), else one new pass, which replaces it.
 
-        Returns the per-layer pre-activations A = W Z - b (one column per
-        datum), the output and its directional derivatives along the k rows
-        of the (k, p) matrix ``dtheta``, stacked on a leading axis of length
-        k; without ``dtheta`` no direction is propagated and the last is None.
-        The data carry no tangent, so layer 1's is dA = dW Z - db; from
-        layer 2 on it is dA = (dW Z + W dZ) - db.
-        Without ``dtheta``, ``theta`` may also be a (k, p) stack of parameter
-        vectors; every array then gains that leading axis, and each row's
-        layer products are the BLAS calls its own pass makes.
+        Each layer's A = W Z - b is one product of the (n_out, n_in) weights
+        with the data columns, the BLAS call each row of ``_pass`` makes, so
+        the tape's loss equals ``_values``' row bit for bit.
         """
-        n_layers = len(self.widths) - 1
-        Z, dZ = self.X, None
-        pre = []
-        for i in range(n_layers):
-            act = self.final_relu or i < n_layers - 1
+        key = theta.tobytes()
+        last = self._last
+        if last is not None and last.key == key:
+            return last
+        theta = np.frombuffer(key)  # a read-only copy of theta
+        Z, layers = self.X, []
+        for i, (w0, w1, w2) in enumerate(self._offsets):
+            W = theta[w0:w1].reshape(self.widths[i + 1], self.widths[i])
+            A = W @ Z - theta[w1:w2, None]
+            layers.append((Z, W, A))
+            Z = np.maximum(A, 0.0) if self._activated(i) else A
+        self._last = tape = _Tape(key, layers, Z - self.Y)
+        return tape
+
+    def _pass(self, theta: np.ndarray) -> tuple[list, np.ndarray]:
+        """Forward pass over every datum at once, for a (k, p) stack of
+        parameter vectors (or one vector): the per-layer pre-activations
+        A = W Z - b (one column per datum) and the output, each with a
+        leading axis of length k. Each row's layer products are the BLAS
+        calls its own pass makes.
+        """
+        Z, pre = self.X, []
+        for i in range(len(self.widths) - 1):
             W, b = self._unpack(theta, i)
             A = W @ Z - b[..., None]
-            if dtheta is not None:
-                dW, db = self._unpack(dtheta, i)
-                dA = dW @ Z
-                if dZ is not None:
-                    dA += W @ dZ
-                dA -= db[:, :, None]
-                dZ = relu_direction(A, dA) if act else dA
-            Z = np.maximum(A, 0.0) if act else A
+            Z = np.maximum(A, 0.0) if self._activated(i) else A
             pre.append(A)
-        return pre, Z, dZ
+        return pre, Z
 
     def preactivations(self, theta: Vector) -> list[list[Vector]]:
         """Per-datum, per-layer pre-activation vectors W z - b.
@@ -535,64 +578,83 @@ class ReLUNetworkLoss(RowSubderivatives):
         loss is still semi-differentiable but finite differences converge
         slowly.
         """
-        pre, _, _ = self._pass(as_vector(theta, self._p, "theta"))
-        return [[A[:, j] for A in pre] for j in range(self.X.shape[1])]
+        tape = self._tape(as_vector(theta, self._p, "theta"))
+        cols = [A.T.copy() for _, _, A in tape.layers]  # copies: the tape stays as built
+        return [[c[j] for c in cols] for j in range(self.X.shape[1])]
 
     def _value(self, x: Vector) -> float:
-        _, out, _ = self._pass(x)
-        return float(((out - self.Y) ** 2).sum()) / self.X.shape[1]
+        tape = self._tape(x)
+        if tape.loss is _PENDING:
+            tape.loss = float((tape.residual ** 2).sum()) / self.X.shape[1]
+        return tape.loss
 
     def _values(self, X: np.ndarray) -> np.ndarray:
-        _, out, _ = self._pass(X)
+        _, out = self._pass(X)
         return ((out - self.Y) ** 2).sum(axis=(1, 2)) / self.X.shape[1]
 
     def _backprop(self, theta: Vector) -> Optional[Vector]:
-        """grad f(theta) by one forward and one reverse pass over the data,
-        or None where the forward tangent pass must answer: where a
+        """grad f(theta) as a read-only array, by one reverse pass over the
+        tape, or None where the tangent route must answer: where a
         pre-activation of an activated layer is exactly 0 (a tie, where
         d f(theta) need not be linear), NaN or infinite (an overflow that a
         dead unit would hide), or where the gradient is not finite. An
         overflow here warns as numpy warns (or raises, under an error
-        filter) before the forward pass answers.
+        filter, and leaves the gradient unasked) before the tangent route
+        answers.
 
         From G = 2 (out - Y) / m and the last layer down: dA = G [A > 0]
         (dA = G in an affine layer), the weights' part dA Z^T, the bias's
-        -sum of dA over the data, and G = W^T dA for the layer below. Each
-        A = W Z - b is formed as ``_pass`` forms it, so both see the same ties.
+        -sum of dA over the data, and G = W^T dA for the layer below.
         """
-        n_layers = len(self.widths) - 1
-        Z, tape = self.X, []
-        for i, (w0, w1, w2) in enumerate(self._offsets):
-            W = theta[w0:w1].reshape(self.widths[i + 1], self.widths[i])
-            A = W @ Z - theta[w1:w2, None]
-            on = None
-            if self.final_relu or i < n_layers - 1:
-                if (np.count_nonzero(A) < A.size
-                        or np.count_nonzero(np.isfinite(A)) < A.size):
-                    return None
-                on = A > 0
-            tape.append((Z, W, on))
-            Z = A if on is None else np.maximum(A, 0.0)
-        G = (Z - self.Y) * (2.0 / self.X.shape[1])
+        tape = self._tape(theta)
+        if tape.grad is not _PENDING:
+            return tape.grad
+        for i, (_, _, A) in enumerate(tape.layers):
+            if self._activated(i) and (np.count_nonzero(A) < A.size
+                                       or np.count_nonzero(np.isfinite(A)) < A.size):
+                tape.grad = None
+                return None
+        G = tape.residual * (2.0 / self.X.shape[1])
         grad = np.empty(self._p)
-        for i in reversed(range(n_layers)):
-            Z, W, on = tape[i]
-            dA = G if on is None else np.where(on, G, 0.0)
+        for i in reversed(range(len(tape.layers))):
+            Z, W, A = tape.layers[i]
+            dA = np.where(A > 0, G, 0.0) if self._activated(i) else G
             w0, w1, w2 = self._offsets[i]
             grad[w0:w1] = (dA @ Z.T).ravel()
             grad[w1:w2] = -dA.sum(axis=1)
             if i:
                 G = W.T @ dA
-        return grad if np.count_nonzero(np.isfinite(grad)) == self._p else None
+        grad.flags.writeable = False
+        tape.grad = grad if np.count_nonzero(np.isfinite(grad)) == self._p else None
+        return tape.grad
+
+    def _tangent_rows(self, tape: _Tape, D: np.ndarray) -> np.ndarray:
+        """d f(theta)(d) for every row d of D, by the forward tangent pass
+        over the tape. The data carry no tangent, so layer 1's is
+        dA = dW Z - db; from layer 2 on it is dA = (dW Z + W dZ) - db."""
+        dZ = None
+        for i, (Z, W, A) in enumerate(tape.layers):
+            dW, db = self._unpack(D, i)
+            dA = dW @ Z
+            if dZ is not None:
+                dA += W @ dZ
+            dA -= db[:, :, None]
+            dZ = relu_direction(A, dA) if self._activated(i) else dA
+        slopes = (tape.residual * dZ).reshape(D.shape[0], -1)
+        return 2.0 * slopes.sum(axis=1) / self.X.shape[1]
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        # vecdot runs the same dot kernel on each row, as at one row.
+        # vecdot runs the same dot kernel on each row, as at one row; each
+        # tangent row's products are its own BLAS calls, so no row's bits
+        # depend on the row count or on the chunk it falls in.
         grad = self._backprop(x)
         if grad is not None:
             return np.vecdot(W, grad)
-        _, out, dout = self._pass(x, W)
-        slopes = ((out - self.Y) * dout).reshape(W.shape[0], -1)
-        return 2.0 * slopes.sum(axis=1) / self.X.shape[1]
+        tape, out = self._tape(x), np.empty(W.shape[0])
+        step = max(1, self._TANGENT_ELEMENTS // (max(self.widths[1:]) * self.X.shape[1]))
+        for j in range(0, W.shape[0], step):
+            out[j:j + step] = self._tangent_rows(tape, W[j:j + step])
+        return out
 
 
 def relu_network_loss(widths: Sequence[int], data: Sequence[tuple],

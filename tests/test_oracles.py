@@ -1,6 +1,8 @@
 """Closed-form oracles against hand values and independent grid/FD oracles."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -646,6 +648,142 @@ def test_relu_overflow_answers_as_the_forward_tangent_pass(widths, final_relu, s
         assert net._backprop(theta) is None
         assert (net._subderivatives(theta, W).tobytes()
                 == _three_select_subderivatives(net, theta, W).tobytes())
+
+
+def _fresh(net):
+    """A new model on the same data, with no tape."""
+    return sd.relu_network_loss(net.widths, list(zip(net.X.T, net.Y.T)), net.final_relu)
+
+
+def _answers(net, theta, W):
+    """The value, the rows and the one-row stacked value at theta, as bytes."""
+    return (np.float64(net._value(theta)).tobytes(), net._subderivatives(theta, W).tobytes(),
+            net._values(theta[None]).tobytes())
+
+
+def _tape_net(widths, final_relu, seed):
+    """A net on dyadic data, a tied and an untied theta, each with zeros,
+    and rows for both routes."""
+    rng = np.random.default_rng(seed)
+    data = [(dyadic(rng, widths[0]), dyadic(rng, widths[-1])) for _ in range(5)]
+    net = sd.relu_network_loss(widths, data, final_relu=final_relu)
+    tied, untied = tied_theta(net, rng), rng.normal(size=net.dim)
+    while not (tied == 0).any():
+        tied = tied_theta(net, rng)
+    untied[::3] = 0.0
+    W = np.vstack([np.eye(net.dim)[:3], dyadic(rng, (4, net.dim)), rng.normal(size=(4, net.dim))])
+    return net, tied, untied, W
+
+
+@pytest.mark.parametrize("widths, final_relu", RELU_SHAPES)
+def test_relu_tape_answers_as_a_fresh_model(widths, final_relu):
+    # A model that keeps the last point's forward tape answers every query
+    # with the bits of a new model, along a sequence that revisits points,
+    # asks in every order and swaps 0.0 for -0.0 (another key, the same bits).
+    net, tied, untied, W = _tape_net(widths, final_relu, [23, len(widths)])
+    assert net._backprop(tied) is None and net._backprop(untied) is not None
+    negs = [np.where(t == 0, -0.0, t) for t in (tied, untied)]
+    want = {t.tobytes(): _answers(_fresh(net), t, W) for t in [tied, untied] + negs}
+    assert want[tied.tobytes()] == want[negs[0].tobytes()]
+    assert want[untied.tobytes()] == want[negs[1].tobytes()]
+    for theta in (tied, untied, tied, negs[0], negs[1], untied, untied, negs[0], tied):
+        v, rows, stacked = want[theta.tobytes()]
+        assert net._subderivatives(theta, W).tobytes() == rows
+        assert np.float64(net._value(theta)).tobytes() == v
+        assert net._values(theta[None]).tobytes() == stacked
+        assert _answers(net, theta, W) == want[theta.tobytes()]
+    # at the tie the rows are still the forward tangent pass, bit for bit
+    net._value(tied)
+    assert _same_bits(net._subderivatives(tied, W), _three_select_subderivatives(net, tied, W))
+
+
+def test_relu_tape_follows_a_theta_changed_in_place():
+    # The tape keeps its own copy of theta and hands out no array a caller
+    # could change: changing theta, or the pre-activations read off the
+    # tape, in place changes no later answer at the old theta.
+    net, _, theta, W = _tape_net([2, 8, 1], True, 31)
+    want, saved = _answers(_fresh(net), theta, W), theta.copy()
+    first = net.preactivations(theta)[0][0]
+    first *= -1.0
+    theta[net._offsets[-1][0]] += 0.25  # a weight the reverse pass reads
+    theta[net._offsets[0][1]] -= 0.5  # a first-layer bias
+    assert _answers(net, saved, W) == want
+    with pytest.raises(ValueError, match="read-only"):
+        net._backprop(saved)[0] = 1.0
+    changed = _answers(net, theta, W)
+    assert changed == _answers(_fresh(net), theta, W)
+    assert changed[0] != want[0] and changed[1] != want[1]
+    assert all(_same_bits(a, b) for got, fresh in zip(net.preactivations(saved),
+                                                      _fresh(net).preactivations(saved))
+               for a, b in zip(got, fresh))
+
+
+@pytest.mark.parametrize("widths, final_relu, scale, last_scale, raises_at", [
+    ([2, 8, 1], True, 1e200, 1.0, "forward"), ([3, 5, 4, 2], False, 1.0, 1e306, "reverse")])
+def test_relu_overflow_leaves_nothing_on_the_tape(widths, final_relu, scale, last_scale,
+                                                  raises_at):
+    # Under this suite's error filter an overflow raises: in the forward
+    # pass no tape is kept, in the loss or the reverse pass that entry is
+    # left unasked, so asking again raises again.
+    net, rng = _relu_net(widths, final_relu, [19, len(widths)])
+    theta = scale * rng.normal(size=net.dim)
+    theta[net._offsets[-1][0]:] *= last_scale
+    W = rng.normal(size=(5, net.dim))
+    for _ in range(2):
+        for ask in (lambda: net._value(theta), lambda: net._subderivatives(theta, W)):
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                ask()
+            assert (net._last is None) == (raises_at == "forward")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _answers(net, theta, W) == _answers(_fresh(net), theta, W)
+
+
+@pytest.mark.parametrize("widths, final_relu", RELU_SHAPES)
+def test_relu_tangent_chunks_keep_every_row_bit_for_bit(widths, final_relu):
+    # The tangent route splits its rows under a fixed element cap; at caps
+    # of 1 row (below one row's footprint too) and 3 rows per chunk, every
+    # row count on both sides of a boundary gives the unchunked bits.
+    net, tied, _, W = _tape_net(widths, final_relu, [37, len(widths)])
+    W = np.vstack([W, -W])  # 22 rows
+    whole = _fresh(net)._subderivatives(tied, W)
+    assert _same_bits(whole, _three_select_subderivatives(net, tied, W))
+    footprint = max(widths[1:]) * net.X.shape[1]
+    for cap in (1, footprint, 3 * footprint, 3 * footprint + footprint - 1):
+        net._TANGENT_ELEMENTS = cap
+        for k in (1, 2, 3, 4, 5, 6, 7, 22):
+            assert _same_bits(net._subderivatives(tied, W[:k]), whole[:k]), (cap, k)
+        assert _same_bits(net._subderivatives(tied, W[:0]), whole[:0])
+
+
+def test_relu_tape_shared_by_threads_answers_each_its_own_point():
+    # Threads asking one model about different points replace its tape under
+    # each other; every answer must still be its own point's.
+    net, tied, untied, W = _tape_net([2, 8, 1], True, 41)
+    rng = np.random.default_rng(43)
+    points = [tied, untied] + [rng.normal(size=net.dim) for _ in range(4)]
+    want = [_answers(_fresh(net), t, W) for t in points]
+    wrong, done = [], []
+
+    def ask(j):
+        for r in range(300):
+            i = (j + r) % len(points)
+            if _answers(net, points[i], W) != want[i]:
+                wrong.append(i)
+        done.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 def test_linear_model():
