@@ -193,12 +193,15 @@ class _Sum(RowSubderivatives):
         return self._fold(m.gradient(x) for m in self.models)
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        return self._separable_parts(as_vector(x, self.dim))
+
+    def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         grad, up, down = np.zeros((3, self.dim))
         for m in self.models:
             if m.has_gradient:
                 grad = grad + m.gradient(x)
             else:
-                g2, (up2, down2) = m.separable_parts(x)
+                g2, (up2, down2) = m._separable_parts(x)
                 grad, up, down = grad + g2, up + up2, down + down2
         if self.lam != 1.0:
             grad, up, down = self.lam * grad, self.lam * up, self.lam * down

@@ -100,7 +100,7 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     if len(parts) != 2 or any(np.shape(p) != (n,) for p in parts):
         raise NotSeparable(f"separable parts must be two arrays of shape ({n},)")
     up, down = (np.asarray(p, dtype=float) for p in parts)
-    at_minus = -grad + down
+    at_minus = down - grad  # the bits of -grad + down
     at_plus = grad + up
     plus_wins = at_plus < at_minus
     best = np.where(plus_wins, at_plus, at_minus)

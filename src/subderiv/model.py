@@ -27,8 +27,9 @@ line-search layers pick the right specialized path.
 All models are immutable values; implementations must answer as if
 stateless and be safe for any number of concurrent readers. A model may keep
 what it worked out at its last point (``ReLUNetworkLoss`` keeps its forward
-tape) only as one object replaced whole, keyed by the point's bytes, so that
-every answer has the bits a fresh model gives.
+tape, ``SeparableMoreau`` its separable parts) only as one object replaced
+whole, keyed by the point's bytes, so that every answer has the bits a fresh
+model gives.
 """
 
 from __future__ import annotations
@@ -225,9 +226,14 @@ class FunctionModel(abc.ABC):
         positively homogeneous, so it is fixed by two numbers; the parts are
         returned as arrays ``(up, down)`` of shape (n,) with
         ``up[i] = g_i(+1)`` and ``down[i] = g_i(-1)``, so that
-        g_i(t) = t * up[i] for t >= 0 and -t * down[i] for t <= 0.
+        g_i(t) = t * up[i] for t >= 0 and -t * down[i] for t <= 0. The
+        parts may be read-only: a model may hand out the arrays it keeps.
         """
         raise NotSeparable(f"{type(self).__name__} has no separable structure")
+
+    def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        """The parts at a checked x; this default asks ``separable_parts``."""
+        return self.separable_parts(x)
 
 
 class RowSubderivatives(FunctionModel):

@@ -61,18 +61,21 @@ class L1Norm(RowSubderivatives):
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         if self._n >= _COLUMN_SUM_BELOW:
-            S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
-            return self._c * S.sum(axis=1)
+            # the |w| select only where some x_i = 0
+            S = np.where(x < 0, -W, np.abs(W)) if (x == 0).any() else -W
+            return self._c * np.where(x > 0, W, S).sum(axis=1)
         acc = np.zeros(len(W))
         for j, xj in enumerate(x.tolist()):
             acc += W[:, j] if xj > 0 else -W[:, j] if xj < 0 else np.abs(W[:, j])
         return self._c * acc
 
     def _vertex_values(self, x: Vector) -> np.ndarray:
-        return _interleaved(*self.separable_parts(x)[1])
+        return _interleaved(*self._separable_parts(x)[1])
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        x = np.asarray(x, dtype=float)
+        return self._separable_parts(as_vector(x, self.dim))
+
+    def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
         up = np.where(x < 0, -self._c, self._c)
         down = np.where(x > 0, -self._c, self._c)
         return np.zeros(self.dim), (up, down)
@@ -280,18 +283,24 @@ class ZeroNormInner(ScalarProxInner):
         a = np.abs(t)
         off = np.where(a > thresh, t, 0.0)  # the prox off the threshold
         at = a == thresh
+        if not at.any():  # the ends differ only on the threshold
+            return off, off
         return (np.where(at, np.minimum(t, 0.0), off),
                 np.where(at, np.maximum(t, 0.0), off))
 
     def envelope(self, t: np.ndarray, r: float) -> np.ndarray:
         # min(t^2 / (2r), 1), rounded as at the prox candidates 0 and t: at
         # |t| = thresh the rounded thresh^2 / (2r) decides which is less.
-        # Clipping |t| at thresh keeps a huge t from overflowing t^2.
+        # Clipping |t| at thresh keeps a huge t from overflowing t^2. The
+        # clip, the square and the quotient write only the array np.abs made.
         thresh = math.sqrt(2.0 * r)
         a = np.abs(t)
-        s = np.minimum(a, thresh)
         one = a >= thresh if thresh * thresh / (2.0 * r) > 1.0 else a > thresh
-        return np.where(one, 1.0, s * s / (2.0 * r))
+        np.minimum(a, thresh, out=a)
+        np.multiply(a, a, out=a)
+        np.divide(a, 2.0 * r, out=a)
+        a[one] = 1.0
+        return a
 
 
 class UserScalarInner(ScalarProxInner):
@@ -320,7 +329,14 @@ class UserScalarInner(ScalarProxInner):
 
 class SeparableMoreau(RowSubderivatives):
     """Moreau envelope of a separable scalar inner: the value sums the inner's
-    ``envelope``, the subderivative is built on its ``prox_range``."""
+    ``envelope``, the subderivative is built on its ``prox_range``.
+
+    The model keeps the separable parts of the last point they were worked
+    out at (``_last``: the point's bytes and the read-only parts, one tuple
+    replaced whole), so ``separable_parts``, the vertex values and the
+    subderivative rows at one point share one ``prox_range``. ``_value``
+    does not use them. The parts handed out are read-only.
+    """
 
     semi_differentiable = True
     is_separable = True
@@ -334,6 +350,7 @@ class SeparableMoreau(RowSubderivatives):
         # The envelope is bounded below by the infimum of the inner cost.
         self.lower_bound = (None if inner.min_cost is None
                             else self._n * inner.min_cost)
+        self._last: Optional[tuple[bytes, tuple[Vector, Vector]]] = None
 
     @property
     def dim(self) -> int:
@@ -347,12 +364,12 @@ class SeparableMoreau(RowSubderivatives):
         return self.inner.envelope(X.ravel(), self.r).reshape(X.shape).sum(axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        _, (up, down) = self.separable_parts(x)
-        return np.where(W > 0, up * W, -down * W).sum(axis=1)
+        _, (up, down) = self._separable_parts(x)
+        return (np.where(W > 0, up, -down) * W).sum(axis=1)
 
     def _vertex_values(self, x: Vector) -> np.ndarray:
         # + 0.0: a zero slope is +0.0, as the dense default's row sum gives it.
-        _, (up, down) = self.separable_parts(x)
+        _, (up, down) = self._separable_parts(x)
         return _interleaved(up + 0.0, down + 0.0)
 
     def gradient(self, x: Vector) -> Vector:
@@ -362,9 +379,21 @@ class SeparableMoreau(RowSubderivatives):
         return (x - self.inner.prox_range(x, self.r)[0]) / self.r
 
     def separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        x = np.asarray(x, dtype=float)
+        return self._separable_parts(as_vector(x, self.dim))
+
+    def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
+        # the kept parts when their key is x.tobytes(), else one prox_range,
+        # whose parts replace them
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return np.zeros(self.dim), last[1]
         lo, hi = self.inner.prox_range(x, self.r)
-        return np.zeros(self.dim), ((x - hi) / self.r, (lo - x) / self.r)
+        parts = (x - hi) / self.r, (lo - x) / self.r
+        for p in parts:
+            p.flags.writeable = False
+        self._last = key, parts
+        return np.zeros(self.dim), parts
 
 
 class QuadraticInner:

@@ -303,6 +303,89 @@ def test_user_inner_envelope_runs_the_default_on_its_prox():
     assert calls == t.tolist()
 
 
+# The parent kernels of the hard-threshold envelope, the l1 rows and the
+# sup-norm search, written out: the rewritten kernels must keep their bits.
+def _old_prox_range(t, r):
+    thresh = math.sqrt(2.0 * r)
+    a = np.abs(t)
+    off = np.where(a > thresh, t, 0.0)
+    at = a == thresh
+    return np.where(at, np.minimum(t, 0.0), off), np.where(at, np.maximum(t, 0.0), off)
+
+
+def _old_envelope(t, r):
+    thresh = math.sqrt(2.0 * r)
+    a = np.abs(t)
+    s = np.minimum(a, thresh)
+    one = a >= thresh if thresh * thresh / (2.0 * r) > 1.0 else a > thresh
+    return np.where(one, 1.0, s * s / (2.0 * r))
+
+
+def _old_l1_rows(c, x, W):
+    return c * np.where(x > 0, W, np.where(x < 0, -W, np.abs(W))).sum(axis=1)
+
+
+def _old_moreau_rows(up, down, W):
+    return np.where(W > 0, up * W, -down * W).sum(axis=1)
+
+
+def _old_linf_w(up, down, grad):
+    at_minus = -grad + down
+    at_plus = grad + up
+    plus_wins = at_plus < at_minus
+    best = np.where(plus_wins, at_plus, at_minus)
+    return np.where(0.0 < best, 0.0, np.where(plus_wins, 1.0, -1.0))
+
+
+def _kink_points(r, rng):
+    """Points of 24 coordinates: +-sqrt(2r) and one float on either side,
+    +-0.0, +-1e300 and uniform entries, with and without the threshold
+    (the prox's tie branch) and with and without a zero."""
+    thresh = math.sqrt(2.0 * r)
+    edge = [v for c in (thresh, -thresh) for v in (c, np.nextafter(c, 0.0), np.nextafter(c, 2 * c))]
+    tied = np.array(edge + [0.0, -0.0, 1e300, -1e300] + rng.uniform(-3.0, 3.0, 14).tolist())
+    untied = np.where(np.abs(tied) == thresh, 0.5, tied)
+    return [tied, untied, np.where(tied == 0.0, 0.25, tied), np.where(untied == 0.0, 0.25, untied)]
+
+
+def _kink_rows(rng):
+    W = np.vstack([rng.uniform(-1.0, 1.0, (4, 24)), np.sign(rng.normal(size=(2, 24))),
+                   np.eye(24)[:2], -np.eye(24)[:2], np.zeros((1, 24))])
+    W[:, ::5] = 0.0
+    W[::2, ::7] = -0.0
+    return W
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.1])
+def test_rewritten_kernels_keep_their_bits(r, rng):
+    # thresh^2 / (2r) rounds to 1 at r = 0.5, above 1 at 0.3, below 1 at 0.1
+    inner, env, W = sd.ZeroNormInner(), sd.moreau_envelope(sd.ZeroNormInner(), r, n=24), _kink_rows(rng)
+    for x in _kink_points(r, rng):
+        saved = x.copy()
+        for got, want in zip(inner.prox_range(x, r), _old_prox_range(x, r)):
+            assert _same_bits(got, want)
+        assert _same_bits(inner.envelope(x, r), _old_envelope(x, r))
+        assert x.tobytes() == saved.tobytes()  # the envelope works in its own array
+        lo, hi = _old_prox_range(x, r)
+        up, down = (x - hi) / r, (lo - x) / r
+        assert _same_bits(env._subderivatives(x, W), _old_moreau_rows(up, down, W))
+        for m in (sd.L1Norm(24, 1.3), sd.NegL1Norm(24, 0.7)):
+            assert _same_bits(m._subderivatives(x, W), _old_l1_rows(m._c, x, W))
+        grad = rng.uniform(-2.0, 2.0, 24)
+        grad[:4] = [0.0, -0.0, 0.0, -0.0]
+        for parts in ((up, down), (np.where(up > 0, np.inf, up), np.where(down < 0, -np.inf, down))):
+            res = sd.solve_linf_separable(parts, grad, np.zeros(24), model=sd.L1Norm(24))
+            assert _same_bits(res.w, _old_linf_w(*parts, grad))
+
+
+def test_minus_end_forms_the_bits_of_negated_grad_plus_down():
+    # down - grad is IEEE-identical to -grad + down, signed zeros and
+    # infinities included (the sup-norm search's -1 end)
+    v = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300, -1e300, np.inf, -np.inf])
+    down, grad = np.meshgrid(v, v[:7])
+    assert (down - grad).tobytes() == (-grad + down).tobytes()
+
+
 def test_quadratic_value_is_half_the_squared_distance():
     rng = np.random.default_rng(5)
     c = rng.normal(size=4000)
@@ -769,6 +852,112 @@ def test_relu_tape_shared_by_threads_answers_each_its_own_point():
         for r in range(300):
             i = (j + r) % len(points)
             if _answers(net, points[i], W) != want[i]:
+                wrong.append(i)
+        done.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
+
+
+def _env_answers(env, x, W):
+    """The parts, the rows, the vertex values and the value at x, as bytes."""
+    grad, (up, down) = env.separable_parts(x)
+    return (grad.tobytes(), up.tobytes(), down.tobytes(), env.subderivatives(x, W).tobytes(),
+            env._vertex_values(x).tobytes(), np.float64(env.value(x).v).tobytes())
+
+
+def _env_points(r, seed):
+    """A point with coordinates on +-sqrt(2r) and zeros, one off the
+    threshold, and each with its zeros made -0.0."""
+    rng = np.random.default_rng(seed)
+    tied, untied = _kink_points(r, rng)[:2]
+    return [tied, untied] + [np.where(t == 0, -0.0, t) for t in (tied, untied)], _kink_rows(rng)
+
+
+@pytest.mark.parametrize("inner, r", [(sd.ZeroNormInner(), 0.3), (sd.L1Inner(0.8), 0.5)],
+                         ids=["hard", "soft"])
+def test_envelope_parts_answer_as_a_fresh_model(inner, r):
+    # The envelope keeps the parts of its last point; along a sequence that
+    # revisits points and swaps 0.0 for -0.0 (another key, other signed
+    # zeros in the parts) every answer has the bits of a new model.
+    points, W = _env_points(r, 51)
+    fresh = lambda: sd.moreau_envelope(inner, r, n=24)
+    want = {x.tobytes(): _env_answers(fresh(), x, W) for x in points}
+    assert want[points[0].tobytes()] != want[points[1].tobytes()]
+    env = fresh()
+    for i in (0, 1, 0, 2, 3, 1, 1, 2, 0, 3):
+        x = points[i]
+        assert env.subderivatives(x, W).tobytes() == want[x.tobytes()][3]
+        assert env._vertex_values(x).tobytes() == want[x.tobytes()][4]
+        assert _env_answers(env, x, W) == want[x.tobytes()]
+
+
+def test_envelope_parts_follow_a_point_changed_in_place():
+    # The parts are keyed by the point's bytes and handed out read-only, so
+    # changing x in place gives the new point's parts, and no caller can
+    # change the kept ones.
+    (x, _, _, _), W = _env_points(0.3, 53)
+    env = sd.moreau_envelope(sd.ZeroNormInner(), 0.3, n=24)
+    want, saved = _env_answers(env, x, W), x.copy()
+    _, (up, down) = env.separable_parts(x)
+    for part in (up, down, env._separable_parts(x)[1][0]):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 1.0
+    x[0], x[6] = 0.5, 0.25  # off the threshold, off zero
+    changed = _env_answers(env, x, W)
+    assert changed == _env_answers(sd.moreau_envelope(sd.ZeroNormInner(), 0.3, n=24), x, W)
+    assert changed[1] != want[1] and changed[3] != want[3]
+    assert _env_answers(env, saved, W) == want
+
+
+class _CountingHardInner(sd.ZeroNormInner):
+    def __init__(self):
+        self.calls = 0
+
+    def prox_range(self, t, r):
+        self.calls += 1
+        return super().prox_range(t, r)
+
+
+def test_one_prox_per_sup_norm_search():
+    # separable_parts and the search's read-back share one prox_range; the
+    # value, the line search's query, asks none
+    inner = _CountingHardInner()
+    env = sd.moreau_envelope(inner, 0.3, n=24)
+    cfg = sd.SolverConfig(norm=sd.NormChoice.LINF, strategy="linf-sep")
+    points, _ = _env_points(0.3, 55)
+    for k, x in enumerate(points + points, start=1):
+        res = sd.solver.search_direction(env, x, cfg)
+        assert inner.calls == k
+        env.value(x + 0.5 * res.w)
+        assert inner.calls == k
+    assert sd.sum_models([env, sd.quadratic_model(np.zeros(24))]).separable_parts(x) is not None
+    assert inner.calls == len(points) * 2
+
+
+def test_envelope_parts_shared_by_threads_answer_each_its_own_point():
+    # Threads asking one envelope about different points replace its parts
+    # under each other; every answer must still be its own point's.
+    points, W = _env_points(0.3, 57)
+    env = sd.moreau_envelope(sd.ZeroNormInner(), 0.3, n=24)
+    want = [_env_answers(sd.moreau_envelope(sd.ZeroNormInner(), 0.3, n=24), x, W)
+            for x in points]
+    wrong, done = [], []
+
+    def ask(j):
+        for r in range(300):
+            i = (j + r) % len(points)
+            if _env_answers(env, points[i], W) != want[i]:
                 wrong.append(i)
         done.append(j)
 

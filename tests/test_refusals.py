@@ -151,6 +151,23 @@ def test_relu_network_refuses_no_data():
         sd.relu_network_loss([2, 1], [])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sd.L1Norm(3), lambda: sd.NegL1Norm(3, 0.5),
+    lambda: sd.moreau_envelope(sd.ZeroNormInner(), 0.5, n=3),
+    lambda: sd.sum_models([sd.quadratic_model(np.ones(3)), sd.L1Norm(3)])],
+    ids=["l1", "neg_l1", "moreau", "sum"])
+@pytest.mark.parametrize("x, error", [
+    ([1.0, 2.0], sd.DimensionMismatch), ([np.nan, 1.0, 0.0], ValueError),
+    ([[1.0, 2.0, 0.0]], sd.DimensionMismatch)], ids=["short", "nan", "row"])
+def test_separable_parts_checks_its_point(make, x, error):
+    # a short x gave parts of its own length, a NaN gave a NaN part and a
+    # (1, n) row gave 2-D parts; the public query now checks x as value does
+    with pytest.raises(error):
+        make().separable_parts(x)
+    with pytest.raises(error):
+        make().value(x)
+
+
 def test_l1_factories():
     f, g = sd.l1_norm(3, 2.0), sd.neg_l1_norm(2, 0.5)
     assert type(f) is sd.L1Norm and (f.dim, f.lam) == (3, 2.0)
