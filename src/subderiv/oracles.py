@@ -61,9 +61,8 @@ class L1Norm(RowSubderivatives):
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         if self._n >= _COLUMN_SUM_BELOW:
-            # the |w| select only where some x_i = 0
-            S = np.where(x < 0, -W, np.abs(W)) if (x == 0).any() else -W
-            return self._c * np.where(x > 0, W, S).sum(axis=1)
+            S = np.where(x > 0, W, np.where(x < 0, -W, np.abs(W)))
+            return self._c * S.sum(axis=1)
         acc = np.zeros(len(W))
         for j, xj in enumerate(x.tolist()):
             acc += W[:, j] if xj > 0 else -W[:, j] if xj < 0 else np.abs(W[:, j])
@@ -292,9 +291,12 @@ class ZeroNormInner(ScalarProxInner):
         # min(t^2 / (2r), 1), rounded as at the prox candidates 0 and t: at
         # |t| = thresh the rounded thresh^2 / (2r) decides which is less.
         # Clipping |t| at thresh keeps a huge t from overflowing t^2. The
-        # clip, the square and the quotient write only the array np.abs made.
+        # clip, the square and the quotient write only the array np.abs made,
+        # first copied to floats when t is an int array or a scalar.
         thresh = math.sqrt(2.0 * r)
         a = np.abs(t)
+        if not (isinstance(a, np.ndarray) and a.dtype.kind == "f"):
+            a = np.array(a, dtype=np.result_type(a, 1.0))
         one = a >= thresh if thresh * thresh / (2.0 * r) > 1.0 else a > thresh
         np.minimum(a, thresh, out=a)
         np.multiply(a, a, out=a)

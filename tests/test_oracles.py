@@ -376,6 +376,12 @@ def test_rewritten_kernels_keep_their_bits(r, rng):
         for parts in ((up, down), (np.where(up > 0, np.inf, up), np.where(down < 0, -np.inf, down))):
             res = sd.solve_linf_separable(parts, grad, np.zeros(24), model=sd.L1Norm(24))
             assert _same_bits(res.w, _old_linf_w(*parts, grad))
+    # an int array, a float32 array and scalars keep the formula's dtype and bits
+    thresh = math.sqrt(2.0 * r)
+    for t in (np.array([-3, -1, 0, 1, 2, 5]), np.array([-1.0, 0.5, 2.0], dtype=np.float32),
+              1, -2.0, thresh, np.float32(0.5)):
+        got, want = inner.envelope(t, r), _old_envelope(t, r)
+        assert got.dtype == want.dtype and _same_bits(got, want)
 
 
 def test_minus_end_forms_the_bits_of_negated_grad_plus_down():
