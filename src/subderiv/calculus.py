@@ -337,7 +337,14 @@ class _PointwiseExtremum(RowSubderivatives):
     are valued at x by one route, ``_member_values``: one kernel call for
     branches of one stack (``diff_max``'s), in any order, else a loop over
     their ``_value``. ``_extremum`` and ``_reduce`` keep the first extremum,
-    as the builtin max/min do."""
+    as the builtin max/min do.
+
+    The model keeps a record of the last point it valued its members at
+    (``_last``: the point's bytes, the member values, and the active members
+    or None until ``_active`` ties them; one tuple replaced whole), so
+    ``_value``, ``_active`` and the row kernels at one point value the
+    members once and tie them once. The batch ``_values`` does not use it.
+    """
 
     def __init__(self, models: Sequence[FunctionModel], take_max: bool):
         if not models:
@@ -355,6 +362,7 @@ class _PointwiseExtremum(RowSubderivatives):
         stacked = all(isinstance(m, _QuadraticBranch) and m.stack is first.stack
                       for m in self.models)
         self._stacked = (first.stack, np.array([m.row for m in self.models])) if stacked else None
+        self._last: Optional[tuple[bytes, np.ndarray, Optional[tuple[FunctionModel, ...]]]] = None
 
     @property
     def dim(self) -> int:
@@ -379,8 +387,18 @@ class _PointwiseExtremum(RowSubderivatives):
             out = np.where(v > out if self.take_max else v < out, v, out)
         return out
 
+    def _record(self, x: Vector) -> tuple:
+        """The kept record when its key is x.tobytes(), else a new one with
+        the member values at x and no active set, which replaces it."""
+        key = x.tobytes()
+        last = self._last
+        if last is not None and last[0] == key:
+            return last
+        self._last = last = key, self._member_values(x), None
+        return last
+
     def _value(self, x: Vector) -> float:
-        return self._extremum(self._member_values(x))
+        return self._extremum(self._record(x)[1])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return self._reduce([m._values(X) for m in self.models])
@@ -389,9 +407,12 @@ class _PointwiseExtremum(RowSubderivatives):
         """Members whose value ties the extremum at x by ``ulp_tied``, in
         member order; the tolerance scales with f, and a distant member does
         not widen it."""
-        vals = self._member_values(x)
-        tied = ulp_tied_arrays(vals, self._extremum(vals))
-        return [m for m, t in zip(self.models, tied) if t]
+        key, vals, active = self._record(x)
+        if active is None:
+            tied = ulp_tied_arrays(vals, self._extremum(vals))
+            active = tuple(m for m, t in zip(self.models, tied) if t)
+            self._last = key, vals, active
+        return list(active)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return self._reduce([m._subderivatives(x, W) for m in self._active(x)])

@@ -27,9 +27,10 @@ line-search layers pick the right specialized path.
 All models are immutable values; implementations must answer as if
 stateless and be safe for any number of concurrent readers. A model may keep
 what it worked out at its last point (``ReLUNetworkLoss`` keeps its forward
-tape, ``SeparableMoreau`` its separable parts) only as one object replaced
-whole, keyed by the point's bytes, so that every answer has the bits a fresh
-model gives.
+tape, ``SeparableMoreau`` its separable parts, ``pointwise_min`` and
+``pointwise_max`` their member values and active set) only as one object
+replaced whole, keyed by the point's bytes, so that every answer has the
+bits a fresh model gives.
 """
 
 from __future__ import annotations

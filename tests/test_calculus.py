@@ -544,6 +544,30 @@ def test_an_infinite_extremum_refuses_its_point(make):
         x, [1.0, 0.0]) == ExtReal(-1.0)
 
 
+@pytest.mark.parametrize("value_first", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda E: sd.pointwise_max([_QUADRATIC, E]),
+    lambda E: sd.pointwise_min([E, E]),
+], ids=["max_q_E", "min_E_E"])
+def test_an_infinite_extremum_refuses_its_point_on_every_repeat(make, value_first):
+    # the kept member values tie no member of the +inf extremum, so each
+    # repeat finds the active set empty again, whichever query comes first
+    f = make(_HalfPlaneRamp())
+    x, y = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
+    refusals = (lambda: f._vertex_values(x), lambda: f.subderivatives(x, np.eye(2)),
+                lambda: f.subderivative(x, [1.0, 0.0]), lambda: sd.solve_l1_extreme(f, x))
+    for _ in range(3):
+        if value_first:
+            assert f._value(x) == math.inf and f.value(x) == sd.POS_INF
+        for query in refusals:
+            with pytest.raises(sd.DomainViolation):
+                query()
+        assert f._active(x) == []
+        assert f._value(x) == math.inf
+    fresh = make(_HalfPlaneRamp())
+    assert f.subderivatives(y, np.eye(2)).tobytes() == fresh.subderivatives(y, np.eye(2)).tobytes()
+
+
 def _tree_over(leaf, rng, depth):
     """A random combinator tree with ``leaf`` once among finite-valued members."""
     if depth == 0:

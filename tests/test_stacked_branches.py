@@ -5,6 +5,9 @@ Every comparison is bit for bit: the stacked route must be the member loop
 it replaces, on exact ties and on near ties across the 8-ulp tie rule too.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -211,3 +214,161 @@ def test_verifiers_see_the_same_function(n):
 def test_registered_diff_max_is_stacked():
     model = build_problem("diff_max", {"n": "5", "m": "4"}).model
     assert model._stacked is not None and len(model.models) == 4
+
+
+# The extremum keeps one record of its last point: the point's bytes, the
+# member values and, once tied, the active members. Every answer read from
+# it must have the bytes a freshly built model gives.
+
+_QUERIES = ("_value", "value", "_active", "_vertex_values", "subderivatives", "_values")
+
+
+def _fresh(route, A, c, take_max):
+    """A newly built extremum over every branch: the stack or the lambdas."""
+    fast, slow = _pair(A, c, range(len(c)), take_max)
+    return fast if route == "stacked" else slow
+
+
+def _answer(f, query, x, W):
+    if query == "_active":
+        active = f._active(x)
+        assert type(active) is list
+        return [i for i, m in enumerate(f.models) if any(m is a for a in active)]
+    if query == "value":
+        return _bits(f.value(x).v)
+    if query == "subderivatives":
+        return _bits(f.subderivatives(x, W))
+    if query == "_values":
+        return _bits(f._values(np.vstack([x, x + W[:3]])))
+    return _bits(getattr(f, query)(x))
+
+
+def _record_points(rng, x):
+    """The near tie x (branches 0 and 1 active), a far point, and that point
+    with a coordinate on 0.0 and on -0.0."""
+    far = rng.uniform(-3.0, 3.0, x.size)
+    zero, negzero = far.copy(), far.copy()
+    zero[0], negzero[0] = 0.0, -0.0
+    return [x, far, zero, negzero]
+
+
+@pytest.mark.parametrize("take_max", [False, True])
+@pytest.mark.parametrize("route", ["stacked", "lambdas"])
+def test_the_record_answers_as_a_fresh_model(route, take_max):
+    rng = np.random.default_rng([20, take_max])
+    A, c, x = _near_tie_case(rng, 4, 20, take_max, 0)
+    points = _record_points(rng, x)
+    W = _directions(rng, 4)
+    f = _fresh(route, A, c, take_max)
+    fresh = _fresh(route, A, c, take_max)
+    assert _positions(fresh, points[0]) == [0, 1]
+    assert all(len(_positions(fresh, p)) == 1 for p in points[1:])
+    # (point, query, through one buffer overwritten in place): a tie kept at
+    # one point, a new point valued before it is tied, the same buffer with
+    # another point's bytes; then revisits and signed zeros in random order
+    steps = [(0, "_active", False), (1, "_value", False), (1, "_active", False),
+             (0, "_active", True), (1, "_active", True), (0, "_vertex_values", True),
+             (1, "subderivatives", True), (0, "_value", False)]
+    steps += [(int(rng.integers(4)), _QUERIES[int(rng.integers(6))], k % 3 == 0)
+              for k in range(80)]
+    buf = np.empty(4)
+    for k, (i, query, in_place) in enumerate(steps):
+        y = points[i]
+        if in_place:
+            buf[:] = y
+            y = buf
+        want = _answer(_fresh(route, A, c, take_max), query, points[i], W)
+        assert _answer(f, query, y, W) == want, (k, i, query)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # numpy reports the overflow
+@pytest.mark.parametrize("take_max", [False, True])
+@pytest.mark.parametrize("first", ["_value", "_active"])
+def test_an_overflowing_branch_raises_on_every_repeat(first, take_max):
+    # the stacked route keeps the NaN values and the lambda route keeps no
+    # record; either way each repeat raises again, and a finite point after
+    # it answers as a fresh model does
+    A, c = np.array([[0.9, 0.8], [-0.5, 0.5]]), np.zeros(2)
+    x, y = np.full(2, 1.7e308), np.array([0.25, -1.5])
+    second = "_active" if first == "_value" else "_value"
+    fresh = _pair(A, c, range(2), take_max)
+    for f, twin in zip(_pair(A, c, range(2), take_max), fresh):
+        for _ in range(3):
+            for query in (first, second, "_vertex_values"):
+                with pytest.raises(ValueError, match="NaN"):
+                    getattr(f, query)(x)
+        assert _bits(f._value(y)) == _bits(twin._value(y))
+        assert _positions(f, y) == _positions(twin, y)
+
+
+class _Counted:
+    """A branch's value callable that counts its calls."""
+
+    def __init__(self, A, c, r):
+        self.a, self.c, self.calls = A[r].copy(), float(c[r]), 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return 0.5 * float(np.dot(x, x)) - float(np.dot(self.a, x)) - self.c
+
+
+@pytest.mark.parametrize("take_max", [False, True])
+def test_members_are_valued_once_per_point(take_max):
+    rng = np.random.default_rng([22, take_max])
+    A, c, x = _near_tie_case(rng, 4, 3, take_max, 0)
+    counted = [_Counted(A, c, r) for r in range(3)]
+    combine = sd.pointwise_max if take_max else sd.pointwise_min
+    f = combine([sd.smooth_model(4, v, lambda z, a=v.a: z - a, smoothness_constant=1.0)
+                 for v in counted])
+    W = _directions(rng, 4)
+    y = rng.uniform(-3.0, 3.0, 4)
+    for point, calls in ((x, 1), (y, 2), (x, 3)):
+        f._value(point)
+        f._vertex_values(point)
+        f.subderivatives(point, W)
+        f.value(point)
+        f._active(point)
+        f._value(point.copy())
+        assert [v.calls for v in counted] == [calls] * 3
+    # the vertex search and its read-back at a point already valued value
+    # no member again
+    sd.solve_l1_extreme(f, x)
+    assert [v.calls for v in counted] == [3] * 3
+
+
+@pytest.mark.parametrize("route", ["stacked", "lambdas"])
+def test_the_record_shared_by_threads_answers_each_its_own_point(route):
+    # Threads asking one model about different points replace its record
+    # under each other; every answer must still be its own point's.
+    rng = np.random.default_rng(23)
+    A, c, x = _near_tie_case(rng, 4, 20, False, 0)
+    points = _record_points(rng, x) + [rng.uniform(-3.0, 3.0, 4) for _ in range(2)]
+    W = _directions(rng, 4)
+    f = _fresh(route, A, c, False)
+
+    def answers(model, y):
+        return tuple(_answer(model, q, y, W) for q in ("_value", "_active", "_vertex_values",
+                                                        "subderivatives"))
+
+    want = [answers(_fresh(route, A, c, False), y) for y in points]
+    wrong, done = [], []
+
+    def ask(j):
+        for r in range(300):
+            i = (j + r) % len(points)
+            if answers(f, points[i]) != want[i]:
+                wrong.append(i)
+        done.append(j)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
