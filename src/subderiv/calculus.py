@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, DomainViolation, EmptyList, Indeterminat
                      NonpositiveScale)
 from .extreal import ext_add_arrays, ulp_tied_arrays
 from .model import (FunctionModel, RowSubderivatives, Vector, as_matrix, as_vector,
-                    check_count, check_real, check_same_dim)
+                    check_count, check_real, check_same_dim, last_point)
 from .oracles import SmoothModel, _not_nan, relu_direction
 from .sets import SetModel, distance_to_set
 
@@ -339,11 +339,10 @@ class _PointwiseExtremum(RowSubderivatives):
     their ``_value``. ``_extremum`` and ``_reduce`` keep the first extremum,
     as the builtin max/min do.
 
-    The model keeps a record of the last point it valued its members at
-    (``_last``: the point's bytes, the member values, and the active members
-    or None until ``_active`` ties them; one tuple replaced whole), so
-    ``_value``, ``_active`` and the row kernels at one point value the
-    members once and tie them once. The batch ``_values`` does not use it.
+    The last point's record (``_record``) holds the member values and the
+    active members, or None until ``_active`` ties them, so ``_value``,
+    ``_active`` and the row kernels at one point value the members once and
+    tie them once. The batch ``_values`` does not use it.
     """
 
     def __init__(self, models: Sequence[FunctionModel], take_max: bool):
@@ -362,7 +361,7 @@ class _PointwiseExtremum(RowSubderivatives):
         stacked = all(isinstance(m, _QuadraticBranch) and m.stack is first.stack
                       for m in self.models)
         self._stacked = (first.stack, np.array([m.row for m in self.models])) if stacked else None
-        self._last: Optional[tuple[bytes, np.ndarray, Optional[tuple[FunctionModel, ...]]]] = None
+        self._last = None
 
     @property
     def dim(self) -> int:
@@ -387,18 +386,12 @@ class _PointwiseExtremum(RowSubderivatives):
             out = np.where(v > out if self.take_max else v < out, v, out)
         return out
 
-    def _record(self, x: Vector) -> tuple:
-        """The kept record when its key is x.tobytes(), else a new one with
-        the member values at x and no active set, which replaces it."""
-        key = x.tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return last
-        self._last = last = key, self._member_values(x), None
-        return last
+    @last_point
+    def _record(self, x: Vector) -> list:
+        return [self._member_values(x), None]
 
     def _value(self, x: Vector) -> float:
-        return self._extremum(self._record(x)[1])
+        return self._extremum(self._record(x)[0])
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return self._reduce([m._values(X) for m in self.models])
@@ -407,12 +400,12 @@ class _PointwiseExtremum(RowSubderivatives):
         """Members whose value ties the extremum at x by ``ulp_tied``, in
         member order; the tolerance scales with f, and a distant member does
         not widen it."""
-        key, vals, active = self._record(x)
-        if active is None:
+        record = self._record(x)
+        if record[1] is None:
+            vals = record[0]
             tied = ulp_tied_arrays(vals, self._extremum(vals))
-            active = tuple(m for m, t in zip(self.models, tied) if t)
-            self._last = key, vals, active
-        return list(active)
+            record[1] = tuple(m for m, t in zip(self.models, tied) if t)
+        return list(record[1])
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
         return self._reduce([m._subderivatives(x, W) for m in self._active(x)])

@@ -28,14 +28,15 @@ All models are immutable values; implementations must answer as if
 stateless and be safe for any number of concurrent readers. A model may keep
 what it worked out at its last point (``ReLUNetworkLoss`` keeps its forward
 tape, ``SeparableMoreau`` its separable parts, ``pointwise_min`` and
-``pointwise_max`` their member values and active set) only as one object
-replaced whole, keyed by the point's bytes, so that every answer has the
-bits a fresh model gives.
+``pointwise_max`` their member values and active set) only through one
+``last_point`` method: one record, keyed by the point's bytes and replaced
+whole, so that every answer has the bits a fresh model gives.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import numbers
 import operator
 from typing import Optional, Sequence
@@ -108,6 +109,28 @@ def check_real(value, name: str, positive: bool = True, error=ValueError) -> flo
     if real == np.inf:
         raise error(f"{name} must be finite, got {real!r}")
     return real
+
+
+def last_point(build):
+    """Make ``build(self, x)`` the accessor of a model's last-point record.
+
+    The accessor returns the kept record when x has its bytes (so 0.0 and
+    -0.0 are different points), else the record ``build`` makes at x, which
+    replaces it as ``self._last = (x.tobytes(), record)`` once ``build``
+    returns; a ``build`` that raises leaves the kept record as it was. A
+    model keeps one record, so it decorates one method and sets
+    ``self._last = None`` in ``__init__``. What the record holds may be
+    filled in later, but only with what x alone decides.
+    """
+    @functools.wraps(build)
+    def record(self, x):
+        key, last = x.tobytes(), self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        made = build(self, x)
+        self._last = key, made
+        return made
+    return record
 
 
 def l1_vertices(n: int) -> np.ndarray:

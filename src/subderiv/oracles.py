@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ProxUnavailable
 from .model import (FunctionModel, RowSubderivatives, Vector, as_directions, as_matrix,
-                    as_vector, check_count, check_real)
+                    as_vector, check_count, check_real, last_point)
 
 
 def _interleaved(even: Vector, odd: Vector) -> np.ndarray:
@@ -333,11 +333,9 @@ class SeparableMoreau(RowSubderivatives):
     """Moreau envelope of a separable scalar inner: the value sums the inner's
     ``envelope``, the subderivative is built on its ``prox_range``.
 
-    The model keeps the separable parts of the last point they were worked
-    out at (``_last``: the point's bytes and the read-only parts, one tuple
-    replaced whole), so ``separable_parts``, the vertex values and the
-    subderivative rows at one point share one ``prox_range``. ``_value``
-    does not use them. The parts handed out are read-only.
+    The last point's record (``_parts``) holds its read-only parts, so
+    ``separable_parts``, the vertex values and the subderivative rows at one
+    point share one ``prox_range``. ``_value`` does not use them.
     """
 
     semi_differentiable = True
@@ -352,7 +350,7 @@ class SeparableMoreau(RowSubderivatives):
         # The envelope is bounded below by the infimum of the inner cost.
         self.lower_bound = (None if inner.min_cost is None
                             else self._n * inner.min_cost)
-        self._last: Optional[tuple[bytes, tuple[Vector, Vector]]] = None
+        self._last = None
 
     @property
     def dim(self) -> int:
@@ -366,12 +364,12 @@ class SeparableMoreau(RowSubderivatives):
         return self.inner.envelope(X.ravel(), self.r).reshape(X.shape).sum(axis=1)
 
     def _subderivatives(self, x: Vector, W: np.ndarray) -> np.ndarray:
-        _, (up, down) = self._separable_parts(x)
+        up, down = self._parts(x)
         return (np.where(W > 0, up, -down) * W).sum(axis=1)
 
     def _vertex_values(self, x: Vector) -> np.ndarray:
         # + 0.0: a zero slope is +0.0, as the dense default's row sum gives it.
-        _, (up, down) = self._separable_parts(x)
+        up, down = self._parts(x)
         return _interleaved(up + 0.0, down + 0.0)
 
     def gradient(self, x: Vector) -> Vector:
@@ -384,18 +382,15 @@ class SeparableMoreau(RowSubderivatives):
         return self._separable_parts(as_vector(x, self.dim))
 
     def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        # the kept parts when their key is x.tobytes(), else one prox_range,
-        # whose parts replace them
-        key = x.tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return np.zeros(self.dim), last[1]
+        return np.zeros(self.dim), self._parts(x)
+
+    @last_point
+    def _parts(self, x: Vector) -> tuple[Vector, Vector]:
         lo, hi = self.inner.prox_range(x, self.r)
         parts = (x - hi) / self.r, (lo - x) / self.r
         for p in parts:
             p.flags.writeable = False
-        self._last = key, parts
-        return np.zeros(self.dim), parts
+        return parts
 
 
 class QuadraticInner:
@@ -473,19 +468,17 @@ _PENDING = object()  # a tape entry not yet asked for
 class _Tape:
     """One forward pass of a ``ReLUNetworkLoss`` at one theta.
 
-    ``key`` is theta.tobytes(); ``layers`` holds each layer's input Z,
-    weights W and pre-activation A = W Z - b, with W a view of a read-only
-    copy of theta, so a caller that changes its theta changes no tape;
-    ``residual`` is out - Y. The loss and the gradient join it when first
-    asked for; a gradient that does not exist is stored as None. A forward
-    pass that raises (an overflow under an error filter) leaves no tape, and
-    a loss or a gradient that raises is left unasked.
+    ``layers`` holds each layer's (Z, W, A) from ``_pass``, with W a view of
+    a read-only copy of theta, so a caller that changes its theta changes no
+    tape; ``residual`` is out - Y. The loss and the gradient join it when
+    first asked for; a gradient that does not exist is stored as None, and a
+    loss or a gradient that raises is left unasked.
     """
 
-    __slots__ = ("key", "layers", "residual", "loss", "grad")
+    __slots__ = ("layers", "residual", "loss", "grad")
 
-    def __init__(self, key: bytes, layers: list, residual: np.ndarray):
-        self.key, self.layers, self.residual = key, layers, residual
+    def __init__(self, layers: list, residual: np.ndarray):
+        self.layers, self.residual = layers, residual
         self.loss = self.grad = _PENDING
 
 
@@ -493,13 +486,11 @@ class ReLUNetworkLoss(RowSubderivatives):
     """Mean squared loss of a fully connected ReLU network over its parameters.
 
     The parameter vector packs (W^1, b^1, ..., W^N, b^N) row-major. The data
-    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets). The model
-    keeps the forward tape of the last single theta it was asked about (one
-    forward pass over all the data, ``_tape``), and the value, the gradient
-    and the subderivative rows at that theta all read it, so a search, its
-    read-back and the line search's f(x) share one pass. The tape is
-    replaced whole and answers only the bytes of the theta it was built
-    from, so every answer has the bits a fresh model gives.
+    are held as matrix columns, ``X`` (inputs) and ``Y`` (targets). The last
+    single theta's record (``_tape``) holds its forward pass over all the
+    data, and the value, the gradient and the subderivative rows at that
+    theta all read it, so a search, its read-back and the line search's f(x)
+    share one pass.
 
     Where no activated pre-activation is exactly 0, every unit is locally
     affine, so f is differentiable at theta and each row is
@@ -532,26 +523,29 @@ class ReLUNetworkLoss(RowSubderivatives):
             raise ValueError("at least one training pair is required")
         self.X = np.column_stack([x for x, _ in pairs])
         self.Y = np.column_stack([y for _, y in pairs])
-        self._offsets, off = [], 0
-        for n_in, n_out in zip(self.widths, self.widths[1:]):
-            self._offsets.append((off, off + n_out * n_in, off + n_out * n_in + n_out))
-            off = self._offsets[-1][2]
+        # each layer's (weights, bias, end) offsets, and the (weight slice,
+        # bias slice, weight shape, activated) row that every pass reads
+        self._offsets, self._layout, off = [], [], 0
+        for i, (n_in, n_out) in enumerate(zip(self.widths, self.widths[1:])):
+            w1 = off + n_out * n_in
+            self._offsets.append((off, w1, w1 + n_out))
+            self._layout.append((slice(off, w1), slice(w1, w1 + n_out), (n_out, n_in),
+                                 self.final_relu or i < len(self.widths) - 2))
+            off = w1 + n_out
         self._p = off
-        self._last: Optional[_Tape] = None
+        self._last = None
 
     @property
     def dim(self) -> int:
         return self._p
 
     def _activated(self, i: int) -> bool:
-        return self.final_relu or i < len(self.widths) - 2
+        return self._layout[i][3]
 
     def _unpack(self, theta: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Layer i's weights and bias from the last axis of ``theta``."""
-        w0, w1, w2 = self._offsets[i]
-        n_out, n_in = self.widths[i + 1], self.widths[i]
-        return (theta[..., w0:w1].reshape(theta.shape[:-1] + (n_out, n_in)),
-                theta[..., w1:w2])
+        weights, bias, shape, _ = self._layout[i]
+        return theta[..., weights].reshape(theta.shape[:-1] + shape), theta[..., bias]
 
     def pack(self, weights: Sequence[np.ndarray], biases: Sequence[Vector]) -> Vector:
         """Flatten the ``len(widths) - 1`` layers into a parameter vector:
@@ -565,42 +559,26 @@ class ReLUNetworkLoss(RowSubderivatives):
             as_matrix(weights[i], widths[i], f"weights[{i}]", widths[i + 1]).ravel(),
             as_vector(biases[i], widths[i + 1], f"biases[{i}]"))])
 
+    @last_point
     def _tape(self, theta: Vector) -> _Tape:
-        """The forward tape at theta: the kept one when its key is
-        theta.tobytes(), else one new pass, which replaces it.
-
-        Each layer's A = W Z - b is one product of the (n_out, n_in) weights
-        with the data columns, the BLAS call each row of ``_pass`` makes, so
-        the tape's loss equals ``_values``' row bit for bit.
-        """
-        key = theta.tobytes()
-        last = self._last
-        if last is not None and last.key == key:
-            return last
-        theta = np.frombuffer(key)  # a read-only copy of theta
-        Z, layers = self.X, []
-        for i, (w0, w1, w2) in enumerate(self._offsets):
-            W = theta[w0:w1].reshape(self.widths[i + 1], self.widths[i])
-            A = W @ Z - theta[w1:w2, None]
-            layers.append((Z, W, A))
-            Z = np.maximum(A, 0.0) if self._activated(i) else A
-        self._last = tape = _Tape(key, layers, Z - self.Y)
-        return tape
+        layers, out = self._pass(np.frombuffer(theta.tobytes()))  # a read-only copy of theta
+        return _Tape(layers, out - self.Y)
 
     def _pass(self, theta: np.ndarray) -> tuple[list, np.ndarray]:
-        """Forward pass over every datum at once, for a (k, p) stack of
-        parameter vectors (or one vector): the per-layer pre-activations
-        A = W Z - b (one column per datum) and the output, each with a
-        leading axis of length k. Each row's layer products are the BLAS
-        calls its own pass makes.
+        """Forward pass over every datum at once, for one parameter vector
+        (the tape's case) or a (k, p) stack of them: each layer's input Z,
+        weights W and pre-activation A = W Z - b (one column per datum), and
+        the output; for a stack all but the data lead with an axis of length
+        k. Each row's layer products are the BLAS calls its own pass makes,
+        so a row of ``_values`` has the bits of the tape's loss.
         """
-        Z, pre = self.X, []
-        for i in range(len(self.widths) - 1):
-            W, b = self._unpack(theta, i)
-            A = W @ Z - b[..., None]
-            Z = np.maximum(A, 0.0) if self._activated(i) else A
-            pre.append(A)
-        return pre, Z
+        lead, Z, layers = theta.shape[:-1], self.X, []
+        for weights, bias, shape, activated in self._layout:
+            W = theta[..., weights].reshape(lead + shape)
+            A = W @ Z - theta[..., bias, None]
+            layers.append((Z, W, A))
+            Z = np.maximum(A, 0.0) if activated else A
+        return layers, Z
 
     def preactivations(self, theta: Vector) -> list[list[Vector]]:
         """Per-datum, per-layer pre-activation vectors W z - b.

@@ -1,9 +1,11 @@
-"""Oracle-contract invariants: homogeneity, purity, behavior at w = 0."""
+"""Oracle-contract invariants: homogeneity, purity, behavior at w = 0, and the
+last-point record rule."""
 
 import numpy as np
 import pytest
 
 import subderiv as sd
+from subderiv.model import last_point
 
 
 def bundled_oracles():
@@ -160,3 +162,67 @@ def test_value_checks_its_point_as_subderivative_does(model, x, error, match):
         model.value(x)
     with pytest.raises(error, match=match):
         model.subderivative(x, np.zeros(model.dim))
+
+
+class _Counted:
+    """A toy model whose last-point record is a fresh list naming its point;
+    ``build`` counts its calls and raises where x[0] is negative."""
+
+    def __init__(self):
+        self._last = None
+        self.builds = 0
+
+    @last_point
+    def record(self, x):
+        self.builds += 1
+        if x[0] < 0:
+            raise ValueError("no record below zero")
+        return [x.copy()]
+
+
+def test_a_record_hit_returns_the_kept_object_without_building():
+    m, x = _Counted(), np.array([1.0, 2.0])
+    first = m.record(x)
+    assert m.record(x.copy()) is first and m.record(x) is first
+    assert m.builds == 1 and m._last[1] is first
+
+
+def test_a_new_point_replaces_the_record():
+    m = _Counted()
+    a, b = np.array([1.0, 2.0]), np.array([1.0, 3.0])
+    first = m.record(a)
+    second = m.record(b)
+    assert second is not first and m._last == (b.tobytes(), second)
+    assert m.record(a) is not first and m.builds == 3
+
+
+def test_signed_zeros_are_two_points():
+    m = _Counted()
+    plus = m.record(np.array([0.0, 1.0]))
+    minus = m.record(np.array([-0.0, 1.0]))
+    assert minus is not plus and m.builds == 2
+    assert np.signbit(minus[0][0]) and not np.signbit(plus[0][0])
+
+
+def test_a_build_that_raises_keeps_the_record_as_it_was():
+    m, bad = _Counted(), np.array([-1.0, 0.0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="below zero"):
+            m.record(bad)
+        assert m._last is None
+    kept = m.record(np.array([1.0, 0.0]))
+    last = m._last
+    for _ in range(2):
+        with pytest.raises(ValueError, match="below zero"):
+            m.record(bad)
+        assert m._last is last
+    assert m.record(np.array([1.0, 0.0])) is kept and m.builds == 5
+
+
+def test_each_instance_keeps_its_own_record():
+    a, b = _Counted(), _Counted()
+    x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    for _ in range(2):
+        assert a.record(x)[0].tobytes() == x.tobytes()
+        assert b.record(y)[0].tobytes() == y.tobytes()
+    assert a.builds == b.builds == 1

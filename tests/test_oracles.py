@@ -648,7 +648,7 @@ def test_relu_loss_rows_match_the_zero_tangent_pass_bit_for_bit(widths, final_re
     pool = np.vstack([np.zeros((1, net.dim)), eye, -eye,
                       rng.normal(size=(129 - 2 * net.dim, net.dim))])  # 130 rows
     tied = tied_theta(net, rng)
-    assert any((a == 0).any() for a in net._pass(tied)[0])
+    assert any((A == 0).any() for _, _, A in net._pass(tied)[0])
     untied = rng.normal(size=net.dim)
     for theta in (untied, tied, np.zeros(net.dim)):
         grad = net._backprop(theta)
@@ -702,7 +702,7 @@ def test_relu_zero_in_an_affine_last_layer_is_no_tie():
     W1, b1, W2 = dyadic(rng, (3, 2)), dyadic(rng, 3), dyadic(rng, (1, 3))
     hidden = np.maximum(W1 @ net.X - b1[:, None], 0.0)
     theta = net.pack([W1, W2], [b1, W2 @ hidden[:, 0]])
-    hidden_pre, out_pre = net._pass(theta)[0]
+    hidden_pre, out_pre = (A for _, _, A in net._pass(theta)[0])
     assert out_pre[0, 0] == 0.0 and np.count_nonzero(hidden_pre) == hidden_pre.size
     grad = net._backprop(theta)
     assert grad is not None
