@@ -140,7 +140,10 @@ class _Sum(RowSubderivatives):
     floating-point contract, then multiplies the sum by lam: ``_fold`` for
     the array kernels and the gradient, a float loop for ``_value``, the line
     search's query. At lam = 1.0 the sum is returned as it is: 1.0 * v is v
-    bit for bit, so the product would only copy it.
+    bit for bit, so the product would only copy it. ``_separable_parts``
+    adds the gradients and the parts left to right into a copy of each first
+    addend plus 0.0 (so a -0.0 entry is +0.0, as 0.0 + -0.0 is) and scales
+    them in place; it never writes into an array a member returned.
     """
 
     def __init__(self, models: Sequence[FunctionModel], lam: float = 1.0):
@@ -196,15 +199,30 @@ class _Sum(RowSubderivatives):
         return self._separable_parts(as_vector(x, self.dim))
 
     def _separable_parts(self, x: Vector) -> tuple[Vector, tuple[Vector, Vector]]:
-        grad, up, down = np.zeros((3, self.dim))
+        grad = up = down = None
         for m in self.models:
             if m.has_gradient:
-                grad = grad + m.gradient(x)
+                g, parts = m.gradient(x), None
             else:
-                g2, (up2, down2) = m._separable_parts(x)
-                grad, up, down = grad + g2, up + up2, down + down2
+                g, parts = m._separable_parts(x)
+            if grad is None:
+                grad = np.asarray(g, dtype=float) + 0.0
+            else:
+                grad += g
+            if parts is None:
+                continue
+            u, d = parts
+            if up is None:
+                up, down = np.asarray(u, dtype=float) + 0.0, np.asarray(d, dtype=float) + 0.0
+            else:
+                up += u
+                down += d
+        if up is None:
+            up, down = np.zeros((2, self.dim))
         if self.lam != 1.0:
-            grad, up, down = self.lam * grad, self.lam * up, self.lam * down
+            grad *= self.lam
+            up *= self.lam
+            down *= self.lam
         return grad, (up, down)
 
 

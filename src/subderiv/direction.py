@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,13 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     [-1, 1] lies at -1, +1 or 0: the values -grad_i + down_i, grad_i + up_i
     and 0, scanned in that order. Always exact.
     """
+    return _linf_separable(parts, grad, as_vector(x, model.dim), model)
+
+
+def _linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
+                    model: FunctionModel) -> DirectionResult:
+    """``solve_linf_separable`` at a checked x; the gradient and the parts'
+    shape are checked here."""
     n = model.dim
     grad = as_vector(grad, n, "grad")
     if len(parts) != 2 or any(np.shape(p) != (n,) for p in parts):
@@ -103,9 +111,9 @@ def solve_linf_separable(parts: tuple[Vector, Vector], grad: Vector, x: Vector,
     at_minus = down - grad  # the bits of -grad + down
     at_plus = grad + up
     plus_wins = at_plus < at_minus
-    best = np.where(plus_wins, at_plus, at_minus)
-    w = np.where(0.0 < best, 0.0, np.where(plus_wins, 1.0, -1.0))
-    return DirectionResult(w, _value_at(model, as_vector(x, n), w), True, 1)
+    w = plus_wins * 2.0 - 1.0  # +1.0 where +1 wins, else -1.0 (a tie included)
+    w[0.0 < np.where(plus_wins, at_plus, at_minus)] = 0.0
+    return DirectionResult(w, _value_at(model, x, w), True, 1)
 
 
 def _checked_values(f: FunctionModel, kernel: str, vals, k: int) -> np.ndarray:
@@ -133,9 +141,9 @@ def _gradient_rows(f: FunctionModel, x: Vector, norm: NormChoice) -> list[np.nda
     """
     if not f.has_gradient:
         return []
-    g = as_directions([f.gradient(x)], f.dim)
+    g = as_directions(np.asarray(f.gradient(x), dtype=float)[None], f.dim)
     nrm = norm_of(g[0], norm)
-    return [-(g / nrm)] if nrm > 0 else []
+    return [g / -nrm] if nrm > 0 else []
 
 
 def _best_candidate(f: FunctionModel, x: Vector, cands: np.ndarray,
@@ -210,11 +218,12 @@ def _fallback_candidates(n: int, norm: NormChoice, budget: int, seed: int) -> np
     return cands
 
 
-_NORM_ORDS = {NormChoice.L2: None, NormChoice.L1: 1, NormChoice.LINF: np.inf}
-
-
 def norm_of(w: Vector, norm: NormChoice) -> float:
-    return float(np.linalg.norm(w, _NORM_ORDS[norm]))
+    """The norm of a contiguous float vector; under L2 the computation
+    ``np.linalg.norm`` runs for it, without that function's dispatch."""
+    if norm is NormChoice.L2:
+        return math.sqrt(w.dot(w))
+    return float(np.linalg.norm(w, 1 if norm is NormChoice.L1 else np.inf))
 
 
 def solve_sampling_fallback(f: FunctionModel, x: Vector, norm: NormChoice,

@@ -523,14 +523,15 @@ class ReLUNetworkLoss(RowSubderivatives):
             raise ValueError("at least one training pair is required")
         self.X = np.column_stack([x for x, _ in pairs])
         self.Y = np.column_stack([y for _, y in pairs])
-        # each layer's (weights, bias, end) offsets, and the (weight slice,
-        # bias slice, weight shape, activated) row that every pass reads
+        # each layer's (weights, bias, end) offsets, and the (weights index,
+        # bias column index, weight shape, activated) row that every pass
+        # reads; an index tuple built in each pass costs about what its slice does
         self._offsets, self._layout, off = [], [], 0
         for i, (n_in, n_out) in enumerate(zip(self.widths, self.widths[1:])):
             w1 = off + n_out * n_in
             self._offsets.append((off, w1, w1 + n_out))
-            self._layout.append((slice(off, w1), slice(w1, w1 + n_out), (n_out, n_in),
-                                 self.final_relu or i < len(self.widths) - 2))
+            self._layout.append(((..., slice(off, w1)), (..., slice(w1, w1 + n_out), None),
+                                 (n_out, n_in), self.final_relu or i < len(self.widths) - 2))
             off = w1 + n_out
         self._p = off
         self._last = None
@@ -545,7 +546,7 @@ class ReLUNetworkLoss(RowSubderivatives):
     def _unpack(self, theta: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Layer i's weights and bias from the last axis of ``theta``."""
         weights, bias, shape, _ = self._layout[i]
-        return theta[..., weights].reshape(theta.shape[:-1] + shape), theta[..., bias]
+        return theta[weights].reshape(theta.shape[:-1] + shape), theta[bias][..., 0]
 
     def pack(self, weights: Sequence[np.ndarray], biases: Sequence[Vector]) -> Vector:
         """Flatten the ``len(widths) - 1`` layers into a parameter vector:
@@ -574,8 +575,8 @@ class ReLUNetworkLoss(RowSubderivatives):
         """
         lead, Z, layers = theta.shape[:-1], self.X, []
         for weights, bias, shape, activated in self._layout:
-            W = theta[..., weights].reshape(lead + shape)
-            A = W @ Z - theta[..., bias, None]
+            W = theta[weights].reshape(lead + shape)
+            A = W @ Z - theta[bias]
             layers.append((Z, W, A))
             Z = np.maximum(A, 0.0) if activated else A
         return layers, Z

@@ -18,11 +18,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .direction import (DirectionResult, NormChoice, solve_l1_extreme,
-                        solve_l2_smooth, solve_linf_separable,
-                        solve_sampling_fallback)
+from .direction import (DirectionResult, NormChoice, _linf_separable, norm_of,
+                        solve_l1_extreme, solve_l2_smooth, solve_sampling_fallback)
 from .errors import BacktrackExhausted, DomainViolation, InsufficientTrace
 from .linesearch import Schedule, armijo_schedule, schedule_step
 from .model import FunctionModel, Vector, as_vector, check_count, check_real
@@ -118,8 +115,9 @@ def search_direction(f: FunctionModel, x: Vector, cfg: SolverConfig) -> Directio
     if strategy == "l2":
         return solve_l2_smooth(f, x)
     if strategy == "linf-sep":
-        grad, parts = f.separable_parts(x)
-        return solve_linf_separable(parts, grad, x, model=f)
+        x = as_vector(x, f.dim)
+        grad, parts = f._separable_parts(x)
+        return _linf_separable(parts, grad, x, f)
     if strategy == "l1-ext":
         return solve_l1_extreme(f, x)
     return solve_sampling_fallback(f, x, cfg.norm, cfg.budget, cfg.seed)
@@ -180,7 +178,7 @@ def run(f: FunctionModel, x0: Vector, cfg: Optional[SolverConfig] = None) -> Tra
                 detail = f"the step with alpha={alpha!r} leaves the domain: f(x + alpha w) = +inf"
             break
         x = x_next
-        records.append(IterationRecord(k, fx, d, alpha, m, float(np.linalg.norm(step)), dt))
+        records.append(IterationRecord(k, fx, d, alpha, m, norm_of(step, NormChoice.L2), dt))
         fx = fx_next
         if fx < cfg.floor:
             status = TerminalStatus.UNBOUNDED

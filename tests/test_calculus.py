@@ -735,3 +735,113 @@ def test_sum_of_smooth_keeps_gradient(rng):
     assert s.has_gradient
     x = rng.uniform(-2, 2, 2)
     assert s.gradient(x) == pytest.approx(a.gradient(x) + b.gradient(x))
+
+
+class _KeptParts(sd.FunctionModel):
+    """A separable member that hands out the arrays it keeps, -0.0 entries included."""
+
+    is_separable = True
+    semi_differentiable = True
+
+    def __init__(self, grad, up, down, writeable=False):
+        self.kept = [np.array(a, dtype=float) for a in (grad, up, down)]
+        for a in self.kept:
+            a.flags.writeable = writeable
+
+    @property
+    def dim(self):
+        return len(self.kept[0])
+
+    def value(self, x):
+        return ExtReal(0.0)
+
+    def subderivative(self, x, w):
+        return ExtReal(0.0)
+
+    def separable_parts(self, x):
+        grad, up, down = self.kept
+        return grad, (up, down)
+
+
+class _ListGradient(sd.FunctionModel):
+    """A smooth member whose gradient is a list."""
+
+    has_gradient = True
+    semi_differentiable = True
+
+    def __init__(self, grad):
+        self.grad = list(grad)
+
+    @property
+    def dim(self):
+        return len(self.grad)
+
+    def value(self, x):
+        return ExtReal(0.0)
+
+    def subderivative(self, x, w):
+        return ExtReal(float(np.dot(self.grad, w)))
+
+    def gradient(self, x):
+        return list(self.grad)
+
+
+def _zero_block_parts(members, lam, x):
+    """The parts as a (3, n) zero block plus a fresh array per member, then times lam."""
+    grad, up, down = np.zeros((3, len(x)))
+    for m in members:
+        if m.has_gradient:
+            grad = grad + m.gradient(x)
+        else:
+            g2, (up2, down2) = m._separable_parts(x)
+            grad, up, down = grad + g2, up + up2, down + down2
+    if lam != 1.0:
+        grad, up, down = lam * grad, lam * up, lam * down
+    return grad, (up, down)
+
+
+_SIGNED_X = np.array([0.0, -0.0, 1.5, -0.25, 0.0, -0.0])
+
+
+def _summed_members():
+    n = len(_SIGNED_X)
+    return [
+        _ListGradient([-0.0, 0.0, -0.0, 1.25, -3.0, -0.0]),
+        _KeptParts([-0.0, -0.0, 0.5, 0.0, -0.0, 2.0],
+                   [-0.0, 0.75, -0.0, -1.0, 0.0, -0.0],
+                   [-0.0, -0.0, 1.5, 0.0, -2.0, -0.0]),
+        sd.moreau_envelope(sd.L1Inner(0.8), 0.5, n=n),
+        sd.L1Norm(n, 0.7),
+        sd.quadratic_model(np.array([0.0, -0.0, 1.0, -1.0, 0.5, 0.0])),
+        _KeptParts([-0.0, 1.0, -0.0, -0.5, 0.0, -0.0],
+                   [0.25, -0.0, -0.0, 1.0, -0.0, 0.5],
+                   [-0.0, 0.5, -0.0, -0.0, 3.0, 0.0], writeable=True),
+    ]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.3, 2.5])
+@pytest.mark.parametrize("members", [slice(None), slice(1, 2), slice(1, 3), slice(0, 1),
+                                     slice(3, 5), slice(4, 5), slice(5, 6)],
+                         ids=["all", "kept_only", "kept_then_envelope", "list_gradient_only",
+                              "l1_then_quadratic", "quadratic_only", "writeable_kept_only"])
+def test_sum_parts_match_the_zero_block_formula_bit_for_bit(members, lam):
+    # Each running sum is a copy of its first addend plus 0.0 and takes the
+    # later addends in place: every -0.0 first entry is +0.0, as 0.0 + -0.0
+    # is, a sum of smooth members only has zero parts, and no array a
+    # member keeps (read-only or not) is written.
+    members = _summed_members()[members]
+    x = _SIGNED_X
+    before = [(a.tobytes(), a.flags.writeable)
+              for m in members if isinstance(m, _KeptParts) for a in m.kept]
+    kept = [p.tobytes() for m in members if isinstance(m, sd.oracles.SeparableMoreau)
+            for p in m._parts(x)]
+    want = _zero_block_parts(members, lam, x)
+    for model in (sd.calculus._Sum(members, lam), sd.scale(sd.sum_models(members), lam)):
+        grad, (up, down) = model.separable_parts(x)
+        assert grad.tobytes() == want[0].tobytes()
+        assert up.tobytes() == want[1][0].tobytes() and down.tobytes() == want[1][1].tobytes()
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in (grad, up, down))
+    assert [(a.tobytes(), a.flags.writeable)
+            for m in members if isinstance(m, _KeptParts) for a in m.kept] == before
+    assert [p.tobytes() for m in members if isinstance(m, sd.oracles.SeparableMoreau)
+            for p in m._parts(x)] == kept

@@ -489,3 +489,46 @@ def test_fallback_run_matches_per_call_candidates(monkeypatch):
                           np.array(_drawn_per_call(n, norm, budget, seed)).reshape(budget, n)])
     monkeypatch.setattr(sd.direction, "_fallback_candidates", per_call)
     assert _trace_bytes(sd.run(bp.model, bp.x0, bp.defaults)) == _trace_bytes(cached)
+
+
+class _GivenParts(sd.FunctionModel):
+    """A separable stub that reads back 0 for any direction."""
+
+    is_separable = True
+
+    def __init__(self, n):
+        self.n = n
+
+    @property
+    def dim(self):
+        return self.n
+
+    def value(self, x):
+        return ExtReal(0.0)
+
+    def subderivative(self, x, w):
+        return ExtReal(0.0)
+
+
+def _nested_select_direction(up, down, grad):
+    """The sup-norm direction by a nested select of the three candidates."""
+    at_minus = down - grad
+    at_plus = grad + up
+    plus_wins = at_plus < at_minus
+    best = np.where(plus_wins, at_plus, at_minus)
+    return np.where(0.0 < best, 0.0, np.where(plus_wins, 1.0, -1.0))
+
+
+def test_sup_norm_direction_matches_the_nested_select_bit_for_bit():
+    # Every pairing of gradient and parts over signed zeros, +-1 and +-inf
+    # (and NaN parts): ties at_plus == at_minus, a best of +0.0 or -0.0, and
+    # infinite candidates, one coordinate each.
+    specials = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+    grid = np.array([(g, u, d) for g in (-1.0, -0.0, 0.0, 1.0, 0.5)
+                     for u in specials for d in specials])
+    grad, up, down = grid.T.copy()
+    want = _nested_select_direction(up, down, grad)
+    res = sd.solve_linf_separable((up, down), grad, np.zeros(len(grid)),
+                                  model=_GivenParts(len(grid)))
+    assert res.w.tobytes() == want.tobytes()
+    assert set(res.w.tolist()) == {-1.0, 0.0, 1.0} and not np.signbit(res.w[res.w == 0]).any()

@@ -202,3 +202,38 @@ def test_schedule_refuses_a_state_it_cannot_run(kwargs, message):
 def test_armijo_schedule_fills_in_default_params():
     assert sd.Schedule("armijo").armijo_params == sd.ArmijoParams()
     assert sd.Schedule("armijo") == sd.armijo_schedule()
+
+
+class _RecordingQuadratic(sd.FunctionModel):
+    """1/2 ||x||^2 that keeps a copy of every point ``_value`` is asked about."""
+
+    def __init__(self, n):
+        self.n, self.points = n, []
+
+    @property
+    def dim(self):
+        return self.n
+
+    def value(self, x):
+        self.points.append(np.array(x, dtype=float))
+        return sd.ExtReal(0.5 * float(np.dot(x, x)))
+
+    def subderivative(self, x, w):
+        return sd.ExtReal(float(np.dot(x, w)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 4000])
+def test_armijo_trial_points_are_x_plus_alpha_w_bit_for_bit(n, rng):
+    # Steps that are not powers of two (alpha_init 1.7, mu 0.3) and entries
+    # over several decades, so that the rounding of alpha * w and of the sum
+    # shows; the trials backtrack until the step is small enough.
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    w = -40.0 * x + rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    model = _RecordingQuadratic(n)
+    params = sd.ArmijoParams(mu=0.3, alpha_init=1.7)
+    alpha, m = sd.armijo(model, x, w, float(np.dot(x, w)), params)
+    assert m >= 2
+    fx, *trials = model.points
+    assert fx.tobytes() == x.tobytes() and len(trials) == m + 1
+    for k, y in enumerate(trials):
+        assert y.tobytes() == (x + (params.alpha_init * params.mu ** k) * w).tobytes(), k

@@ -1,6 +1,8 @@
 """Main-loop behavior: termination, descent, rate certificates, reductions."""
 
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -426,3 +428,77 @@ def test_sparse_moreau_audit_uses_norm_adjusted_constant():
     audit = sd.rate_audit(tr, built.f_star, L_eff, mu, len(tr.records) - 1)
     assert audit.holds
     assert all(sd.sufficient_decrease_audit(tr, sd.rate_constant(mu, L_eff)))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("separable_l1", {"n": 50}),
+    ("quadratic", {"n": 4000}),
+    ("sparse_moreau", {"n": 50}),
+    ("dc_quadratic_l1", {"n": 20}),
+])
+def test_step_norm_is_the_linalg_norm_of_the_step_bit_for_bit(name, params):
+    # At n=4000 an exactly rounded sum of squares misses most of these bits.
+    bp = build_problem(name, params)
+    tr = sd.run(bp.model, bp.x0, dataclasses.replace(bp.defaults, max_iter=20))
+    steps = [r for r in tr.records if r.alpha > 0.0]
+    assert steps
+    for r, x in zip(tr.records, tr.iterates):
+        if r.alpha > 0.0:
+            w = sd.solver.search_direction(bp.model, x, bp.defaults).w
+            assert type(r.step_norm) is float
+            want = np.linalg.norm(r.alpha * w)
+            assert np.float64(r.step_norm).tobytes() == want.tobytes(), r.k
+
+
+class _PublicPartsOnly(sd.FunctionModel):
+    """A separable model that states only the public queries and counts its
+    ``separable_parts`` calls, asking a bundled sum for every answer."""
+
+    def __init__(self, inner):
+        self.inner, self.parts_calls = inner, 0
+        self.is_separable = inner.is_separable
+        self.semi_differentiable = inner.semi_differentiable
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def subderivative(self, x, w):
+        return self.inner.subderivative(x, w)
+
+    def separable_parts(self, x):
+        self.parts_calls += 1
+        return self.inner.separable_parts(x)
+
+
+def test_a_model_with_only_the_public_separable_parts_runs_under_linf_sep():
+    bp = build_problem("separable_l1", {"n": 6})
+    cfg = bp.defaults
+    assert cfg.strategy == "linf-sep"
+    wrapped = _PublicPartsOnly(bp.model)
+    got, want = sd.run(wrapped, bp.x0, cfg), sd.run(bp.model, bp.x0, cfg)
+    assert got.status is want.status is sd.TerminalStatus.EPS_STATIONARY
+    assert [dataclasses.replace(r, wall_ns=0) for r in got.records] == \
+        [dataclasses.replace(r, wall_ns=0) for r in want.records]
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+    assert wrapped.parts_calls == len(got.records)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["separable_l1", "sparse_moreau"])
+def test_a_non_finite_iterate_is_refused_before_the_parts(name, bad):
+    # The linf-sep route checks x once, before any model computes its parts,
+    # so no arithmetic on the bad coordinate warns first, even where a
+    # RuntimeWarning is an error.
+    bp = build_problem(name, {"n": 4})
+    x = bp.x0.copy()
+    x[2] = bad
+    for model in (bp.model, _PublicPartsOnly(bp.model)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^x must have finite coordinates$"):
+                sd.solver.search_direction(model, x, bp.defaults)
+        assert getattr(model, "parts_calls", 0) == 0
